@@ -33,9 +33,13 @@ def alt_catalan_coeff_form(g: int) -> int:
     order = 2 * g + 1
     z = Series.identity(order)
     prod = binomial_series(g, Fraction(1, 2) * z) * binomial_series(Fraction(1, 2), z)
-    value = 2 ** (8 * g + 1) * prod[order]
+    return _integer(2 ** (8 * g + 1) * prod[order], "coefficient")
+
+
+def _integer(value: Fraction, route: str) -> int:
+    """The integer `value`; raises AssertionError rather than truncate."""
     if value.denominator != 1:
-        raise AssertionError("coefficient route produced a non-integer: %s" % value)
+        raise AssertionError("%s route produced a non-integer: %s" % (route, value))
     return int(value)
 
 
@@ -193,9 +197,8 @@ def compute_route(g: int, route: str, n4: int = 16, n5: int = 16) -> int:
     if route == "schubert":
         return schubert.alt_catalan_schubert(g, n4, n5)
     if route == "genfun":
-        value = genfun_series(2 * g + 1)[2 * g + 1]
-        return int(value)
+        return _integer(genfun_series(2 * g + 1)[2 * g + 1], "genfun")
     if route == "lagrange":
         _, _, h = lagrange_pipeline(2 * g + 1)
-        return int(h[2 * g + 1])
+        return _integer(h[2 * g + 1], "lagrange")
     raise ValueError("unknown route %r" % route)

@@ -5,11 +5,13 @@ coefficients, constant term first. Binary operations return the minimum of
 the two operand orders; there is no silent precision loss and no floating
 point. Multiplying by w (`shifted`) raises the order, since a series known
 mod w^(N+1) times w is known mod w^(N+2).
+
+Binomial powers (1 + f)^a, and with them `series_sqrt`, cost O(n^2)
+coefficient operations at order n (fewer for sparse f), as do a product and
+`inverse`; Horner `compose` and `lagrange_invert` cost O(n^3).
 """
 
 from fractions import Fraction
-
-from .combinat import binom_gen
 
 
 class Series:
@@ -150,20 +152,35 @@ class Series:
 
 
 def binomial_series(a, inner: Series, order=None) -> Series:
-    """(1 + inner)^a mod w^(order+1) for rational a; requires inner(0) = 0."""
+    """(1 + inner)^a mod w^(order+1) for rational a; requires inner(0) = 0.
+
+    Uses J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7):
+    with f = inner and g = (1 + f)^a,
+
+        g_0 = 1,   g_n = (1/n) sum_{k=1..n} ((a+1)k - n) f_k g_{n-k},
+
+    which follows from comparing coefficients in (1 + f) g' = a f' g. Writing
+    a = p/q, the weight ((a+1)k - n) is the integer (p+q)k - nq over q. Zero
+    f_k are skipped, so the cost is O(n * nnz(f)) exact operations.
+    """
     if inner.coeffs[0] != 0:
         raise ValueError("binomial_series requires inner constant term zero")
     if order is None:
         order = inner.order
-    inner = inner.truncated(order)
-    power = Series.constant(1, order)
-    result = Series.constant(1, order)
-    for k in range(1, order + 1):
-        power = power * inner
-        if power.is_zero():
-            break
-        result = result + binom_gen(a, k) * power
-    return result
+    f = inner.truncated(order).coeffs
+    a = Fraction(a)
+    p, q = a.numerator, a.denominator
+    support = [(k, f[k]) for k in range(1, order + 1) if f[k] != 0]
+    g = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, order + 1):
+        total = Fraction(0)
+        for k, fk in support:
+            if k > n:
+                break
+            if g[n - k]:
+                total += ((p + q) * k - n * q) * fk * g[n - k]
+        g[n] = total / (n * q)
+    return Series(g)
 
 
 def series_sqrt(f: Series, order=None) -> Series:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from oddcovers import routes
+from oddcovers.series import Series
 
 # Frozen by an independent pre-build evaluation of the alternating sum.
 FROZEN = [
@@ -40,6 +41,13 @@ def test_genfun_is_odd_with_A_g_coefficients():
             assert f[n] == 0
         else:
             assert f[n] == routes.alt_catalan_closed((n - 1) // 2)
+
+
+def test_genfun_agrees_with_closed_to_order_201():
+    f = routes.genfun_series(201)
+    for g in range(100 + 1):
+        assert f[2 * g] == 0
+        assert f[2 * g + 1] == routes.alt_catalan_closed(g)
 
 
 def test_lagrange_pipeline_matches_closed():
@@ -84,6 +92,20 @@ def test_compute_route_dispatch():
         assert routes.compute_route(3, route) == 32768
     with pytest.raises(ValueError):
         routes.compute_route(3, "nonsense")
+
+
+def _half_at_top(order):
+    return Series([0] * order + [Fraction(1, 2)])
+
+
+@pytest.mark.parametrize("route, name, fake", [
+    ("genfun", "genfun_series", _half_at_top),
+    ("lagrange", "lagrange_pipeline", lambda order: (None, None, _half_at_top(order))),
+])
+def test_compute_route_rejects_non_integer(monkeypatch, route, name, fake):
+    monkeypatch.setattr(routes, name, fake)
+    with pytest.raises(AssertionError, match="%s route produced a non-integer: 1/2" % route):
+        routes.compute_route(3, route)
 
 
 def test_negative_g_rejected():

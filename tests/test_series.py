@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from oddcovers.combinat import catalan
+from oddcovers.combinat import binom_gen, catalan
 from oddcovers.series import Series, binomial_series, lagrange_invert, series_sqrt
 
 
@@ -75,4 +75,59 @@ def test_odd_part():
 
 def test_binomial_series_integer_exponent_matches_power():
     z = Series.identity(6)
-    assert binomial_series(3, z) == (1 + z) * (1 + z) * (1 + z)
+    power = Series.constant(1, 6)
+    for a in range(6):
+        assert binomial_series(a, z) == power
+        power = power * (1 + z)
+
+
+def test_binomial_series_order_below_inner_order():
+    inner = Series([0, 1, 2, 3, 4, 5])
+    assert binomial_series(Fraction(1, 2), inner, 3) == series_sqrt(1 + inner).truncated(3)
+    assert binomial_series(-1, inner, 0) == Series([1])
+
+
+def test_binomial_series_rejects_bad_input():
+    with pytest.raises(ValueError):
+        binomial_series(Fraction(1, 2), Series([0, 1, 1]), 3)  # order above inner.order
+    with pytest.raises(ValueError):
+        binomial_series(Fraction(1, 2), Series([1, 1, 1]))  # nonzero inner(0)
+
+
+def _binomial_naive(a, inner, order=None):
+    """Reference (1 + inner)^a as the power sum sum_k binom(a, k) inner^k."""
+    if order is None:
+        order = inner.order
+    inner = inner.truncated(order)
+    power = Series.constant(1, order)
+    result = Series.constant(1, order)
+    for k in range(1, order + 1):
+        power = power * inner
+        result = result + binom_gen(a, k) * power
+    return result
+
+
+exponents = st.one_of(
+    st.fractions(max_denominator=7, max_value=Fraction(0)),
+    st.integers(min_value=0, max_value=8).map(Fraction),
+    st.integers(min_value=-8, max_value=8).map(lambda m: Fraction(2 * m + 1, 2)),
+)
+inner_tails = st.lists(st.one_of(st.just(Fraction(0)), small), max_size=12)
+
+
+@given(exponents, inner_tails, st.integers(min_value=0, max_value=12))
+@example(Fraction(1, 2), [Fraction(0)] * 12, 12)
+@example(Fraction(-3, 2), [Fraction(0), Fraction(0), Fraction(1)], 3)
+def test_binomial_series_matches_power_sum(a, tail, order):
+    inner = Series([0] + tail)
+    order = min(order, inner.order)
+    assert binomial_series(a, inner, order) == _binomial_naive(a, inner, order)
+
+
+def test_genfun_square_roots_match_power_sum_at_order_41():
+    w = Series.identity(41)
+    s_radicand = 1 + 16 * (w * w)
+    s = series_sqrt(s_radicand)
+    assert s == _binomial_naive(Fraction(1, 2), s_radicand - 1)
+    radicand = 1 + 64 * (w * w) + 16 * (w * s)
+    assert series_sqrt(radicand) == _binomial_naive(Fraction(1, 2), radicand - 1)
