@@ -45,6 +45,7 @@ from .routes import (
     lagrange_pipeline,
     phi_series,
     psi_series,
+    route_prefix,
     sigma3_route_check,
 )
 from .schubert import (

@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
 # -- emission -------------------------------------------------------------
 
 
-def _emit(args, text: str, payload: dict) -> None:
+def _emit(args, text: str, payload: dict, code: int = 0) -> int:
+    """Write the output; return `code`, or 2 if --output cannot be written."""
     if args.format == "text":
         body = text
     elif args.format == "json":
@@ -70,10 +71,15 @@ def _emit(args, text: str, payload: dict) -> None:
     else:
         body = _to_csv(payload)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(body)
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(body)
+        except OSError as err:
+            sys.stderr.write("cannot write %s: %s\n" % (args.output, err.strerror or err))
+            return 2
     else:
         sys.stdout.write(body)
+    return code
 
 
 def _to_csv(payload: dict) -> str:
@@ -112,10 +118,11 @@ def cmd_table(args) -> int:
         sys.stderr.write("schubert route capped at g = %d (raise with --cap)\n"
                          % args.cap)
         return 3
+    prefixes = {r: routes.route_prefix(r, args.max_g, args.n4, args.n5) for r in route_list}
     rows = []
     all_agree = True
     for g in range(args.max_g + 1):
-        values = {r: routes.compute_route(g, r, args.n4, args.n5) for r in route_list}
+        values = {r: prefixes[r][g] for r in route_list}
         agree = len(set(values.values())) == 1
         all_agree = all_agree and agree
         rows.append({"g": g, "values": {r: str(v) for r, v in values.items()},
@@ -128,8 +135,7 @@ def cmd_table(args) -> int:
             "yes" if row["agree"] else "NO",
         ))
     payload = {"command": "table", "rows": rows, "checks": []}
-    _emit(args, "\n".join(lines) + "\n", payload)
-    return 0 if all_agree else 1
+    return _emit(args, "\n".join(lines) + "\n", payload, 0 if all_agree else 1)
 
 
 def cmd_series(args) -> int:
@@ -152,8 +158,7 @@ def cmd_series(args) -> int:
     lines = ["# " + note]
     lines.extend("%d\t%d" % (n, c) for n, c in enumerate(coeffs))
     payload = {"command": "series", "note": note, "rows": rows, "checks": []}
-    _emit(args, "\n".join(lines) + "\n", payload)
-    return 0
+    return _emit(args, "\n".join(lines) + "\n", payload)
 
 
 def cmd_schubert(args) -> int:
@@ -174,8 +179,7 @@ def cmd_schubert(args) -> int:
     rows = [{"g": args.g, "values": {"schubert": str(value)}, "agree": True}]
     payload = {"command": "schubert", "rows": rows,
                "matrix": {str(m): str(v) for m, v in matrix.items()}, "checks": []}
-    _emit(args, "\n".join(lines) + "\n", payload)
-    return 0
+    return _emit(args, "\n".join(lines) + "\n", payload)
 
 
 # -- verification suites ---------------------------------------------------
@@ -271,15 +275,9 @@ def _suite_identities(max_g: int):
     max_g = max(max_g, 5)
     binom_ok = all(routes.binomial_identity_check(g) for g in range(max_g + 1))
     catalan_ok = all(routes.catalan_half_binomial_check(n) for n in range(61))
-    agreement = True
-    order = 2 * min(max_g, 20) + 1
-    gen = routes.genfun_series(order)
-    _, _, h = routes.lagrange_pipeline(order)
-    for g in range(min(max_g, 20) + 1):
-        closed = routes.alt_catalan_closed(g)
-        if not (closed == routes.alt_catalan_coeff_form(g)
-                == gen[2 * g + 1] == h[2 * g + 1]):
-            agreement = False
+    prefixes = [routes.route_prefix(r, min(max_g, 20))
+                for r in ("closed", "coeff_form", "genfun", "lagrange")]
+    agreement = all(p == prefixes[0] for p in prefixes)
     return [
         _check("binomial_identity",
                "sum_k (-1)^k 2^(g-k) C(g,k) C(g-k,i) = C(g,i) 2^i for g <= %d" % max_g,
@@ -348,8 +346,7 @@ def cmd_verify(args) -> int:
     lines.append("%d checks, %d failed" % (len(checks),
                                            sum(not c["pass"] for c in checks)))
     payload = {"command": "verify", "rows": [], "checks": checks}
-    _emit(args, "\n".join(lines) + "\n", payload)
-    return 0 if ok else 1
+    return _emit(args, "\n".join(lines) + "\n", payload, 0 if ok else 1)
 
 
 def main(argv=None) -> int:

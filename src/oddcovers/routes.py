@@ -5,6 +5,12 @@ product of binomial series, expansion of the algebraic generating function,
 and Lagrange inversion. All four agree exactly; the Schubert-calculus route
 lives in `schubert` and is bound to these by `sigma3_route_check`.
 
+`route_prefix(route, G)` returns A_0..A_G. The series routes `genfun` and
+`lagrange` carry A_g at w^(2g+1) of one series, so they expand it once, to
+order 2G+1, and integer-check every coefficient they read; the closed,
+coefficient and Schubert routes compute each g on its own (Schubert in its own
+G(2,2g+2)).
+
 The closed formula is evaluated for every g >= 0: the small-g values are the
 formal values of the sum and agree with the generating series.
 """
@@ -189,16 +195,29 @@ ROUTES = ("closed", "coeff_form", "schubert", "genfun", "lagrange")
 
 
 def compute_route(g: int, route: str, n4: int = 16, n5: int = 16) -> int:
-    """Single-g dispatcher used by the command line front end."""
+    """A_g by one route; the series routes take entry g of `route_prefix`."""
     if route == "closed":
         return alt_catalan_closed(g)
     if route == "coeff_form":
         return alt_catalan_coeff_form(g)
     if route == "schubert":
         return schubert.alt_catalan_schubert(g, n4, n5)
-    if route == "genfun":
-        return _integer(genfun_series(2 * g + 1)[2 * g + 1], "genfun")
-    if route == "lagrange":
-        _, _, h = lagrange_pipeline(2 * g + 1)
-        return _integer(h[2 * g + 1], "lagrange")
+    if route in ("genfun", "lagrange"):
+        return route_prefix(route, g)[g]
     raise ValueError("unknown route %r" % route)
+
+
+def route_prefix(route: str, max_g: int, n4: int = 16, n5: int = 16) -> list:
+    """[A_0, ..., A_max_g] by one route.
+
+    `genfun` and `lagrange` expand their series once, to order 2*max_g+1, and
+    read every A_g off it, each checked to be an integer; the other routes
+    compute each g on its own.
+    """
+    if max_g < 0:
+        raise ValueError("max_g must be nonnegative")
+    if route not in ("genfun", "lagrange"):
+        return [compute_route(g, route, n4, n5) for g in range(max_g + 1)]
+    order = 2 * max_g + 1
+    expansion = genfun_series(order) if route == "genfun" else lagrange_pipeline(order)[2]
+    return [_integer(expansion[2 * g + 1], route) for g in range(max_g + 1)]

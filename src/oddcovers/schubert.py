@@ -47,9 +47,6 @@ class SchubertVector:
     def degrees(self):
         return {a + b for a, b in self.terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def _check_ambient(self, other):
         if self.n != other.n:
             raise ValueError("mismatched ambient Grassmannians G(2,%d) vs G(2,%d)" % (self.n, other.n))
@@ -135,10 +132,6 @@ class SchubertVector:
         return "SchubertVector(%s; n=%d)" % (body, self.n)
 
 
-def pieri_special(v: SchubertVector, c: int) -> SchubertVector:
-    return v.pieri(c)
-
-
 def giambelli(a: int, b: int, n: int) -> SchubertVector:
     """sigma_{a,b} built from special classes: sigma_a sigma_b - sigma_{a+1} sigma_{b-1}."""
     if not (a >= b >= 0):
@@ -150,10 +143,6 @@ def giambelli(a: int, b: int, n: int) -> SchubertVector:
     if b >= 1:
         result = result - unit.pieri(a + 1).pieri(b - 1)
     return result
-
-
-def top_eval(v: SchubertVector) -> int:
-    return v.top_eval()
 
 
 def grassmannian_degree(n: int) -> int:

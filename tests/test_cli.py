@@ -5,6 +5,7 @@ import json
 import pytest
 
 from oddcovers import cli
+from oddcovers.routes import alt_catalan_closed
 
 
 def run(capsys, *argv):
@@ -54,6 +55,19 @@ def test_csv_and_json_carry_identical_values(capsys):
     for row, record in zip(payload["rows"], records):
         assert record["g"] == str(row["g"])
         assert record["closed"] == row["values"]["closed"]
+
+
+def test_table_series_routes_agree_with_closed(capsys):
+    code, out = run(capsys, "table", "--max-g", "16", "--routes",
+                    "closed,coeff_form,genfun,lagrange", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["g"] for row in rows] == list(range(17))
+    for row in rows:
+        assert row["agree"] is True
+        expected = str(alt_catalan_closed(row["g"]))
+        assert row["values"] == {r: expected for r in
+                                 ("closed", "coeff_form", "genfun", "lagrange")}
 
 
 def test_series_order_five(capsys):
@@ -138,3 +152,19 @@ def test_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     payload = json.loads(target.read_text())
     assert payload["rows"][2]["values"]["closed"] == "512"
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--max-g", "2"],
+    ["series", "--order", "3"],
+    ["verify", "--suite", "weierstrass"],
+    ["schubert", "--g", "1"],
+])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.json"
+    code = cli.main(argv + ["--format", "json", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write %s: " % target)
+    assert not target.exists()

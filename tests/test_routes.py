@@ -108,6 +108,41 @@ def test_compute_route_rejects_non_integer(monkeypatch, route, name, fake):
         routes.compute_route(3, route)
 
 
+@pytest.mark.parametrize("route", routes.ROUTES)
+def test_route_prefix_matches_closed(route):
+    top = 12 if route == "schubert" else 20
+    assert routes.route_prefix(route, top) == [
+        routes.alt_catalan_closed(g) for g in range(top + 1)
+    ]
+    assert routes.route_prefix(route, 0) == [1]
+
+
+@pytest.mark.parametrize("route", routes.ROUTES)
+def test_route_prefix_rejects_negative_max_g(route):
+    with pytest.raises(ValueError):
+        routes.route_prefix(route, -1)
+
+
+def test_route_prefix_rejects_unknown_route():
+    with pytest.raises(ValueError):
+        routes.route_prefix("nonsense", 3)
+
+
+def _half_at_g2(order):
+    # 1/2 at w^5 (g = 2), below the top index the prefix reads
+    return Series([Fraction(1, 2) if n == 5 else 0 for n in range(order + 1)])
+
+
+@pytest.mark.parametrize("route, name, fake", [
+    ("genfun", "genfun_series", _half_at_g2),
+    ("lagrange", "lagrange_pipeline", lambda order: (None, None, _half_at_g2(order))),
+])
+def test_route_prefix_checks_every_coefficient(monkeypatch, route, name, fake):
+    monkeypatch.setattr(routes, name, fake)
+    with pytest.raises(AssertionError, match="%s route produced a non-integer: 1/2" % route):
+        routes.route_prefix(route, 5)
+
+
 def test_negative_g_rejected():
     with pytest.raises(ValueError):
         routes.alt_catalan_closed(-1)
