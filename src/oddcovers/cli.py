@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[common],
                             help="run the verification suites")
     verify.add_argument("--suite", default="all",
-                        choices=("all", "covers", "weierstrass", "identities", "schubert"))
+                        choices=("all",) + tuple(SUITES))
     verify.add_argument("--max-g", type=int, default=30,
                         help="upper g for the identity checks")
 
@@ -322,20 +322,21 @@ def _suite_schubert():
     ]
 
 
+# Suite name -> its checks at the identity window max_g; `all` runs them in
+# this order.
+SUITES = {
+    "covers": lambda max_g: _suite_covers(),
+    "weierstrass": lambda max_g: _suite_weierstrass(),
+    "identities": _suite_identities,
+    "schubert": lambda max_g: _suite_schubert(),
+}
+
+
 def cmd_verify(args) -> int:
-    suites = {
-        "covers": lambda: _suite_covers(),
-        "weierstrass": lambda: _suite_weierstrass(),
-        "identities": lambda: _suite_identities(args.max_g),
-        "schubert": lambda: _suite_schubert(),
-    }
-    if args.suite == "all":
-        names = ("covers", "weierstrass", "identities", "schubert")
-    else:
-        names = (args.suite,)
+    names = tuple(SUITES) if args.suite == "all" else (args.suite,)
     checks = []
     for name in names:
-        checks.extend(suites[name]())
+        checks.extend(SUITES[name](args.max_g))
     lines = []
     for check in checks:
         lines.append("%s  %-35s %s" % (

@@ -9,12 +9,14 @@ The zero polynomial has degree None, a deliberate sentinel: no -1 arithmetic.
 
 from fractions import Fraction
 
+from .ring import RingElement
+
 
 def _coerce(c):
     return Fraction(c) if isinstance(c, int) else c
 
 
-class Poly:
+class Poly(RingElement):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
@@ -22,9 +24,6 @@ class Poly:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Poly is immutable")
 
     @staticmethod
     def constant(c):
@@ -72,15 +71,6 @@ class Poly:
     def __neg__(self):
         return Poly([-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._wrap(other)
         if o is None:
@@ -95,17 +85,8 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _one(self):
+        return Poly([1])
 
     def __eq__(self, other):
         o = self._wrap(other)
@@ -212,7 +193,7 @@ def gcd(p: Poly, q: Poly) -> Poly:
     """Monic polynomial gcd by Euclidean steps with monic normalization."""
     a, b = p, q
     while not b.is_zero():
-        a, b = b, (a % b).monic() if not (a % b).is_zero() else Poly()
+        a, b = b, (a % b).monic()
     return a.monic()
 
 

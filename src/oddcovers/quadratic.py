@@ -7,8 +7,10 @@ d values raises. No nested extensions: sqrt of a QuadScalar is not provided.
 
 from fractions import Fraction
 
+from .ring import RingElement
 
-class QuadScalar:
+
+class QuadScalar(RingElement):
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d=None):
@@ -18,10 +20,7 @@ class QuadScalar:
         object.__setattr__(self, "b", Fraction(b))
         object.__setattr__(self, "d", Fraction(d))
 
-    def __setattr__(self, *args):
-        raise AttributeError("QuadScalar is immutable")
-
-    def _coerce(self, other):
+    def _wrap(self, other):
         if isinstance(other, QuadScalar):
             if other.d != self.d:
                 raise ValueError("mixed quadratic contexts: d=%s vs d=%s" % (self.d, other.d))
@@ -33,7 +32,7 @@ class QuadScalar:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._wrap(other)
         if o is None:
             return NotImplemented
         return QuadScalar(self.a + o.a, self.b + o.b, self.d)
@@ -43,17 +42,8 @@ class QuadScalar:
     def __neg__(self):
         return QuadScalar(-self.a, -self.b, self.d)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadScalar(self.a - o.a, self.b - o.b, self.d)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._wrap(other)
         if o is None:
             return NotImplemented
         return QuadScalar(
@@ -63,6 +53,9 @@ class QuadScalar:
         )
 
     __rmul__ = __mul__
+
+    def _one(self):
+        return QuadScalar(1, 0, self.d)
 
     def conjugate(self):
         return QuadScalar(self.a, -self.b, self.d)
@@ -76,30 +69,6 @@ class QuadScalar:
         if n == 0:
             raise ZeroDivisionError("inverse of zero quadratic scalar")
         return QuadScalar(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = QuadScalar(1, 0, self.d)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- comparisons -----------------------------------------------------
 

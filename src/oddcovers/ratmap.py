@@ -8,7 +8,7 @@ carried by their monic squarefree factors rather than radical expressions.
 
 from fractions import Fraction
 
-from .poly import Poly, gcd, squarefree_decomposition
+from .poly import Poly, _invert, gcd, squarefree_decomposition
 
 INFINITY = "infinity"
 
@@ -24,7 +24,7 @@ class RationalMap:
         g = gcd(num, den)
         if g.degree and g.degree > 0:
             num, den = num // g, den // g
-        lead_inv = _inv(den.leading())
+        lead_inv = _invert(den.leading())
         object.__setattr__(self, "num", num * lead_inv)
         object.__setattr__(self, "den", den * lead_inv)
 
@@ -56,7 +56,7 @@ class RationalMap:
         d = self.den(point)
         if d == 0:
             return INFINITY
-        return self.num(point) * _inv(d)
+        return self.num(point) * _invert(d)
 
     def flip(self):
         """The map t -> f(1/t)."""
@@ -77,12 +77,6 @@ class RationalMap:
 
     def __repr__(self):
         return "RationalMap(%r / %r)" % (self.num, self.den)
-
-
-def _inv(c):
-    if isinstance(c, Fraction):
-        return Fraction(1) / c
-    return c.inverse()
 
 
 def vanishing_order(f: RationalMap, value, point) -> int:
@@ -172,7 +166,7 @@ def fiber_profile(f: RationalMap, value):
 
 def mobius_fixing_0_1(image_of_infinity) -> RationalMap:
     """The Moebius map fixing 0 and 1 sending infinity to the given point."""
-    lam = _inv(image_of_infinity)
+    lam = _invert(image_of_infinity)
     return RationalMap(Poly([0, 1]), Poly([1 - lam, lam]))
 
 
@@ -214,7 +208,7 @@ def _nullspace_vector(matrix):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = _inv(rows[r][col])
+        inv = _invert(rows[r][col])
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col] != 0:

@@ -12,9 +12,10 @@ Coefficients are Python ints, hence arbitrary precision throughout.
 """
 
 from .combinat import binom_int, catalan
+from .ring import RingElement
 
 
-class SchubertVector:
+class SchubertVector(RingElement):
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
@@ -28,9 +29,6 @@ class SchubertVector:
                 clean[(a, b)] = clean.get((a, b), 0) + c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v != 0})
-
-    def __setattr__(self, *args):
-        raise AttributeError("SchubertVector is immutable")
 
     @staticmethod
     def unit(n: int):
@@ -47,21 +45,24 @@ class SchubertVector:
     def degrees(self):
         return {a + b for a, b in self.terms}
 
-    def _check_ambient(self, other):
+    def _wrap(self, other):
+        if not isinstance(other, SchubertVector):
+            return None
         if self.n != other.n:
             raise ValueError("mismatched ambient Grassmannians G(2,%d) vs G(2,%d)" % (self.n, other.n))
+        return other
 
     def __add__(self, other):
-        if not isinstance(other, SchubertVector):
+        o = self._wrap(other)
+        if o is None:
             return NotImplemented
-        self._check_ambient(other)
         terms = dict(self.terms)
-        for k, c in other.terms.items():
+        for k, c in o.terms.items():
             terms[k] = terms.get(k, 0) + c
         return SchubertVector(self.n, terms)
 
-    def __sub__(self, other):
-        return self + (-1) * other
+    def __neg__(self):
+        return SchubertVector(self.n, {k: -v for k, v in self.terms.items()})
 
     def __rmul__(self, c):
         if not isinstance(c, int):
@@ -90,28 +91,19 @@ class SchubertVector:
         return SchubertVector(self.n, out)
 
     def __mul__(self, other):
-        if not isinstance(other, SchubertVector):
+        o = self._wrap(other)
+        if o is None:
             return NotImplemented
-        self._check_ambient(other)
         result = SchubertVector(self.n)
         for (a, b), coeff in self.terms.items():
-            part = other.pieri(a).pieri(b)
+            part = o.pieri(a).pieri(b)
             if b >= 1:
-                part = part - other.pieri(a + 1).pieri(b - 1)
+                part = part - o.pieri(a + 1).pieri(b - 1)
             result = result + coeff * part
         return result
 
-    def __pow__(self, g: int):
-        if g < 0:
-            raise ValueError("negative power of a cohomology class")
-        result = SchubertVector.unit(self.n)
-        base = self
-        while g:
-            if g & 1:
-                result = result * base
-            base = base * base
-            g >>= 1
-        return result
+    def _one(self):
+        return SchubertVector.unit(self.n)
 
     def top_eval(self) -> int:
         """Coefficient of the point class sigma_{n-2,n-2}; input must be

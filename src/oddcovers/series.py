@@ -13,17 +13,16 @@ coefficient operations at order n (fewer for sparse f), as do a product and
 
 from fractions import Fraction
 
+from .ring import RingElement
 
-class Series:
+
+class Series(RingElement):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
         if not self.coeffs:
             raise ValueError("a Series stores at least its constant term")
-
-    def __setattr__(self, *args):
-        raise AttributeError("Series is immutable")
 
     @staticmethod
     def constant(c, order):
@@ -75,15 +74,6 @@ class Series:
     def __neg__(self):
         return Series([-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._wrap(other)
         if o is None:
@@ -101,6 +91,9 @@ class Series:
         return Series(out)
 
     __rmul__ = __mul__
+
+    def _one(self):
+        return Series.constant(1, self.order)
 
     def inverse(self):
         """Multiplicative inverse; requires nonzero constant term."""

@@ -17,8 +17,10 @@ their normal forms match coefficientwise.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .ring import RingElement
 
-class Poly3:
+
+class Poly3(RingElement):
     """Polynomial in the commuting generators (P, E1, E2) over Q."""
 
     __slots__ = ("terms",)
@@ -30,9 +32,6 @@ class Poly3:
             if c != 0:
                 clean[key] = clean.get(key, Fraction(0)) + c
         object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v != 0})
-
-    def __setattr__(self, *args):
-        raise AttributeError("Poly3 is immutable")
 
     @staticmethod
     def constant(c):
@@ -68,15 +67,6 @@ class Poly3:
     def __neg__(self):
         return Poly3({k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._wrap(other)
         if o is None:
@@ -90,17 +80,8 @@ class Poly3:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = Poly3.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _one(self):
+        return Poly3.constant(1)
 
     def __eq__(self, other):
         o = self._wrap(other)
@@ -170,7 +151,7 @@ CUBIC = 4 * (P - E1) * (P - E2) * (P - E3)
 PSECOND = 6 * P * P - Fraction(1, 2) * G2
 
 
-class WeierExpr:
+class WeierExpr(RingElement):
     """Normal form even + odd*D of an element of the differential algebra."""
 
     __slots__ = ("even", "odd")
@@ -180,9 +161,6 @@ class WeierExpr:
         o = odd if isinstance(odd, Poly3) else Poly3.constant(odd)
         object.__setattr__(self, "even", e)
         object.__setattr__(self, "odd", o)
-
-    def __setattr__(self, *args):
-        raise AttributeError("WeierExpr is immutable")
 
     def _wrap(self, other):
         if isinstance(other, WeierExpr):
@@ -205,15 +183,6 @@ class WeierExpr:
     def __neg__(self):
         return WeierExpr(-self.even, -self.odd)
 
-    def __sub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._wrap(other)
         if o is None:
@@ -223,6 +192,9 @@ class WeierExpr:
         return WeierExpr(even, odd)
 
     __rmul__ = __mul__
+
+    def _one(self):
+        return WeierExpr(1)
 
     def __eq__(self, other):
         o = self._wrap(other)

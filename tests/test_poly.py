@@ -52,6 +52,20 @@ def test_gcd_of_shared_factor():
     assert gcd(a, b) == t - 1
 
 
+@given(polys, polys, polys)
+def test_gcd_is_monic_common_divisor(a, b, c):
+    # c divides both a*c and b*c, so it must divide their gcd as well.
+    a, b = a * c, b * c
+    g = gcd(a, b)
+    if g.is_zero():
+        assert a.is_zero() and b.is_zero()
+        return
+    assert g.leading() == 1
+    assert (a % g).is_zero() and (b % g).is_zero()
+    if not c.is_zero():
+        assert (g % c).is_zero()
+
+
 def test_discriminant_quadratic():
     assert discriminant_quadratic(Poly([4, -7, 4])) == Fraction(-15)
     assert discriminant_quadratic(Poly([9, -16, 16])) == Fraction(-320)

@@ -1,0 +1,80 @@
+"""The operator contract every exact ring class inherits from RingElement."""
+
+import operator
+from fractions import Fraction
+
+import pytest
+
+from oddcovers.poly import Poly
+from oddcovers.quadratic import QuadScalar
+from oddcovers.schubert import SchubertVector
+from oddcovers.series import Series
+from oddcovers.weier import E1, E2, P, Poly3, WeierExpr
+
+# (x, y, unit): two elements of one ring and its unit. The unit is the int 1
+# exactly for the classes that coerce ints.
+CASES = {
+    "Poly": (Poly([1, 2, Fraction(1, 3)]), Poly([-4, 0, 5, 1]), 1),
+    "Series": (Series([1, -2, 5, Fraction(1, 2)]), Series([0, 3, -7, 2]), 1),
+    "QuadScalar": (QuadScalar(1, 2, 3), QuadScalar(Fraction(-1, 2), 5, 3), 1),
+    "SchubertVector": (
+        SchubertVector(6, {(1, 0): 2, (1, 1): -1}),
+        SchubertVector(6, {(2, 0): 3, (0, 0): 1}),
+        SchubertVector.unit(6),
+    ),
+    "Poly3": (P * P - Fraction(1, 2) * E1, E1 * E2 + 3 * P, 1),
+    "WeierExpr": (WeierExpr(P - E1, E2 + 1), WeierExpr(E2, 2 * P), 1),
+}
+
+elements = pytest.mark.parametrize("x, y, unit", CASES.values(), ids=CASES.keys())
+INT_CASES = {name: case for name, case in CASES.items() if case[2] == 1}
+
+
+@elements
+def test_setting_an_attribute_raises(x, y, unit):
+    with pytest.raises(AttributeError, match="%s is immutable" % type(x).__name__):
+        setattr(x, type(x).__slots__[0], None)
+
+
+@elements
+def test_subtraction_is_adding_the_negative(x, y, unit):
+    assert x - y == x + (-y)
+    assert y - x == -(x - y)
+    assert (x - x) + y == y
+
+
+@pytest.mark.parametrize("x, y, unit", INT_CASES.values(), ids=INT_CASES.keys())
+def test_reflected_subtraction_of_an_int(x, y, unit):
+    assert 3 - x == -(x - 3)
+    assert (3 - x) + x == 3
+
+
+@elements
+def test_powers_by_repeated_multiplication(x, y, unit):
+    assert x ** 0 == unit
+    assert x ** 0 * x == x
+    assert x ** 1 == x
+    assert x ** 3 == x * x * x
+    assert x ** 6 == (x * x * x) * (x * x * x)
+
+
+@elements
+def test_negative_power_raises(x, y, unit):
+    with pytest.raises(ValueError, match="negative power of a %s" % type(x).__name__):
+        x ** -1
+
+
+@elements
+def test_foreign_operand_raises_type_error(x, y, unit):
+    with pytest.raises(TypeError):
+        x - "a"
+    with pytest.raises(TypeError):
+        "a" - x
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_schubert_ambients_must_match(op):
+    x = SchubertVector.basis(1, 0, 5)
+    y = SchubertVector.basis(1, 0, 6)
+    with pytest.raises(ValueError, match="mismatched ambient"):
+        op(x, y)
