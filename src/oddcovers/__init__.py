@@ -55,6 +55,7 @@ from .schubert import (
     grassmannian_degree,
     catalan_alternating_sum,
     sigma12_power,
+    top_power_prefix,
 )
 from .series import Series, binomial_series, lagrange_invert, series_sqrt
 from .weier import (

@@ -9,6 +9,7 @@ The zero polynomial has degree None, a deliberate sentinel: no -1 arithmetic.
 
 from fractions import Fraction
 
+from .quadratic import QuadScalar
 from .ring import RingElement
 
 
@@ -55,7 +56,7 @@ class Poly(RingElement):
     def _wrap(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction)) or hasattr(other, "inverse"):
+        if isinstance(other, (int, Fraction, QuadScalar)):
             return Poly([other])
         return None
 

@@ -7,9 +7,10 @@ lives in `schubert` and is bound to these by `sigma3_route_check`.
 
 `route_prefix(route, G)` returns A_0..A_G. The series routes `genfun` and
 `lagrange` carry A_g at w^(2g+1) of one series, so they expand it once, to
-order 2G+1, and integer-check every coefficient they read; the closed,
-coefficient and Schubert routes compute each g on its own (Schubert in its own
-G(2,2g+2)).
+order 2G+1, and integer-check every coefficient they read; the Schubert route
+reads every top evaluation off one chain of products in G(2,2G+2)
+(`schubert.top_power_prefix`); the closed and coefficient routes compute each
+g on its own.
 
 The closed formula is evaluated for every g >= 0: the small-g values are the
 formal values of the sum and agree with the generating series.
@@ -143,9 +144,9 @@ def sigma3_route_check(g: int) -> bool:
     """16^g * top((sigma_1 sigma_3)^g) in G(2,2g+2) equals the closed formula."""
     if not 1 <= g <= 8:
         raise ValueError("sigma3_route_check covers 1 <= g <= 8")
-    n = 2 * g + 2
-    s1s3 = schubert.SchubertVector.unit(n).pieri(3).pieri(1)
-    return 16 ** g * (s1s3 ** g).top_eval() == alt_catalan_closed(g)
+    s1s3 = schubert.SchubertVector.unit(2 * g + 2).pieri(3).pieri(1)
+    top = schubert.top_power_prefix(s1s3.terms, g)[g]
+    return 16 ** g * top == alt_catalan_closed(g)
 
 
 @dataclass(frozen=True)
@@ -195,15 +196,14 @@ ROUTES = ("closed", "coeff_form", "schubert", "genfun", "lagrange")
 
 
 def compute_route(g: int, route: str, n4: int = 16, n5: int = 16) -> int:
-    """A_g by one route; the series routes take entry g of `route_prefix`."""
+    """A_g by one route; the Schubert and series routes take entry g of
+    `route_prefix`."""
     if route == "closed":
         return alt_catalan_closed(g)
     if route == "coeff_form":
         return alt_catalan_coeff_form(g)
-    if route == "schubert":
-        return schubert.alt_catalan_schubert(g, n4, n5)
-    if route in ("genfun", "lagrange"):
-        return route_prefix(route, g)[g]
+    if route in ("schubert", "genfun", "lagrange"):
+        return route_prefix(route, g, n4, n5)[g]
     raise ValueError("unknown route %r" % route)
 
 
@@ -211,11 +211,14 @@ def route_prefix(route: str, max_g: int, n4: int = 16, n5: int = 16) -> list:
     """[A_0, ..., A_max_g] by one route.
 
     `genfun` and `lagrange` expand their series once, to order 2*max_g+1, and
-    read every A_g off it, each checked to be an integer; the other routes
-    compute each g on its own.
+    read every A_g off it, each checked to be an integer; `schubert` reads
+    every A_g off one chain of products in G(2,2*max_g+2); `closed` and
+    `coeff_form` compute each g on its own.
     """
     if max_g < 0:
         raise ValueError("max_g must be nonnegative")
+    if route == "schubert":
+        return schubert.top_power_prefix({(4, 0): n4, (3, 1): n5}, max_g)
     if route not in ("genfun", "lagrange"):
         return [compute_route(g, route, n4, n5) for g in range(max_g + 1)]
     order = 2 * max_g + 1

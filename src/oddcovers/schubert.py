@@ -8,6 +8,13 @@ complete rule set for lines, so no general Littlewood-Richardson machinery
 is needed. Anything leaving the box is annihilated at insertion time, which
 is the cohomological truth and makes small-n vanishing automatic.
 
+The inclusion G(2,n) in G(2,N), n <= N, pulls sigma_{a,b} back to
+sigma_{a,b} when a <= n-2 and to 0 otherwise, and this pullback is a ring map
+(Fulton, Young Tableaux, section 9.4). So a power v^g computed once in a large
+G(2,N) restricts to v^g in every smaller G(2,n), and its top evaluation there
+is the sigma_{n-2,n-2} coefficient; `top_power_prefix` reads the top
+evaluations for every g off one chain of products this way.
+
 Coefficients are Python ints, hence arbitrary precision throughout.
 """
 
@@ -169,10 +176,32 @@ def catalan_alternating_sum(g: int, m: int) -> int:
     )
 
 
+def top_power_prefix(terms, max_g: int) -> list:
+    """[top(v^0), ..., top(v^max_g)], each in its own G(2,2g+2), from one chain.
+
+    `terms` maps partitions (a, b) to integer weights; v = sum c*sigma_{a,b}
+    must be homogeneous of degree 4. The chain r <- v * r runs once in
+    G(2, 2*max_g+2), and step g reads the sigma_{2g,2g} coefficient of v^g,
+    which by the restriction map is the top evaluation of v^g in G(2,2g+2).
+    """
+    if max_g < 0:
+        raise ValueError("max_g must be nonnegative")
+    if any(a + b != 4 for (a, b), c in terms.items() if c != 0):
+        raise ValueError("top_power_prefix needs a class of degree 4")
+    v = SchubertVector(2 * max_g + 2, terms)
+    r = SchubertVector.unit(v.n)
+    tops = []
+    for g in range(max_g + 1):
+        if not r.degrees() <= {4 * g}:
+            raise ValueError("v^%d is not homogeneous of degree %d" % (g, 4 * g))
+        tops.append(r.terms.get((2 * g, 2 * g), 0))
+        if g < max_g:
+            r = v * r
+    return tops
+
+
 def alt_catalan_schubert(g: int, n4: int = 16, n5: int = 16) -> int:
     """Top evaluation of (n4*sigma_{4,0} + n5*sigma_{3,1})^g in G(2,2g+2)."""
     if g < 0:
         raise ValueError("g must be nonnegative")
-    n = 2 * g + 2
-    v = n4 * SchubertVector.basis(4, 0, n) + n5 * SchubertVector.basis(3, 1, n)
-    return (v ** g).top_eval()
+    return top_power_prefix({(4, 0): n4, (3, 1): n5}, g)[g]

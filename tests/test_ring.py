@@ -78,3 +78,13 @@ def test_schubert_ambients_must_match(op):
     y = SchubertVector.basis(1, 0, 6)
     with pytest.raises(ValueError, match="mismatched ambient"):
         op(x, y)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_poly_and_series_do_not_mix(op):
+    # a Series is not a Poly scalar, whatever attributes it has
+    p, s = Poly([1, 2]), Series([1, 1])
+    with pytest.raises(TypeError):
+        op(p, s)
+    with pytest.raises(TypeError):
+        op(s, p)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oddcovers import routes
 from oddcovers.combinat import catalan
 from oddcovers.schubert import (
     SchubertVector,
@@ -9,6 +10,7 @@ from oddcovers.schubert import (
     grassmannian_degree,
     catalan_alternating_sum,
     sigma12_power,
+    top_power_prefix,
 )
 
 
@@ -122,3 +124,39 @@ def test_schubert_route_small_values():
 def test_schubert_route_vanishing_weights():
     assert alt_catalan_schubert(1, 1, 0) == 0
     assert alt_catalan_schubert(2, 1, 0) == 1  # sigma_4^2 top in G(2,6) by duality
+
+
+degree_four = st.fixed_dictionaries({
+    (4, 0): st.integers(min_value=-3, max_value=3),
+    (3, 1): st.integers(min_value=-3, max_value=3),
+    (2, 2): st.integers(min_value=-3, max_value=3),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree_four, st.integers(min_value=0, max_value=10))
+def test_top_power_prefix_matches_per_ambient_powers(terms, max_g):
+    # oracle: v^g by square-and-multiply in each G(2,2g+2) separately
+    assert top_power_prefix(terms, max_g) == [
+        (SchubertVector(2 * g + 2, terms) ** g).top_eval() for g in range(max_g + 1)
+    ]
+
+
+def test_top_power_prefix_rejects_bad_input():
+    with pytest.raises(ValueError, match="degree 4"):
+        top_power_prefix({(3, 0): 1}, 3)
+    with pytest.raises(ValueError, match="degree 4"):
+        top_power_prefix({(4, 0): 1, (2, 1): 2}, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        top_power_prefix({(4, 0): 1}, -1)
+
+
+def test_top_power_prefix_checks_every_step(monkeypatch):
+    # a product that leaves degree 4g must raise, not be read
+    monkeypatch.setattr(SchubertVector, "__mul__", SchubertVector.__add__)
+    with pytest.raises(ValueError, match="v\\^1 is not homogeneous of degree 4"):
+        top_power_prefix({(4, 0): 1}, 3)
+
+
+def test_schubert_prefix_matches_closed_to_g_40():
+    assert routes.route_prefix("schubert", 40) == routes.route_prefix("closed", 40)
