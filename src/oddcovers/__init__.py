@@ -65,7 +65,6 @@ from .weier import (
     check_Gtilde_identities,
     delta0_specializations,
     gtilde_delta_specializations,
-    weier_derive,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

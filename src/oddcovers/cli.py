@@ -336,6 +336,9 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.max_g < 0:
+        sys.stderr.write("--max-g must be nonnegative\n")
+        return 2
     names = tuple(SUITES) if args.suite == "all" else (args.suite,)
     checks = []
     for name in names:

@@ -4,6 +4,14 @@ Scalars may be Fraction, QuadScalar, or (for computations with a symbolic
 parameter) another Poly; plain ints are promoted to Fraction. Division-based
 operations (divmod, gcd, monic) require field scalars.
 
+A polynomial in several variables is a Poly in the outermost variable whose
+coefficients are polynomials in the others (Knuth, TAOCP vol. 2, section
+4.6): `covers` nests t over the parameter b, `weier` nests P over E1 over E2.
+So derivative(), p[k] and degree act on the outermost variable, and a
+constant may sit at any depth: Poly([1]), Poly([Poly([1])]) and 1 are equal.
+Equal values hash alike, because a Poly of degree at most 0 hashes as its
+constant coefficient (the zero Poly as 0), the rule QuadScalar uses when b = 0.
+
 The zero polynomial has degree None, a deliberate sentinel: no -1 arithmetic.
 """
 
@@ -96,6 +104,8 @@ class Poly(RingElement):
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        if len(self.coeffs) <= 1:
+            return hash(self[0])
         return hash(self.coeffs)
 
     def __divmod__(self, other):

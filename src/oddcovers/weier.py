@@ -4,7 +4,10 @@ Generators: P (the even degree-2 function), its derivative D, and two
 commuting constants E1, E2 holding half-period values e1, e2; the third
 half-period value is -E1-E2, so e1+e2+e3 = 0 holds at the representation
 level. Every expression is kept in the normal form even + odd*D with even
-and odd polynomial in (P, E1, E2); the square of D is always eliminated by
+and odd polynomial in (P, E1, E2), each a nested poly.Poly: a polynomial in P
+whose coefficients are polynomials in E1 over polynomials in E2. So
+derivative() is the partial derivative in P, and q[k] and q.degree are the
+P-coefficients and the P-degree. The square of D is always eliminated by
 
     D^2 -> 4 (P - E1) (P - E2) (P + E1 + E2),
 
@@ -17,133 +20,54 @@ their normal forms match coefficientwise.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .poly import Poly, discriminant_quadratic
 from .ring import RingElement
 
 
-class Poly3(RingElement):
-    """Polynomial in the commuting generators (P, E1, E2) over Q."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                clean[key] = clean.get(key, Fraction(0)) + c
-        object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v != 0})
-
-    @staticmethod
-    def constant(c):
-        return Poly3({(0, 0, 0): c})
-
-    @staticmethod
-    def gen(index: int):
-        key = [0, 0, 0]
-        key[index] = 1
-        return Poly3({tuple(key): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _wrap(self, other):
-        if isinstance(other, Poly3):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly3.constant(other)
-        return None
-
-    def __add__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for k, c in o.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return Poly3(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly3({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        out = {}
-        for (i, j, k), a in self.terms.items():
-            for (p, q, r), b in o.terms.items():
-                key = (i + p, j + q, k + r)
-                out[key] = out.get(key, Fraction(0)) + a * b
-        return Poly3(out)
-
-    __rmul__ = __mul__
-
-    def _one(self):
-        return Poly3.constant(1)
-
-    def __eq__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def dP(self):
-        """Partial derivative in the first generator."""
-        out = {}
-        for (i, j, k), c in self.terms.items():
-            if i > 0:
-                out[(i - 1, j, k)] = out.get((i - 1, j, k), Fraction(0)) + i * c
-        return Poly3(out)
-
-    def coeff_in_P(self, power: int):
-        """Coefficient of P^power, a polynomial in (E1, E2)."""
-        return Poly3({(0, j, k): c for (i, j, k), c in self.terms.items() if i == power})
-
-    def degree_in_P(self) -> int:
-        return max((i for (i, _, _) in self.terms), default=0)
-
-    def substituted(self, p=None, e1=None, e2=None):
-        """Replace generators by the given values (int, Fraction, or Poly3)."""
-        reps = [
-            self._wrap(p) if p is not None else Poly3.gen(0),
-            self._wrap(e1) if e1 is not None else Poly3.gen(1),
-            self._wrap(e2) if e2 is not None else Poly3.gen(2),
-        ]
-        result = Poly3()
-        for (i, j, k), c in self.terms.items():
-            result = result + c * (reps[0] ** i) * (reps[1] ** j) * (reps[2] ** k)
-        return result
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        names = ("P", "E1", "E2")
-        parts = []
-        for key in sorted(self.terms, reverse=True):
-            c = self.terms[key]
-            factors = []
-            for name, e in zip(names, key):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
-            if not factors or c != 1:
-                factors.insert(0, str(c))
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+def monomials(q, depth=3):
+    """The nonzero terms of a polynomial in (P, E1, E2) as {(i, j, k): c},
+    c the coefficient of P^i E1^j E2^k; `depth` counts the variables left."""
+    if depth == 0:
+        return {(): q} if q != 0 else {}
+    q = q if isinstance(q, Poly) else Poly([q])
+    return {
+        (i,) + key: c
+        for i, a in enumerate(q.coeffs)
+        for key, c in monomials(a, depth - 1).items()
+    }
 
 
-P = Poly3.gen(0)
-E1 = Poly3.gen(1)
-E2 = Poly3.gen(2)
+def format_monomials(q) -> str:
+    """Terms by decreasing (P, E1, E2) exponents, as in 10*E1^2 + E1*E2."""
+    terms = monomials(q)
+    if not terms:
+        return "0"
+    parts = []
+    for key in sorted(terms, reverse=True):
+        c = terms[key]
+        factors = []
+        for name, e in zip(("P", "E1", "E2"), key):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append("%s^%d" % (name, e))
+        if not factors or c != 1:
+            factors.insert(0, str(c))
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+def substitute(q, e1, e2):
+    """q with E1 and E2 replaced by the given values (int, Fraction or Poly)."""
+    return sum(
+        (c * P ** i * e1 ** j * e2 ** k for (i, j, k), c in monomials(q).items()),
+        Poly(),
+    )
+
+
+P = Poly([0, 1])
+E1 = Poly([Poly([0, 1])])
+E2 = Poly([Poly([Poly([0, 1])])])
 E3 = -E1 - E2
 
 G2 = 4 * (E1 * E1 + E1 * E2 + E2 * E2)
@@ -157,15 +81,15 @@ class WeierExpr(RingElement):
     __slots__ = ("even", "odd")
 
     def __init__(self, even=0, odd=0):
-        e = even if isinstance(even, Poly3) else Poly3.constant(even)
-        o = odd if isinstance(odd, Poly3) else Poly3.constant(odd)
+        e = even if isinstance(even, Poly) else Poly.constant(even)
+        o = odd if isinstance(odd, Poly) else Poly.constant(odd)
         object.__setattr__(self, "even", e)
         object.__setattr__(self, "odd", o)
 
     def _wrap(self, other):
         if isinstance(other, WeierExpr):
             return other
-        if isinstance(other, (int, Fraction, Poly3)):
+        if isinstance(other, (int, Fraction, Poly)):
             return WeierExpr(other)
         return None
 
@@ -207,11 +131,12 @@ class WeierExpr(RingElement):
 
     def derive(self):
         """The derivation: P' = D, D' = 6P^2 - g2/2, extended by Leibniz."""
-        even = self.odd.dP() * CUBIC + self.odd * PSECOND
-        return WeierExpr(even, self.even.dP())
+        even = self.odd.derivative() * CUBIC + self.odd * PSECOND
+        return WeierExpr(even, self.even.derivative())
 
     def __repr__(self):
-        return "WeierExpr(%r + (%r)*D)" % (self.even, self.odd)
+        return "WeierExpr(%s + (%s)*D)" % (
+            format_monomials(self.even), format_monomials(self.odd))
 
 
 class WeierQuot:
@@ -235,7 +160,7 @@ class WeierQuot:
         return WeierQuot(num, self.den * self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (WeierExpr, Poly3, int, Fraction)):
+        if isinstance(other, (WeierExpr, Poly, int, Fraction)):
             other = WeierQuot(other)
         if not isinstance(other, WeierQuot):
             return NotImplemented
@@ -248,27 +173,12 @@ class WeierQuot:
         return "WeierQuot(%r / %r)" % (self.num, self.den)
 
 
-def weier_derive(x):
-    """Derivative of a WeierExpr or WeierQuot, same kind returned."""
-    if isinstance(x, (WeierExpr, WeierQuot)):
-        return x.derive()
-    raise TypeError("weier_derive expects WeierExpr or WeierQuot")
-
-
 def check_derivation_consistency() -> bool:
     """(D^2)' computed as 2 D D' matches the derivative of its reduced form."""
     d = WeierExpr(0, 1)
     lhs = 2 * (d * d.derive())
     rhs = WeierExpr(CUBIC).derive()
     return lhs == rhs
-
-
-def quadratic_discriminant_in_P(q: Poly3) -> Poly3:
-    """b^2 - 4ac of a polynomial quadratic in P with (E1, E2)-coefficients."""
-    if q.degree_in_P() != 2:
-        raise ValueError("not quadratic in P")
-    a, b, c = q.coeff_in_P(2), q.coeff_in_P(1), q.coeff_in_P(0)
-    return b * b - 4 * a * c
 
 
 # The quadratic controlling the extra triple points of the degree-4 family,
@@ -292,7 +202,7 @@ def check_G_identities() -> bool:
         return False
     if bracket != G_QUADRATIC:
         return False
-    if quadratic_discriminant_in_P(G_QUADRATIC) != 16 * DELTA0:
+    if Poly([discriminant_quadratic(G_QUADRATIC)]) != 16 * DELTA0:
         return False
     return all(r.nonzero and r.monomial for r in delta0_specializations())
 
@@ -305,14 +215,15 @@ class Specialization:
     monomial: bool
 
 
-def _specialize(expr: Poly3):
+def _specialize(expr: Poly):
     cases = [
-        ("e1=0", expr.substituted(e1=0)),
-        ("e2=0", expr.substituted(e2=0)),
-        ("e3=0 (e2=-e1)", expr.substituted(e2=-E1)),
+        ("e1=0", substitute(expr, 0, E2)),
+        ("e2=0", substitute(expr, E1, 0)),
+        ("e3=0 (e2=-e1)", substitute(expr, E1, -E1)),
     ]
     return [
-        Specialization(label, repr(v), not v.is_zero(), v.is_monomial())
+        Specialization(label, format_monomials(v), not v.is_zero(),
+                       len(monomials(v)) == 1)
         for label, v in cases
     ]
 
@@ -349,7 +260,7 @@ def check_Gtilde_identities() -> bool:
     )
     if gt.derive() != rhs:
         return False
-    if quadratic_discriminant_in_P(GTILDE_QUADRATIC) != GTILDE_DELTA:
+    if Poly([discriminant_quadratic(GTILDE_QUADRATIC)]) != GTILDE_DELTA:
         return False
     return all(r.nonzero and r.monomial for r in gtilde_delta_specializations())
 

@@ -144,6 +144,14 @@ def test_verify_identities_window(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_rejects_negative_max_g(capsys):
+    code = cli.main(["verify", "--suite", "identities", "--max-g", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "--max-g must be nonnegative\n"
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "table.json"
     code = cli.main(["table", "--max-g", "2", "--format", "json",

@@ -1,0 +1,63 @@
+"""The package contains no floating point: a syntax scan of every module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import oddcovers
+
+MODULES = sorted(Path(oddcovers.__file__).parent.glob("*.py"))
+INEXACT_NAMES = {"float", "complex"}
+INEXACT_MODULES = {"math", "cmath", "decimal"}
+ALLOWED_IMPORTS = {("math", "comb"), ("math", "isqrt")}
+
+
+def inexact_nodes(tree):
+    """(line, description) for each float or complex use in the tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, "literal %r" % node.value))
+        elif isinstance(node, ast.Name) and node.id in INEXACT_NAMES:
+            found.append((node.lineno, "name %s" % node.id))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] in INEXACT_MODULES:
+                    found.append((node.lineno, "import %s" % alias.name))
+        elif isinstance(node, ast.ImportFrom) and node.module in INEXACT_MODULES:
+            for alias in node.names:
+                if (node.module, alias.name) not in ALLOWED_IMPORTS:
+                    found.append((node.lineno, "from %s import %s"
+                                  % (node.module, alias.name)))
+    return found
+
+
+def test_scan_sees_every_module():
+    assert "weier.py" in {m.name for m in MODULES}
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.name)
+def test_module_has_no_floating_point(module):
+    assert inexact_nodes(ast.parse(module.read_text(), str(module))) == []
+
+
+@pytest.mark.parametrize("source", [
+    "x = 0.5",
+    "x = 2j",
+    "x = float(1)",
+    "ok = isinstance(x, complex)",
+    "import math",
+    "import cmath",
+    "from math import sqrt",
+    "from decimal import Decimal",
+    "import decimal as d",
+])
+def test_scan_flags_inexact_source(source):
+    assert inexact_nodes(ast.parse(source))
+
+
+def test_scan_allows_exact_math():
+    source = "from math import comb, isqrt\nfrom fractions import Fraction"
+    assert inexact_nodes(ast.parse(source)) == []

@@ -23,6 +23,13 @@ def test_zero_degree_is_none():
     assert Poly([0, 1]).degree == 1
 
 
+def test_constants_at_any_depth_hash_alike():
+    assert Poly([1]) == Poly([Poly([1])]) == 1
+    assert len({Poly([1]), Poly([Poly([1])]), 1}) == 1
+    assert len({Poly(), Poly([Poly()]), 0}) == 1
+    assert hash(Poly([Poly([0, 1]), 2])) == hash(Poly([Poly([0, 1]), Poly([2])]))
+
+
 def test_divmod_quartic_by_linear():
     # (t-2)^3 (t+2) divided by t-1 leaves remainder -3
     p = Poly([-16, 16, 0, -4, 1])

@@ -9,7 +9,7 @@ from oddcovers.poly import Poly
 from oddcovers.quadratic import QuadScalar
 from oddcovers.schubert import SchubertVector
 from oddcovers.series import Series
-from oddcovers.weier import E1, E2, P, Poly3, WeierExpr
+from oddcovers.weier import E1, E2, P, WeierExpr
 
 # (x, y, unit): two elements of one ring and its unit. The unit is the int 1
 # exactly for the classes that coerce ints.
@@ -22,7 +22,8 @@ CASES = {
         SchubertVector(6, {(2, 0): 3, (0, 0): 1}),
         SchubertVector.unit(6),
     ),
-    "Poly3": (P * P - Fraction(1, 2) * E1, E1 * E2 + 3 * P, 1),
+    # the nested Poly in P, E1, E2 that weier computes with
+    "nested_Poly": (P * P - Fraction(1, 2) * E1, E1 * E2 + 3 * P, 1),
     "WeierExpr": (WeierExpr(P - E1, E2 + 1), WeierExpr(E2, 2 * P), 1),
 }
 

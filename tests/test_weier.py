@@ -3,7 +3,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from oddcovers import weier
-from oddcovers.weier import E1, E2, E3, P, Poly3, WeierExpr, WeierQuot, weier_derive
+from oddcovers.poly import Poly, discriminant_quadratic
+from oddcovers.weier import E1, E2, E3, P, WeierExpr, WeierQuot
 
 
 def test_generator_derivatives():
@@ -32,8 +33,15 @@ monos = st.tuples(
     st.integers(min_value=0, max_value=1),
     st.integers(min_value=0, max_value=1),
 )
-poly3s = st.dictionaries(monos, coeffs, max_size=3).map(Poly3)
-exprs = st.builds(WeierExpr, poly3s, poly3s)
+
+
+def from_monomials(terms):
+    return sum((c * P ** i * E1 ** j * E2 ** k for (i, j, k), c in terms.items()),
+               Poly())
+
+
+polys = st.dictionaries(monos, coeffs, max_size=3).map(from_monomials)
+exprs = st.builds(WeierExpr, polys, polys)
 
 
 @settings(max_examples=60)
@@ -59,9 +67,17 @@ def test_quotient_derive_quotient_rule():
     assert derived == WeierQuot(manual_num, WeierExpr(P - E1) * WeierExpr(P - E1))
 
 
-def test_weier_derive_dispatch():
-    assert weier_derive(WeierExpr(P)) == WeierExpr(0, 1)
-    assert isinstance(weier_derive(WeierQuot(WeierExpr(P))), WeierQuot)
+def test_equal_expressions_hash_alike():
+    # (E1 + 1) - E1 keeps its constant at depth 2, WeierExpr(1) at depth 1
+    assert len({WeierExpr(P * P - P * P + 1), WeierExpr(1)}) == 1
+    assert len({WeierExpr((E1 + 1) - E1), WeierExpr(1)}) == 1
+
+
+@settings(max_examples=40)
+@given(st.dictionaries(monos, coeffs, max_size=3))
+def test_monomials_round_trip(terms):
+    q = from_monomials(terms)
+    assert weier.monomials(q) == {k: c for k, c in terms.items() if c != 0}
 
 
 def test_G_identities():
@@ -88,11 +104,12 @@ def test_gtilde_delta_specializations():
 
 
 def test_discriminant_constants():
-    assert weier.quadratic_discriminant_in_P(weier.G_QUADRATIC) == 16 * weier.DELTA0
+    disc = discriminant_quadratic(weier.G_QUADRATIC)
+    assert Poly([disc]) == 16 * weier.DELTA0
     assert weier.DELTA0 == 10 * E1 * E1 + E1 * E2 - 2 * E2 * E2
 
 
 def test_substitution_numeric():
     # Delta0 at (e1, e2) = (1, 2): 10 + 2 - 8 = 4
-    value = weier.DELTA0.substituted(e1=1, e2=2)
-    assert value == Poly3.constant(Fraction(4))
+    value = weier.substitute(weier.DELTA0, 1, 2)
+    assert value == Poly.constant(Fraction(4))
