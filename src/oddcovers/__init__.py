@@ -27,7 +27,6 @@ from .ratmap import (
     INFINITY,
     RationalMap,
     fiber_profile,
-    find_target_mobius,
     hurwitz_total,
     ram_scheme,
     ramification_data,
@@ -54,7 +53,7 @@ from .schubert import (
     giambelli,
     grassmannian_degree,
     catalan_alternating_sum,
-    sigma12_power,
+    sigma12_row,
     top_power_prefix,
 )
 from .series import Series, binomial_series, lagrange_invert, series_sqrt

@@ -129,15 +129,14 @@ class PairedQuarticReport:
     profiles_ok: bool
     triple_points_ok: bool
     no_extra_simple_ramification: bool
-    relation: str  # "identity" or "up to target Moebius" or "unrelated"
-    target_mobius: object  # None for "identity"
+    identical: bool  # second o M == first on the nose
 
     def ok(self) -> bool:
         return (
             self.profiles_ok
             and self.triple_points_ok
             and self.no_extra_simple_ramification
-            and self.relation in ("identity", "up to target Moebius")
+            and self.identical
         )
 
 
@@ -158,15 +157,14 @@ def paired_quartic_maps():
 
 
 def check_paired_quartic_maps() -> PairedQuarticReport:
-    """Certify the ramification of both maps and test how they are related.
+    """Certify the ramification of both maps and that they agree exactly.
 
     Each map must have fiber profile {2,2} over 0, a triple point at its
     degree-3 pole (at t = (3 - sqrt 3)/6 for the first map, at infinity for
     the second), exactly one further triple point, and no ramification
     beyond the two double points over 0 and those two triple points. The
-    relation tried is second o M = first for the Moebius map M fixing 0 and
-    1 with M(infinity) = 1/2 + sqrt(3)/6; the report records whether it
-    holds on the nose or only after a Moebius change on the target.
+    maps must then satisfy second o M = first on the nose, for the Moebius
+    map M fixing 0 and 1 with M(infinity) = 1/2 + sqrt(3)/6.
     """
     first, second = paired_quartic_maps()
     profiles_ok = True
@@ -189,15 +187,8 @@ def check_paired_quartic_maps() -> PairedQuarticReport:
         if vanishing_order(f, 0, 0) != 2 or vanishing_order(f, 0, 1) != 2:
             clean_ok = False
     tau = mobius_fixing_0_1(QuadScalar(Fraction(1, 2), Fraction(1, 6), 3))
-    composed = second.compose_source(tau)
-    if composed == first:
-        relation, mob = "identity", None
-    else:
-        from .ratmap import find_target_mobius
-
-        mob = find_target_mobius(composed, first)
-        relation = "up to target Moebius" if mob is not None else "unrelated"
-    return PairedQuarticReport(profiles_ok, triple_ok, clean_ok, relation, mob)
+    identical = second.compose_source(tau) == first
+    return PairedQuarticReport(profiles_ok, triple_ok, clean_ok, identical)
 
 
 def deg3_maps():

@@ -6,8 +6,6 @@ floating point or projective coordinates. Irrational critical points are
 carried by their monic squarefree factors rather than radical expressions.
 """
 
-from fractions import Fraction
-
 from .poly import Poly, _invert, gcd, squarefree_decomposition
 
 INFINITY = "infinity"
@@ -168,62 +166,3 @@ def mobius_fixing_0_1(image_of_infinity) -> RationalMap:
     """The Moebius map fixing 0 and 1 sending infinity to the given point."""
     lam = _invert(image_of_infinity)
     return RationalMap(Poly([0, 1]), Poly([1 - lam, lam]))
-
-
-def find_target_mobius(f: RationalMap, g: RationalMap):
-    """A Moebius map M with M(f) = g, or None.
-
-    Solves the linear system (a*p_f + b*q_f) q_g = (c*p_f + d*q_f) p_g for
-    (a, b, c, d) by exact Gaussian elimination over the coefficient field.
-    """
-    gens = [
-        f.num * g.den,   # a
-        f.den * g.den,   # b
-        -(f.num * g.num),  # c
-        -(f.den * g.num),  # d
-    ]
-    size = max((p.degree or 0) for p in gens) + 1
-    matrix = [[gens[j][i] for j in range(4)] for i in range(size)]
-    sol = _nullspace_vector(matrix)
-    if sol is None:
-        return None
-    a, b, c, d = sol
-    if a * d - b * c == 0:
-        return None
-    return RationalMap(Poly([b, a]), Poly([d, c]))
-
-
-def _nullspace_vector(matrix):
-    """One nonzero kernel vector of the 4-column matrix, or None."""
-    rows = [list(r) for r in matrix]
-    ncols = 4
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = _invert(rows[r][col])
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    fc = free[0]
-    sol = [Fraction(0)] * ncols
-    sol[fc] = Fraction(1)
-    for i, col in enumerate(pivots):
-        sol[col] = -rows[i][fc]
-    return sol

@@ -154,20 +154,31 @@ def grassmannian_degree(n: int) -> int:
     return v.top_eval()
 
 
-def sigma12_power(g: int, m: int) -> int:
-    """Top intersection sigma_1^(2m) sigma_2^(2g-m) in G(2,2g+2), 0 <= m <= 2g."""
-    if not 0 <= m <= 2 * g:
-        raise ValueError("need 0 <= m <= 2g")
-    v = SchubertVector.unit(2 * g + 2)
-    for _ in range(2 * m):
-        v = v.pieri(1)
-    for _ in range(2 * g - m):
-        v = v.pieri(2)
-    return v.top_eval()
+def sigma12_row(g: int) -> list:
+    """[sigma_1^(2m) sigma_2^(2g-m) for m = 0..2g], top intersections in G(2,2g+2).
+
+    One sigma_1 chain (4g steps) and one sigma_2 chain (2g steps) are paired
+    by Poincare duality: sigma_{a,b} sigma_{c,d} is the point class when
+    (c, d) = (n-2-b, n-2-a) and 0 otherwise (Fulton, Young Tableaux,
+    section 9.4).
+    """
+    if g < 0:
+        raise ValueError("g must be nonnegative")
+    box = 2 * g
+    ones = [SchubertVector.unit(box + 2)]  # ones[m] = sigma_1^(2m)
+    twos = [ones[0]]  # twos[k] = sigma_2^k
+    for _ in range(box):
+        ones.append(ones[-1].pieri(1).pieri(1))
+        twos.append(twos[-1].pieri(2))
+    return [
+        sum(c * twos[box - m].terms.get((box - b, box - a), 0)
+            for (a, b), c in ones[m].terms.items())
+        for m in range(box + 1)
+    ]
 
 
 def catalan_alternating_sum(g: int, m: int) -> int:
-    """Alternating binomial-Catalan sum equal to sigma12_power(g, m)."""
+    """Alternating binomial-Catalan sum equal to entry m of sigma12_row(g)."""
     if not 0 <= m <= 2 * g:
         raise ValueError("need 0 <= m <= 2g")
     return sum(

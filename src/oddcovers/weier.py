@@ -215,16 +215,21 @@ class Specialization:
     monomial: bool
 
 
+# The three square-period cases, in the order every specialization list
+# reports them; each label names the substitution `_specialize` makes.
+SPECIALIZATION_LABELS = ("e1=0", "e2=0", "e3=0 (e2=-e1)")
+
+
 def _specialize(expr: Poly):
-    cases = [
-        ("e1=0", substitute(expr, 0, E2)),
-        ("e2=0", substitute(expr, E1, 0)),
-        ("e3=0 (e2=-e1)", substitute(expr, E1, -E1)),
-    ]
+    values = (
+        substitute(expr, 0, E2),
+        substitute(expr, E1, 0),
+        substitute(expr, E1, -E1),
+    )
     return [
         Specialization(label, format_monomials(v), not v.is_zero(),
                        len(monomials(v)) == 1)
-        for label, v in cases
+        for label, v in zip(SPECIALIZATION_LABELS, values)
     ]
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from oddcovers import cli
+from oddcovers import cli, routes
 from oddcovers.routes import alt_catalan_closed
 
 
@@ -142,6 +142,71 @@ def test_verify_identities_window(capsys):
     code, out = run(capsys, "verify", "--suite", "identities", "--max-g", "30")
     assert code == 0
     assert "FAIL" not in out
+
+
+# Every check `verify --suite all` reports, in order, by suite.
+VERIFY_CHECKS = {
+    "covers": [
+        "family_condition_deg5_alpha1",
+        "family_condition_deg5_alpha2",
+        "check_quartic_cover",
+        "check_deg3_maps",
+        "check_paired_quartic_maps",
+        "bound_arithmetic",
+        "admissible_tally",
+    ],
+    "weierstrass": [
+        "derivation_consistency",
+        "check_G_identities",
+        "check_Gtilde_identities",
+        "delta0[e1=0]",
+        "delta0[e2=0]",
+        "delta0[e3=0 (e2=-e1)]",
+        "gtilde_delta[e1=0]",
+        "gtilde_delta[e2=0]",
+        "gtilde_delta[e3=0 (e2=-e1)]",
+    ],
+    "identities": [
+        "binomial_identity",
+        "catalan_half_binomial",
+        "route_agreement",
+    ],
+    "schubert": [
+        "sigma12_vs_alternating_sum",
+        "grassmannian_degree",
+        "schubert_route",
+        "sigma3_reduction",
+    ],
+}
+
+
+def test_verify_reports_the_pinned_checks_in_order(capsys):
+    code, out = run(capsys, "verify", "--suite", "all", "--max-g", "5",
+                    "--format", "json")
+    assert code == 0
+    everything = [name for names in VERIFY_CHECKS.values() for name in names]
+    assert len(everything) == 23
+    assert [c["name"] for c in json.loads(out)["checks"]] == everything
+    for suite, names in VERIFY_CHECKS.items():
+        code, out = run(capsys, "verify", "--suite", suite, "--max-g", "5",
+                        "--format", "json")
+        assert code == 0
+        assert [c["name"] for c in json.loads(out)["checks"]] == names
+
+
+def test_verify_reports_a_failed_assertion_and_keeps_going(capsys, monkeypatch):
+    def broken(order):
+        raise AssertionError("u = w*phi(u) violated")
+
+    monkeypatch.setattr(routes, "lagrange_pipeline", broken)
+    code, out = run(capsys, "verify", "--suite", "identities")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("PASS  binomial_identity ")
+    assert lines[1].startswith("PASS  catalan_half_binomial ")
+    assert lines[2].startswith("FAIL  route_agreement ")
+    assert lines[2].endswith(" assertion failed: u = w*phi(u) violated")
+    assert lines[3:] == ["3 checks, 1 failed"]
 
 
 def test_verify_rejects_negative_max_g(capsys):

@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 
 from oddcovers import covers
-from oddcovers.ratmap import INFINITY, fiber_profile, hurwitz_total, vanishing_order
+from oddcovers.ratmap import (
+    INFINITY,
+    RationalMap,
+    fiber_profile,
+    hurwitz_total,
+    vanishing_order,
+)
 
 
 def test_family_condition_alpha1():
@@ -31,9 +37,22 @@ def test_paired_quartic_report():
     assert report.profiles_ok
     assert report.triple_points_ok
     assert report.no_extra_simple_ramification
-    assert report.relation == "identity"
-    assert report.target_mobius is None
+    assert report.identical
     assert report.ok()
+
+
+def test_paired_quartic_maps_must_agree_exactly(monkeypatch):
+    # 2*first has the same ramification as first but agrees with second o M
+    # only after the target Moebius map x -> 2x, which no longer passes
+    first, second = covers.paired_quartic_maps()
+    doubled = RationalMap(2 * first.num, first.den)
+    monkeypatch.setattr(covers, "paired_quartic_maps", lambda: (doubled, second))
+    report = covers.check_paired_quartic_maps()
+    assert report.profiles_ok
+    assert report.triple_points_ok
+    assert report.no_extra_simple_ramification
+    assert not report.identical
+    assert not report.ok()
 
 
 def test_paired_quartic_maps_share_branch_structure():

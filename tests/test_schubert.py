@@ -9,7 +9,7 @@ from oddcovers.schubert import (
     giambelli,
     grassmannian_degree,
     catalan_alternating_sum,
-    sigma12_power,
+    sigma12_row,
     top_power_prefix,
 )
 
@@ -103,16 +103,32 @@ def test_grassmannian_degree_is_catalan():
         assert grassmannian_degree(n) == catalan(n - 2)
 
 
-def test_sigma12_power_equals_alternating_sum():
-    for g in range(0, 9):
-        for m in range(2 * g + 1):
-            assert sigma12_power(g, m) == catalan_alternating_sum(g, m)
+def sigma12_power(g, m):
+    """Oracle: sigma_1^(2m) sigma_2^(2g-m) in G(2,2g+2) by one chain per m."""
+    v = SchubertVector.unit(2 * g + 2)
+    for _ in range(2 * m):
+        v = v.pieri(1)
+    for _ in range(2 * g - m):
+        v = v.pieri(2)
+    return v.top_eval()
+
+
+def test_sigma12_row_matches_oracle_and_alternating_sum():
+    for g in range(0, 13):
+        row = sigma12_row(g)
+        assert row == [sigma12_power(g, m) for m in range(2 * g + 1)]
+        assert row == [catalan_alternating_sum(g, m) for m in range(2 * g + 1)]
+
+
+def test_sigma12_row_rejects_negative_g():
+    with pytest.raises(ValueError, match="nonnegative"):
+        sigma12_row(-1)
 
 
 def test_sigma2_fourth_power():
     # sigma_2^4 in G(2,6) is 3: sigma_2^2 = sigma_{4}+sigma_{3,1}+sigma_{2,2}
     # is self-dual term by term
-    assert sigma12_power(2, 0) == 3
+    assert sigma12_row(2)[0] == 3
 
 
 def test_schubert_route_small_values():
