@@ -42,8 +42,6 @@ from .routes import (
     genfun_series,
     growth_report,
     lagrange_pipeline,
-    phi_series,
-    psi_series,
     route_prefix,
     sigma3_route_check,
 )
@@ -56,7 +54,7 @@ from .schubert import (
     sigma12_row,
     top_power_prefix,
 )
-from .series import Series, binomial_series, lagrange_invert, series_sqrt
+from .series import Series, binomial_series, series_sqrt
 from .weier import (
     WeierExpr,
     WeierQuot,

@@ -197,8 +197,9 @@ def cmd_schubert(args) -> int:
 # and the route-agreement window as %(route_g)d.
 Check = namedtuple("Check", "suite name citation run")
 
-# Upper end of route_agreement's window: the lagrange route's cost is cubic in
-# its series order, 2*g+1, which is 41 here.
+# Upper end of route_agreement's window, part of what the check certifies.
+# The genfun and lagrange routes each expand one series to order 2*g+1 (41
+# here), at a cost quadratic in that order.
 ROUTE_AGREEMENT_MAX_G = 20
 
 

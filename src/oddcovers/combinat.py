@@ -6,6 +6,8 @@ Everything here is exact; no floating point is used anywhere in the package.
 from fractions import Fraction
 from math import comb
 
+from .ring import check_exact
+
 
 def binom_int(n: int, k: int) -> int:
     """Binomial coefficient n!/(k!(n-k)!); zero when k > n."""
@@ -18,6 +20,7 @@ def binom_gen(a, k: int) -> Fraction:
     """Generalized binomial a(a-1)...(a-k+1)/k! for rational a."""
     if k < 0:
         raise ValueError("binom_gen requires k >= 0")
+    check_exact((a,))
     a = Fraction(a)
     num = Fraction(1)
     for i in range(k):

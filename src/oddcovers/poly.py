@@ -18,7 +18,7 @@ The zero polynomial has degree None, a deliberate sentinel: no -1 arithmetic.
 from fractions import Fraction
 
 from .quadratic import QuadScalar
-from .ring import RingElement
+from .ring import RingElement, check_exact
 
 
 def _coerce(c):
@@ -30,6 +30,7 @@ class Poly(RingElement):
 
     def __init__(self, coeffs=()):
         coeffs = [_coerce(c) for c in coeffs]
+        check_exact(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))

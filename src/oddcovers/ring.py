@@ -3,8 +3,32 @@
 A subclass sets its slots through object.__setattr__ in __init__ and
 supplies `_wrap(other)` (the operand as an element of its own ring, or None
 when the operand is foreign), `__add__`, `__neg__`, `__mul__` and `_one()`.
-Immutability, subtraction and nonnegative integer powers are derived here.
+Immutability, subtraction and nonnegative integer powers are derived here,
+and `check_exact` keeps inexact numbers out of their coefficients.
 """
+
+from fractions import Fraction
+from numbers import Number, Rational
+
+# Types known to be exact; check_exact adds each new type it clears.
+_EXACT_TYPES = {int, Fraction}
+
+
+def check_exact(values) -> None:
+    """Raise TypeError if any of `values` is an inexact number.
+
+    An inexact number is a `numbers.Number` that is not `Rational` (a binary
+    or decimal floating-point value, or a complex one); turning it into a
+    Fraction would carry its rounding error into exact results. Each type is
+    judged once, so a scan of values of known types costs one set lookup per
+    value and callers can run it on whole coefficient lists.
+    """
+    if _EXACT_TYPES.issuperset(map(type, values)):
+        return
+    for kind in set(map(type, values)) - _EXACT_TYPES:
+        if issubclass(kind, Number) and not issubclass(kind, Rational):
+            raise TypeError("exact arithmetic takes no %s values" % kind.__name__)
+        _EXACT_TYPES.add(kind)
 
 
 class RingElement:

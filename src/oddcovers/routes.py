@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import binom_int, binom_gen, catalan, decimal_root_string
-from .series import Series, binomial_series, series_sqrt, lagrange_invert
+from .series import Series, binomial_series, series_sqrt
 from . import schubert
 
 
@@ -66,21 +66,6 @@ def genfun_series(order: int) -> Series:
     return (2 * w) * denom.inverse()
 
 
-def phi_series(order: int) -> Series:
-    """phi(z) = 16 (1+z/2)^(1/2)."""
-    z = Series.identity(order)
-    return 16 * binomial_series(Fraction(1, 2), Fraction(1, 2) * z)
-
-
-def psi_series(order: int) -> Series:
-    """psi(z) = (1/8) (1+z)^(1/2) (1+z/2)^(-1/2)."""
-    z = Series.identity(order)
-    return Fraction(1, 8) * (
-        binomial_series(Fraction(1, 2), z)
-        * binomial_series(Fraction(-1, 2), Fraction(1, 2) * z)
-    )
-
-
 def fmod_series(order: int) -> Series:
     """Independent closed-form expansion of f(w):
     sqrt(64w^2 + 1 + 16w sqrt(16w^2+1)) / (8 sqrt(16w^2+1))."""
@@ -93,34 +78,48 @@ def fmod_series(order: int) -> Series:
 def lagrange_pipeline(order: int):
     """Return (u, f, h) from the Lagrange-inversion route, with contracts checked.
 
-    u solves u = w phi(u); f = psi(u) / (1 - w phi'(u)); h is the odd part of f
-    and carries A_g at w^(2g+1). Raises AssertionError if u fails either of its
-    defining relations or if f disagrees with the independent closed-form
-    expansion.
+    u solves u = w phi(u) with phi(z) = 16 (1+z/2)^(1/2); f = psi(u) / (1 - w
+    phi'(u)) with psi(z) = (1/8) (1+z)^(1/2) (1+z/2)^(-1/2); h is the odd part
+    of f and carries A_g at w^(2g+1). Raises AssertionError if u fails either
+    of its defining relations or if f disagrees with the independent
+    closed-form expansion.
+
+    Nothing here is cubic in the order. Lagrange-Buermann inversion (Stanley,
+    Enumerative Combinatorics II, section 5.4) gives u in closed form, since
+    phi^n = 16^n (1+z/2)^(n/2):
+
+        [w^n] u = (1/n) [z^(n-1)] phi^n = 16^n binom(n/2, n-1) 2^(1-n) / n.
+
+    phi, phi' = 4 (1+z/2)^(-1/2) and psi all have binomial form, so each is
+    composed with u by `binomial_series` in O(n^2).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    phi = phi_series(order)
-    psi = psi_series(order)
-    u = lagrange_invert(phi, order)
+    u = Series([0] + [
+        16 ** n * binom_gen(Fraction(n, 2), n - 1) / (2 ** (n - 1) * n)
+        for n in range(1, order + 1)
+    ])
+    half_u = Fraction(1, 2) * u
 
-    residual = u - phi.compose(u).shifted(1).truncated(order)
+    phi_u = 16 * binomial_series(Fraction(1, 2), half_u)
+    residual = u - phi_u.shifted(1).truncated(order)
     if not residual.is_zero():
         raise AssertionError("u = w*phi(u) violated: %r" % residual)
     # Algebraic form of the same relation: 256 w^2 (1 + u/2) = u^2.
     w = Series.identity(order)
-    alg = 256 * ((w * w) * (1 + Fraction(1, 2) * u)) - u * u
+    alg = 256 * ((w * w) * (1 + half_u)) - u * u
     if not alg.is_zero():
         raise AssertionError("256 w^2 (1+u/2) = u^2 violated: %r" % alg)
 
-    dphi = phi.derivative()
-    f = psi.compose(u) * (1 - dphi.compose(u).shifted(1)).inverse()
+    inv_root = binomial_series(Fraction(-1, 2), half_u)  # (1+u/2)^(-1/2)
+    psi_u = Fraction(1, 8) * (binomial_series(Fraction(1, 2), u) * inv_root)
+    w_dphi_u = (4 * inv_root).shifted(1).truncated(order)
+    f = psi_u * (1 - w_dphi_u).inverse()
 
-    independent = fmod_series(order).truncated(f.order)
-    if f != independent:
+    if f != fmod_series(order):
         raise AssertionError("Lagrange route disagrees with closed-form f(w)")
 
-    return u, f, independent.odd_part()
+    return u, f, f.odd_part()
 
 
 def binomial_identity_check(g: int) -> bool:

@@ -8,18 +8,20 @@ mod w^(N+1) times w is known mod w^(N+2).
 
 Binomial powers (1 + f)^a, and with them `series_sqrt`, cost O(n^2)
 coefficient operations at order n (fewer for sparse f), as do a product and
-`inverse`; Horner `compose` and `lagrange_invert` cost O(n^3).
+`inverse`.
 """
 
 from fractions import Fraction
 
-from .ring import RingElement
+from .ring import RingElement, check_exact
 
 
 class Series(RingElement):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
+        check_exact(coeffs)
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
         if not self.coeffs:
             raise ValueError("a Series stores at least its constant term")
@@ -109,22 +111,6 @@ class Series(RingElement):
             out[k] = -s * inv0
         return Series(out)
 
-    def compose(self, inner):
-        """Self evaluated at `inner`; requires inner(0) = 0."""
-        if inner.coeffs[0] != 0:
-            raise ValueError("compose requires inner constant term zero")
-        n = min(self.order, inner.order)
-        result = Series.constant(0, n)
-        inner = inner.truncated(n)
-        for c in reversed(self.coeffs[: n + 1]):
-            result = result * inner + c
-        return result
-
-    def derivative(self):
-        if self.order == 0:
-            raise ValueError("derivative of an order-0 series retains no terms")
-        return Series([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def odd_part(self):
         return Series([c if i % 2 == 1 else Fraction(0) for i, c in enumerate(self.coeffs)])
 
@@ -161,6 +147,7 @@ def binomial_series(a, inner: Series, order=None) -> Series:
     if order is None:
         order = inner.order
     f = inner.truncated(order).coeffs
+    check_exact((a,))
     a = Fraction(a)
     p, q = a.numerator, a.denominator
     support = [(k, f[k]) for k in range(1, order + 1) if f[k] != 0]
@@ -184,24 +171,3 @@ def series_sqrt(f: Series, order=None) -> Series:
         order = f.order
     return binomial_series(Fraction(1, 2), f - 1, order)
 
-
-def lagrange_invert(phi: Series, order: int) -> Series:
-    """The unique u with u(0) = 0 and u = w * phi(u) mod w^(order+1).
-
-    Coefficients come from the classical inversion rule
-    [w^n] u = (1/n) [z^(n-1)] phi(z)^n; the fixed-point contract is
-    re-checked independently by callers.
-    """
-    if phi.coeffs[0] == 0:
-        raise ValueError("lagrange_invert requires phi(0) != 0")
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if phi.order < order - 1:
-        raise ValueError("phi must be known at least to order %d" % (order - 1))
-    phi = phi.truncated(min(phi.order, order))
-    out = [Fraction(0)] * (order + 1)
-    power = Series.constant(1, phi.order)
-    for n in range(1, order + 1):
-        power = power * phi
-        out[n] = power.coeffs[n - 1] / n
-    return Series(out)

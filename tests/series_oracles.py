@@ -1,0 +1,52 @@
+"""Generic series algorithms kept as test oracles.
+
+The package computes the Lagrange route in O(n^2) from closed-form
+coefficients and binomial compositions; these are the generic routines it
+replaced (Horner composition, the power-by-power inversion rule, both O(n^3),
+and the derivative), which the tests use to cross-check it by a path that
+shares none of that structure.
+"""
+
+from fractions import Fraction
+
+from oddcovers.series import Series
+
+
+def compose(outer: Series, inner: Series) -> Series:
+    """outer evaluated at `inner` by Horner's rule; requires inner(0) = 0."""
+    if inner[0] != 0:
+        raise ValueError("compose requires inner constant term zero")
+    n = min(outer.order, inner.order)
+    result = Series.constant(0, n)
+    inner = inner.truncated(n)
+    for c in reversed(outer.coeffs[: n + 1]):
+        result = result * inner + c
+    return result
+
+
+def lagrange_invert(phi: Series, order: int) -> Series:
+    """The unique u with u(0) = 0 and u = w * phi(u) mod w^(order+1).
+
+    Coefficients come from the classical inversion rule
+    [w^n] u = (1/n) [z^(n-1)] phi(z)^n, one power of phi at a time.
+    """
+    if phi[0] == 0:
+        raise ValueError("lagrange_invert requires phi(0) != 0")
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if phi.order < order - 1:
+        raise ValueError("phi must be known at least to order %d" % (order - 1))
+    phi = phi.truncated(min(phi.order, order))
+    out = [Fraction(0)] * (order + 1)
+    power = Series.constant(1, phi.order)
+    for n in range(1, order + 1):
+        power = power * phi
+        out[n] = power[n - 1] / n
+    return Series(out)
+
+
+def derivative(series: Series) -> Series:
+    """The termwise derivative; its order is one less."""
+    if series.order == 0:
+        raise ValueError("derivative of an order-0 series retains no terms")
+    return Series([i * c for i, c in enumerate(series.coeffs)][1:])

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from oddcovers.combinat import (
@@ -31,6 +32,11 @@ def test_binom_gen_extends_integer_binomials():
 def test_binom_gen_half():
     assert binom_gen(Fraction(1, 2), 2) == Fraction(-1, 8)
     assert binom_gen(Fraction(1, 2), 3) == Fraction(1, 16)
+
+
+def test_binom_gen_rejects_float_exponent():
+    with pytest.raises(TypeError, match="float"):
+        binom_gen(0.5, 2)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 18), st.integers(min_value=1, max_value=7))

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from oddcovers.poly import (
@@ -108,3 +109,8 @@ def test_compose_fractional_clears_denominators():
     p = Poly([1, 0, 1])
     s = Poly.x()
     assert p.compose_fractional(s + 1, s, 2) == (s + 1) ** 2 + s ** 2
+
+
+def test_poly_rejects_float_coefficient():
+    with pytest.raises(TypeError, match="float"):
+        Poly([0.5, 1])

@@ -1,12 +1,14 @@
 """The operator contract every exact ring class inherits from RingElement."""
 
 import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from oddcovers.poly import Poly
 from oddcovers.quadratic import QuadScalar
+from oddcovers.ring import check_exact
 from oddcovers.schubert import SchubertVector
 from oddcovers.series import Series
 from oddcovers.weier import E1, E2, P, WeierExpr
@@ -89,3 +91,11 @@ def test_poly_and_series_do_not_mix(op):
         op(p, s)
     with pytest.raises(TypeError):
         op(s, p)
+
+
+@pytest.mark.parametrize("inexact", [0.5, 1 + 2j, Decimal("0.1")],
+                         ids=lambda x: type(x).__name__)
+def test_check_exact_rejects_inexact_numbers(inexact):
+    check_exact([1, True, Fraction(1, 3), QuadScalar(1, 2, 3), Poly([1])])
+    with pytest.raises(TypeError, match=type(inexact).__name__):
+        check_exact([Fraction(1, 3), inexact])

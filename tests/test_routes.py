@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 
 from oddcovers import routes
+from oddcovers.combinat import binom_gen
 from oddcovers.series import Series
+
+from series_oracles import compose, derivative, lagrange_invert
 
 # Frozen by an independent pre-build evaluation of the alternating sum.
 FROZEN = [
@@ -56,6 +59,38 @@ def test_lagrange_pipeline_matches_closed():
     assert [f[n] for n in range(8)] == F_COEFFS
     for g in range(20 + 1):
         assert h[2 * g + 1] == routes.alt_catalan_closed(g)
+
+
+def test_lagrange_pipeline_reads_odd_part_of_its_own_f():
+    u, f, h = routes.lagrange_pipeline(11)
+    assert h == f.odd_part()
+
+
+def _binomial_coeffs(a, scale, order):
+    """(1 + scale*z)^a as the coefficient list binom(a, k) scale^k."""
+    return Series([binom_gen(a, k) * scale ** k for k in range(order + 1)])
+
+
+def test_lagrange_pipeline_matches_generic_inversion_at_order_41():
+    # The cubic generic pipeline: power-by-power inversion and Horner composition.
+    order = 41
+    half, minus_half = Fraction(1, 2), Fraction(-1, 2)
+    phi = 16 * _binomial_coeffs(half, half, order)
+    psi = Fraction(1, 8) * (_binomial_coeffs(half, 1, order)
+                            * _binomial_coeffs(minus_half, half, order))
+    u = lagrange_invert(phi, order)
+    f = compose(psi, u) * (1 - compose(derivative(phi), u).shifted(1)).inverse()
+    assert routes.lagrange_pipeline(order)[:2] == (u, f)
+
+
+def test_lagrange_pipeline_rejects_perturbed_inversion_coefficient(monkeypatch):
+    def perturbed(a, k):
+        exact = binom_gen(a, k)
+        return exact + 1 if (a, k) == (Fraction(5, 2), 4) else exact
+
+    monkeypatch.setattr(routes, "binom_gen", perturbed)
+    with pytest.raises(AssertionError, match=r"u = w\*phi\(u\) violated"):
+        routes.lagrange_pipeline(11)
 
 
 def test_lagrange_pipeline_contracts_run_to_order_41():
@@ -115,6 +150,13 @@ def test_route_prefix_matches_closed(route):
         routes.alt_catalan_closed(g) for g in range(top + 1)
     ]
     assert routes.route_prefix(route, 0) == [1]
+
+
+def test_lagrange_route_prefix_matches_closed_to_g_80():
+    # one expansion to order 161, every contract checked on the way
+    assert routes.route_prefix("lagrange", 80) == [
+        routes.alt_catalan_closed(g) for g in range(81)
+    ]
 
 
 @pytest.mark.parametrize("route", routes.ROUTES)

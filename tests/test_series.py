@@ -4,7 +4,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from oddcovers.combinat import binom_gen, catalan
-from oddcovers.series import Series, binomial_series, lagrange_invert, series_sqrt
+from oddcovers.series import Series, binomial_series, series_sqrt
+
+from series_oracles import compose, lagrange_invert
 
 
 def test_geometric_inverse():
@@ -41,6 +43,12 @@ def test_mul_commutes_and_min_order(a, b):
     assert (f * g).order == min(f.order, g.order)
 
 
+def test_series_rejects_float_coefficient():
+    # Fraction(0.1) would silently store 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="float"):
+        Series([0.1, 1])
+
+
 def test_shifted_raises_order():
     f = Series([1, 2, 3])
     assert f.shifted(2) == Series([0, 0, 1, 2, 3])
@@ -49,7 +57,7 @@ def test_shifted_raises_order():
 
 def test_compose_requires_nilpotent_inner():
     with pytest.raises(ValueError):
-        Series([1, 1]).compose(Series([1, 1]))
+        compose(Series([1, 1]), Series([1, 1]))
 
 
 def test_lagrange_invert_catalan_oracle():
@@ -59,7 +67,7 @@ def test_lagrange_invert_catalan_oracle():
     u = lagrange_invert(phi, order)
     assert [u[n] for n in range(1, order + 1)] == [catalan(n - 1) for n in range(1, order + 1)]
     # and u really solves the fixed-point equation
-    residual = u - phi.compose(u).shifted(1).truncated(order)
+    residual = u - compose(phi, u).shifted(1).truncated(order)
     assert residual.is_zero()
 
 
@@ -92,6 +100,11 @@ def test_binomial_series_rejects_bad_input():
         binomial_series(Fraction(1, 2), Series([0, 1, 1]), 3)  # order above inner.order
     with pytest.raises(ValueError):
         binomial_series(Fraction(1, 2), Series([1, 1, 1]))  # nonzero inner(0)
+
+
+def test_binomial_series_rejects_float_exponent():
+    with pytest.raises(TypeError, match="float"):
+        binomial_series(0.5, Series.identity(3))
 
 
 def _binomial_naive(a, inner, order=None):

@@ -1,0 +1,49 @@
+"""Check that CLI outputs are byte-identical between two source trees.
+
+    git archive BASE_COMMIT | tar -x -C BASE_DIR
+    python3 tools/cli_compare.py BASE_DIR/src [NEW_SRC]
+
+Runs every command in COMMANDS as `python -m oddcovers.cli ...` once with
+BASE_DIR/src and once with NEW_SRC (default: this checkout's `src`) on
+PYTHONPATH, and compares stdout, stderr and the exit code. Prints one line
+per command and exits 1 if any of them differ.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+COMMANDS = (
+    "table --max-g 16 --routes closed,coeff_form,genfun,lagrange --format json",
+    "verify --suite all --max-g 30",
+    "verify --suite all --max-g 5 --format json",
+)
+
+
+def capture(src: str, command: str):
+    """(stdout, stderr, exit code) of one CLI command run from `src`."""
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "oddcovers.cli", *command.split()],
+                          env=env, capture_output=True, timeout=600)
+    return done.stdout, done.stderr, done.returncode
+
+
+def main(argv) -> int:
+    if len(argv) not in (1, 2):
+        sys.stderr.write(__doc__)
+        return 2
+    base = str(Path(argv[0]).resolve())
+    new = str(Path(argv[1] if len(argv) == 2 else Path(__file__).parent.parent / "src").resolve())
+    differ = False
+    for command in COMMANDS:
+        old, cur = capture(base, command), capture(new, command)
+        changed = [name for name, a, b in zip(("stdout", "stderr", "exit"), old, cur) if a != b]
+        differ = differ or bool(changed)
+        print("%-9s %s%s" % ("DIFFERS" if changed else "IDENTICAL", command,
+                             " (%s)" % ", ".join(changed) if changed else ""))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
