@@ -152,12 +152,10 @@ def cmd_series(args) -> int:
     if args.order == 0:
         coeffs = [0]
     else:
-        expansion = routes.genfun_series(args.order)
-        coeffs = []
-        for c in expansion.coeffs:
-            if c.denominator != 1:
+        coeffs = routes.genfun_series(args.order).coeffs
+        for c in coeffs:
+            if type(c) is not int:
                 raise AssertionError("non-integer series coefficient %s" % c)
-            coeffs.append(int(c))
     note = ("coefficient of w^n at index n; A_g sits at the odd index n = 2g+1, "
             "every even index is 0")
     rows = [{"g": n, "values": {"genfun": str(c)}, "agree": True}

@@ -17,17 +17,21 @@ def binom_int(n: int, k: int) -> int:
 
 
 def binom_gen(a, k: int) -> Fraction:
-    """Generalized binomial a(a-1)...(a-k+1)/k! for rational a."""
+    """Generalized binomial a(a-1)...(a-k+1)/k! for rational a.
+
+    With a = p/q this is prod_{i<k} (p - iq) over q^k k!; both are built as
+    ints, so the result is normalised by a single gcd.
+    """
     if k < 0:
         raise ValueError("binom_gen requires k >= 0")
     check_exact((a,))
     a = Fraction(a)
-    num = Fraction(1)
+    p, q = a.numerator, a.denominator
+    num = den = 1
     for i in range(k):
-        num *= a - i
-    for i in range(1, k + 1):
-        num /= i
-    return num
+        num *= p - i * q
+        den *= q * (i + 1)
+    return Fraction(num, den)
 
 
 def catalan(n: int) -> int:

@@ -39,11 +39,15 @@ def alt_catalan_coeff_form(g: int) -> int:
         raise ValueError("g must be nonnegative")
     order = 2 * g + 1
     z = Series.identity(order)
-    prod = binomial_series(g, Fraction(1, 2) * z) * binomial_series(Fraction(1, 2), z)
-    return _integer(2 ** (8 * g + 1) * prod[order], "coefficient")
+    # Only [z^order] of the product is needed: one O(g) dot product of the
+    # two factors' coefficients.
+    left = binomial_series(g, Fraction(1, 2) * z).coeffs
+    right = binomial_series(Fraction(1, 2), z).coeffs
+    coeff = sum(a * b for a, b in zip(left, reversed(right)))
+    return _integer(2 ** (8 * g + 1) * coeff, "coefficient")
 
 
-def _integer(value: Fraction, route: str) -> int:
+def _integer(value: int | Fraction, route: str) -> int:
     """The integer `value`; raises AssertionError rather than truncate."""
     if value.denominator != 1:
         raise AssertionError("%s route produced a non-integer: %s" % (route, value))

@@ -1,10 +1,15 @@
 """Truncated formal power series over Q with explicit truncation order.
 
-A Series of order N is known modulo w^(N+1) and stores exactly N+1 rational
-coefficients, constant term first. Binary operations return the minimum of
-the two operand orders; there is no silent precision loss and no floating
-point. Multiplying by w (`shifted`) raises the order, since a series known
-mod w^(N+1) times w is known mod w^(N+2).
+A Series of order N is known modulo w^(N+1) and stores exactly N+1
+coefficients, constant term first, each in canonical exact form: an `int`
+when the value is integral, a reduced `Fraction` otherwise. The series the
+package builds are almost all integral, so the kernels run on Python ints
+and pay for a Fraction (and its gcd) only where a denominator really
+occurs. Every division goes through `_exact_div`, which returns an int only
+when the remainder is zero; nothing rounds or floors, and no floating point
+enters. Binary operations return the minimum of the two operand orders;
+there is no silent precision loss. Multiplying by w (`shifted`) raises the
+order, since a series known mod w^(N+1) times w is known mod w^(N+2).
 
 Binomial powers (1 + f)^a, and with them `series_sqrt`, cost O(n^2)
 coefficient operations at order n (fewer for sparse f), as do a product and
@@ -16,13 +21,27 @@ from fractions import Fraction
 from .ring import RingElement, check_exact
 
 
+def _canonical(c):
+    """The exact value c as an int when integral, else as a reduced Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _exact_div(x, d):
+    """x / d for exact x and nonzero d: the int quotient when the division
+    leaves no remainder, the Fraction x/d otherwise; never rounded."""
+    q, r = divmod(x, d)
+    return q if r == 0 else Fraction(x, d)
+
+
 class Series(RingElement):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
         check_exact(coeffs)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(
+            c if type(c) is int else _canonical(c) for c in coeffs))
         if not self.coeffs:
             raise ValueError("a Series stores at least its constant term")
 
@@ -41,7 +60,7 @@ class Series(RingElement):
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int | Fraction:
         if not 0 <= n <= self.order:
             raise IndexError("coefficient %d beyond truncation order %d" % (n, self.order))
         return self.coeffs[n]
@@ -81,7 +100,7 @@ class Series(RingElement):
         if o is None:
             return NotImplemented
         n = min(self.order, o.order)
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i in range(n + 1):
             a = self.coeffs[i]
             if a == 0:
@@ -102,17 +121,17 @@ class Series(RingElement):
         if self.coeffs[0] == 0:
             raise ValueError("inverse requires nonzero constant term")
         n = self.order
-        inv0 = Fraction(1) / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * n
+        c0 = self.coeffs[0]
+        out = [_exact_div(1, c0)] + [0] * n
         for k in range(1, n + 1):
-            s = Fraction(0)
+            s = 0
             for i in range(1, k + 1):
                 s += self.coeffs[i] * out[k - i]
-            out[k] = -s * inv0
+            out[k] = _exact_div(-s, c0)
         return Series(out)
 
     def odd_part(self):
-        return Series([c if i % 2 == 1 else Fraction(0) for i, c in enumerate(self.coeffs)])
+        return Series([c if i % 2 == 1 else 0 for i, c in enumerate(self.coeffs)])
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -151,15 +170,15 @@ def binomial_series(a, inner: Series, order=None) -> Series:
     a = Fraction(a)
     p, q = a.numerator, a.denominator
     support = [(k, f[k]) for k in range(1, order + 1) if f[k] != 0]
-    g = [Fraction(1)] + [Fraction(0)] * order
+    g = [1] + [0] * order
     for n in range(1, order + 1):
-        total = Fraction(0)
+        total = 0
         for k, fk in support:
             if k > n:
                 break
             if g[n - k]:
                 total += ((p + q) * k - n * q) * fk * g[n - k]
-        g[n] = total / (n * q)
+        g[n] = _exact_div(total, n * q)
     return Series(g)
 
 

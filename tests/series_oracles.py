@@ -41,7 +41,7 @@ def lagrange_invert(phi: Series, order: int) -> Series:
     power = Series.constant(1, phi.order)
     for n in range(1, order + 1):
         power = power * phi
-        out[n] = power[n - 1] / n
+        out[n] = Fraction(power[n - 1], n)
     return Series(out)
 
 

@@ -52,3 +52,12 @@ def test_decimal_root_string_exact_cube():
 def test_decimal_root_string_truncates_down():
     # 2^(1/2) = 1.41421356...; the string is the exact truncation
     assert decimal_root_string(2, 2, digits=5) == "1.41421"
+
+
+@given(st.fractions(max_denominator=12, min_value=Fraction(-30), max_value=Fraction(30)),
+       st.integers(min_value=0, max_value=40))
+def test_binom_gen_matches_falling_factorial(a, k):
+    expected = Fraction(1)
+    for i in range(k):
+        expected = expected * (a - i) / (i + 1)
+    assert binom_gen(a, k) == expected

@@ -53,6 +53,19 @@ def test_genfun_agrees_with_closed_to_order_201():
         assert f[2 * g + 1] == routes.alt_catalan_closed(g)
 
 
+def test_genfun_and_lagrange_series_are_integral():
+    # the integer kernel's premise: no denominator survives in either series
+    assert all(type(c) is int for c in routes.genfun_series(201).coeffs)
+    assert all(type(c) is int for c in routes.lagrange_pipeline(81)[0].coeffs)
+
+
+def test_coeff_form_integer_checks_its_dot_product(monkeypatch):
+    monkeypatch.setattr(routes, "binomial_series",
+                        lambda a, inner: Series([Fraction(1, 3)] * (inner.order + 1)))
+    with pytest.raises(AssertionError, match="coefficient route produced a non-integer"):
+        routes.alt_catalan_coeff_form(2)
+
+
 def test_lagrange_pipeline_matches_closed():
     order = 41
     u, f, h = routes.lagrange_pipeline(order)

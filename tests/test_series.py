@@ -144,3 +144,67 @@ def test_genfun_square_roots_match_power_sum_at_order_41():
     assert s == _binomial_naive(Fraction(1, 2), s_radicand - 1)
     radicand = 1 + 64 * (w * w) + 16 * (w * s)
     assert series_sqrt(radicand) == _binomial_naive(Fraction(1, 2), radicand - 1)
+
+
+# Fraction-only reference kernels on plain lists, sharing no code with Series.
+
+def _convolve(a, b):
+    n = min(len(a), len(b))
+    return [sum((Fraction(a[i]) * Fraction(b[k - i]) for i in range(k + 1)), Fraction(0))
+            for k in range(n)]
+
+
+def _reciprocal(a):
+    out = [Fraction(1) / Fraction(a[0])]
+    for k in range(1, len(a)):
+        s = sum((Fraction(a[i]) * out[k - i] for i in range(1, k + 1)), Fraction(0))
+        out.append(-s / Fraction(a[0]))
+    return out
+
+
+def _miller(a, f):
+    # (1 + f)^a with f[0] = 0: g_n = (1/n) sum_k ((a+1)k - n) f_k g_{n-k}
+    a = Fraction(a)
+    g = [Fraction(1)]
+    for n in range(1, len(f)):
+        total = sum(((a + 1) * k - n) * Fraction(f[k]) * g[n - k] for k in range(1, n + 1))
+        g.append(total / n)
+    return g
+
+
+def _assert_canonical(series):
+    for c in series.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+mixed = st.one_of(st.integers(min_value=-40, max_value=40), small)
+nonzero = mixed.filter(lambda c: c != 0)
+
+
+@given(st.lists(mixed, min_size=1, max_size=10), st.lists(mixed, min_size=1, max_size=10),
+       nonzero, exponents)
+@example([2, Fraction(1, 2)], [Fraction(2), 3], Fraction(1, 3), Fraction(1, 2))
+def test_kernels_match_fraction_only_arithmetic(a, b, lead, exponent):
+    f, g = Series(a), Series(b)
+    for s in (f, g):
+        _assert_canonical(s)
+    product = f * g
+    assert list(product.coeffs) == _convolve(a, b)
+    _assert_canonical(product)
+    unit = [lead] + b[1:]
+    inverse = Series(unit).inverse()
+    assert list(inverse.coeffs) == _reciprocal(unit)
+    _assert_canonical(inverse)
+    inner = [0] + a[1:]
+    power = binomial_series(exponent, Series(inner))
+    assert list(power.coeffs) == _miller(exponent, inner)
+    _assert_canonical(power)
+
+
+def test_canonical_form_of_integral_fractions():
+    s = Series([Fraction(4, 2), Fraction(1, 2) * 2, Fraction(3, 4)])
+    assert [type(c) for c in s.coeffs] == [int, int, Fraction]
+    half = Series([2, 0, 0]).inverse()
+    assert half.coeffs == (Fraction(1, 2), 0, 0)
+    _assert_canonical(half)
+    _assert_canonical(half * 2)

@@ -18,6 +18,8 @@ COMMANDS = (
     "table --max-g 16 --routes closed,coeff_form,genfun,lagrange --format json",
     "verify --suite all --max-g 30",
     "verify --suite all --max-g 5 --format json",
+    "series --order 101 --format json",
+    "series --order 201",
 )
 
 
