@@ -1,8 +1,10 @@
 """Dense univariate polynomials over an exact scalar ring.
 
-Scalars may be Fraction, QuadScalar, or (for computations with a symbolic
-parameter) another Poly; plain ints are promoted to Fraction. Division-based
-operations (divmod, gcd, monic) require field scalars.
+Scalars may be rationals, QuadScalar, or (for computations with a symbolic
+parameter) another Poly. A rational coefficient is stored in the canonical
+exact form of `ring.canonical`: an `int` when integral, a reduced `Fraction`
+otherwise, so the integer covers of `covers` run on Python ints.
+Division-based operations (divmod, gcd, monic) require field scalars.
 
 A polynomial in several variables is a Poly in the outermost variable whose
 coefficients are polynomials in the others (Knuth, TAOCP vol. 2, section
@@ -16,21 +18,20 @@ The zero polynomial has degree None, a deliberate sentinel: no -1 arithmetic.
 """
 
 from fractions import Fraction
+from numbers import Rational
 
 from .quadratic import QuadScalar
-from .ring import RingElement, check_exact
-
-
-def _coerce(c):
-    return Fraction(c) if isinstance(c, int) else c
+from .ring import RingElement, canonical, check_exact, exact_div
 
 
 class Poly(RingElement):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = [_coerce(c) for c in coeffs]
+        coeffs = list(coeffs)
         check_exact(coeffs)
+        coeffs = [c if type(c) is int or not isinstance(c, Rational) else canonical(c)
+                  for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -58,7 +59,7 @@ class Poly(RingElement):
         return self.coeffs[-1]
 
     def __getitem__(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     # -- ring operations -------------------------------------------------
 
@@ -87,7 +88,7 @@ class Poly(RingElement):
             return NotImplemented
         if self.is_zero() or o.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(o.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -120,7 +121,7 @@ class Poly(RingElement):
         if len(rem) - 1 < dq:
             return Poly(), self
         inv_lead = _invert(o.leading())
-        quot = [Fraction(0)] * (len(rem) - dq)
+        quot = [0] * (len(rem) - dq)
         for i in range(len(rem) - 1, dq - 1, -1):
             c = rem[i] * inv_lead
             quot[i - dq] = c
@@ -148,9 +149,7 @@ class Poly(RingElement):
         result = None
         for c in reversed(self.coeffs):
             result = c if result is None else result * x + c
-        if result is None:
-            return Fraction(0)
-        return result
+        return 0 if result is None else result
 
     def compose_fractional(self, num, den, total_degree=None):
         """p(num/den) cleared of denominators: sum_i c_i num^i den^(D-i)."""
@@ -165,7 +164,7 @@ class Poly(RingElement):
         """Coefficients of s^length * p(1/s), i.e. the reversal padded to `length`."""
         if length < len(self.coeffs) - 1:
             raise ValueError("length below degree")
-        rev = [Fraction(0)] * (length + 1)
+        rev = [0] * (length + 1)
         for i, c in enumerate(self.coeffs):
             rev[length - i] = c
         return Poly(rev)
@@ -194,8 +193,8 @@ class Poly(RingElement):
 
 
 def _invert(c):
-    if isinstance(c, Fraction):
-        return Fraction(1) / c
+    if isinstance(c, (int, Fraction)):
+        return exact_div(1, c)
     if hasattr(c, "inverse"):
         return c.inverse()
     raise TypeError("scalar %r is not invertible here" % (c,))

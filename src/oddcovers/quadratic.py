@@ -2,12 +2,15 @@
 
 A QuadScalar is a + b*sqrt(d) with rational a, b and a fixed non-square
 rational d shared by all scalars of one computation; mixing two different
-d values raises. No nested extensions: sqrt of a QuadScalar is not provided.
+d values raises. Each of a, b and d is stored in the canonical exact form of
+`ring.canonical` (an `int` when integral, a reduced `Fraction` otherwise),
+and floats are refused. No nested extensions: sqrt of a QuadScalar is not
+provided.
 """
 
 from fractions import Fraction
 
-from .ring import RingElement
+from .ring import RingElement, canonical, check_exact, exact_div
 
 
 class QuadScalar(RingElement):
@@ -16,9 +19,10 @@ class QuadScalar(RingElement):
     def __init__(self, a, b=0, d=None):
         if d is None:
             raise ValueError("QuadScalar requires an explicit discriminant d")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "d", Fraction(d))
+        check_exact((a, b, d))
+        object.__setattr__(self, "a", a if type(a) is int else canonical(a))
+        object.__setattr__(self, "b", b if type(b) is int else canonical(b))
+        object.__setattr__(self, "d", d if type(d) is int else canonical(d))
 
     def _wrap(self, other):
         if isinstance(other, QuadScalar):
@@ -43,6 +47,8 @@ class QuadScalar(RingElement):
         return QuadScalar(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuadScalar(self.a * other, self.b * other, self.d)
         o = self._wrap(other)
         if o is None:
             return NotImplemented
@@ -60,7 +66,7 @@ class QuadScalar(RingElement):
     def conjugate(self):
         return QuadScalar(self.a, -self.b, self.d)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int | Fraction:
         """Field norm a^2 - d*b^2; zero only for the zero scalar since d is non-square."""
         return self.a * self.a - self.d * self.b * self.b
 
@@ -68,7 +74,7 @@ class QuadScalar(RingElement):
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero quadratic scalar")
-        return QuadScalar(self.a / n, -self.b / n, self.d)
+        return QuadScalar(exact_div(self.a, n), exact_div(-self.b, n), self.d)
 
     # -- comparisons -----------------------------------------------------
 

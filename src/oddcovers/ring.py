@@ -5,6 +5,8 @@ supplies `_wrap(other)` (the operand as an element of its own ring, or None
 when the operand is foreign), `__add__`, `__neg__`, `__mul__` and `_one()`.
 Immutability, subtraction and nonnegative integer powers are derived here,
 and `check_exact` keeps inexact numbers out of their coefficients.
+`canonical` and `exact_div` give a rational value the one form every ring
+class stores: an `int` when integral, a reduced `Fraction` otherwise.
 """
 
 from fractions import Fraction
@@ -29,6 +31,20 @@ def check_exact(values) -> None:
         if issubclass(kind, Number) and not issubclass(kind, Rational):
             raise TypeError("exact arithmetic takes no %s values" % kind.__name__)
         _EXACT_TYPES.add(kind)
+
+
+def canonical(c):
+    """The exact value c as an int when integral, else as a reduced Fraction."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def exact_div(x, d):
+    """x / d for exact x and nonzero d: the int quotient when the division
+    leaves no remainder, the Fraction x/d otherwise; never rounded."""
+    q, r = divmod(x, d)
+    return q if r == 0 else Fraction(x, d)
 
 
 class RingElement:

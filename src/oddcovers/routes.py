@@ -116,9 +116,11 @@ def lagrange_pipeline(order: int):
         raise AssertionError("256 w^2 (1+u/2) = u^2 violated: %r" % alg)
 
     inv_root = binomial_series(Fraction(-1, 2), half_u)  # (1+u/2)^(-1/2)
-    psi_u = Fraction(1, 8) * (binomial_series(Fraction(1, 2), u) * inv_root)
     w_dphi_u = (4 * inv_root).shifted(1).truncated(order)
-    f = psi_u * (1 - w_dphi_u).inverse()
+    # f is 1/8 times an integral product; scaling last keeps both O(n^2)
+    # products on ints.
+    f = Fraction(1, 8) * (binomial_series(Fraction(1, 2), u) * inv_root
+                          * (1 - w_dphi_u).inverse())
 
     if f != fmod_series(order):
         raise AssertionError("Lagrange route disagrees with closed-form f(w)")

@@ -5,7 +5,7 @@ coefficients, constant term first, each in canonical exact form: an `int`
 when the value is integral, a reduced `Fraction` otherwise. The series the
 package builds are almost all integral, so the kernels run on Python ints
 and pay for a Fraction (and its gcd) only where a denominator really
-occurs. Every division goes through `_exact_div`, which returns an int only
+occurs. Every division goes through `ring.exact_div`, which returns an int only
 when the remainder is zero; nothing rounds or floors, and no floating point
 enters. Binary operations return the minimum of the two operand orders;
 there is no silent precision loss. Multiplying by w (`shifted`) raises the
@@ -18,20 +18,7 @@ coefficient operations at order n (fewer for sparse f), as do a product and
 
 from fractions import Fraction
 
-from .ring import RingElement, check_exact
-
-
-def _canonical(c):
-    """The exact value c as an int when integral, else as a reduced Fraction."""
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _exact_div(x, d):
-    """x / d for exact x and nonzero d: the int quotient when the division
-    leaves no remainder, the Fraction x/d otherwise; never rounded."""
-    q, r = divmod(x, d)
-    return q if r == 0 else Fraction(x, d)
+from .ring import RingElement, canonical, check_exact, exact_div
 
 
 class Series(RingElement):
@@ -41,7 +28,7 @@ class Series(RingElement):
         coeffs = tuple(coeffs)
         check_exact(coeffs)
         object.__setattr__(self, "coeffs", tuple(
-            c if type(c) is int else _canonical(c) for c in coeffs))
+            c if type(c) is int else canonical(c) for c in coeffs))
         if not self.coeffs:
             raise ValueError("a Series stores at least its constant term")
 
@@ -122,12 +109,12 @@ class Series(RingElement):
             raise ValueError("inverse requires nonzero constant term")
         n = self.order
         c0 = self.coeffs[0]
-        out = [_exact_div(1, c0)] + [0] * n
+        out = [exact_div(1, c0)] + [0] * n
         for k in range(1, n + 1):
             s = 0
             for i in range(1, k + 1):
                 s += self.coeffs[i] * out[k - i]
-            out[k] = _exact_div(-s, c0)
+            out[k] = exact_div(-s, c0)
         return Series(out)
 
     def odd_part(self):
@@ -178,7 +165,7 @@ def binomial_series(a, inner: Series, order=None) -> Series:
                 break
             if g[n - k]:
                 total += ((p + q) * k - n * q) * fk * g[n - k]
-        g[n] = _exact_div(total, n * q)
+        g[n] = exact_div(total, n * q)
     return Series(g)
 
 

@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oddcovers.covers import paired_quartic_maps, quartic_cover_map
 from oddcovers.poly import (
     Poly,
     discriminant_quadratic,
     gcd,
     squarefree_decomposition,
 )
+from oddcovers.quadratic import QuadScalar
 
 coeff = st.fractions(
     max_denominator=8,
@@ -114,3 +116,106 @@ def test_compose_fractional_clears_denominators():
 def test_poly_rejects_float_coefficient():
     with pytest.raises(TypeError, match="float"):
         Poly([0.5, 1])
+
+
+# Fraction-only reference arithmetic on tuples of (a, b) pairs, a + b*sqrt(D),
+# sharing no code with Poly or QuadScalar.
+
+D = 3
+
+
+def _pairs(p):
+    return tuple((c.a, c.b) if isinstance(c, QuadScalar) else (c, 0) for c in p.coeffs)
+
+
+def _trim(p):
+    p = [(Fraction(a), Fraction(b)) for a, b in p]
+    while p and p[-1] == (0, 0):
+        p.pop()
+    return tuple(p)
+
+
+def _add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _mul(x, y):
+    return (x[0] * y[0] + D * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _inv(x):
+    n = x[0] * x[0] - D * x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _poly_mul(p, q):
+    out = [(Fraction(0), Fraction(0))] * max(len(p) + len(q) - 1, 0)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] = _add(out[i + j], _mul(x, y))
+    return _trim(out)
+
+
+def _poly_divmod(p, q):
+    rem, dq = list(p), len(q) - 1
+    quot = [(Fraction(0), Fraction(0))] * max(len(p) - dq, 0)
+    inv_lead = _inv(q[-1])
+    for i in range(len(p) - 1, dq - 1, -1):
+        c = _mul(rem[i], inv_lead)
+        quot[i - dq] = c
+        for j in range(dq + 1):
+            rem[i - dq + j] = _add(rem[i - dq + j], _mul((-c[0], -c[1]), q[j]))
+    return _trim(quot), _trim(rem[:dq])
+
+
+def _poly_monic(p):
+    return _trim(_mul(c, _inv(p[-1])) for c in p) if p else p
+
+
+def _poly_gcd(p, q):
+    while q:
+        p, q = q, _poly_monic(_poly_divmod(p, q)[1])
+    return _poly_monic(p)
+
+
+def _assert_canonical(p):
+    for c in p.coeffs:
+        for v in (c.a, c.b, c.d) if isinstance(c, QuadScalar) else (c,):
+            assert type(v) is int or (type(v) is Fraction and v.denominator > 1), v
+
+
+mixed = st.one_of(st.integers(min_value=-9, max_value=9), coeff)
+scalar = st.one_of(mixed, st.builds(lambda a, b: QuadScalar(a, b, D), mixed, mixed))
+scalar_polys = st.lists(scalar, min_size=0, max_size=5).map(Poly)
+
+
+@given(scalar_polys, scalar_polys, scalar_polys)
+def test_kernels_match_fraction_only_arithmetic(a, b, c):
+    for p in (a, b, c):
+        _assert_canonical(p)
+    pa, pb = _trim(_pairs(a)), _trim(_pairs(b))
+    product = a * b
+    assert _trim(_pairs(product)) == _poly_mul(pa, pb)
+    _assert_canonical(product)
+    if not b.is_zero():
+        q, r = divmod(a, b)
+        assert (_trim(_pairs(q)), _trim(_pairs(r))) == _poly_divmod(pa, pb)
+        _assert_canonical(q)
+        _assert_canonical(r)
+    # A common factor c makes the gcd nontrivial.
+    ac, bc = a * c, b * c
+    g = gcd(ac, bc)
+    assert _trim(_pairs(g)) == _poly_gcd(_trim(_pairs(ac)), _trim(_pairs(bc)))
+    _assert_canonical(g)
+
+
+def test_integral_coefficients_are_ints():
+    p = Poly([Fraction(4, 2), Fraction(3, 4), True, QuadScalar(Fraction(6, 3), 0, D)])
+    assert [type(c) for c in p.coeffs] == [int, Fraction, int, QuadScalar]
+    assert type(p[7]) is int and type(Poly()(5)) is int
+    assert Poly([2, 4]).monic().coeffs == (Fraction(1, 2), 1)
+    f = quartic_cover_map()
+    assert all(type(c) is int for c in f.num.coeffs + f.den.coeffs)
+    for f in (f, *paired_quartic_maps()):
+        _assert_canonical(f.num)
+        _assert_canonical(f.den)

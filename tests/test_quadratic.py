@@ -46,3 +46,59 @@ def test_conjugate_fixes_norm_and_trace():
     x = QuadScalar(2, 5, 3)
     assert x + x.conjugate() == 4
     assert x * x.conjugate() == x.norm()
+
+
+def test_rejects_float_components():
+    for args in ((0.1, 0, 3), (0, 0.5, 3), (1, 1, 3.0)):
+        with pytest.raises(TypeError, match="float"):
+            QuadScalar(*args)
+
+
+# Fraction-only reference arithmetic on (a, b) pairs, sharing no code with
+# QuadScalar.
+
+D = 3
+
+
+def _pair_mul(x, y):
+    return (Fraction(x[0]) * y[0] + D * Fraction(x[1]) * y[1],
+            Fraction(x[0]) * y[1] + Fraction(x[1]) * y[0])
+
+
+def _pair_inverse(x):
+    n = Fraction(x[0]) ** 2 - D * Fraction(x[1]) ** 2
+    return (Fraction(x[0]) / n, -Fraction(x[1]) / n)
+
+
+def _assert_canonical(x):
+    for c in (x.a, x.b, x.d):
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+mixed = st.one_of(st.integers(min_value=-12, max_value=12), rationals)
+
+
+@given(mixed, mixed, mixed, mixed, mixed)
+def test_kernels_match_fraction_only_arithmetic(a, b, c, e, r):
+    x, y = QuadScalar(a, b, D), QuadScalar(c, e, D)
+    _assert_canonical(x)
+    product = x * y
+    assert (product.a, product.b) == _pair_mul((a, b), (c, e))
+    _assert_canonical(product)
+    for scaled in (x * r, r * x):
+        assert (scaled.a, scaled.b) == _pair_mul((a, b), (r, 0))
+        _assert_canonical(scaled)
+    if x:
+        inverse = x.inverse()
+        assert (inverse.a, inverse.b) == _pair_inverse((a, b))
+        _assert_canonical(inverse)
+
+
+def test_integral_components_are_ints():
+    x = QuadScalar(Fraction(4, 2), Fraction(1, 2), Fraction(3))
+    assert (type(x.a), type(x.b), type(x.d)) == (int, Fraction, int)
+    assert type(x.norm()) is Fraction
+    y = (x * 2).inverse()
+    assert (y.a, y.b) == (Fraction(4, 13), Fraction(-1, 13))
+    assert sqrt_of(3).inverse().b == Fraction(1, 3)
+    assert type((sqrt_of(3) * sqrt_of(3)).a) is int

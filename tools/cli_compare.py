@@ -20,6 +20,8 @@ COMMANDS = (
     "verify --suite all --max-g 5 --format json",
     "series --order 101 --format json",
     "series --order 201",
+    "table --max-g 50 --routes closed,schubert --cap 50 --format json",
+    "schubert --g 3",
 )
 
 
