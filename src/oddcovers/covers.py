@@ -8,7 +8,7 @@ turns local cover counts into the two intersection numbers 16 feeding the
 Schubert route. Everything is an exact polynomial identity; no numerics.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .poly import Poly, discriminant_quadratic
@@ -122,14 +122,12 @@ def check_quartic_cover() -> bool:
     return reflected == negated
 
 
-@dataclass(frozen=True)
-class PairedQuarticReport:
-    """Audit of the two degree-4 covers over Q(sqrt(3)) sharing fiber {2,2}."""
+class PairedQuarticReport(namedtuple("PairedQuarticReport", "profiles_ok triple_points_ok "
+                                     "no_extra_simple_ramification identical")):
+    """Audit of the two degree-4 covers over Q(sqrt(3)) sharing fiber {2,2};
+    `identical` says second o M == first on the nose."""
 
-    profiles_ok: bool
-    triple_points_ok: bool
-    no_extra_simple_ramification: bool
-    identical: bool  # second o M == first on the nose
+    __slots__ = ()
 
     def ok(self) -> bool:
         return (
@@ -240,8 +238,8 @@ def veronese_bound() -> int:
     return VERONESE_PER_SPIN * SPIN_STRUCTURES
 
 
-@dataclass(frozen=True)
-class TallyCase:
+class TallyCase(namedtuple("TallyCase", "label num_source_choices node_orders "
+                           "automorphism_order sym_weight multiplicity", defaults=(1,))):
     """One boundary configuration in a local cover count.
 
     contribution = multiplicity * num_source_choices * sum(node_orders)
@@ -251,12 +249,7 @@ class TallyCase:
     multiplicity covers a case identical to a listed one by symmetry.
     """
 
-    label: str
-    num_source_choices: int
-    node_orders: tuple
-    automorphism_order: int
-    sym_weight: Fraction
-    multiplicity: int = 1
+    __slots__ = ()
 
     def contribution(self) -> Fraction:
         value = (
@@ -323,12 +316,3 @@ def admissible_tally(deg: int) -> Fraction:
     else:
         raise ValueError("tally tables exist for degrees 4 and 5 only")
     return sum((case.contribution() for case in cases), Fraction(0))
-
-
-def j_invariant(g2: Fraction, g3: Fraction) -> Fraction:
-    """j = 1728 g2^3 / (g2^3 - 27 g3^2); raises on a singular curve."""
-    g2, g3 = Fraction(g2), Fraction(g3)
-    disc = g2 ** 3 - 27 * g3 ** 2
-    if disc == 0:
-        raise ZeroDivisionError("singular curve: g2^3 - 27 g3^2 = 0")
-    return 1728 * g2 ** 3 / disc

@@ -160,15 +160,6 @@ class Poly(RingElement):
             result = result + c * num ** i * den ** (total_degree - i)
         return result
 
-    def reversed_coeffs(self, length):
-        """Coefficients of s^length * p(1/s), i.e. the reversal padded to `length`."""
-        if length < len(self.coeffs) - 1:
-            raise ValueError("length below degree")
-        rev = [0] * (length + 1)
-        for i, c in enumerate(self.coeffs):
-            rev[length - i] = c
-        return Poly(rev)
-
     def root_order(self, point):
         """Multiplicity of `point` as a root (0 when not a root)."""
         p = self

@@ -1,9 +1,12 @@
 """Rational self-maps of the projective line and their ramification, exactly.
 
 A RationalMap is a coprime pair of polynomials over Q or Q(sqrt(d)); the
-point at infinity is handled by the coordinate flip t -> 1/t, never by
-floating point or projective coordinates. Irrational critical points are
-carried by their monic squarefree factors rather than radical expressions.
+point at infinity is handled by counting degrees, never by floating point or
+projective coordinates. For f = num/den of degree d, f(infinity) is infinity
+when deg den < d and num[d]/den[d] otherwise, and f - c vanishes at infinity
+to order d - deg(num - c den) (d - deg den for c = infinity). Irrational
+critical points are carried by their monic squarefree factors rather than
+radical expressions.
 """
 
 from .poly import Poly, _invert, gcd, squarefree_decomposition
@@ -50,16 +53,14 @@ class RationalMap:
     def __call__(self, point):
         """Value at a point of the source line; may be INFINITY."""
         if point == INFINITY:
-            return self.flip()(0)
+            d = self.degree
+            if self.den.degree < d:
+                return INFINITY
+            return self.num[d] * _invert(self.den[d])
         d = self.den(point)
         if d == 0:
             return INFINITY
         return self.num(point) * _invert(d)
-
-    def flip(self):
-        """The map t -> f(1/t)."""
-        d = self.degree
-        return RationalMap(self.num.reversed_coeffs(d), self.den.reversed_coeffs(d))
 
     def wronskian(self) -> Poly:
         """Numerator p'q - pq' of the derivative; its root orders encode all
@@ -84,11 +85,10 @@ def vanishing_order(f: RationalMap, value, point) -> int:
     """
     if f.is_constant():
         raise ValueError("constant map")
+    fib = f.den if value == INFINITY else f.num - value * f.den
     if point == INFINITY:
-        return vanishing_order(f.flip(), value, 0)
-    if value == INFINITY:
-        return f.den.root_order(point)
-    return (f.num - value * f.den).root_order(point)
+        return f.degree - fib.degree
+    return fib.root_order(point)
 
 
 def infinity_index(f: RationalMap) -> int:

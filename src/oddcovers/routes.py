@@ -16,7 +16,7 @@ The closed formula is evaluated for every g >= 0: the small-g values are the
 formal values of the sum and agree with the generating series.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .combinat import binom_int, binom_gen, catalan, decimal_root_string
@@ -154,11 +154,9 @@ def sigma3_route_check(g: int) -> bool:
     return 16 ** g * top == alt_catalan_closed(g)
 
 
-@dataclass(frozen=True)
-class GrowthRow:
-    g: int
-    ratio: Fraction | None  # A_{g+1} / A_g; None on the last row
-    root_estimate: str  # decimal string for A_g^(1/(2g+1))
+# ratio is A_{g+1} / A_g (None on the last row); root_estimate is the decimal
+# string for A_g^(1/(2g+1)).
+GrowthRow = namedtuple("GrowthRow", "g ratio root_estimate")
 
 
 # Thresholds frozen from an oracle run of the closed formula to g = 40:

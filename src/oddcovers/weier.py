@@ -17,7 +17,7 @@ the P-line, the normal form is canonical: two expressions are equal iff
 their normal forms match coefficientwise.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .poly import Poly, discriminant_quadratic
@@ -207,12 +207,7 @@ def check_G_identities() -> bool:
     return all(r.nonzero and r.monomial for r in delta0_specializations())
 
 
-@dataclass(frozen=True)
-class Specialization:
-    label: str
-    value: str
-    nonzero: bool
-    monomial: bool
+Specialization = namedtuple("Specialization", "label value nonzero monomial")
 
 
 # The three square-period cases, in the order every specialization list

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +245,32 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("cannot write %s: " % target)
     assert not target.exists()
+
+
+# Run in a fresh interpreter: the modules loaded by `import oddcovers.cli`
+# alone, measured against what the interpreter had loaded before it, and the
+# public names of the package once the CLI is loaded.
+IMPORT_PROBE = """
+import json, sys, types
+before = set(sys.modules)
+import oddcovers, oddcovers.cli
+print(json.dumps({
+    "added": sorted(set(sys.modules) - before),
+    "non_modules": sorted(name for name, value in vars(oddcovers).items()
+                          if not name.startswith("_")
+                          and not isinstance(value, types.ModuleType)),
+}))
+"""
+
+
+def test_cli_import_pulls_in_no_dataclasses_and_the_package_exports_only_modules():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    assert "oddcovers.cli" in probe["added"]
+    assert "dataclasses" not in probe["added"]
+    assert "inspect" not in probe["added"]
+    assert probe["non_modules"] == []

@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 
@@ -112,10 +111,3 @@ def test_three_routes_to_sixteen_coincide():
     assert chern_total == covers.veronese_bound() == covers.admissible_tally(4) \
         == covers.admissible_tally(5) == 16
 
-
-def test_j_invariant():
-    assert covers.j_invariant(4, 0) == 1728
-    assert covers.j_invariant(0, 1) == 0
-    assert covers.j_invariant(4, 1) == Fraction(1728 * 64, 37)
-    with pytest.raises(ZeroDivisionError):
-        covers.j_invariant(3, 1)  # 27 - 27 = 0

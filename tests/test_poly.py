@@ -100,12 +100,6 @@ def test_root_order():
     assert p.root_order(0) == 0
 
 
-def test_reversed_coeffs_flip():
-    # s^4 * p(1/s) for p = t^4 - 4t^3
-    p = Poly([0, 0, 0, -4, 1])
-    assert p.reversed_coeffs(4) == Poly([1, -4])
-
-
 def test_compose_fractional_clears_denominators():
     # p(t) = t^2 + 1 at t = (s+1)/s, homogenized to degree 2
     p = Poly([1, 0, 1])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oddcovers.covers import deg3_maps, paired_quartic_maps, quartic_cover_map
 from oddcovers.poly import Poly
 from oddcovers.ratmap import (
     INFINITY,
@@ -122,6 +123,49 @@ def test_profile_sums_to_degree(num, den, value):
     if f.is_constant():
         return
     assert sum(fiber_profile(f, value)) == f.degree
+
+
+def _flip(f):
+    """Oracle: the map t -> f(1/t), from both coefficient lists reversed after
+    padding them to deg f."""
+    d = f.degree
+    return RationalMap(Poly([f.num[d - i] for i in range(d + 1)]),
+                       Poly([f.den[d - i] for i in range(d + 1)]))
+
+
+def _flipped_order(f, value):
+    """Oracle: order of f - value at infinity, read at 0 on the flipped map."""
+    g = _flip(f)
+    fib = g.den if value == INFINITY else g.num - value * g.den
+    return fib.root_order(0)
+
+
+def assert_infinity_matches_flip(f, finite_value):
+    at_infinity = _flip(f)(0)
+    assert f(INFINITY) == at_infinity
+    assert infinity_index(f) == _flipped_order(f, at_infinity)
+    if finite_value == at_infinity:
+        finite_value = finite_value + 1
+    for value in (at_infinity, finite_value, INFINITY):
+        assert vanishing_order(f, value, INFINITY) == _flipped_order(f, value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(small, min_size=2, max_size=5), st.lists(small, min_size=1, max_size=5),
+       small)
+def test_infinity_by_degrees_matches_the_flip_on_random_maps(num, den, value):
+    p, q = Poly(num), Poly(den)
+    if p.is_zero() or q.is_zero():
+        return
+    f = RationalMap(p, q)
+    if f.is_constant():
+        return
+    assert_infinity_matches_flip(f, value)
+
+
+@pytest.mark.parametrize("f", [quartic_cover_map(), *paired_quartic_maps(), *deg3_maps()])
+def test_infinity_by_degrees_matches_the_flip_on_the_covers(f):
+    assert_infinity_matches_flip(f, 0)
 
 
 def test_constant_map_rejected():

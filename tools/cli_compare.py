@@ -22,6 +22,8 @@ COMMANDS = (
     "series --order 201",
     "table --max-g 50 --routes closed,schubert --cap 50 --format json",
     "schubert --g 3",
+    "verify --suite covers --max-g 5 --format csv",
+    "table --max-g 8 --routes closed,coeff_form,schubert,genfun,lagrange --format csv",
 )
 
 
