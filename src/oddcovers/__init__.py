@@ -7,3 +7,14 @@ expansion, Lagrange inversion) and certifies every polynomial, Weierstrass
 and ramification identity feeding the two local counts of 16 that the
 Schubert route consumes. All arithmetic is exact; nothing is floating point.
 """
+
+
+def __getattr__(name):
+    """Import the submodule `name` on first access (PEP 562)."""
+    try:
+        __import__("%s.%s" % (__name__, name))
+    except ModuleNotFoundError as err:
+        if err.name != "%s.%s" % (__name__, name):
+            raise
+        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
+    return globals()[name]

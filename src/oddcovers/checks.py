@@ -1,0 +1,165 @@
+"""The checks `verify` runs, by suite. Only `verify` and the acceptance gate
+import this module, so no other command loads `covers`, `weier` and the
+`poly`, `ratmap` and `quadratic` layers under them."""
+
+from collections import namedtuple
+
+from . import covers, routes, schubert, weier
+
+# One certified fact; `run(max_g)` returns (passed, detail). `max_g` is the
+# identity window, --max-g but never below 5. A citation may name it as %(g)d,
+# and the route-agreement window as %(route_g)d.
+Check = namedtuple("Check", "suite name citation run")
+
+# Upper end of route_agreement's window, part of what the check certifies.
+# The genfun and lagrange routes each expand one series to order 2*g+1 (41
+# here), at a cost quadratic in that order.
+ROUTE_AGREEMENT_MAX_G = 20
+
+
+def _paired_quartic(max_g):
+    report = covers.check_paired_quartic_maps()
+    relation = "identity" if report.identical else "none"
+    return report.ok(), "relation found: %s" % relation
+
+
+def _bound_arithmetic(max_g):
+    return (covers.chern_upper_bound(2, 5) == 4
+            and 4 * covers.chern_upper_bound(2, 5) == 16
+            and covers.veronese_bound() == 16
+            and covers.c1_dma(1, 3) == 3
+            and covers.c1_dma(2, 4) == 8), ""
+
+
+def _admissible_tally(max_g):
+    t4, t5 = covers.admissible_tally(4), covers.admissible_tally(5)
+    return t4 == 16 and t5 == 16, "deg4 = %s, deg5 = %s" % (t4, t5)
+
+
+def _delta0(label):
+    spec = next(s for s in weier.delta0_specializations() if s.label == label)
+    detail = "Delta0 -> %s" % spec.value
+    if label.startswith("e3=0"):
+        detail += (" (informational: the certified fact is nonvanishing; "
+                   "the coefficient itself is reported, not assumed)")
+    return spec.nonzero and spec.monomial, detail
+
+
+def _gtilde_delta(label):
+    spec = next(s for s in weier.gtilde_delta_specializations() if s.label == label)
+    return spec.nonzero and spec.monomial, "Delta -> %s" % spec.value
+
+
+def _route_agreement(max_g):
+    prefixes = [routes.route_prefix(r, min(max_g, ROUTE_AGREEMENT_MAX_G))
+                for r in ("closed", "coeff_form", "genfun", "lagrange")]
+    return all(p == prefixes[0] for p in prefixes), ""
+
+
+# Every check `verify` runs, grouped by suite; `all` runs them in this order.
+CHECKS = (
+    Check("covers", "family_condition_deg5_alpha1",
+          "critical factor of t^3(t-1)(t-b) is 5t^2-4(1+b)t+3b with "
+          "discriminant 4(4b^2-7b+4), which has two distinct roots",
+          lambda max_g: (covers.family_condition_deg5_alpha1(), "")),
+    Check("covers", "family_condition_deg5_alpha2",
+          "critical factor of t^2(t-1)^2(t-b) is (t^2-t)(5t^2-(3+4b)t+2b); "
+          "double-root condition 16b^2-16b+9 has two distinct roots",
+          lambda max_g: (covers.family_condition_deg5_alpha2(), "")),
+    Check("covers", "check_quartic_cover",
+          "t^3(t-4)/(t-1) has triple points exactly at 0, 2, infinity; "
+          "profiles {3,1} over 0, -16, infinity; f(2-t) = -f(t)-16",
+          lambda max_g: (covers.check_quartic_cover(), "")),
+    Check("covers", "check_deg3_maps",
+          "the cubics +/-(t-1/2 +/- sqrt(-3)/6)^3 identify 0 and 1, ramify "
+          "only at one finite triple point and infinity, and f(1-t) = conj(t)",
+          lambda max_g: (covers.check_deg3_maps(), "")),
+    Check("covers", "check_paired_quartic_maps",
+          "both degree-4 maps over Q(sqrt(3)) have profile {2,2} over 0, a triple "
+          "point at the designated pole, one further triple point, nothing else",
+          _paired_quartic),
+    Check("covers", "bound_arithmetic",
+          "4(5-2*2) = 4 per spin structure, times 4 spins = 16; Veronese degree "
+          "2^2 = 4 per spin, total 16; both match the admissible-cover tallies",
+          _bound_arithmetic),
+    Check("covers", "admissible_tally",
+          "boundary-configuration tallies give 16 in both degrees: "
+          "4+8+4 in degree 4 and 8+8 in degree 5",
+          _admissible_tally),
+    Check("weierstrass", "derivation_consistency",
+          "(D^2)' via the Leibniz rule matches the derivative of "
+          "4(P-e1)(P-e2)(P-e3)",
+          lambda max_g: (weier.check_derivation_consistency(), "")),
+    Check("weierstrass", "check_G_identities",
+          "G = D(P-e2)/(P-e1) has G' = ((P-e2)/(P-e1)) * "
+          "2(3P^2+2(e2-e1)P-3e1^2-e1e2+e2^2); discriminant 16*Delta0 with "
+          "Delta0 = 10e1^2+e1e2-2e2^2, nonzero in every square-period case",
+          lambda max_g: (weier.check_G_identities(), "")),
+    Check("weierstrass", "check_Gtilde_identities",
+          "G~ = D(P-e1) has G~' = (P-e1)(6P^2-2(e1^2+e1e2+e2^2)"
+          "+4(P-e2)(P-e3)); discriminant 16(5e1^2+6e2^2+e3^2+5e1e2-8e2e3), "
+          "nonzero in every square-period case",
+          lambda max_g: (weier.check_Gtilde_identities(), "")),
+    *(Check("weierstrass", "delta0[%s]" % label,
+            "Delta0 specialization is a nonzero monomial",
+            lambda max_g, label=label: _delta0(label))
+      for label in weier.SPECIALIZATION_LABELS),
+    *(Check("weierstrass", "gtilde_delta[%s]" % label,
+            "degree-5 discriminant specialization is a nonzero monomial",
+            lambda max_g, label=label: _gtilde_delta(label))
+      for label in weier.SPECIALIZATION_LABELS),
+    Check("identities", "binomial_identity",
+          "sum_k (-1)^k 2^(g-k) C(g,k) C(g-k,i) = C(g,i) 2^i for g <= %(g)d",
+          lambda max_g: (all(routes.binomial_identity_check(g)
+                             for g in range(max_g + 1)), "")),
+    Check("identities", "catalan_half_binomial",
+          "Catalan(n) = (-1)^n 2^(2n+1) binom(1/2, n+1) for n <= 60",
+          lambda max_g: (all(routes.catalan_half_binomial_check(n)
+                             for n in range(61)), "")),
+    Check("identities", "route_agreement",
+          "closed sum, coefficient extraction, series expansion and "
+          "Lagrange inversion agree for g <= %(route_g)d",
+          _route_agreement),
+    Check("schubert", "sigma12_vs_alternating_sum",
+          "sigma_1^(2m) sigma_2^(2g-m) = sum_i (-1)^i C(2g-m,i) Cat(2g-i) "
+          "in G(2,2g+2) for g <= 8, 0 <= m <= 2g",
+          lambda max_g: (all(
+              schubert.sigma12_row(g)
+              == [schubert.catalan_alternating_sum(g, m) for m in range(2 * g + 1)]
+              for g in range(9)), "")),
+    Check("schubert", "grassmannian_degree",
+          "sigma_1^(2(n-2)) evaluates to Catalan(n-2) on G(2,n), n <= 12",
+          lambda max_g: (all(schubert.grassmannian_degree(n) == routes.catalan(n - 2)
+                             for n in range(2, 13)), "")),
+    Check("schubert", "schubert_route",
+          "(16 sigma_{4,0} + 16 sigma_{3,1})^g equals the closed formula, g <= 8",
+          lambda max_g: (routes.route_prefix("schubert", 8)
+                         == routes.route_prefix("closed", 8), "")),
+    Check("schubert", "sigma3_reduction",
+          "16^g (sigma_1 sigma_3)^g equals the closed formula, g <= 8",
+          lambda max_g: (all(routes.sigma3_route_check(g) for g in range(1, 9)), "")),
+)
+
+# Suite names in registry order; `cli.SUITES` spells out the same tuple.
+SUITES = tuple(dict.fromkeys(check.suite for check in CHECKS))
+
+
+def run_checks(suites, max_g: int) -> list:
+    """Run the checks of `suites` in registry order; one dict per check.
+
+    A check that raises AssertionError is reported as failed with the
+    assertion's message, and the remaining checks still run.
+    """
+    max_g = max(max_g, 5)
+    windows = {"g": max_g, "route_g": min(max_g, ROUTE_AGREEMENT_MAX_G)}
+    results = []
+    for check in CHECKS:
+        if check.suite not in suites:
+            continue
+        try:
+            passed, detail = check.run(max_g)
+        except AssertionError as err:
+            passed, detail = False, "assertion failed: %s" % err
+        results.append({"name": check.name, "citation": check.citation % windows,
+                        "pass": bool(passed), "detail": detail})
+    return results

@@ -1,7 +1,7 @@
 """Acceptance gate: ten criteria, each printing a single pass/fail line.
 
 The criteria assert the named checks of the `verify` registry
-(`oddcovers.cli.CHECKS`) at the gate's windows. Only what the gate asks
+(`oddcovers.checks.CHECKS`) at the gate's windows. Only what the gate asks
 beyond `verify` is checked here: spot values, the Lagrange orders, the
 reported e3=0 coefficient, the growth report and the wall-clock bounds.
 
@@ -10,7 +10,7 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the lines.
 
 import time
 
-from oddcovers import cli, routes
+from oddcovers import checks, routes
 
 
 def _report(name, ok):
@@ -20,7 +20,7 @@ def _report(name, ok):
 
 def _checks(suite, max_g=5):
     """The registry checks of one suite at `max_g`, by name."""
-    return {check["name"]: check for check in cli.run_checks((suite,), max_g)}
+    return {check["name"]: check for check in checks.run_checks((suite,), max_g)}
 
 
 def _passed(suite, names, max_g=5):

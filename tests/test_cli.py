@@ -274,3 +274,86 @@ def test_cli_import_pulls_in_no_dataclasses_and_the_package_exports_only_modules
     assert "dataclasses" not in probe["added"]
     assert "inspect" not in probe["added"]
     assert probe["non_modules"] == []
+
+
+# The verify stack: what only `verify` needs, and `csv`, which only --format
+# csv needs.
+VERIFY_STACK = ("oddcovers.checks", "oddcovers.covers", "oddcovers.weier",
+                "oddcovers.ratmap", "oddcovers.poly", "oddcovers.quadratic", "csv")
+
+# Run in a fresh interpreter: the modules one `cli.main(argv)` call adds to
+# what the interpreter had loaded before `oddcovers`, and its exit code.
+COMMAND_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from oddcovers import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before)}))
+"""
+
+# Run in a fresh interpreter: what `oddcovers.<name>` gives once the CLI is
+# loaded, for two layers the CLI does not import, a name that is no
+# submodule, and a submodule that fails to import a module of its own.
+ATTRIBUTE_PROBE = """
+import json, sys, types
+import oddcovers, oddcovers.cli
+preloaded = [name for name in ("weier", "covers") if "oddcovers." + name in sys.modules]
+oddcovers.__path__.append(sys.argv[1])
+try:
+    oddcovers.broken
+    broken = "no error"
+except ModuleNotFoundError as err:
+    broken = err.name
+print(json.dumps({
+    "preloaded": preloaded,
+    "modules": [isinstance(oddcovers.weier, types.ModuleType),
+                isinstance(oddcovers.covers, types.ModuleType),
+                oddcovers.weier is sys.modules["oddcovers.weier"]],
+    "nope": hasattr(oddcovers, "nope"),
+    "broken": broken,
+}))
+"""
+
+
+def _probe(script, *args):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--max-g", "4", "--routes", "closed,coeff_form,schubert,genfun,lagrange"],
+    ["series", "--order", "11"],
+    ["schubert", "--g", "3"],
+])
+def test_table_series_and_schubert_leave_the_verify_stack_unloaded(argv):
+    probe = _probe(COMMAND_PROBE, *argv)
+    assert probe["code"] == 0
+    assert "oddcovers.routes" in probe["added"]
+    assert [name for name in VERIFY_STACK if name in probe["added"]] == []
+
+
+def test_verify_loads_the_verify_stack():
+    probe = _probe(COMMAND_PROBE, "verify", "--suite", "covers", "--max-g", "5",
+                   "--format", "csv")
+    assert probe["code"] == 0
+    assert [name for name in VERIFY_STACK if name not in probe["added"]] == []
+
+
+def test_package_imports_a_layer_on_first_attribute_access(tmp_path):
+    (tmp_path / "broken.py").write_text("import oddcovers_no_such_module\n")
+    probe = _probe(ATTRIBUTE_PROBE, str(tmp_path))
+    assert probe["preloaded"] == []
+    assert probe["modules"] == [True, True, True]
+    assert probe["nope"] is False
+    assert probe["broken"] == "oddcovers_no_such_module"
+
+
+def test_cli_suite_choices_are_the_registry_suites():
+    from oddcovers import checks
+
+    assert cli.SUITES == checks.SUITES

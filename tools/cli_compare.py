@@ -24,6 +24,10 @@ COMMANDS = (
     "schubert --g 3",
     "verify --suite covers --max-g 5 --format csv",
     "table --max-g 8 --routes closed,coeff_form,schubert,genfun,lagrange --format csv",
+    "verify --suite bogus",
+    "table --routes bogus",
+    "verify --max-g -1",
+    "schubert --g 3 --format csv",
 )
 
 
