@@ -17,8 +17,8 @@ from .ratmap import (
     INFINITY,
     RationalMap,
     fiber_profile,
-    hurwitz_total,
     mobius_fixing_0_1,
+    point_indices,
     ram_scheme,
     ramification_data,
     vanishing_order,
@@ -79,14 +79,17 @@ def family_condition_deg5_alpha2() -> bool:
     return discriminant_quadratic(condition) == Fraction(-320)
 
 
-def _assert_hurwitz(f: RationalMap):
-    total = hurwitz_total(f)
+def _assert_hurwitz(f: RationalMap) -> list:
+    """`ramification_data(f)`, after checking that it satisfies Riemann-Hurwitz."""
+    data = ramification_data(f)
+    total = sum(index - 1 for index in point_indices(data))
     expected = 2 * f.degree - 2
     if total != expected:
         raise AssertionError(
             "ramification bookkeeping off: sum(index-1) = %d, expected %d"
             % (total, expected)
         )
+    return data
 
 
 def quartic_cover_map() -> RationalMap:
@@ -170,17 +173,13 @@ def check_paired_quartic_maps() -> PairedQuarticReport:
     clean_ok = True
     pole_of_first = QuadScalar(Fraction(1, 2), Fraction(-1, 6), 3)
     for f, triple_at in ((first, pole_of_first), (second, INFINITY)):
-        _assert_hurwitz(f)
+        data = _assert_hurwitz(f)
         if fiber_profile(f, 0) != [2, 2]:
             profiles_ok = False
         if vanishing_order(f, f(triple_at), triple_at) != 3:
             triple_ok = False
-        indices = []
-        for place, index in ramification_data(f):
-            count = 1 if place == INFINITY else place.degree
-            indices.extend([index] * count)
         # two double points (the fiber over 0) and two triple points, only
-        if sorted(indices) != [2, 2, 3, 3]:
+        if sorted(point_indices(data)) != [2, 2, 3, 3]:
             clean_ok = False
         if vanishing_order(f, 0, 0) != 2 or vanishing_order(f, 0, 1) != 2:
             clean_ok = False
@@ -208,8 +207,7 @@ def check_deg3_maps() -> bool:
     """
     f, conj = deg3_maps()
     for g in (f, conj):
-        _assert_hurwitz(g)
-        data = ramification_data(g)
+        data = _assert_hurwitz(g)
         indices = sorted(idx for _, idx in data)
         if indices != [3, 3] or not any(p == INFINITY for p, _ in data):
             return False

@@ -4,7 +4,12 @@ Scalars may be rationals, QuadScalar, or (for computations with a symbolic
 parameter) another Poly. A rational coefficient is stored in the canonical
 exact form of `ring.canonical`: an `int` when integral, a reduced `Fraction`
 otherwise, so the integer covers of `covers` run on Python ints.
-Division-based operations (divmod, gcd, monic) require field scalars.
+Division-based operations (divmod, monic) require field scalars. `gcd`
+divides only exactly: it clears denominators into Z, or Z[sqrt d] for
+QuadScalar coefficients, runs the subresultant polynomial remainder sequence
+there (Collins, JACM 1967; Brown & Traub, JACM 1971; Knuth, TAOCP vol. 2,
+section 4.6.1, Algorithm C), and makes the result monic over the field once,
+at the end.
 
 A polynomial in several variables is a Poly in the outermost variable whose
 coefficients are polynomials in the others (Knuth, TAOCP vol. 2, section
@@ -120,10 +125,12 @@ class Poly(RingElement):
         dq = len(o.coeffs) - 1
         if len(rem) - 1 < dq:
             return Poly(), self
-        inv_lead = _invert(o.leading())
+        # gcd and squarefree factors are monic: dividing by them needs no inverse
+        monic = o.leading() == 1
+        inv_lead = 1 if monic else _invert(o.leading())
         quot = [0] * (len(rem) - dq)
         for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem[i] * inv_lead
+            c = rem[i] if monic else rem[i] * inv_lead
             quot[i - dq] = c
             if c != 0:
                 for j in range(dq + 1):
@@ -137,7 +144,7 @@ class Poly(RingElement):
         return divmod(self, other)[1]
 
     def monic(self):
-        if self.is_zero():
+        if self.is_zero() or self.leading() == 1:
             return self
         inv = _invert(self.leading())
         return Poly([c * inv for c in self.coeffs])
@@ -152,12 +159,24 @@ class Poly(RingElement):
         return 0 if result is None else result
 
     def compose_fractional(self, num, den, total_degree=None):
-        """p(num/den) cleared of denominators: sum_i c_i num^i den^(D-i)."""
+        """p(num/den) cleared of denominators: sum_i c_i num^i den^(D-i).
+
+        num^i and den^(D-i) come from two running products, so the D + 1
+        terms cost O(D) polynomial products.
+        """
         if total_degree is None:
             total_degree = self.degree or 0
+        if len(self.coeffs) > total_degree + 1:
+            raise ValueError("total degree %d is below the degree %d"
+                             % (total_degree, self.degree))
+        num_powers, den_powers = [Poly([1])], [Poly([1])]
+        for _ in range(total_degree):
+            num_powers.append(num_powers[-1] * num)
+            den_powers.append(den_powers[-1] * den)
         result = Poly()
-        for i, c in enumerate(self.coeffs):
-            result = result + c * num ** i * den ** (total_degree - i)
+        for c, a, b in zip(self.coeffs, num_powers, reversed(den_powers)):
+            if c != 0:
+                result = result + c * a * b
         return result
 
     def root_order(self, point):
@@ -191,12 +210,79 @@ def _invert(c):
     raise TypeError("scalar %r is not invertible here" % (c,))
 
 
+def _integral(p: Poly) -> list:
+    """The coefficients of p times the lcm of their denominators.
+
+    Each lands in Z, or in Z[sqrt d] for QuadScalar coefficients with an
+    integer d; either way the polynomial only changes by a nonzero scalar.
+    """
+    lcm = 1
+    for c in p.coeffs:
+        for v in (c.a, c.b) if isinstance(c, QuadScalar) else (c,):
+            if type(v) is Fraction:
+                # lcm(m, n) = m * (n / gcd(m, n)), and Fraction(m, n) reduces by gcd(m, n)
+                lcm *= Fraction(lcm, v.denominator).denominator
+    if lcm == 1:
+        return list(p.coeffs)
+    return [c * lcm if isinstance(c, QuadScalar) else canonical(c * lcm)
+            for c in p.coeffs]
+
+
+def _exact_quotient(x, y):
+    """x / y for a y that divides x; over Z[sqrt d] this is x*conj(y)/N(y),
+    each component divided by `exact_div`."""
+    if isinstance(y, QuadScalar):
+        x, y = x * y.conjugate(), y.norm()
+    if isinstance(x, QuadScalar):
+        return QuadScalar(exact_div(x.a, y), exact_div(x.b, y), x.d)
+    return exact_div(x, y)
+
+
+def _pseudo_remainder(u: list, v: list) -> list:
+    """lc(v)^(deg u - deg v + 1) * u mod v, with no division (Knuth, TAOCP
+    vol. 2, section 4.6.1, Algorithm R); trailing zeros are dropped."""
+    n = len(v) - 1
+    lead = v[-1]
+    r = list(u)
+    for k in range(len(u) - 1 - n, -1, -1):
+        top = r[n + k]
+        r = [lead * r[j] for j in range(k)] + [
+            lead * r[j] - top * v[j - k] for j in range(k, n + k)]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
 def gcd(p: Poly, q: Poly) -> Poly:
-    """Monic polynomial gcd by Euclidean steps with monic normalization."""
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, (a % b).monic()
-    return a.monic()
+    """Monic gcd over the coefficient field; gcd(0, 0) is the zero Poly.
+
+    Runs the subresultant PRS (Collins, JACM 1967; Brown & Traub, JACM 1971;
+    Knuth, TAOCP vol. 2, section 4.6.1, Algorithm C) on the denominator-free
+    multiples of p and q from `_integral`: each pseudo-remainder is divided
+    exactly by beta = g h^delta, so the coefficients stay in Z or Z[sqrt d]
+    and no inverse is taken before the last step. Every step rescales a
+    field remainder sequence by a nonzero scalar, so the last nonzero term,
+    made monic over the field at the end, is the gcd that monic Euclid steps
+    would give.
+    """
+    if p.is_zero() or q.is_zero():
+        return (q if p.is_zero() else p).monic()
+    u, v = _integral(p), _integral(q)
+    if len(u) < len(v):
+        u, v = v, u
+    g = h = 1
+    while True:
+        delta = len(u) - len(v)
+        r = _pseudo_remainder(u, v)
+        if not r:
+            return Poly(v).monic()
+        if len(r) == 1:
+            return Poly([1])
+        beta = g * h ** delta
+        u, v = v, [_exact_quotient(c, beta) for c in r]
+        g = u[-1]
+        if delta:
+            h = _exact_quotient(g ** delta, h ** (delta - 1))
 
 
 def discriminant_quadratic(p: Poly):

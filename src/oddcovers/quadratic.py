@@ -19,10 +19,12 @@ class QuadScalar(RingElement):
     def __init__(self, a, b=0, d=None):
         if d is None:
             raise ValueError("QuadScalar requires an explicit discriminant d")
-        check_exact((a, b, d))
-        object.__setattr__(self, "a", a if type(a) is int else canonical(a))
-        object.__setattr__(self, "b", b if type(b) is int else canonical(b))
-        object.__setattr__(self, "d", d if type(d) is int else canonical(d))
+        if not type(a) is type(b) is type(d) is int:
+            check_exact((a, b, d))
+            a, b, d = (v if type(v) is int else canonical(v) for v in (a, b, d))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
 
     def _wrap(self, other):
         if isinstance(other, QuadScalar):

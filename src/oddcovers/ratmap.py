@@ -7,6 +7,10 @@ when deg den < d and num[d]/den[d] otherwise, and f - c vanishes at infinity
 to order d - deg(num - c den) (d - deg den for c = infinity). Irrational
 critical points are carried by their monic squarefree factors rather than
 radical expressions.
+
+Ramification is the costly step, so a caller computes `ramification_data`
+once per map and reads both the Riemann-Hurwitz sum and the point indices
+off that one list (`point_indices`).
 """
 
 from .poly import Poly, _invert, gcd, squarefree_decomposition
@@ -134,14 +138,17 @@ def ramification_data(f: RationalMap):
     return data
 
 
+def point_indices(data) -> list:
+    """The index of every ramification point in `ramification_data` output,
+    conjugates counted: a factor of degree k contributes its index k times."""
+    return [index for place, index in data
+            for _ in range(1 if place == INFINITY else place.degree)]
+
+
 def hurwitz_total(f: RationalMap) -> int:
     """Sum of (index - 1) over all ramification, conjugates counted; equals
     2 deg(f) - 2 for any nonconstant map (genus-zero Riemann-Hurwitz)."""
-    total = 0
-    for place, index in ramification_data(f):
-        count = 1 if place == INFINITY else place.degree
-        total += count * (index - 1)
-    return total
+    return sum(index - 1 for index in point_indices(ramification_data(f)))
 
 
 def fiber_profile(f: RationalMap, value):

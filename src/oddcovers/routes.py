@@ -9,8 +9,9 @@ lives in `schubert` and is bound to these by `sigma3_route_check`.
 `lagrange` carry A_g at w^(2g+1) of one series, so they expand it once, to
 order 2G+1, and integer-check every coefficient they read; the Schubert route
 reads every top evaluation off one chain of products in G(2,2G+2)
-(`schubert.top_power_prefix`); the closed and coefficient routes compute each
-g on its own.
+(`schubert.top_power_prefix`); the coefficient route expands its g-free
+factor (1+z)^(1/2) once and takes one dot product per g; the closed route
+computes each g on its own.
 
 The closed formula is evaluated for every g >= 0: the small-g values are the
 formal values of the sum and agree with the generating series.
@@ -33,18 +34,31 @@ def alt_catalan_closed(g: int) -> int:
     )
 
 
+def coeff_form_prefix(max_g: int) -> list:
+    """[A_0, ..., A_max_g], A_g = [z^(2g+1)] of 2^(8g+1) (1+z/2)^g (1+z)^(1/2).
+
+    (1+z)^(1/2) does not depend on g, so it is expanded once, to order
+    2*max_g+1; [z^k] (1+z/2)^g is binom(g,k) 2^(-k). Each A_g is then one
+    O(g) dot product, integer-checked, and the prefix costs O(max_g^2).
+    """
+    if max_g < 0:
+        raise ValueError("max_g must be nonnegative")
+    root = binomial_series(Fraction(1, 2), Series.identity(2 * max_g + 1)).coeffs
+    prefix = []
+    for g in range(max_g + 1):
+        # binom(g,k) 2^(8g+1-k) is the integer weight of root[2g+1-k]
+        weight, coeff = 2 ** (8 * g + 1), 0
+        for k in range(g + 1):
+            coeff += weight * root[2 * g + 1 - k]
+            weight = weight * (g - k) // (2 * (k + 1))
+        prefix.append(_integer(coeff, "coefficient"))
+    return prefix
+
+
 def alt_catalan_coeff_form(g: int) -> int:
-    """A_g as [z^(2g+1)] of 2^(8g+1) (1+z/2)^g (1+z)^(1/2)."""
-    if g < 0:
-        raise ValueError("g must be nonnegative")
-    order = 2 * g + 1
-    z = Series.identity(order)
-    # Only [z^order] of the product is needed: one O(g) dot product of the
-    # two factors' coefficients.
-    left = binomial_series(g, Fraction(1, 2) * z).coeffs
-    right = binomial_series(Fraction(1, 2), z).coeffs
-    coeff = sum(a * b for a, b in zip(left, reversed(right)))
-    return _integer(2 ** (8 * g + 1) * coeff, "coefficient")
+    """A_g as [z^(2g+1)] of 2^(8g+1) (1+z/2)^g (1+z)^(1/2): entry g of
+    `coeff_form_prefix`."""
+    return coeff_form_prefix(g)[g]
 
 
 def _integer(value: int | Fraction, route: str) -> int:
@@ -199,13 +213,11 @@ ROUTES = ("closed", "coeff_form", "schubert", "genfun", "lagrange")
 
 
 def compute_route(g: int, route: str, n4: int = 16, n5: int = 16) -> int:
-    """A_g by one route; the Schubert and series routes take entry g of
+    """A_g by one route; every route but `closed` takes entry g of
     `route_prefix`."""
     if route == "closed":
         return alt_catalan_closed(g)
-    if route == "coeff_form":
-        return alt_catalan_coeff_form(g)
-    if route in ("schubert", "genfun", "lagrange"):
+    if route in ("coeff_form", "schubert", "genfun", "lagrange"):
         return route_prefix(route, g, n4, n5)[g]
     raise ValueError("unknown route %r" % route)
 
@@ -215,13 +227,15 @@ def route_prefix(route: str, max_g: int, n4: int = 16, n5: int = 16) -> list:
 
     `genfun` and `lagrange` expand their series once, to order 2*max_g+1, and
     read every A_g off it, each checked to be an integer; `schubert` reads
-    every A_g off one chain of products in G(2,2*max_g+2); `closed` and
-    `coeff_form` compute each g on its own.
+    every A_g off one chain of products in G(2,2*max_g+2); `coeff_form` is
+    `coeff_form_prefix`; `closed` computes each g on its own.
     """
     if max_g < 0:
         raise ValueError("max_g must be nonnegative")
     if route == "schubert":
         return schubert.top_power_prefix({(4, 0): n4, (3, 1): n5}, max_g)
+    if route == "coeff_form":
+        return coeff_form_prefix(max_g)
     if route not in ("genfun", "lagrange"):
         return [compute_route(g, route, n4, n5) for g in range(max_g + 1)]
     order = 2 * max_g + 1

@@ -215,26 +215,38 @@ Specialization = namedtuple("Specialization", "label value nonzero monomial")
 SPECIALIZATION_LABELS = ("e1=0", "e2=0", "e3=0 (e2=-e1)")
 
 
-def _specialize(expr: Poly):
+def _specialize(expr: Poly) -> tuple:
     values = (
         substitute(expr, 0, E2),
         substitute(expr, E1, 0),
         substitute(expr, E1, -E1),
     )
-    return [
+    return tuple(
         Specialization(label, format_monomials(v), not v.is_zero(),
                        len(monomials(v)) == 1)
         for label, v in zip(SPECIALIZATION_LABELS, values)
-    ]
+    )
 
 
-def delta0_specializations():
+# Specialization tuples by expression, each built on first use and kept:
+# importing this module substitutes nothing, and a `verify` run substitutes
+# into each expression once although eight of its checks read the results.
+_SPECIALIZED = {}
+
+
+def _specialized(expr: Poly) -> tuple:
+    if expr not in _SPECIALIZED:
+        _SPECIALIZED[expr] = _specialize(expr)
+    return _SPECIALIZED[expr]
+
+
+def delta0_specializations() -> tuple:
     """Delta0 under e1 = 0, e2 = 0, e3 = 0: the three square-period cases.
 
     The values are -2 E2^2, 10 E1^2 and 7 E1^2; only their nonvanishing is
     mathematically load-bearing, and that is what callers assert.
     """
-    return _specialize(DELTA0)
+    return _specialized(DELTA0)
 
 
 GTILDE_QUADRATIC = (
@@ -265,7 +277,7 @@ def check_Gtilde_identities() -> bool:
     return all(r.nonzero and r.monomial for r in gtilde_delta_specializations())
 
 
-def gtilde_delta_specializations():
+def gtilde_delta_specializations() -> tuple:
     """The degree-5 discriminant under e1 = 0, e2 = 0, e3 = 0 (240 E2^2,
     96 E1^2, 96 E1^2: all nonzero)."""
-    return _specialize(GTILDE_DELTA)
+    return _specialized(GTILDE_DELTA)

@@ -1,7 +1,7 @@
 
 import pytest
 
-from oddcovers import covers
+from oddcovers import covers, ratmap
 from oddcovers.ratmap import (
     INFINITY,
     RationalMap,
@@ -111,3 +111,22 @@ def test_three_routes_to_sixteen_coincide():
     assert chern_total == covers.veronese_bound() == covers.admissible_tally(4) \
         == covers.admissible_tally(5) == 16
 
+
+@pytest.mark.parametrize("check, maps", [
+    (lambda: covers.check_paired_quartic_maps().ok(), covers.paired_quartic_maps),
+    (covers.check_deg3_maps, covers.deg3_maps),
+])
+def test_each_map_is_ramified_once_per_check(monkeypatch, check, maps):
+    seen = []
+    original = ratmap.ramification_data
+
+    def counting(f):
+        seen.append(f)
+        return original(f)
+
+    # covers holds its own reference; patching both also counts any call
+    # made through ratmap, such as one from hurwitz_total
+    monkeypatch.setattr(ratmap, "ramification_data", counting)
+    monkeypatch.setattr(covers, "ramification_data", counting)
+    assert check()
+    assert seen == list(maps())

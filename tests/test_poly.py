@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from oddcovers import poly
 from oddcovers.covers import paired_quartic_maps, quartic_cover_map
 from oddcovers.poly import (
     Poly,
@@ -133,12 +134,12 @@ def _add(x, y):
     return (x[0] + y[0], x[1] + y[1])
 
 
-def _mul(x, y):
-    return (x[0] * y[0] + D * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+def _mul(x, y, d=D):
+    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def _inv(x):
-    n = x[0] * x[0] - D * x[1] * x[1]
+def _inv(x, d=D):
+    n = x[0] * x[0] - d * x[1] * x[1]
     return (x[0] / n, -x[1] / n)
 
 
@@ -150,26 +151,27 @@ def _poly_mul(p, q):
     return _trim(out)
 
 
-def _poly_divmod(p, q):
+def _poly_divmod(p, q, d=D):
     rem, dq = list(p), len(q) - 1
     quot = [(Fraction(0), Fraction(0))] * max(len(p) - dq, 0)
-    inv_lead = _inv(q[-1])
+    inv_lead = _inv(q[-1], d)
     for i in range(len(p) - 1, dq - 1, -1):
-        c = _mul(rem[i], inv_lead)
+        c = _mul(rem[i], inv_lead, d)
         quot[i - dq] = c
         for j in range(dq + 1):
-            rem[i - dq + j] = _add(rem[i - dq + j], _mul((-c[0], -c[1]), q[j]))
+            rem[i - dq + j] = _add(rem[i - dq + j], _mul((-c[0], -c[1]), q[j], d))
     return _trim(quot), _trim(rem[:dq])
 
 
-def _poly_monic(p):
-    return _trim(_mul(c, _inv(p[-1])) for c in p) if p else p
+def _poly_monic(p, d=D):
+    return _trim(_mul(c, _inv(p[-1], d), d) for c in p) if p else p
 
 
-def _poly_gcd(p, q):
+def _poly_gcd(p, q, d=D):
+    """Plain Euclid with a monic remainder at every step."""
     while q:
-        p, q = q, _poly_monic(_poly_divmod(p, q)[1])
-    return _poly_monic(p)
+        p, q = q, _poly_monic(_poly_divmod(p, q, d)[1], d)
+    return _poly_monic(p, d)
 
 
 def _assert_canonical(p):
@@ -213,3 +215,57 @@ def test_integral_coefficients_are_ints():
     for f in (f, *paired_quartic_maps()):
         _assert_canonical(f.num)
         _assert_canonical(f.den)
+
+
+def _scalar_polys(d, max_size):
+    quad = st.builds(lambda a, b: QuadScalar(a, b, d), mixed, mixed)
+    return st.lists(st.one_of(mixed, quad), max_size=max_size).map(Poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((3, -3)), st.data())
+def test_subresultant_gcd_matches_monic_euclid(d, data):
+    # Degree <= 8 with a common factor of degree <= 3; the second operand is
+    # drawn shorter by `gap`, so remainder steps with delta >= 2 occur.
+    common = data.draw(_scalar_polys(d, 4), "common")
+    a = data.draw(_scalar_polys(d, 6), "a")
+    gap = data.draw(st.integers(min_value=0, max_value=5), "gap")
+    b = data.draw(_scalar_polys(d, max(len(a.coeffs) - gap, 0)), "b")
+    ac, bc = a * common, b * common
+    quotients = []
+
+    def recording(x, y):
+        quotients.append(exact_quotient(x, y))
+        return quotients[-1]
+
+    exact_quotient = poly._exact_quotient
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly, "_exact_quotient", recording)
+        for x, y in ((ac, bc), (bc, ac)):
+            g = gcd(x, y)
+            assert _trim(_pairs(g)) == _poly_gcd(_trim(_pairs(x)), _trim(_pairs(y)), d)
+            _assert_canonical(g)
+    # Fraction-free: every exact division of the sequence lands in Z[sqrt d].
+    for q in quotients:
+        assert all(type(v) is int for v in ((q.a, q.b) if isinstance(q, QuadScalar) else (q,)))
+
+
+def test_gcd_with_zero_operands():
+    t = Poly.x()
+    p = 2 * t ** 2 - Fraction(1, 3)
+    assert gcd(Poly(), Poly()) == Poly() and gcd(Poly(), Poly()).is_zero()
+    assert gcd(p, Poly()) == gcd(Poly(), p) == p.monic()
+    assert gcd(p, Poly([QuadScalar(0, 5, -3)])) == Poly([1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scalar_polys(D, 5), _scalar_polys(D, 3), _scalar_polys(D, 3),
+       st.integers(min_value=0, max_value=2))
+def test_compose_fractional_matches_the_naive_sum(p, num, den, extra):
+    total = (p.degree or 0) + extra
+    naive = Poly()
+    for i, c in enumerate(p.coeffs):
+        naive = naive + c * num ** i * den ** (total - i)
+    assert p.compose_fractional(num, den, total) == naive
+    if extra == 0:
+        assert p.compose_fractional(num, den) == naive

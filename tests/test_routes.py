@@ -36,6 +36,10 @@ def test_coeff_form_matches_closed():
         assert routes.alt_catalan_coeff_form(g) == routes.alt_catalan_closed(g)
 
 
+def test_coeff_form_prefix_matches_closed_to_g_100():
+    assert routes.route_prefix("coeff_form", 100) == routes.route_prefix("closed", 100)
+
+
 def test_genfun_is_odd_with_A_g_coefficients():
     order = 25
     f = routes.genfun_series(order)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from oddcovers import weier
+from oddcovers import cli, weier
 from oddcovers.poly import Poly, discriminant_quadratic
 from oddcovers.weier import E1, E2, E3, P, WeierExpr, WeierQuot
 
@@ -113,3 +113,19 @@ def test_substitution_numeric():
     # Delta0 at (e1, e2) = (1, 2): 10 + 2 - 8 = 4
     value = weier.substitute(weier.DELTA0, 1, 2)
     assert value == Poly.constant(Fraction(4))
+
+
+def test_verify_specializes_each_discriminant_once(monkeypatch, capsys):
+    calls = []
+    original = weier._specialize
+
+    def counting(expr):
+        calls.append(expr)
+        return original(expr)
+
+    monkeypatch.setattr(weier, "_SPECIALIZED", {})
+    monkeypatch.setattr(weier, "_specialize", counting)
+    assert cli.main(["verify", "--suite", "weierstrass"]) == 0
+    assert "9 checks, 0 failed" in capsys.readouterr().out
+    assert calls == [weier.DELTA0, weier.GTILDE_DELTA]
+    assert type(weier.delta0_specializations()) is tuple

@@ -28,6 +28,8 @@ COMMANDS = (
     "table --routes bogus",
     "verify --max-g -1",
     "schubert --g 3 --format csv",
+    "verify --suite weierstrass --format json",
+    "table --max-g 100 --routes closed,coeff_form --format json",
 )
 
 
