@@ -18,9 +18,9 @@ ROUTE_AGREEMENT_MAX_G = 20
 
 
 def _paired_quartic(max_g):
-    report = covers.check_paired_quartic_maps()
-    relation = "identity" if report.identical else "none"
-    return report.ok(), "relation found: %s" % relation
+    ramification_ok, identical = covers.check_paired_quartic_maps()
+    relation = "identity" if identical else "none"
+    return ramification_ok and identical, "relation found: %s" % relation
 
 
 def _bound_arithmetic(max_g):

@@ -177,7 +177,7 @@ def cmd_schubert(args) -> int:
     if args.g > args.cap:
         sys.stderr.write("capped at g = %d (raise with --cap)\n" % args.cap)
         return 3
-    value = schubert.alt_catalan_schubert(args.g, args.n4, args.n5)
+    value = routes.route_prefix("schubert", args.g, args.n4, args.n5)[args.g]
     matrix = dict(enumerate(schubert.sigma12_row(args.g)))
     lines = ["top intersections sigma_1^(2m) sigma_2^(2g-m) in G(2,%d), g=%d"
              % (2 * args.g + 2, args.g)]

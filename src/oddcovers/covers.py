@@ -6,6 +6,8 @@ indeterminate), explicit low-degree maps over Q, Q(sqrt(3)) and Q(sqrt(-3))
 whose ramification is verified point by point, and the bookkeeping that
 turns local cover counts into the two intersection numbers 16 feeding the
 Schubert route. Everything is an exact polynomial identity; no numerics.
+Each check ramifies each of its maps once, by `ratmap.ramification_data`,
+which certifies Riemann-Hurwitz itself, and reads every index off that list.
 """
 
 from collections import namedtuple
@@ -19,7 +21,6 @@ from .ratmap import (
     fiber_profile,
     mobius_fixing_0_1,
     point_indices,
-    ram_scheme,
     ramification_data,
     vanishing_order,
 )
@@ -79,19 +80,6 @@ def family_condition_deg5_alpha2() -> bool:
     return discriminant_quadratic(condition) == Fraction(-320)
 
 
-def _assert_hurwitz(f: RationalMap) -> list:
-    """`ramification_data(f)`, after checking that it satisfies Riemann-Hurwitz."""
-    data = ramification_data(f)
-    total = sum(index - 1 for index in point_indices(data))
-    expected = 2 * f.degree - 2
-    if total != expected:
-        raise AssertionError(
-            "ramification bookkeeping off: sum(index-1) = %d, expected %d"
-            % (total, expected)
-        )
-    return data
-
-
 def quartic_cover_map() -> RationalMap:
     """The degree-4 cover t^3 (t-4) / (t-1) with triple points over 0 and -16."""
     return RationalMap(Poly([0, 0, 0, -4, 1]), Poly([-1, 1]))
@@ -106,10 +94,8 @@ def check_quartic_cover() -> bool:
     involution identity f(2-t) = -f(t) - 16 pairing the two branch values.
     """
     f = quartic_cover_map()
-    _assert_hurwitz(f)
-    finite_part, inf_idx = ram_scheme(f)
     t = Poly.x()
-    if finite_part != (t * (t - 2)) ** 2 or inf_idx != 3:
+    if ramification_data(f) != [(t * (t - 2), 3), (INFINITY, 3)]:
         return False
     if vanishing_order(f, 0, 0) != 3 or vanishing_order(f, -16, 2) != 3:
         return False
@@ -123,22 +109,6 @@ def check_quartic_cover() -> bool:
     reflected = f.compose_source(RationalMap(Poly([2, -1])))
     negated = RationalMap(-f.num - 16 * f.den, f.den)
     return reflected == negated
-
-
-class PairedQuarticReport(namedtuple("PairedQuarticReport", "profiles_ok triple_points_ok "
-                                     "no_extra_simple_ramification identical")):
-    """Audit of the two degree-4 covers over Q(sqrt(3)) sharing fiber {2,2};
-    `identical` says second o M == first on the nose."""
-
-    __slots__ = ()
-
-    def ok(self) -> bool:
-        return (
-            self.profiles_ok
-            and self.triple_points_ok
-            and self.no_extra_simple_ramification
-            and self.identical
-        )
 
 
 def paired_quartic_maps():
@@ -157,35 +127,31 @@ def paired_quartic_maps():
     return first, second
 
 
-def check_paired_quartic_maps() -> PairedQuarticReport:
-    """Certify the ramification of both maps and that they agree exactly.
+def check_paired_quartic_maps() -> tuple:
+    """(ramification_ok, identical) for the two degree-4 maps over Q(sqrt(3)).
 
     Each map must have fiber profile {2,2} over 0, a triple point at its
     degree-3 pole (at t = (3 - sqrt 3)/6 for the first map, at infinity for
     the second), exactly one further triple point, and no ramification
     beyond the two double points over 0 and those two triple points. The
     maps must then satisfy second o M = first on the nose, for the Moebius
-    map M fixing 0 and 1 with M(infinity) = 1/2 + sqrt(3)/6.
+    map M fixing 0 and 1 with M(infinity) = 1/2 + sqrt(3)/6. `ramification_ok`
+    is everything before that equation, for both maps; `identical` is the
+    equation.
     """
     first, second = paired_quartic_maps()
-    profiles_ok = True
-    triple_ok = True
-    clean_ok = True
+    ramification_ok = True
     pole_of_first = QuadScalar(Fraction(1, 2), Fraction(-1, 6), 3)
     for f, triple_at in ((first, pole_of_first), (second, INFINITY)):
-        data = _assert_hurwitz(f)
-        if fiber_profile(f, 0) != [2, 2]:
-            profiles_ok = False
-        if vanishing_order(f, f(triple_at), triple_at) != 3:
-            triple_ok = False
-        # two double points (the fiber over 0) and two triple points, only
-        if sorted(point_indices(data)) != [2, 2, 3, 3]:
-            clean_ok = False
-        if vanishing_order(f, 0, 0) != 2 or vanishing_order(f, 0, 1) != 2:
-            clean_ok = False
+        data = ramification_data(f)
+        if (fiber_profile(f, 0) != [2, 2]
+                or vanishing_order(f, f(triple_at), triple_at) != 3
+                # two double points (the fiber over 0) and two triple points, only
+                or sorted(point_indices(data)) != [2, 2, 3, 3]
+                or vanishing_order(f, 0, 0) != 2 or vanishing_order(f, 0, 1) != 2):
+            ramification_ok = False
     tau = mobius_fixing_0_1(QuadScalar(Fraction(1, 2), Fraction(1, 6), 3))
-    identical = second.compose_source(tau) == first
-    return PairedQuarticReport(profiles_ok, triple_ok, clean_ok, identical)
+    return ramification_ok, second.compose_source(tau) == first
 
 
 def deg3_maps():
@@ -207,9 +173,8 @@ def check_deg3_maps() -> bool:
     """
     f, conj = deg3_maps()
     for g in (f, conj):
-        data = _assert_hurwitz(g)
-        indices = sorted(idx for _, idx in data)
-        if indices != [3, 3] or not any(p == INFINITY for p, _ in data):
+        data = ramification_data(g)
+        if sorted(point_indices(data)) != [3, 3] or not any(p == INFINITY for p, _ in data):
             return False
     if f(0) != f(1):
         return False

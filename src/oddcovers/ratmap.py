@@ -8,9 +8,9 @@ to order d - deg(num - c den) (d - deg den for c = infinity). Irrational
 critical points are carried by their monic squarefree factors rather than
 radical expressions.
 
-Ramification is the costly step, so a caller computes `ramification_data`
-once per map and reads both the Riemann-Hurwitz sum and the point indices
-off that one list (`point_indices`).
+`ramification_data` is the one ramification computation: it builds the
+Wronskian once, certifies Riemann-Hurwitz on the result before returning it,
+and callers read the point indices off that one list (`point_indices`).
 """
 
 from .poly import Poly, _invert, gcd, squarefree_decomposition
@@ -82,6 +82,12 @@ class RationalMap:
         return "RationalMap(%r / %r)" % (self.num, self.den)
 
 
+def _fiber(f: RationalMap, value) -> Poly:
+    """The polynomial whose roots, with multiplicity, are the finite points
+    of the fiber of f over `value`."""
+    return f.den if value == INFINITY else f.num - value * f.den
+
+
 def vanishing_order(f: RationalMap, value, point) -> int:
     """Order of vanishing of f - value at the point; pole order for INFINITY.
 
@@ -89,35 +95,10 @@ def vanishing_order(f: RationalMap, value, point) -> int:
     """
     if f.is_constant():
         raise ValueError("constant map")
-    fib = f.den if value == INFINITY else f.num - value * f.den
+    fib = _fiber(f, value)
     if point == INFINITY:
         return f.degree - fib.degree
     return fib.root_order(point)
-
-
-def infinity_index(f: RationalMap) -> int:
-    """Ramification index of f at t = infinity (1 when unramified there)."""
-    return vanishing_order(f, f(INFINITY), INFINITY)
-
-
-def ram_scheme(f: RationalMap):
-    """(finite_part, infinity_index): the monic polynomial whose root orders
-    are index-1 at each finite non-pole critical point, and the index at
-    infinity. Pole factors are stripped from the Wronskian; poles are
-    recovered from the denominator by `ramification_data`.
-    """
-    if f.is_constant():
-        raise ValueError("constant map")
-    w = f.wronskian()
-    if w.is_zero():
-        raise ValueError("constant map")
-    w = w.monic()
-    while True:
-        g = gcd(w, f.den)
-        if not (g.degree and g.degree > 0):
-            break
-        w = (w // g).monic()
-    return w, infinity_index(f)
 
 
 def ramification_data(f: RationalMap):
@@ -125,16 +106,33 @@ def ramification_data(f: RationalMap):
 
     Places are monic squarefree polynomials (their roots share the index)
     or INFINITY. Conjugate irrational points appear through one factor.
+    A root of order k of the Wronskian, pole factors stripped, has index
+    k + 1; a pole of order m has index m; the index at infinity is the order
+    of f - f(infinity) there. Raises AssertionError unless the indices
+    satisfy Riemann-Hurwitz, sum(index - 1) = 2 deg(f) - 2.
     """
-    finite_part, inf_idx = ram_scheme(f)
-    data = []
-    for factor, mult in squarefree_decomposition(finite_part):
-        data.append((factor, mult + 1))
+    if f.is_constant():
+        raise ValueError("constant map")
+    w = f.wronskian().monic()
+    while True:
+        g = gcd(w, f.den)
+        if not (g.degree and g.degree > 0):
+            break
+        w = (w // g).monic()
+    data = [(factor, mult + 1) for factor, mult in squarefree_decomposition(w)]
     for factor, mult in squarefree_decomposition(f.den):
         if mult >= 2:
             data.append((factor, mult))
+    inf_idx = vanishing_order(f, f(INFINITY), INFINITY)
     if inf_idx >= 2:
         data.append((INFINITY, inf_idx))
+    total = sum(index - 1 for index in point_indices(data))
+    expected = 2 * f.degree - 2
+    if total != expected:
+        raise AssertionError(
+            "ramification bookkeeping off: sum(index-1) = %d, expected %d"
+            % (total, expected)
+        )
     return data
 
 
@@ -145,19 +143,13 @@ def point_indices(data) -> list:
             for _ in range(1 if place == INFINITY else place.degree)]
 
 
-def hurwitz_total(f: RationalMap) -> int:
-    """Sum of (index - 1) over all ramification, conjugates counted; equals
-    2 deg(f) - 2 for any nonconstant map (genus-zero Riemann-Hurwitz)."""
-    return sum(index - 1 for index in point_indices(ramification_data(f)))
-
-
 def fiber_profile(f: RationalMap, value):
     """Partition of deg(f) given by multiplicities in the fiber over `value`,
     as a descending list; irrational points contribute via their factors."""
     if f.is_constant():
         raise ValueError("constant map")
     d = f.degree
-    fib = f.den if value == INFINITY else f.num - value * f.den
+    fib = _fiber(f, value)
     parts = []
     finite_degree = 0
     if not fib.is_zero() and fib.degree > 0:

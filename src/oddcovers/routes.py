@@ -55,12 +55,6 @@ def coeff_form_prefix(max_g: int) -> list:
     return prefix
 
 
-def alt_catalan_coeff_form(g: int) -> int:
-    """A_g as [z^(2g+1)] of 2^(8g+1) (1+z/2)^g (1+z)^(1/2): entry g of
-    `coeff_form_prefix`."""
-    return coeff_form_prefix(g)[g]
-
-
 def _integer(value: int | Fraction, route: str) -> int:
     """The integer `value`; raises AssertionError rather than truncate."""
     if value.denominator != 1:
@@ -212,32 +206,26 @@ def growth_report(max_g: int):
 ROUTES = ("closed", "coeff_form", "schubert", "genfun", "lagrange")
 
 
-def compute_route(g: int, route: str, n4: int = 16, n5: int = 16) -> int:
-    """A_g by one route; every route but `closed` takes entry g of
-    `route_prefix`."""
-    if route == "closed":
-        return alt_catalan_closed(g)
-    if route in ("coeff_form", "schubert", "genfun", "lagrange"):
-        return route_prefix(route, g, n4, n5)[g]
-    raise ValueError("unknown route %r" % route)
-
-
 def route_prefix(route: str, max_g: int, n4: int = 16, n5: int = 16) -> list:
     """[A_0, ..., A_max_g] by one route.
 
     `genfun` and `lagrange` expand their series once, to order 2*max_g+1, and
     read every A_g off it, each checked to be an integer; `schubert` reads
     every A_g off one chain of products in G(2,2*max_g+2); `coeff_form` is
-    `coeff_form_prefix`; `closed` computes each g on its own.
+    `coeff_form_prefix`; `closed` computes each g on its own. `n4` and `n5`
+    weight sigma_{4,0} and sigma_{3,1} in the Schubert route. Raises
+    ValueError for an unknown route.
     """
     if max_g < 0:
         raise ValueError("max_g must be nonnegative")
+    if route == "closed":
+        return [alt_catalan_closed(g) for g in range(max_g + 1)]
     if route == "schubert":
         return schubert.top_power_prefix({(4, 0): n4, (3, 1): n5}, max_g)
     if route == "coeff_form":
         return coeff_form_prefix(max_g)
     if route not in ("genfun", "lagrange"):
-        return [compute_route(g, route, n4, n5) for g in range(max_g + 1)]
+        raise ValueError("unknown route %r" % route)
     order = 2 * max_g + 1
     expansion = genfun_series(order) if route == "genfun" else lagrange_pipeline(order)[2]
     return [_integer(expansion[2 * g + 1], route) for g in range(max_g + 1)]

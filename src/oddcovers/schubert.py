@@ -209,10 +209,3 @@ def top_power_prefix(terms, max_g: int) -> list:
         if g < max_g:
             r = v * r
     return tops
-
-
-def alt_catalan_schubert(g: int, n4: int = 16, n5: int = 16) -> int:
-    """Top evaluation of (n4*sigma_{4,0} + n5*sigma_{3,1})^g in G(2,2g+2)."""
-    if g < 0:
-        raise ValueError("g must be nonnegative")
-    return top_power_prefix({(4, 0): n4, (3, 1): n5}, g)[g]

@@ -139,40 +139,6 @@ class WeierExpr(RingElement):
             format_monomials(self.even), format_monomials(self.odd))
 
 
-class WeierQuot:
-    """Quotient of two WeierExpr, compared by cross-multiplication."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=1):
-        n = num if isinstance(num, WeierExpr) else WeierExpr(num)
-        d = den if isinstance(den, WeierExpr) else WeierExpr(den)
-        if d.is_zero():
-            raise ZeroDivisionError("zero denominator in WeierQuot")
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
-
-    def __setattr__(self, *args):
-        raise AttributeError("WeierQuot is immutable")
-
-    def derive(self):
-        num = self.num.derive() * self.den - self.num * self.den.derive()
-        return WeierQuot(num, self.den * self.den)
-
-    def __eq__(self, other):
-        if isinstance(other, (WeierExpr, Poly, int, Fraction)):
-            other = WeierQuot(other)
-        if not isinstance(other, WeierQuot):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return "WeierQuot(%r / %r)" % (self.num, self.den)
-
-
 def check_derivation_consistency() -> bool:
     """(D^2)' computed as 2 D D' matches the derivative of its reduced form."""
     d = WeierExpr(0, 1)
@@ -195,10 +161,11 @@ def check_G_identities() -> bool:
     with Delta0 = 10 E1^2 + E1 E2 - 2 E2^2; and Delta0 stays a nonzero monomial
     under each of the specializations e1 = 0, e2 = 0, e3 = 0.
     """
-    g = WeierQuot(WeierExpr(0, P - E2), WeierExpr(P - E1))
+    # G = N/Q, and G' = F/Q for the factored numerator F iff N'Q - NQ' = FQ
+    num, den = WeierExpr(0, P - E2), WeierExpr(P - E1)
     bracket = PSECOND + 4 * (E2 - E1) * (P - E3)
-    factored = WeierQuot(WeierExpr((P - E2) * bracket), WeierExpr(P - E1))
-    if g.derive() != factored:
+    factored = WeierExpr((P - E2) * bracket)
+    if num.derive() * den - num * den.derive() != factored * den:
         return False
     if bracket != G_QUADRATIC:
         return False

@@ -1,14 +1,20 @@
 
 import pytest
 
-from oddcovers import covers, ratmap
+from oddcovers import checks, covers, ratmap
 from oddcovers.ratmap import (
     INFINITY,
     RationalMap,
     fiber_profile,
-    hurwitz_total,
+    point_indices,
+    ramification_data,
     vanishing_order,
 )
+
+
+def hurwitz_sum(f):
+    """sum(index - 1) over every ramification point of f, conjugates counted."""
+    return sum(index - 1 for index in point_indices(ramification_data(f)))
 
 
 def test_family_condition_alpha1():
@@ -28,16 +34,13 @@ def test_quartic_cover_fibers_directly():
     assert fiber_profile(f, 0) == [3, 1]
     assert fiber_profile(f, -16) == [3, 1]
     assert fiber_profile(f, INFINITY) == [3, 1]
-    assert hurwitz_total(f) == 6
+    assert hurwitz_sum(f) == 6
 
 
 def test_paired_quartic_report():
-    report = covers.check_paired_quartic_maps()
-    assert report.profiles_ok
-    assert report.triple_points_ok
-    assert report.no_extra_simple_ramification
-    assert report.identical
-    assert report.ok()
+    ramification_ok, identical = covers.check_paired_quartic_maps()
+    assert ramification_ok
+    assert identical
 
 
 def test_paired_quartic_maps_must_agree_exactly(monkeypatch):
@@ -46,12 +49,12 @@ def test_paired_quartic_maps_must_agree_exactly(monkeypatch):
     first, second = covers.paired_quartic_maps()
     doubled = RationalMap(2 * first.num, first.den)
     monkeypatch.setattr(covers, "paired_quartic_maps", lambda: (doubled, second))
-    report = covers.check_paired_quartic_maps()
-    assert report.profiles_ok
-    assert report.triple_points_ok
-    assert report.no_extra_simple_ramification
-    assert not report.identical
-    assert not report.ok()
+    ramification_ok, identical = covers.check_paired_quartic_maps()
+    assert ramification_ok
+    assert not identical
+    result, = (r for r in checks.run_checks(("covers",), 5)
+               if r["name"] == "check_paired_quartic_maps")
+    assert not result["pass"] and result["detail"] == "relation found: none"
 
 
 def test_paired_quartic_maps_share_branch_structure():
@@ -60,7 +63,7 @@ def test_paired_quartic_maps_share_branch_structure():
         assert f.degree == 4
         assert vanishing_order(f, 0, 0) == 2
         assert vanishing_order(f, 0, 1) == 2
-        assert hurwitz_total(f) == 6
+        assert hurwitz_sum(f) == 6
     assert vanishing_order(second, INFINITY, INFINITY) == 3
 
 
@@ -113,20 +116,46 @@ def test_three_routes_to_sixteen_coincide():
 
 
 @pytest.mark.parametrize("check, maps", [
-    (lambda: covers.check_paired_quartic_maps().ok(), covers.paired_quartic_maps),
+    (lambda: all(covers.check_paired_quartic_maps()), covers.paired_quartic_maps),
     (covers.check_deg3_maps, covers.deg3_maps),
+    (covers.check_quartic_cover, lambda: (covers.quartic_cover_map(),)),
 ])
 def test_each_map_is_ramified_once_per_check(monkeypatch, check, maps):
-    seen = []
+    seen, wronskians = [], []
     original = ratmap.ramification_data
+    original_wronskian = ratmap.RationalMap.wronskian
 
     def counting(f):
         seen.append(f)
         return original(f)
 
+    def counting_wronskian(f):
+        wronskians.append(f)
+        return original_wronskian(f)
+
     # covers holds its own reference; patching both also counts any call
-    # made through ratmap, such as one from hurwitz_total
+    # made through ratmap itself
     monkeypatch.setattr(ratmap, "ramification_data", counting)
     monkeypatch.setattr(covers, "ramification_data", counting)
+    monkeypatch.setattr(ratmap.RationalMap, "wronskian", counting_wronskian)
     assert check()
     assert seen == list(maps())
+    assert wronskians == list(maps())
+
+
+def test_broken_ramification_count_fails_its_checks(monkeypatch):
+    # dropping one squarefree factor loses ramification, so Riemann-Hurwitz
+    # fails inside ramification_data and verify reports FAIL, not a traceback
+    original = ratmap.squarefree_decomposition
+    monkeypatch.setattr(ratmap, "squarefree_decomposition", lambda p: original(p)[1:])
+    broken = {"check_quartic_cover", "check_deg3_maps", "check_paired_quartic_maps"}
+    results = checks.run_checks(("covers",), 5)
+    assert len(results) == 7
+    for result in results:
+        if result["name"] in broken:
+            assert not result["pass"]
+            assert result["detail"].startswith(
+                "assertion failed: ramification bookkeeping off: ")
+        else:
+            assert result["pass"], result["name"]
+    assert broken <= {result["name"] for result in results}

@@ -32,8 +32,9 @@ def test_closed_formula_frozen_values():
 
 
 def test_coeff_form_matches_closed():
+    # A_g as the last entry of its own prefix, for every g
     for g in range(31):
-        assert routes.alt_catalan_coeff_form(g) == routes.alt_catalan_closed(g)
+        assert routes.route_prefix("coeff_form", g)[g] == routes.alt_catalan_closed(g)
 
 
 def test_coeff_form_prefix_matches_closed_to_g_100():
@@ -67,7 +68,7 @@ def test_coeff_form_integer_checks_its_dot_product(monkeypatch):
     monkeypatch.setattr(routes, "binomial_series",
                         lambda a, inner: Series([Fraction(1, 3)] * (inner.order + 1)))
     with pytest.raises(AssertionError, match="coefficient route produced a non-integer"):
-        routes.alt_catalan_coeff_form(2)
+        routes.route_prefix("coeff_form", 2)
 
 
 def test_lagrange_pipeline_matches_closed():
@@ -139,11 +140,11 @@ def test_growth_report_bounds_hold():
     assert estimates == sorted(estimates)
 
 
-def test_compute_route_dispatch():
+def test_route_prefix_dispatch():
     for route in routes.ROUTES:
-        assert routes.compute_route(3, route) == 32768
-    with pytest.raises(ValueError):
-        routes.compute_route(3, "nonsense")
+        assert routes.route_prefix(route, 3)[3] == 32768
+    with pytest.raises(ValueError, match="unknown route 'nonsense'"):
+        routes.route_prefix("nonsense", 3)
 
 
 def _half_at_top(order):
@@ -154,10 +155,10 @@ def _half_at_top(order):
     ("genfun", "genfun_series", _half_at_top),
     ("lagrange", "lagrange_pipeline", lambda order: (None, None, _half_at_top(order))),
 ])
-def test_compute_route_rejects_non_integer(monkeypatch, route, name, fake):
+def test_route_prefix_rejects_non_integer(monkeypatch, route, name, fake):
     monkeypatch.setattr(routes, name, fake)
     with pytest.raises(AssertionError, match="%s route produced a non-integer: 1/2" % route):
-        routes.compute_route(3, route)
+        routes.route_prefix(route, 3)
 
 
 @pytest.mark.parametrize("route", routes.ROUTES)

@@ -5,7 +5,6 @@ from oddcovers import routes
 from oddcovers.combinat import catalan
 from oddcovers.schubert import (
     SchubertVector,
-    alt_catalan_schubert,
     giambelli,
     grassmannian_degree,
     catalan_alternating_sum,
@@ -132,14 +131,14 @@ def test_sigma2_fourth_power():
 
 
 def test_schubert_route_small_values():
-    assert [alt_catalan_schubert(g) for g in range(6)] == [
+    assert [routes.route_prefix("schubert", g)[g] for g in range(6)] == [
         1, 0, 512, 32768, 3014656, 285212672,
     ]
 
 
 def test_schubert_route_vanishing_weights():
-    assert alt_catalan_schubert(1, 1, 0) == 0
-    assert alt_catalan_schubert(2, 1, 0) == 1  # sigma_4^2 top in G(2,6) by duality
+    assert routes.route_prefix("schubert", 1, 1, 0)[1] == 0
+    assert routes.route_prefix("schubert", 2, 1, 0)[2] == 1  # sigma_4^2 top in G(2,6) by duality
 
 
 degree_four = st.fixed_dictionaries({

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from oddcovers import cli, weier
 from oddcovers.poly import Poly, discriminant_quadratic
-from oddcovers.weier import E1, E2, E3, P, WeierExpr, WeierQuot
+from oddcovers.weier import E1, E2, E3, P, WeierExpr
 
 
 def test_generator_derivatives():
@@ -55,16 +55,6 @@ def test_leibniz_rule(x, y):
 def test_normal_form_is_canonical(x, y):
     # equality is coefficientwise equality of the normal forms
     assert (x == y) == ((x - y).even.is_zero() and (x - y).odd.is_zero())
-
-
-def test_quotient_derive_quotient_rule():
-    q = WeierQuot(WeierExpr(0, P - E2), WeierExpr(P - E1))
-    derived = q.derive()
-    manual_num = (
-        WeierExpr(0, P - E2).derive() * WeierExpr(P - E1)
-        - WeierExpr(0, P - E2) * WeierExpr(P - E1).derive()
-    )
-    assert derived == WeierQuot(manual_num, WeierExpr(P - E1) * WeierExpr(P - E1))
 
 
 def test_equal_expressions_hash_alike():

@@ -30,6 +30,8 @@ COMMANDS = (
     "schubert --g 3 --format csv",
     "verify --suite weierstrass --format json",
     "table --max-g 100 --routes closed,coeff_form --format json",
+    "schubert --g 12 --n4 1 --n5 0 --format json",
+    "schubert --g 13",
 )
 
 
