@@ -14,8 +14,8 @@ from . import routes, schubert
 # The default cap on g for the Schubert route and the `schubert` command is a
 # CLI contract, pinned with exit code 3 by
 # tests/test_cli.py::test_resource_cap_exit_code; it is not a resource limit.
-# With --cap 50, `table --max-g 50 --routes schubert` takes about 0.13 s and
-# `schubert --g 50` about 0.15 s (process start to exit, no bytecode cache,
+# With --cap 50, `table --max-g 50 --routes schubert` takes about 0.12 s and
+# `schubert --g 50` about 0.13 s (process start to exit, no bytecode cache,
 # median of 21 runs, 2-core Xeon VM, Python 3.11).
 SCHUBERT_CAP_DEFAULT = 12
 

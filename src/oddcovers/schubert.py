@@ -8,6 +8,11 @@ complete rule set for lines, so no general Littlewood-Richardson machinery
 is needed. Anything leaving the box is annihilated at insertion time, which
 is the cohomological truth and makes small-n vanishing automatic.
 
+Pieri is a sliding-window sum: with the degree-d terms laid out as a row
+r_b, sigma_c sends it to sum_{b'} sigma_{d+c-b',b'} times the sum of r_b over
+max(b'-c, 0) <= b <= min(b', d-b'), so one prefix-sum pass per degree gives
+each output term by one subtraction, in time linear in the terms, not c.
+
 The inclusion G(2,n) in G(2,N), n <= N, pulls sigma_{a,b} back to
 sigma_{a,b} when a <= n-2 and to 0 otherwise, and this pullback is a ring map
 (Fulton, Young Tableaux, section 9.4). So a power v^g computed once in a large
@@ -17,6 +22,8 @@ evaluations for every g off one chain of products this way.
 
 Coefficients are Python ints, hence arbitrary precision throughout.
 """
+
+from itertools import accumulate, repeat
 
 from .combinat import binom_int, catalan
 from .ring import RingElement
@@ -28,14 +35,23 @@ class SchubertVector(RingElement):
     def __init__(self, n: int, terms=None):
         if n < 2:
             raise ValueError("ambient G(2,n) needs n >= 2")
-        clean = {}
-        for (a, b), c in (terms or {}).items():
+        terms = terms or {}
+        for (a, b), c in terms.items():
+            if not isinstance(c, int):
+                raise TypeError("Schubert coefficients are ints, not %s" % type(c).__name__)
             if b < 0 or a < b:
                 raise ValueError("invalid partition (%d,%d)" % (a, b))
-            if c != 0 and a <= n - 2:
-                clean[(a, b)] = clean.get((a, b), 0) + c
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v != 0})
+        object.__setattr__(self, "terms", {(a, b): c for (a, b), c in terms.items()
+                                           if c != 0 and a <= n - 2})
+
+    @classmethod
+    def _make(cls, n: int, terms: dict):
+        """Unchecked constructor for terms already valid, in the box and int; drops zeros."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+        return self
 
     @staticmethod
     def unit(n: int):
@@ -66,15 +82,15 @@ class SchubertVector(RingElement):
         terms = dict(self.terms)
         for k, c in o.terms.items():
             terms[k] = terms.get(k, 0) + c
-        return SchubertVector(self.n, terms)
+        return SchubertVector._make(self.n, terms)
 
     def __neg__(self):
-        return SchubertVector(self.n, {k: -v for k, v in self.terms.items()})
+        return SchubertVector._make(self.n, {k: -v for k, v in self.terms.items()})
 
     def __rmul__(self, c):
         if not isinstance(c, int):
             return NotImplemented
-        return SchubertVector(self.n, {k: c * v for k, v in self.terms.items()})
+        return SchubertVector._make(self.n, {k: c * v for k, v in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, SchubertVector):
@@ -85,29 +101,43 @@ class SchubertVector(RingElement):
         return hash((self.n, tuple(sorted(self.terms.items()))))
 
     def pieri(self, c: int):
-        """Multiply by the special class sigma_c (horizontal-strip rule)."""
+        """Multiply by the special class sigma_c (horizontal strips, summed as windows)."""
         if c < 0:
             raise ValueError("pieri requires c >= 0")
+        if c == 0:
+            return self
         box = self.n - 2
-        out = {}
+        rows = {}
         for (a, b), coeff in self.terms.items():
-            for j in range(c + 1):
-                na, nb = a + c - j, b + j
-                if nb <= a and na <= box:
-                    out[(na, nb)] = out.get((na, nb), 0) + coeff
-        return SchubertVector(self.n, out)
+            rows.setdefault(a + b, {})[b] = coeff
+        out = {}
+        for d, row in rows.items():
+            lo, hi = min(row), max(row)
+            # below[x - lo + c] = sum of r_b over b < x, for lo - c <= x <= hi + c + 1
+            below = [0] * c
+            below += accumulate(map(row.get, range(lo, hi + 1), repeat(0)), initial=0)
+            below += [below[-1]] * c
+            e = d + c  # b' >= e - box keeps a' in the box, b' <= e // 2 keeps a' >= b'
+            for nb in range(max(lo, e - box), min(e // 2, d - lo, hi + c) + 1):
+                top = nb if 2 * nb <= d else d - nb
+                out[(e - nb, nb)] = below[top + 1 - lo + c] - below[nb - lo]
+        return SchubertVector._make(self.n, out)
 
     def __mul__(self, other):
+        """Giambelli, forming each o sigma_k at most once per product."""
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        result = SchubertVector(self.n)
+        times = {0: o}  # times[k] = o sigma_k
+        out = {}
         for (a, b), coeff in self.terms.items():
-            part = o.pieri(a).pieri(b)
-            if b >= 1:
-                part = part - o.pieri(a + 1).pieri(b - 1)
-            result = result + coeff * part
-        return result
+            for k, j, sign in ((a, b, coeff), (a + 1, b - 1, -coeff)) if b else ((a, b, coeff),):
+                if k not in times:
+                    times[k] = o.pieri(k)
+                part = times[k].pieri(j) if j else times[k]
+                for key, c in part.terms.items():
+                    out[key] = out.get(key, 0) + sign * c
+        return SchubertVector._make(self.n, out)
 
     def _one(self):
         return SchubertVector.unit(self.n)

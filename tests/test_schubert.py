@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -95,6 +97,79 @@ def test_multiplication_associates(u, v, w):
 @given(vectors, st.integers(min_value=0, max_value=4))
 def test_general_product_extends_pieri(v, c):
     assert v * SchubertVector.basis(c, 0, 7) == v.pieri(c)
+
+
+def pieri_oracle(terms, n, c):
+    """sigma_c times the class `terms` in G(2,n), one horizontal strip at a time."""
+    out = {}
+    for (a, b), coeff in terms.items():
+        for j in range(c + 1):
+            na, nb = a + c - j, b + j
+            if nb <= a and na <= n - 2:
+                out[(na, nb)] = out.get((na, nb), 0) + coeff
+    return {k: v for k, v in out.items() if v}
+
+
+def product_oracle(u, v, n):
+    """u * v in G(2,n) by Giambelli, with every Pieri step from the oracle."""
+    out = {}
+    for (a, b), coeff in u.items():
+        parts = [(1, pieri_oracle(pieri_oracle(v, n, a), n, b))]
+        if b:
+            parts.append((-1, pieri_oracle(pieri_oracle(v, n, a + 1), n, b - 1)))
+        for sign, part in parts:
+            for k, c in part.items():
+                out[k] = out.get(k, 0) + sign * coeff * c
+    return {k: c for k, c in out.items() if c}
+
+
+@st.composite
+def ambient_classes(draw, count):
+    """n, then `count` classes of mixed degrees in G(2,n), 2 <= n <= 9."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    part = st.integers(min_value=0, max_value=n - 2).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(min_value=0, max_value=a)))
+    terms = st.dictionaries(part, st.integers(min_value=-4, max_value=4), max_size=8)
+    return [n] + [SchubertVector(n, draw(terms)) for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ambient_classes(1), st.data())
+def test_pieri_matches_horizontal_strip_oracle(drawn, data):
+    n, v = drawn
+    c = data.draw(st.integers(min_value=0, max_value=n))  # c = n annihilates everything
+    assert v.pieri(c).terms == pieri_oracle(v.terms, n, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ambient_classes(2))
+def test_product_matches_giambelli_oracle(drawn):
+    n, u, v = drawn
+    assert (u * v).terms == product_oracle(u.terms, v.terms, n)
+
+
+def test_top_power_prefix_makes_three_pieri_calls_per_step(monkeypatch):
+    # r * (16 sigma_{4,0} + 16 sigma_{3,1}) needs r sigma_4, r sigma_3 and (r sigma_3) sigma_1
+    calls = []
+    pieri = SchubertVector.pieri
+
+    def counted(self, c):
+        calls.append(c)
+        return pieri(self, c)
+
+    monkeypatch.setattr(SchubertVector, "pieri", counted)
+    tops = top_power_prefix({(4, 0): 16, (3, 1): 16}, 12)
+    assert len(calls) == 3 * 12
+    assert tops == routes.route_prefix("closed", 12)
+
+
+@pytest.mark.parametrize("inexact", [0.5, Fraction(1, 2), Fraction(2, 1)],
+                         ids=lambda x: type(x).__name__)
+def test_coefficients_must_be_ints(inexact):
+    with pytest.raises(TypeError, match=type(inexact).__name__):
+        SchubertVector(5, {(1, 0): inexact})
+    with pytest.raises(TypeError, match=type(inexact).__name__):
+        top_power_prefix({(4, 0): inexact, (3, 1): 16}, 3)
 
 
 def test_grassmannian_degree_is_catalan():

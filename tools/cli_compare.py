@@ -32,6 +32,9 @@ COMMANDS = (
     "table --max-g 100 --routes closed,coeff_form --format json",
     "schubert --g 12 --n4 1 --n5 0 --format json",
     "schubert --g 13",
+    "schubert --g 50 --cap 50 --format json",
+    "table --max-g 30 --routes schubert,closed --n4 3 --n5 -7 --cap 30 --format json",
+    "schubert --g 20 --n4 0 --n5 1 --cap 20",
 )
 
 
