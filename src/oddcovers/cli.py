@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from . import routes, schubert
+from . import routes
 
 # The default cap on g for the Schubert route and the `schubert` command is a
 # CLI contract, pinned with exit code 3 by
@@ -177,6 +177,8 @@ def cmd_schubert(args) -> int:
     if args.g > args.cap:
         sys.stderr.write("capped at g = %d (raise with --cap)\n" % args.cap)
         return 3
+    from . import schubert
+
     value = routes.route_prefix("schubert", args.g, args.n4, args.n5)[args.g]
     matrix = dict(enumerate(schubert.sigma12_row(args.g)))
     lines = ["top intersections sigma_1^(2m) sigma_2^(2g-m) in G(2,%d), g=%d"

@@ -1,4 +1,4 @@
-"""Combinatorial scalar primitives: binomials, Catalan numbers, integer roots.
+"""Combinatorial scalar primitives: binomials and Catalan numbers.
 
 Everything here is exact; no floating point is used anywhere in the package.
 """
@@ -39,30 +39,3 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError("catalan requires n >= 0")
     return comb(2 * n, n) // (n + 1)
-
-
-def integer_nth_root(x: int, n: int) -> int:
-    """Floor of the n-th root of a nonnegative integer, by Newton iteration."""
-    if x < 0 or n <= 0:
-        raise ValueError("integer_nth_root requires x >= 0 and n >= 1")
-    if x == 0:
-        return 0
-    if n == 1:
-        return x
-    r = 1 << (x.bit_length() // n + 1)
-    while True:
-        nr = ((n - 1) * r + x // r ** (n - 1)) // n
-        if nr >= r:
-            return r
-        r = nr
-
-
-def decimal_root_string(x: int, n: int, digits: int = 6) -> str:
-    """Decimal string approximating x**(1/n), truncated to `digits` places.
-
-    The digits are produced by exact integer root extraction of x * 10**(n*digits);
-    no floating point enters the computation.
-    """
-    scaled = integer_nth_root(x * 10 ** (n * digits), n)
-    s = str(scaled).rjust(digits + 1, "0")
-    return s[:-digits] + "." + s[-digits:]

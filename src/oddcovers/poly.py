@@ -3,13 +3,16 @@
 Scalars may be rationals, QuadScalar, or (for computations with a symbolic
 parameter) another Poly. A rational coefficient is stored in the canonical
 exact form of `ring.canonical`: an `int` when integral, a reduced `Fraction`
-otherwise, so the integer covers of `covers` run on Python ints.
-Division-based operations (divmod, monic) require field scalars. `gcd`
-divides only exactly: it clears denominators into Z, or Z[sqrt d] for
-QuadScalar coefficients, runs the subresultant polynomial remainder sequence
-there (Collins, JACM 1967; Brown & Traub, JACM 1971; Knuth, TAOCP vol. 2,
-section 4.6.1, Algorithm C), and makes the result monic over the field once,
-at the end.
+otherwise, so the integer covers of `covers` run on Python ints. The
+constructor checks and canonicalizes what a caller passes; the ring
+operations build their results through the unchecked `Poly._make`.
+Division-based operations (divmod, monic) require field scalars. `gcd` and
+`squarefree_decomposition` divide only exactly: `_integral` multiplies by the
+lcm of the coefficients' `denominator`s (a QuadScalar's is its common den),
+which lands in Z or Z[sqrt d]; the subresultant remainder sequence (Collins,
+JACM 1967; Brown & Traub, JACM 1971; Knuth, TAOCP vol. 2, section 4.6.1,
+Algorithm C) and Yun's steps run there on pseudo-quotients, and each result
+is made monic over the field once, at the end.
 
 A polynomial in several variables is a Poly in the outermost variable whose
 coefficients are polynomials in the others (Knuth, TAOCP vol. 2, section
@@ -23,6 +26,8 @@ The zero polynomial has degree None, a deliberate sentinel: no -1 arithmetic.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd as _int_gcd
 from numbers import Rational
 
 from .quadratic import QuadScalar
@@ -41,6 +46,18 @@ class Poly(RingElement):
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
+    @classmethod
+    def _make(cls, coeffs: list):
+        """Unchecked constructor for the exact coefficients a ring operation
+        produced: an integral Fraction becomes an int, trailing zeros go."""
+        coeffs = [c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                  for c in coeffs]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        return self
+
     @staticmethod
     def constant(c):
         return Poly([c])
@@ -58,6 +75,9 @@ class Poly(RingElement):
     def is_zero(self):
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
@@ -72,37 +92,36 @@ class Poly(RingElement):
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction, QuadScalar)):
-            return Poly([other])
+            return Poly._make([other])
         return None
 
     def __add__(self, other):
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly([self[i] + o[i] for i in range(n)])
+        return Poly._make([x + y for x, y in zip_longest(self.coeffs, o.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly._make([-c for c in self.coeffs])
 
     def __mul__(self, other):
         o = self._wrap(other)
         if o is None:
             return NotImplemented
         if self.is_zero() or o.is_zero():
-            return Poly()
+            return Poly._make([])
         out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(o.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        return Poly._make(out)
 
     __rmul__ = __mul__
 
     def _one(self):
-        return Poly([1])
+        return Poly._make([1])
 
     def __eq__(self, other):
         o = self._wrap(other)
@@ -124,7 +143,7 @@ class Poly(RingElement):
         rem = list(self.coeffs)
         dq = len(o.coeffs) - 1
         if len(rem) - 1 < dq:
-            return Poly(), self
+            return Poly._make([]), self
         # gcd and squarefree factors are monic: dividing by them needs no inverse
         monic = o.leading() == 1
         inv_lead = 1 if monic else _invert(o.leading())
@@ -135,7 +154,7 @@ class Poly(RingElement):
             if c != 0:
                 for j in range(dq + 1):
                     rem[i - dq + j] = rem[i - dq + j] - c * o.coeffs[j]
-        return Poly(quot), Poly(rem[:dq])
+        return Poly._make(quot), Poly._make(rem[:dq])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -147,10 +166,10 @@ class Poly(RingElement):
         if self.is_zero() or self.leading() == 1:
             return self
         inv = _invert(self.leading())
-        return Poly([c * inv for c in self.coeffs])
+        return Poly._make([c * inv for c in self.coeffs])
 
     def derivative(self):
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly._make([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):
         result = None
@@ -213,76 +232,79 @@ def _invert(c):
 def _integral(p: Poly) -> list:
     """The coefficients of p times the lcm of their denominators.
 
-    Each lands in Z, or in Z[sqrt d] for QuadScalar coefficients with an
-    integer d; either way the polynomial only changes by a nonzero scalar.
+    Each lands in Z, or in Z[sqrt d] for QuadScalar coefficients (whose
+    `denominator` is the common den of n + m sqrt(d)); either way the
+    polynomial only changes by a nonzero scalar.
     """
-    lcm = 1
+    scale = 1
     for c in p.coeffs:
-        for v in (c.a, c.b) if isinstance(c, QuadScalar) else (c,):
-            if type(v) is Fraction:
-                # lcm(m, n) = m * (n / gcd(m, n)), and Fraction(m, n) reduces by gcd(m, n)
-                lcm *= Fraction(lcm, v.denominator).denominator
-    if lcm == 1:
-        return list(p.coeffs)
-    return [c * lcm if isinstance(c, QuadScalar) else canonical(c * lcm)
-            for c in p.coeffs]
+        scale *= c.denominator // _int_gcd(scale, c.denominator)
+    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
 
 
 def _exact_quotient(x, y):
-    """x / y for a y that divides x; over Z[sqrt d] this is x*conj(y)/N(y),
-    each component divided by `exact_div`."""
-    if isinstance(y, QuadScalar):
-        x, y = x * y.conjugate(), y.norm()
-    if isinstance(x, QuadScalar):
-        return QuadScalar(exact_div(x.a, y), exact_div(x.b, y), x.d)
-    return exact_div(x, y)
+    """x / y for a y that divides x in Z or Z[sqrt d]; raises if it does not."""
+    q = x * _invert(y)
+    if q.denominator != 1:
+        raise ArithmeticError("%r does not divide %r" % (y, x))
+    return q.numerator
 
 
-def _pseudo_remainder(u: list, v: list) -> list:
-    """lc(v)^(deg u - deg v + 1) * u mod v, with no division (Knuth, TAOCP
-    vol. 2, section 4.6.1, Algorithm R); trailing zeros are dropped."""
+def _pseudo_divide(u: list, v: list):
+    """(q, r) with lc(v)^(deg u - deg v + 1) u = q v + r and deg r < deg v,
+    with no division (Knuth, TAOCP vol. 2, section 4.6.1, Algorithm R);
+    trailing zeros of r are dropped."""
     n = len(v) - 1
     lead = v[-1]
     r = list(u)
-    for k in range(len(u) - 1 - n, -1, -1):
+    q = [0] * max(len(u) - n, 0)
+    for k in range(len(q) - 1, -1, -1):
         top = r[n + k]
+        q[k] = top * lead ** k
         r = [lead * r[j] for j in range(k)] + [
             lead * r[j] - top * v[j - k] for j in range(k, n + k)]
-    while r and r[-1] == 0:
+    while r and not r[-1]:
         r.pop()
-    return r
+    return q, r
 
 
-def gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over the coefficient field; gcd(0, 0) is the zero Poly.
+def _gcd_multiple(u: list, v: list) -> list:
+    """A multiple in Z or Z[sqrt d] of gcd(u, v), for coefficient sequences
+    over Z or Z[sqrt d]; empty when both are.
 
     Runs the subresultant PRS (Collins, JACM 1967; Brown & Traub, JACM 1971;
-    Knuth, TAOCP vol. 2, section 4.6.1, Algorithm C) on the denominator-free
-    multiples of p and q from `_integral`: each pseudo-remainder is divided
-    exactly by beta = g h^delta, so the coefficients stay in Z or Z[sqrt d]
-    and no inverse is taken before the last step. Every step rescales a
-    field remainder sequence by a nonzero scalar, so the last nonzero term,
-    made monic over the field at the end, is the gcd that monic Euclid steps
-    would give.
+    Knuth, TAOCP vol. 2, section 4.6.1, Algorithm C): each pseudo-remainder
+    is divided exactly by beta = g h^delta, so the coefficients stay in Z or
+    Z[sqrt d]. Every step rescales a field remainder sequence by a nonzero
+    scalar, so the last nonzero term is the gcd up to a unit of the field.
     """
-    if p.is_zero() or q.is_zero():
-        return (q if p.is_zero() else p).monic()
-    u, v = _integral(p), _integral(q)
     if len(u) < len(v):
         u, v = v, u
+    if not v:
+        return u
     g = h = 1
     while True:
         delta = len(u) - len(v)
-        r = _pseudo_remainder(u, v)
+        r = _pseudo_divide(u, v)[1]
         if not r:
-            return Poly(v).monic()
+            return v
         if len(r) == 1:
-            return Poly([1])
+            return [1]
         beta = g * h ** delta
         u, v = v, [_exact_quotient(c, beta) for c in r]
         g = u[-1]
         if delta:
             h = _exact_quotient(g ** delta, h ** (delta - 1))
+
+
+def gcd(p: Poly, q: Poly) -> Poly:
+    """Monic gcd over the coefficient field; gcd(0, 0) is the zero Poly.
+
+    `_gcd_multiple` runs on the denominator-free multiples of p and q from
+    `_integral`, and its result is made monic over the field once, at the
+    end: the gcd that monic Euclid steps would give.
+    """
+    return Poly._make(_gcd_multiple(_integral(p), _integral(q))).monic()
 
 
 def discriminant_quadratic(p: Poly):
@@ -293,29 +315,37 @@ def discriminant_quadratic(p: Poly):
     return beta * beta - 4 * alpha * gamma
 
 
+def _divide_both(b: Poly, c: Poly, f):
+    """lc(f)^e (b / f, c / f) for the e = deg b - deg f + 1 of b, where f
+    divides b and c and deg c < deg b: exact pseudo-quotients, one scale."""
+    scale = f[-1] ** (len(b.coeffs) - len(c.coeffs))
+    return (Poly._make(_pseudo_divide(b.coeffs, f)[0]),
+            Poly._make(_pseudo_divide(c.coeffs, f)[0]) * scale)
+
+
 def squarefree_decomposition(p: Poly):
     """Yun's algorithm: list of (squarefree factor, multiplicity), factors monic.
 
     Valid over any field of characteristic zero; the product of factor^mult
-    recovers p up to the leading coefficient.
+    recovers p up to the leading coefficient. Yun's steps (Yun, SYMSAC 1976;
+    Geddes, Czapor & Labahn, Algorithms for Computer Algebra, 1992, ch. 8)
+    run on integral multiples, as `gcd` does: b = p / gcd(p, p') and
+    c = p' / gcd(p, p') are exact pseudo-quotients carrying one common
+    scalar, so c - b' keeps it, and each factor is made monic once, at the end.
+    The scalar grows by a power of lc(f) per step, one step per multiplicity.
     """
     if p.is_zero():
         raise ValueError("squarefree decomposition of zero polynomial")
-    p = p.monic()
-    if p.degree == 0:
-        return []
-    dp = p.derivative()
-    a = gcd(p, dp)
-    b = p // a
-    c = dp // a
+    b = Poly._make(_integral(p))
+    c = b.derivative()
+    b, c = _divide_both(b, c, _gcd_multiple(b.coeffs, c.coeffs))
     out = []
     i = 1
-    while b.degree and b.degree > 0:
+    while b.degree:
         d = c - b.derivative()
-        f = gcd(b, d)
-        if f.degree and f.degree > 0:
-            out.append((f, i))
-        b = b // f
-        c = d // f
+        f = _gcd_multiple(b.coeffs, d.coeffs)
+        if len(f) > 1:
+            out.append((Poly._make(f).monic(), i))
+        b, c = _divide_both(b, d, f)
         i += 1
     return out

@@ -1,104 +1,149 @@
 """Exact arithmetic in a quadratic extension Q(sqrt(d)).
 
 A QuadScalar is a + b*sqrt(d) with rational a, b and a fixed non-square
-rational d shared by all scalars of one computation; mixing two different
-d values raises. Each of a, b and d is stored in the canonical exact form of
+integer d shared by all scalars of one computation; mixing two different
+d values raises. It is stored as integers (n + m*sqrt(d)) / den with
+den > 0 and gcd(n, m, den) = 1, the integral representation of Cohen, A
+Course in Computational Algebraic Number Theory (GTM 138, section 4.2), so
+every ring operation, the conjugate, the norm and the inverse
+den*(n - m*sqrt(d)) / (n^2 - d*m^2) run on Python ints with one gcd per
+result. `a`, `b` and `d` read back in the canonical exact form of
 `ring.canonical` (an `int` when integral, a reduced `Fraction` otherwise),
 and floats are refused. No nested extensions: sqrt of a QuadScalar is not
 provided.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .ring import RingElement, canonical, check_exact, exact_div
 
 
 class QuadScalar(RingElement):
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("n", "m", "den", "d")
 
     def __init__(self, a, b=0, d=None):
         if d is None:
             raise ValueError("QuadScalar requires an explicit discriminant d")
-        if not type(a) is type(b) is type(d) is int:
-            check_exact((a, b, d))
-            a, b, d = (v if type(v) is int else canonical(v) for v in (a, b, d))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        check_exact((a, b, d))
+        a, b, d = canonical(a), canonical(b), canonical(d)
+        if type(d) is not int:
+            raise ValueError("QuadScalar requires an integer discriminant, not %s" % d)
+        _set(self, a.numerator * b.denominator, b.numerator * a.denominator,
+             a.denominator * b.denominator, d)
+
+    @classmethod
+    def _make(cls, n: int, m: int, den: int, d: int):
+        """Unchecked constructor for (n + m sqrt(d)) / den from ints, den != 0."""
+        self = object.__new__(cls)
+        _set(self, n, m, den, d)
+        return self
+
+    @property
+    def numerator(self):
+        """n + m sqrt(d): self times its `denominator`, in Z[sqrt d]."""
+        return QuadScalar._make(self.n, self.m, 1, self.d)
+
+    @property
+    def denominator(self) -> int:
+        return self.den
+
+    @property
+    def a(self):
+        return exact_div(self.n, self.den)
+
+    @property
+    def b(self):
+        return exact_div(self.m, self.den)
 
     def _wrap(self, other):
         if isinstance(other, QuadScalar):
             if other.d != self.d:
                 raise ValueError("mixed quadratic contexts: d=%s vs d=%s" % (self.d, other.d))
             return other
-        if isinstance(other, (int, Fraction)):
-            return QuadScalar(other, 0, self.d)
+        if type(other) is int:
+            return QuadScalar._make(other, 0, 1, self.d)
+        if isinstance(other, Fraction):
+            return QuadScalar._make(other.numerator, 0, other.denominator, self.d)
         return None
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
+        if type(other) is int:
+            return QuadScalar._make(self.n + other * self.den, self.m, self.den, self.d)
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        return QuadScalar(self.a + o.a, self.b + o.b, self.d)
+        return QuadScalar._make(self.n * o.den + o.n * self.den,
+                                self.m * o.den + o.m * self.den, self.den * o.den, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadScalar(-self.a, -self.b, self.d)
+        return QuadScalar._make(-self.n, -self.m, self.den, self.d)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadScalar(self.a * other, self.b * other, self.d)
+        if type(other) is int:
+            return QuadScalar._make(self.n * other, self.m * other, self.den, self.d)
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        return QuadScalar(
-            self.a * o.a + self.d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
+        return QuadScalar._make(self.n * o.n + self.d * self.m * o.m,
+                                self.n * o.m + self.m * o.n, self.den * o.den, self.d)
 
     __rmul__ = __mul__
 
     def _one(self):
-        return QuadScalar(1, 0, self.d)
+        return QuadScalar._make(1, 0, 1, self.d)
 
     def conjugate(self):
-        return QuadScalar(self.a, -self.b, self.d)
+        return QuadScalar._make(self.n, -self.m, self.den, self.d)
 
     def norm(self) -> int | Fraction:
         """Field norm a^2 - d*b^2; zero only for the zero scalar since d is non-square."""
-        return self.a * self.a - self.d * self.b * self.b
+        return exact_div(self.n * self.n - self.d * self.m * self.m, self.den * self.den)
 
     def inverse(self):
-        n = self.norm()
-        if n == 0:
+        norm = self.n * self.n - self.d * self.m * self.m
+        if norm == 0:
             raise ZeroDivisionError("inverse of zero quadratic scalar")
-        return QuadScalar(exact_div(self.a, n), exact_div(-self.b, n), self.d)
+        return QuadScalar._make(self.den * self.n, -self.den * self.m, norm, self.d)
 
     # -- comparisons -----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
         if isinstance(other, QuadScalar):
-            return self.d == other.d and self.a == other.a and self.b == other.b
+            return (self.n, self.m, self.den, self.d) == (other.n, other.m, other.den, other.d)
+        if isinstance(other, (int, Fraction)):
+            return self.m == 0 and (self.n, self.den) == (other.numerator, other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if self.m == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.n != 0 or self.m != 0
 
     def __repr__(self):
-        if self.b == 0:
+        if self.m == 0:
             return repr(self.a)
         return "(%s + %s*sqrt(%s))" % (self.a, self.b, self.d)
+
+
+def _set(self, n, m, den, d):
+    """Store (n + m sqrt(d)) / den reduced, with den > 0."""
+    g = gcd(n, m, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        n, m, den = n // g, m // g, den // g
+    object.__setattr__(self, "n", n)
+    object.__setattr__(self, "m", m)
+    object.__setattr__(self, "den", den)
+    object.__setattr__(self, "d", d)
 
 
 def sqrt_of(d) -> QuadScalar:

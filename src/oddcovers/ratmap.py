@@ -26,12 +26,9 @@ class RationalMap:
             den = Poly([1])
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = gcd(num, den)
-        if g.degree and g.degree > 0:
-            num, den = num // g, den // g
-        lead_inv = _invert(den.leading())
-        object.__setattr__(self, "num", num * lead_inv)
-        object.__setattr__(self, "den", den * lead_inv)
+        g = gcd(num, den) * den.leading()  # den // g is monic
+        object.__setattr__(self, "num", num // g)
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, *args):
         raise AttributeError("RationalMap is immutable")

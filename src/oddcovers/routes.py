@@ -17,12 +17,10 @@ The closed formula is evaluated for every g >= 0: the small-g values are the
 formal values of the sum and agree with the generating series.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 
-from .combinat import binom_int, binom_gen, catalan, decimal_root_string
+from .combinat import binom_int, binom_gen, catalan
 from .series import Series, binomial_series, series_sqrt
-from . import schubert
 
 
 def alt_catalan_closed(g: int) -> int:
@@ -157,50 +155,11 @@ def sigma3_route_check(g: int) -> bool:
     """16^g * top((sigma_1 sigma_3)^g) in G(2,2g+2) equals the closed formula."""
     if not 1 <= g <= 8:
         raise ValueError("sigma3_route_check covers 1 <= g <= 8")
+    from . import schubert
+
     s1s3 = schubert.SchubertVector.unit(2 * g + 2).pieri(3).pieri(1)
     top = schubert.top_power_prefix(s1s3.terms, g)[g]
     return 16 ** g * top == alt_catalan_closed(g)
-
-
-# ratio is A_{g+1} / A_g (None on the last row); root_estimate is the decimal
-# string for A_g^(1/(2g+1)).
-GrowthRow = namedtuple("GrowthRow", "g ratio root_estimate")
-
-
-# Thresholds frozen from an oracle run of the closed formula to g = 40:
-# every ratio lies strictly below 128, the (2g+1)-th roots increase strictly
-# over g in [2, 40], and every root stays strictly below 16/sqrt(2)
-# (equivalently A_g^2 < 128^(2g+1)); the g = 40 root is about 9.975149.
-RATIO_BOUND = 128
-ROOT_WINDOW_START = 2
-
-
-def growth_report(max_g: int):
-    """Ratios and root estimates for A_g, with the frozen growth assertions.
-
-    Every comparison is exact integer/rational arithmetic; the decimal strings
-    are produced by integer root extraction and only appear in the report.
-    """
-    if max_g < 5:
-        raise ValueError("growth_report needs max_g >= 5")
-    values = {g: alt_catalan_closed(g) for g in range(ROOT_WINDOW_START, max_g + 1)}
-    rows = []
-    for g in range(ROOT_WINDOW_START, max_g):
-        ratio = Fraction(values[g + 1], values[g])
-        if not ratio < RATIO_BOUND:
-            raise AssertionError("ratio A_%d/A_%d = %s breaches the bound %d"
-                                 % (g + 1, g, ratio, RATIO_BOUND))
-        rows.append(GrowthRow(g, ratio, decimal_root_string(values[g], 2 * g + 1)))
-    rows.append(GrowthRow(max_g, None, decimal_root_string(values[max_g], 2 * max_g + 1)))
-    for g in range(ROOT_WINDOW_START, max_g):
-        # A_g^(1/(2g+1)) < A_{g+1}^(1/(2g+3)), compared exactly in integers
-        if not values[g] ** (2 * g + 3) < values[g + 1] ** (2 * g + 1):
-            raise AssertionError("root estimates fail to increase at g=%d" % g)
-    for g in range(ROOT_WINDOW_START, max_g + 1):
-        # A_g^(1/(2g+1)) < 16/sqrt(2) iff A_g^2 < 128^(2g+1)
-        if not values[g] ** 2 < 128 ** (2 * g + 1):
-            raise AssertionError("root estimate at g=%d is not below 16/sqrt(2)" % g)
-    return rows
 
 
 ROUTES = ("closed", "coeff_form", "schubert", "genfun", "lagrange")
@@ -221,6 +180,8 @@ def route_prefix(route: str, max_g: int, n4: int = 16, n5: int = 16) -> list:
     if route == "closed":
         return [alt_catalan_closed(g) for g in range(max_g + 1)]
     if route == "schubert":
+        from . import schubert
+
         return schubert.top_power_prefix({(4, 0): n4, (3, 1): n5}, max_g)
     if route == "coeff_form":
         return coeff_form_prefix(max_g)

@@ -57,11 +57,6 @@ class SchubertVector(RingElement):
     def unit(n: int):
         return SchubertVector(n, {(0, 0): 1})
 
-    @staticmethod
-    def basis(a: int, b: int, n: int):
-        """The basis class sigma_{a,b}; zero if it falls outside the box."""
-        return SchubertVector(n, {(a, b): 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -159,19 +154,6 @@ class SchubertVector(RingElement):
             "%d*s[%d,%d]" % (c, a, b) for (a, b), c in sorted(self.terms.items())
         )
         return "SchubertVector(%s; n=%d)" % (body, self.n)
-
-
-def giambelli(a: int, b: int, n: int) -> SchubertVector:
-    """sigma_{a,b} built from special classes: sigma_a sigma_b - sigma_{a+1} sigma_{b-1}."""
-    if not (a >= b >= 0):
-        raise ValueError("giambelli requires a >= b >= 0")
-    if a > n - 2:
-        raise ValueError("sigma_{%d,%d} outside the box of G(2,%d)" % (a, b, n))
-    unit = SchubertVector.unit(n)
-    result = unit.pieri(a).pieri(b)
-    if b >= 1:
-        result = result - unit.pieri(a + 1).pieri(b - 1)
-    return result
 
 
 def grassmannian_degree(n: int) -> int:

@@ -3,7 +3,8 @@
 The criteria assert the named checks of the `verify` registry
 (`oddcovers.checks.CHECKS`) at the gate's windows. Only what the gate asks
 beyond `verify` is checked here: spot values, the Lagrange orders, the
-reported e3=0 coefficient, the growth report and the wall-clock bounds.
+reported e3=0 coefficient, the growth report (`growth_oracles`) and the
+wall-clock bounds.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the lines.
 """
@@ -11,6 +12,8 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the lines.
 import time
 
 from oddcovers import checks, routes
+
+from growth_oracles import growth_report
 
 
 def _report(name, ok):
@@ -106,7 +109,7 @@ def test_criterion_9_bound_arithmetic():
 def test_criterion_10_growth_diagnostics():
     start = time.time()
     try:
-        rows = routes.growth_report(40)
+        rows = growth_report(40)
         ok = rows[-1].g == 40
     except AssertionError:
         ok = False

@@ -337,6 +337,19 @@ def test_table_series_and_schubert_leave_the_verify_stack_unloaded(argv):
     assert [name for name in VERIFY_STACK if name in probe["added"]] == []
 
 
+@pytest.mark.parametrize("argv, loads_schubert", [
+    (["table", "--max-g", "4", "--routes", "closed,coeff_form,genfun,lagrange"], False),
+    (["series", "--order", "11"], False),
+    (["table", "--max-g", "4", "--routes", "closed,schubert"], True),
+    (["schubert", "--g", "3"], True),
+])
+def test_only_the_schubert_route_and_command_load_schubert(argv, loads_schubert):
+    probe = _probe(COMMAND_PROBE, *argv)
+    assert probe["code"] == 0
+    assert "oddcovers.routes" in probe["added"]
+    assert ("oddcovers.schubert" in probe["added"]) is loads_schubert
+
+
 def test_verify_loads_the_verify_stack():
     probe = _probe(COMMAND_PROBE, "verify", "--suite", "covers", "--max-g", "5",
                    "--format", "csv")

@@ -10,7 +10,7 @@ import oddcovers
 MODULES = sorted(Path(oddcovers.__file__).parent.glob("*.py"))
 INEXACT_NAMES = {"float", "complex"}
 INEXACT_MODULES = {"math", "cmath", "decimal"}
-ALLOWED_IMPORTS = {("math", "comb"), ("math", "isqrt")}
+ALLOWED_IMPORTS = {("math", "comb"), ("math", "gcd"), ("math", "isqrt")}
 
 
 def inexact_nodes(tree):
@@ -61,3 +61,11 @@ def test_scan_flags_inexact_source(source):
 def test_scan_allows_exact_math():
     source = "from math import comb, isqrt\nfrom fractions import Fraction"
     assert inexact_nodes(ast.parse(source)) == []
+
+
+def test_scan_allows_only_the_listed_math_names():
+    # gcd is exact integer arithmetic; the rest of `math` stays flagged beside it
+    source = "from math import gcd, sqrt\nfrom math import gcd as int_gcd, exp, log"
+    assert [d for _, d in inexact_nodes(ast.parse(source))] == [
+        "from math import sqrt", "from math import exp", "from math import log"]
+    assert inexact_nodes(ast.parse("from math import gcd")) == []

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -269,3 +270,69 @@ def test_compose_fractional_matches_the_naive_sum(p, num, den, extra):
     assert p.compose_fractional(num, den, total) == naive
     if extra == 0:
         assert p.compose_fractional(num, den) == naive
+
+
+def _typed(p):
+    return [(type(c), c) for c in p.coeffs]
+
+
+def _inverse_scalar(c):
+    return c.inverse() if isinstance(c, QuadScalar) else 1 / Fraction(c)
+
+
+@given(scalar_polys, scalar_polys)
+def test_operations_build_what_the_checked_constructor_builds(a, b):
+    # The reference results go through Poly.__init__, which checks and
+    # canonicalizes every coefficient; the operators build through Poly._make.
+    n = max(len(a.coeffs), len(b.coeffs))
+    product = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            product[i + j] = product[i + j] + x * y
+    checked = {
+        "add": Poly([a[i] + b[i] for i in range(n)]),
+        "sub": Poly([a[i] - b[i] for i in range(n)]),
+        "mul": Poly(product),
+        "neg": Poly([-c for c in a.coeffs]),
+        "derivative": Poly([i * c for i, c in enumerate(a.coeffs)][1:]),
+    }
+    made = {"add": a + b, "sub": a - b, "mul": a * b, "neg": -a, "derivative": a.derivative()}
+    if not a.is_zero():
+        checked["monic"] = Poly([c * _inverse_scalar(a.leading()) for c in a.coeffs])
+        made["monic"] = a.monic()
+    if not b.is_zero():
+        q, r = divmod(a, b)
+        checked["divmod"] = (Poly(q.coeffs), Poly(r.coeffs))
+        made["divmod"] = (q, r)
+    for name, value in made.items():
+        for got, want in zip(*((value, checked[name]) if name == "divmod"
+                               else ((value,), (checked[name],)))):
+            assert _typed(got) == _typed(want), name
+            assert got == want and hash(got) == hash(want)
+
+
+@given(mixed)
+def test_equal_values_hash_alike(r):
+    values = [r, Fraction(r), QuadScalar(r, 0, D), Poly([r]), Poly([QuadScalar(r, 0, D)]),
+              Poly([Poly([r])])]
+    if Fraction(r).denominator == 1:
+        values.append(int(r))
+    for x in values:
+        for y in values:
+            assert x == y and hash(x) == hash(y), (x, y)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), scalar_polys)
+def test_float_coefficients_and_operands_are_refused(f, p):
+    with pytest.raises(TypeError, match="float"):
+        Poly([f])
+    with pytest.raises(TypeError, match="float"):
+        Poly([1, f, QuadScalar(1, 1, D)])
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__divmod__"):
+        assert getattr(p, op)(f) is NotImplemented
+    for op in (operator.add, operator.sub, operator.mul, divmod):
+        with pytest.raises(TypeError):
+            op(p, f)
+        with pytest.raises(TypeError):
+            op(f, p)

