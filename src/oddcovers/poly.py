@@ -230,12 +230,8 @@ def _invert(c):
 
 
 def _integral(p: Poly) -> list:
-    """The coefficients of p times the lcm of their denominators.
-
-    Each lands in Z, or in Z[sqrt d] for QuadScalar coefficients (whose
-    `denominator` is the common den of n + m sqrt(d)); either way the
-    polynomial only changes by a nonzero scalar.
-    """
+    """The coefficients of p times the lcm of their `denominator`s (for a
+    QuadScalar, its common den): a nonzero multiple of p over Z or Z[sqrt d]."""
     scale = 1
     for c in p.coeffs:
         scale *= c.denominator // _int_gcd(scale, c.denominator)
@@ -250,22 +246,35 @@ def _exact_quotient(x, y):
     return q.numerator
 
 
-def _pseudo_divide(u: list, v: list):
-    """(q, r) with lc(v)^(deg u - deg v + 1) u = q v + r and deg r < deg v,
-    with no division (Knuth, TAOCP vol. 2, section 4.6.1, Algorithm R);
-    trailing zeros of r are dropped."""
+def _pseudo_remainder(u: list, v: list) -> list:
+    """lc(v)^(deg u - deg v + 1) * u mod v, with no division (Knuth, TAOCP
+    vol. 2, section 4.6.1, Algorithm R); trailing zeros are dropped."""
     n = len(v) - 1
     lead = v[-1]
     r = list(u)
-    q = [0] * max(len(u) - n, 0)
-    for k in range(len(q) - 1, -1, -1):
+    for k in range(len(u) - 1 - n, -1, -1):
         top = r[n + k]
-        q[k] = top * lead ** k
         r = [lead * r[j] for j in range(k)] + [
             lead * r[j] - top * v[j - k] for j in range(k, n + k)]
-    while r and not r[-1]:
+    while r and r[-1] == 0:
         r.pop()
-    return q, r
+    return r
+
+
+def _pseudo_quotient(u, v) -> list:
+    """The q with lc(v)^(deg u - deg v + 1) u = q v, for a v dividing u: the
+    steps of Algorithm R, q_k = top * lc(v)^k, on the terms of degree deg v
+    and up, since the others would only form the zero remainder."""
+    n = len(v) - 1
+    lead = v[-1]
+    r = list(u[n:])  # r[i] is the term of degree n + i
+    q = [0] * len(r)
+    for k in range(len(r) - 1, -1, -1):
+        top = r[k]
+        q[k] = top * lead ** k
+        r = [lead * r[i] - top * v[n + i - k] if n + i >= k else lead * r[i]
+             for i in range(k)]
+    return q
 
 
 def _gcd_multiple(u: list, v: list) -> list:
@@ -285,7 +294,7 @@ def _gcd_multiple(u: list, v: list) -> list:
     g = h = 1
     while True:
         delta = len(u) - len(v)
-        r = _pseudo_divide(u, v)[1]
+        r = _pseudo_remainder(u, v)
         if not r:
             return v
         if len(r) == 1:
@@ -319,8 +328,8 @@ def _divide_both(b: Poly, c: Poly, f):
     """lc(f)^e (b / f, c / f) for the e = deg b - deg f + 1 of b, where f
     divides b and c and deg c < deg b: exact pseudo-quotients, one scale."""
     scale = f[-1] ** (len(b.coeffs) - len(c.coeffs))
-    return (Poly._make(_pseudo_divide(b.coeffs, f)[0]),
-            Poly._make(_pseudo_divide(c.coeffs, f)[0]) * scale)
+    return (Poly._make(_pseudo_quotient(b.coeffs, f)),
+            Poly._make(_pseudo_quotient(c.coeffs, f)) * scale)
 
 
 def squarefree_decomposition(p: Poly):
@@ -340,12 +349,12 @@ def squarefree_decomposition(p: Poly):
     c = b.derivative()
     b, c = _divide_both(b, c, _gcd_multiple(b.coeffs, c.coeffs))
     out = []
-    i = 1
-    while b.degree:
+    for i in range(1, p.degree + 2):  # multiplicities are at most deg p
+        if not b.degree:
+            return out
         d = c - b.derivative()
         f = _gcd_multiple(b.coeffs, d.coeffs)
         if len(f) > 1:
             out.append((Poly._make(f).monic(), i))
         b, c = _divide_both(b, d, f)
-        i += 1
-    return out
+    raise ArithmeticError("Yun's steps did not end within deg p = %d" % p.degree)

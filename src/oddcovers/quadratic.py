@@ -22,21 +22,30 @@ from .ring import RingElement, canonical, check_exact, exact_div
 class QuadScalar(RingElement):
     __slots__ = ("n", "m", "den", "d")
 
-    def __init__(self, a, b=0, d=None):
+    def __new__(cls, a, b=0, d=None):
         if d is None:
             raise ValueError("QuadScalar requires an explicit discriminant d")
         check_exact((a, b, d))
         a, b, d = canonical(a), canonical(b), canonical(d)
         if type(d) is not int:
             raise ValueError("QuadScalar requires an integer discriminant, not %s" % d)
-        _set(self, a.numerator * b.denominator, b.numerator * a.denominator,
-             a.denominator * b.denominator, d)
+        return cls._make(a.numerator * b.denominator, b.numerator * a.denominator,
+                         a.denominator * b.denominator, d)
 
     @classmethod
     def _make(cls, n: int, m: int, den: int, d: int):
-        """Unchecked constructor for (n + m sqrt(d)) / den from ints, den != 0."""
+        """Unchecked constructor for (n + m sqrt(d)) / den from ints, den != 0;
+        stores it reduced, with den > 0."""
+        g = gcd(n, m, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            n, m, den = n // g, m // g, den // g
         self = object.__new__(cls)
-        _set(self, n, m, den, d)
+        _SET_N(self, n)
+        _SET_M(self, m)
+        _SET_DEN(self, den)
+        _SET_D(self, d)
         return self
 
     @property
@@ -133,17 +142,8 @@ class QuadScalar(RingElement):
         return "(%s + %s*sqrt(%s))" % (self.a, self.b, self.d)
 
 
-def _set(self, n, m, den, d):
-    """Store (n + m sqrt(d)) / den reduced, with den > 0."""
-    g = gcd(n, m, den)
-    if den < 0:
-        g = -g
-    if g != 1:
-        n, m, den = n // g, m // g, den // g
-    object.__setattr__(self, "n", n)
-    object.__setattr__(self, "m", m)
-    object.__setattr__(self, "den", den)
-    object.__setattr__(self, "d", d)
+# Slot setters that bypass RingElement's immutability guard.
+_SET_N, _SET_M, _SET_DEN, _SET_D = (QuadScalar.__dict__[k].__set__ for k in QuadScalar.__slots__)
 
 
 def sqrt_of(d) -> QuadScalar:

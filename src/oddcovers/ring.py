@@ -1,6 +1,6 @@
 """The operator plumbing shared by the exact ring classes.
 
-A subclass sets its slots through object.__setattr__ in __init__ and
+A subclass sets its slots past the `__setattr__` guard in its constructor and
 supplies `_wrap(other)` (the operand as an element of its own ring, or None
 when the operand is foreign), `__add__`, `__neg__`, `__mul__` and `_one()`.
 Immutability, subtraction and nonnegative integer powers are derived here,

@@ -251,6 +251,16 @@ def test_subresultant_gcd_matches_monic_euclid(d, data):
         assert all(type(v) is int for v in ((q.a, q.b) if isinstance(q, QuadScalar) else (q,)))
 
 
+@given(_scalar_polys(D, 5), _scalar_polys(D, 4))
+def test_pseudo_quotient_divides_out_exactly(w, v):
+    # lc(v)^(deg u - deg v + 1) u = q v for u = w v, with no division
+    u = w * v
+    if u.is_zero():
+        return
+    q = Poly(poly._pseudo_quotient(u.coeffs, v.coeffs))
+    assert q * v == v.leading() ** (u.degree - v.degree + 1) * u
+
+
 def test_gcd_with_zero_operands():
     t = Poly.x()
     p = 2 * t ** 2 - Fraction(1, 3)
@@ -298,7 +308,8 @@ def test_operations_build_what_the_checked_constructor_builds(a, b):
     }
     made = {"add": a + b, "sub": a - b, "mul": a * b, "neg": -a, "derivative": a.derivative()}
     if not a.is_zero():
-        checked["monic"] = Poly([c * _inverse_scalar(a.leading()) for c in a.coeffs])
+        inverse = 1 if a.leading() == 1 else _inverse_scalar(a.leading())
+        checked["monic"] = Poly([c * inverse for c in a.coeffs])
         made["monic"] = a.monic()
     if not b.is_zero():
         q, r = divmod(a, b)
