@@ -1,10 +1,13 @@
-"""The checks `verify` runs, by suite. Only `verify` and the acceptance gate
-import this module, so no other command loads `covers`, `weier` and the
-`poly`, `ratmap` and `quadratic` layers under them."""
+"""The checks `verify` runs, by suite, with the identity checks only they use.
+Only `verify` and the acceptance gate import this module, so no other
+command loads `covers`, `weier` and the `poly`, `ratmap` and `quadratic`
+layers under them."""
 
 from collections import namedtuple
+from fractions import Fraction
 
 from . import covers, routes, schubert, weier
+from .combinat import binom_gen, binom_int, catalan
 
 # One certified fact; `run(max_g)` returns (passed, detail). `max_g` is the
 # identity window, --max-g but never below 5. A citation may name it as %(g)d,
@@ -15,6 +18,27 @@ Check = namedtuple("Check", "suite name citation run")
 # The genfun and lagrange routes each expand one series to order 2*g+1 (41
 # here), at a cost quadratic in that order.
 ROUTE_AGREEMENT_MAX_G = 20
+
+
+def binomial_identity_check(g: int) -> bool:
+    """sum_k (-1)^k 2^(g-k) C(g,k) C(g-k,i) == C(g,i) 2^i for every 0 <= i <= g."""
+    return all(sum((-1) ** k * 2 ** (g - k) * binom_int(g, k) * binom_int(g - k, i)
+                   for k in range(g - i + 1)) == binom_int(g, i) * 2 ** i
+               for i in range(g + 1))
+
+
+def catalan_half_binomial_check(n: int) -> bool:
+    """Catalan(n) == (-1)^n 2^(2n+1) binom(1/2, n+1), the square-root-series rewrite."""
+    return catalan(n) == (-1) ** n * 2 ** (2 * n + 1) * binom_gen(Fraction(1, 2), n + 1)
+
+
+def sigma3_route_check(g: int) -> bool:
+    """16^g * top((sigma_1 sigma_3)^g) in G(2,2g+2) equals the closed formula."""
+    if not 1 <= g <= 8:
+        raise ValueError("sigma3_route_check covers 1 <= g <= 8")
+    s1s3 = schubert.SchubertVector.unit(2 * g + 2).pieri(3).pieri(1)
+    top = schubert.top_power_prefix(s1s3.terms, g)[g]
+    return 16 ** g * top == routes.alt_catalan_closed(g)
 
 
 def _paired_quartic(max_g):
@@ -110,11 +134,11 @@ CHECKS = (
       for label in weier.SPECIALIZATION_LABELS),
     Check("identities", "binomial_identity",
           "sum_k (-1)^k 2^(g-k) C(g,k) C(g-k,i) = C(g,i) 2^i for g <= %(g)d",
-          lambda max_g: (all(routes.binomial_identity_check(g)
+          lambda max_g: (all(binomial_identity_check(g)
                              for g in range(max_g + 1)), "")),
     Check("identities", "catalan_half_binomial",
           "Catalan(n) = (-1)^n 2^(2n+1) binom(1/2, n+1) for n <= 60",
-          lambda max_g: (all(routes.catalan_half_binomial_check(n)
+          lambda max_g: (all(catalan_half_binomial_check(n)
                              for n in range(61)), "")),
     Check("identities", "route_agreement",
           "closed sum, coefficient extraction, series expansion and "
@@ -129,7 +153,7 @@ CHECKS = (
               for g in range(9)), "")),
     Check("schubert", "grassmannian_degree",
           "sigma_1^(2(n-2)) evaluates to Catalan(n-2) on G(2,n), n <= 12",
-          lambda max_g: (all(schubert.grassmannian_degree(n) == routes.catalan(n - 2)
+          lambda max_g: (all(schubert.grassmannian_degree(n) == catalan(n - 2)
                              for n in range(2, 13)), "")),
     Check("schubert", "schubert_route",
           "(16 sigma_{4,0} + 16 sigma_{3,1})^g equals the closed formula, g <= 8",
@@ -137,7 +161,7 @@ CHECKS = (
                          == routes.route_prefix("closed", 8), "")),
     Check("schubert", "sigma3_reduction",
           "16^g (sigma_1 sigma_3)^g equals the closed formula, g <= 8",
-          lambda max_g: (all(routes.sigma3_route_check(g) for g in range(1, 9)), "")),
+          lambda max_g: (all(sigma3_route_check(g) for g in range(1, 9)), "")),
 )
 
 # Suite names in registry order; `cli.SUITES` spells out the same tuple.

@@ -153,13 +153,11 @@ def cmd_series(args) -> int:
     if args.order < 0:
         sys.stderr.write("--order must be nonnegative\n")
         return 2
-    if args.order == 0:
-        coeffs = [0]
-    else:
-        coeffs = routes.genfun_series(args.order).coeffs
-        for c in coeffs:
-            if type(c) is not int:
-                raise AssertionError("non-integer series coefficient %s" % c)
+    series = routes.genfun_series(max(args.order, 1)).truncated(args.order)
+    if series.den != 1:
+        raise AssertionError("non-integer series coefficient %s"
+                             % next(c for c in series.coeffs if type(c) is not int))
+    coeffs = series.nums
     note = ("coefficient of w^n at index n; A_g sits at the odd index n = 2g+1, "
             "every even index is 0")
     rows = [{"g": n, "values": {"genfun": str(c)}, "agree": True}

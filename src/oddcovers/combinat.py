@@ -3,10 +3,9 @@
 Everything here is exact; no floating point is used anywhere in the package.
 """
 
-from fractions import Fraction
 from math import comb
 
-from .ring import check_exact
+from .ring import check_exact, exact_div
 
 
 def binom_int(n: int, k: int) -> int:
@@ -16,22 +15,23 @@ def binom_int(n: int, k: int) -> int:
     return comb(n, k) if k <= n else 0
 
 
-def binom_gen(a, k: int) -> Fraction:
-    """Generalized binomial a(a-1)...(a-k+1)/k! for rational a.
-
-    With a = p/q this is prod_{i<k} (p - iq) over q^k k!; both are built as
-    ints, so the result is normalised by a single gcd.
-    """
+def binom_ratio(p: int, q: int, k: int) -> tuple:
+    """(num, den), ints with binom(p/q, k) = num/den and den = q^k k! > 0 for
+    q > 0: num is prod_{i<k} (p - iq). Not reduced."""
     if k < 0:
-        raise ValueError("binom_gen requires k >= 0")
-    check_exact((a,))
-    a = Fraction(a)
-    p, q = a.numerator, a.denominator
+        raise ValueError("binom_ratio requires k >= 0")
     num = den = 1
     for i in range(k):
         num *= p - i * q
         den *= q * (i + 1)
-    return Fraction(num, den)
+    return num, den
+
+
+def binom_gen(a, k: int):
+    """Generalized binomial a(a-1)...(a-k+1)/k! for rational a, in canonical
+    form: one `binom_ratio` and a single gcd."""
+    check_exact((a,))
+    return exact_div(*binom_ratio(a.numerator, a.denominator, k))
 
 
 def catalan(n: int) -> int:

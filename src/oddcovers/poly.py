@@ -91,7 +91,7 @@ class Poly(RingElement):
     def _wrap(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction, QuadScalar)):
+        if isinstance(other, (int, QuadScalar)) or type(other) is Fraction:
             return Poly._make([other])
         return None
 
@@ -222,7 +222,7 @@ class Poly(RingElement):
 
 
 def _invert(c):
-    if isinstance(c, (int, Fraction)):
+    if isinstance(c, int) or type(c) is Fraction:
         return exact_div(1, c)
     if hasattr(c, "inverse"):
         return c.inverse()

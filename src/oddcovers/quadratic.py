@@ -72,7 +72,7 @@ class QuadScalar(RingElement):
             return other
         if type(other) is int:
             return QuadScalar._make(other, 0, 1, self.d)
-        if isinstance(other, Fraction):
+        if type(other) is Fraction:
             return QuadScalar._make(other.numerator, 0, other.denominator, self.d)
         return None
 
@@ -124,7 +124,7 @@ class QuadScalar(RingElement):
     def __eq__(self, other):
         if isinstance(other, QuadScalar):
             return (self.n, self.m, self.den, self.d) == (other.n, other.m, other.den, other.d)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or type(other) is Fraction:
             return self.m == 0 and (self.n, self.den) == (other.numerator, other.denominator)
         return NotImplemented
 

@@ -6,14 +6,12 @@ when the operand is foreign), `__add__`, `__neg__`, `__mul__` and `_one()`.
 Immutability, subtraction and nonnegative integer powers are derived here,
 and `check_exact` keeps inexact numbers out of their coefficients.
 `canonical` and `exact_div` give a rational value the one form every ring
-class stores: an `int` when integral, a reduced `Fraction` otherwise.
+class stores: an `int` when integral, a reduced `Fraction` otherwise; all
+three load `fractions` and `numbers` only once a non-`int` value appears.
 """
 
-from fractions import Fraction
-from numbers import Number, Rational
-
 # Types known to be exact; check_exact adds each new type it clears.
-_EXACT_TYPES = {int, Fraction}
+_EXACT_TYPES = {int}
 
 
 def check_exact(values) -> None:
@@ -27,6 +25,7 @@ def check_exact(values) -> None:
     """
     if _EXACT_TYPES.issuperset(map(type, values)):
         return
+    from numbers import Number, Rational
     for kind in set(map(type, values)) - _EXACT_TYPES:
         if issubclass(kind, Number) and not issubclass(kind, Rational):
             raise TypeError("exact arithmetic takes no %s values" % kind.__name__)
@@ -35,8 +34,10 @@ def check_exact(values) -> None:
 
 def canonical(c):
     """The exact value c as an int when integral, else as a reduced Fraction."""
-    if type(c) is not Fraction:
-        c = Fraction(c)
+    if type(c) is int:
+        return c
+    from fractions import Fraction
+    c = c if type(c) is Fraction else Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -44,7 +45,10 @@ def exact_div(x, d):
     """x / d for exact x and nonzero d: the int quotient when the division
     leaves no remainder, the Fraction x/d otherwise; never rounded."""
     q, r = divmod(x, d)
-    return q if r == 0 else Fraction(x, d)
+    if r == 0:
+        return q
+    from fractions import Fraction
+    return Fraction(x, d)
 
 
 class RingElement:

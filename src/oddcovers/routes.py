@@ -3,7 +3,7 @@
 Routes: the closed alternating sum, coefficient extraction from an explicit
 product of binomial series, expansion of the algebraic generating function,
 and Lagrange inversion. All four agree exactly; the Schubert-calculus route
-lives in `schubert` and is bound to these by `sigma3_route_check`.
+lives in `schubert` and is bound to these by `checks.sigma3_route_check`.
 
 `route_prefix(route, G)` returns A_0..A_G. The series routes `genfun` and
 `lagrange` carry A_g at w^(2g+1) of one series, so they expand it once, to
@@ -17,9 +17,10 @@ The closed formula is evaluated for every g >= 0: the small-g values are the
 formal values of the sum and agree with the generating series.
 """
 
-from fractions import Fraction
+from math import gcd
 
-from .combinat import binom_int, binom_gen, catalan
+from .combinat import binom_int, binom_ratio, catalan
+from .ring import exact_div
 from .series import Series, binomial_series, series_sqrt
 
 
@@ -41,39 +42,39 @@ def coeff_form_prefix(max_g: int) -> list:
     """
     if max_g < 0:
         raise ValueError("max_g must be nonnegative")
-    root = binomial_series(Fraction(1, 2), Series.identity(2 * max_g + 1)).coeffs
+    root = binomial_series((1, 2), Series.identity(2 * max_g + 1))
+    nums = root.nums
     prefix = []
     for g in range(max_g + 1):
-        # binom(g,k) 2^(8g+1-k) is the integer weight of root[2g+1-k]
+        # binom(g,k) 2^(8g+1-k) is the integer weight of nums[2g+1-k]
         weight, coeff = 2 ** (8 * g + 1), 0
         for k in range(g + 1):
-            coeff += weight * root[2 * g + 1 - k]
+            coeff += weight * nums[2 * g + 1 - k]
             weight = weight * (g - k) // (2 * (k + 1))
-        prefix.append(_integer(coeff, "coefficient"))
+        prefix.append(_integer(coeff, root.den, "coefficient"))
     return prefix
 
 
-def _integer(value: int | Fraction, route: str) -> int:
-    """The integer `value`; raises AssertionError rather than truncate."""
-    if value.denominator != 1:
-        raise AssertionError("%s route produced a non-integer: %s" % (route, value))
-    return int(value)
+def _integer(num: int, den: int, route: str) -> int:
+    """The integer num/den, den > 0; raises AssertionError rather than truncate."""
+    if num % den:
+        raise AssertionError("%s route produced a non-integer: %s" % (route, exact_div(num, den)))
+    return num // den
 
 
 def genfun_series(order: int) -> Series:
     """The generating series sum_g A_g w^(2g+1), expanded to the given order.
 
-    Built from 2w / (sqrt(1+64w^2+16w*s) + sqrt(1+64w^2-16w*s)) with
-    s = sqrt(1+16w^2); every even coefficient vanishes.
+    Built from 2w / (R(w) + R(-w)), R = sqrt(1+64w^2+16w*s) with the even
+    s = sqrt(1+16w^2): w over the even part of R, a unit series; every even
+    coefficient vanishes.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     w = Series.identity(order)
     s = series_sqrt(1 + 16 * (w * w))
-    even = 1 + 64 * (w * w)
-    cross = 16 * (w * s)
-    denom = series_sqrt(even + cross) + series_sqrt(even - cross)
-    return (2 * w) * denom.inverse()
+    root = series_sqrt(1 + 64 * (w * w) + 16 * (w * s))
+    return w * (root - root.odd_part()).inverse()
 
 
 def fmod_series(order: int) -> Series:
@@ -82,7 +83,7 @@ def fmod_series(order: int) -> Series:
     w = Series.identity(order)
     s = series_sqrt(1 + 16 * (w * w))
     radicand = 1 + 64 * (w * w) + 16 * (w * s)
-    return series_sqrt(radicand) * (8 * s).inverse()
+    return (series_sqrt(radicand) * s.inverse()).over(8)
 
 
 def lagrange_pipeline(order: int):
@@ -105,13 +106,17 @@ def lagrange_pipeline(order: int):
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    u = Series([0] + [
-        16 ** n * binom_gen(Fraction(n, 2), n - 1) / (2 ** (n - 1) * n)
-        for n in range(1, order + 1)
-    ])
-    half_u = Fraction(1, 2) * u
+    # [w^n] u = 2^(3n+1) binom(n/2, n-1) / n over the common denominator
+    ratios = [binom_ratio(n, 2, n - 1) for n in range(1, order + 1)]
+    ratios = [(0, 1)] + [(2 ** (3 * n + 1) * num, den * n)
+                         for n, (num, den) in enumerate(ratios, 1)]
+    common = 1
+    for _, den in ratios:
+        common = common * den // gcd(common, den)
+    u = Series._make([num * (common // den) for num, den in ratios], common)
+    half_u = u.over(2)
 
-    phi_u = 16 * binomial_series(Fraction(1, 2), half_u)
+    phi_u = 16 * binomial_series((1, 2), half_u)
     residual = u - phi_u.shifted(1).truncated(order)
     if not residual.is_zero():
         raise AssertionError("u = w*phi(u) violated: %r" % residual)
@@ -121,45 +126,16 @@ def lagrange_pipeline(order: int):
     if not alg.is_zero():
         raise AssertionError("256 w^2 (1+u/2) = u^2 violated: %r" % alg)
 
-    inv_root = binomial_series(Fraction(-1, 2), half_u)  # (1+u/2)^(-1/2)
+    inv_root = binomial_series((-1, 2), half_u)  # (1+u/2)^(-1/2)
     w_dphi_u = (4 * inv_root).shifted(1).truncated(order)
-    # f is 1/8 times an integral product; scaling last keeps both O(n^2)
-    # products on ints.
-    f = Fraction(1, 8) * (binomial_series(Fraction(1, 2), u) * inv_root
-                          * (1 - w_dphi_u).inverse())
+    # f is 1/8 times an integral product; dividing last keeps both O(n^2)
+    # products over den 1.
+    f = (binomial_series((1, 2), u) * inv_root * (1 - w_dphi_u).inverse()).over(8)
 
     if f != fmod_series(order):
         raise AssertionError("Lagrange route disagrees with closed-form f(w)")
 
     return u, f, f.odd_part()
-
-
-def binomial_identity_check(g: int) -> bool:
-    """sum_k (-1)^k 2^(g-k) C(g,k) C(g-k,i) == C(g,i) 2^i for every 0 <= i <= g."""
-    for i in range(g + 1):
-        lhs = sum(
-            (-1) ** k * 2 ** (g - k) * binom_int(g, k) * binom_int(g - k, i)
-            for k in range(g - i + 1)
-        )
-        if lhs != binom_int(g, i) * 2 ** i:
-            return False
-    return True
-
-
-def catalan_half_binomial_check(n: int) -> bool:
-    """Catalan(n) == (-1)^n 2^(2n+1) binom(1/2, n+1), the square-root-series rewrite."""
-    return catalan(n) == (-1) ** n * 2 ** (2 * n + 1) * binom_gen(Fraction(1, 2), n + 1)
-
-
-def sigma3_route_check(g: int) -> bool:
-    """16^g * top((sigma_1 sigma_3)^g) in G(2,2g+2) equals the closed formula."""
-    if not 1 <= g <= 8:
-        raise ValueError("sigma3_route_check covers 1 <= g <= 8")
-    from . import schubert
-
-    s1s3 = schubert.SchubertVector.unit(2 * g + 2).pieri(3).pieri(1)
-    top = schubert.top_power_prefix(s1s3.terms, g)[g]
-    return 16 ** g * top == alt_catalan_closed(g)
 
 
 ROUTES = ("closed", "coeff_form", "schubert", "genfun", "lagrange")
@@ -189,4 +165,5 @@ def route_prefix(route: str, max_g: int, n4: int = 16, n5: int = 16) -> list:
         raise ValueError("unknown route %r" % route)
     order = 2 * max_g + 1
     expansion = genfun_series(order) if route == "genfun" else lagrange_pipeline(order)[2]
-    return [_integer(expansion[2 * g + 1], route) for g in range(max_g + 1)]
+    return [_integer(expansion.nums[2 * g + 1], expansion.den, route)
+            for g in range(max_g + 1)]

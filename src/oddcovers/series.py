@@ -1,36 +1,48 @@
 """Truncated formal power series over Q with explicit truncation order.
 
-A Series of order N is known modulo w^(N+1) and stores exactly N+1
-coefficients, constant term first, each in canonical exact form: an `int`
-when the value is integral, a reduced `Fraction` otherwise. The series the
-package builds are almost all integral, so the kernels run on Python ints
-and pay for a Fraction (and its gcd) only where a denominator really
-occurs. Every division goes through `ring.exact_div`, which returns an int only
-when the remainder is zero; nothing rounds or floors, and no floating point
-enters. Binary operations return the minimum of the two operand orders;
-there is no silent precision loss. Multiplying by w (`shifted`) raises the
-order, since a series known mod w^(N+1) times w is known mod w^(N+2).
+A Series of order N is known modulo w^(N+1). It stores N+1 `int` numerators
+`nums`, constant term first, over one `int` denominator `den` > 0, reduced
+so that gcd(nums, den) = 1 (integers over one denominator, as in Cohen, GTM
+138, section 4.2). So every kernel runs on Python ints, and `_make` builds
+each result unchecked with one gcd; `coeffs`, indexing, `repr` and `==` give
+callers the canonical exact values (an `int` when integral, a reduced
+`Fraction` otherwise). A division that must be exact raises ArithmeticError
+on a remainder; nothing rounds or floors, and no floating point enters.
+Binary operations return the minimum of the two operand orders; `shifted`
+(times w^k) raises the order by k.
 
-Binomial powers (1 + f)^a, and with them `series_sqrt`, cost O(n^2)
-coefficient operations at order n (fewer for sparse f), as do a product and
-`inverse`.
+A product, `inverse` and binomial powers (1 + f)^a, with them `series_sqrt`,
+cost O(n^2) coefficient operations at order n (fewer for sparse f).
 """
 
-from fractions import Fraction
+from math import gcd
 
 from .ring import RingElement, canonical, check_exact, exact_div
 
 
 class Series(RingElement):
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs):
+    def __new__(cls, coeffs):
         coeffs = tuple(coeffs)
-        check_exact(coeffs)
-        object.__setattr__(self, "coeffs", tuple(
-            c if type(c) is int else canonical(c) for c in coeffs))
-        if not self.coeffs:
+        if not coeffs:
             raise ValueError("a Series stores at least its constant term")
+        check_exact(coeffs)
+        coeffs = [canonical(c) for c in coeffs]
+        den = 1
+        for d in {c.denominator for c in coeffs}:
+            den *= d
+        return cls._make([c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    @staticmethod
+    def _make(nums, den=1):
+        """Unchecked constructor for int numerators over a nonzero int den;
+        stores them reduced by one gcd, with den > 0."""
+        g = 1 if den == 1 else gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        self = object.__new__(Series)
+        object.__setattr__(self, "nums", tuple(nums) if g == 1 else tuple(c // g for c in nums))
+        object.__setattr__(self, "den", den // g)
+        return self
 
     @staticmethod
     def constant(c, order):
@@ -41,62 +53,72 @@ class Series(RingElement):
         """The series w."""
         if order < 1:
             raise ValueError("identity needs order >= 1")
-        return Series([0, 1] + [0] * (order - 1))
+        return Series._make((0, 1) + (0,) * (order - 1))
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
-    def __getitem__(self, n: int) -> int | Fraction:
+    @property
+    def coeffs(self) -> tuple:
+        return self.nums if self.den == 1 else tuple(exact_div(c, self.den) for c in self.nums)
+
+    def __getitem__(self, n: int):
         if not 0 <= n <= self.order:
             raise IndexError("coefficient %d beyond truncation order %d" % (n, self.order))
-        return self.coeffs[n]
+        return exact_div(self.nums[n], self.den)
 
     def truncated(self, order):
         if order > self.order:
             raise ValueError("cannot extend truncation order")
-        return Series(self.coeffs[: order + 1])
+        return Series._make(self.nums[: order + 1], self.den)
 
     def shifted(self, k: int):
         """Multiply by w^k; the order grows by k."""
-        return Series((0,) * k + self.coeffs)
+        return Series._make((0,) * k + self.nums, self.den)
+
+    def over(self, k: int):
+        """The series divided by the nonzero int k."""
+        return Series._make(self.nums, self.den * k)
 
     # -- arithmetic ------------------------------------------------------
 
     def _wrap(self, other):
         if isinstance(other, Series):
             return other
-        if isinstance(other, (int, Fraction)):
-            return Series.constant(other, self.order)
+        if hasattr(other, "denominator") and not isinstance(other, RingElement):
+            return Series.constant(other, self.order)  # an int or a Fraction
         return None
 
     def __add__(self, other):
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        n = min(self.order, o.order)
-        return Series([self.coeffs[i] + o.coeffs[i] for i in range(n + 1)])
+        g = gcd(self.den, o.den)
+        sa, sb = o.den // g, self.den // g
+        return Series._make([a * sa + b * sb for a, b in zip(self.nums, o.nums)], sa * self.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series([-c for c in self.coeffs])
+        return Series._make([-c for c in self.nums], self.den)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return Series._make([c * other for c in self.nums], self.den)
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        n = min(self.order, o.order)
-        out = [0] * (n + 1)
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = o.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return Series(out)
+        a_nums, b_nums = self.nums, o.nums
+        n = min(len(a_nums), len(b_nums))
+        out = [0] * n
+        for i in range(n):
+            a = a_nums[i]
+            if a:
+                for j in range(n - i):
+                    if b_nums[j]:
+                        out[i + j] += a * b_nums[j]
+        return Series._make(out, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -104,59 +126,49 @@ class Series(RingElement):
         return Series.constant(1, self.order)
 
     def inverse(self):
-        """Multiplicative inverse; requires nonzero constant term."""
-        if self.coeffs[0] == 0:
+        """Multiplicative inverse; requires nonzero constant term. For the
+        numerators c, e_k = c0^(k+1) [w^k](1/c) runs on ints: e_0 = 1,
+        e_k = -sum_{i=1..k} c_i c0^(i-1) e_(k-i)."""
+        c = self.nums
+        c0, n = c[0], len(c) - 1
+        if c0 == 0:
             raise ValueError("inverse requires nonzero constant term")
-        n = self.order
-        c0 = self.coeffs[0]
-        out = [exact_div(1, c0)] + [0] * n
+        support = [(i, c[i] * c0 ** (i - 1)) for i in range(1, n + 1) if c[i]]
+        e = [1] + [0] * n
         for k in range(1, n + 1):
-            s = 0
-            for i in range(1, k + 1):
-                s += self.coeffs[i] * out[k - i]
-            out[k] = exact_div(-s, c0)
-        return Series(out)
+            total = 0
+            for i, ci in support:
+                if i > k:
+                    break
+                total += ci * e[k - i]
+            e[k] = -total
+        return Series._make([self.den * ek * c0 ** (n - k) for k, ek in enumerate(e)],
+                            c0 ** (n + 1))
 
     def odd_part(self):
-        return Series([c if i % 2 == 1 else 0 for i, c in enumerate(self.coeffs)])
+        return Series._make([c if i % 2 else 0 for i, c in enumerate(self.nums)], self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __eq__(self, other):
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.nums == o.nums and self.den == o.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return "Series(%s; order=%d)" % (list(self.coeffs), self.order)
 
 
-def binomial_series(a, inner: Series, order=None) -> Series:
-    """(1 + inner)^a mod w^(order+1) for rational a; requires inner(0) = 0.
-
-    Uses J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7):
-    with f = inner and g = (1 + f)^a,
-
-        g_0 = 1,   g_n = (1/n) sum_{k=1..n} ((a+1)k - n) f_k g_{n-k},
-
-    which follows from comparing coefficients in (1 + f) g' = a f' g. Writing
-    a = p/q, the weight ((a+1)k - n) is the integer (p+q)k - nq over q. Zero
-    f_k are skipped, so the cost is O(n * nnz(f)) exact operations.
-    """
-    if inner.coeffs[0] != 0:
-        raise ValueError("binomial_series requires inner constant term zero")
-    if order is None:
-        order = inner.order
-    f = inner.truncated(order).coeffs
-    check_exact((a,))
-    a = Fraction(a)
-    p, q = a.numerator, a.denominator
-    support = [(k, f[k]) for k in range(1, order + 1) if f[k] != 0]
+def _scaled_power(p: int, q: int, f, d: int, scale: int, order: int) -> list:
+    """[G_0..G_order], G_n = scale^n [w^n] (1 + f/d)^(p/q) for int f, from
+    n q d G_n = sum_{k=1..n} ((p+q)k - nq) f_k scale^k G_(n-k); a step that
+    leaves a remainder (G_n no integer) raises ArithmeticError."""
+    support = [(k, f[k] * scale ** k) for k in range(1, order + 1) if f[k]]
     g = [1] + [0] * order
     for n in range(1, order + 1):
         total = 0
@@ -165,15 +177,39 @@ def binomial_series(a, inner: Series, order=None) -> Series:
                 break
             if g[n - k]:
                 total += ((p + q) * k - n * q) * fk * g[n - k]
-        g[n] = exact_div(total, n * q)
-    return Series(g)
+        g[n], rest = divmod(total, n * q * d)
+        if rest:
+            raise ArithmeticError("binomial step %d is not integral at scale %d" % (n, scale))
+    return g
+
+
+def binomial_series(a, inner: Series, order=None) -> Series:
+    """(1 + inner)^a mod w^(order+1) for a rational a (an int, a Fraction or
+    an int pair (p, q), q > 0); requires inner(0) = 0.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7),
+    n g_n = sum_{k=1..n} ((a+1)k - n) f_k g_{n-k} with g_0 = 1, from
+    (1 + f) g' = a f' g, costs O(n * nnz(f)). For a = p/q and f = F/D it runs
+    on G_n = (q^2 D)^n g_n, which are integers: g_n = sum_{j<=n} binom(a, j)
+    [w^n] f^j, [w^n] f^j is an integer over D^j, and q^(2j) binom(a, j) is an
+    integer (l-integral for a prime l not dividing q; for l | q, with p/q in
+    lowest terms, each p - iq is prime to l and v_l(j!) < j). So each step of
+    `_scaled_power` divides exactly.
+    """
+    order = inner.order if order is None else order
+    if inner.nums[0] != 0 or order > inner.order:
+        raise ValueError("binomial_series requires inner(0) = 0 and order <= inner.order")
+    if type(a) is not tuple:
+        check_exact((a,))
+        a = a.numerator, a.denominator
+    p, q = a
+    scale = q * q * inner.den
+    g = _scaled_power(p, q, inner.nums, inner.den, scale, order)
+    return Series._make([gn * scale ** (order - n) for n, gn in enumerate(g)], scale ** order)
 
 
 def series_sqrt(f: Series, order=None) -> Series:
     """Square root with constant term 1; callers factor out rational squares first."""
-    if f.coeffs[0] != 1:
+    if f.nums[0] != f.den:
         raise ValueError("series_sqrt requires constant term 1")
-    if order is None:
-        order = f.order
-    return binomial_series(Fraction(1, 2), f - 1, order)
-
+    return binomial_series((1, 2), f - 1, order)

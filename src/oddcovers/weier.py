@@ -89,7 +89,7 @@ class WeierExpr(RingElement):
     def _wrap(self, other):
         if isinstance(other, WeierExpr):
             return other
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (int, Poly)) or type(other) is Fraction:
             return WeierExpr(other)
         return None
 

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from oddcovers import cli, routes
 from oddcovers.routes import alt_catalan_closed
+from oddcovers.series import Series
 
 
 def run(capsys, *argv):
@@ -85,6 +87,13 @@ def test_series_order_zero(capsys):
     code, out = run(capsys, "series", "--order", "0")
     assert code == 0
     assert out.strip().splitlines()[-1] == "0\t0"
+
+
+def test_series_refuses_a_non_integer_coefficient(monkeypatch):
+    monkeypatch.setattr(routes, "genfun_series",
+                        lambda order: Series([0] * order + [Fraction(1, 2)]))
+    with pytest.raises(AssertionError, match="non-integer series coefficient 1/2"):
+        cli.main(["series", "--order", "3"])
 
 
 def test_series_header_documents_indexing(capsys):
@@ -348,6 +357,19 @@ def test_only_the_schubert_route_and_command_load_schubert(argv, loads_schubert)
     assert probe["code"] == 0
     assert "oddcovers.routes" in probe["added"]
     assert ("oddcovers.schubert" in probe["added"]) is loads_schubert
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--max-g", "4", "--routes", "closed,coeff_form,schubert,genfun,lagrange"],
+    ["series", "--order", "11"],
+    ["schubert", "--g", "3"],
+])
+def test_table_series_and_schubert_load_no_rational_number_modules(argv):
+    # the series kernels run on int numerators, so no Fraction is ever built
+    probe = _probe(COMMAND_PROBE, *argv)
+    assert probe["code"] == 0
+    assert [name for name in ("fractions", "decimal", "numbers")
+            if name in probe["added"]] == []
 
 
 def test_verify_loads_the_verify_stack():

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from oddcovers import routes
-from oddcovers.combinat import binom_gen
+from oddcovers import checks, routes
+from oddcovers.combinat import binom_gen, binom_ratio
 from oddcovers.series import Series
 
 from growth_oracles import RATIO_BOUND, ROOT_WINDOW_START, growth_report
@@ -103,11 +103,12 @@ def test_lagrange_pipeline_matches_generic_inversion_at_order_41():
 
 
 def test_lagrange_pipeline_rejects_perturbed_inversion_coefficient(monkeypatch):
-    def perturbed(a, k):
-        exact = binom_gen(a, k)
-        return exact + 1 if (a, k) == (Fraction(5, 2), 4) else exact
+    # binom(5/2, 4) + 1, as the ratio (num + den) / den
+    def perturbed(p, q, k):
+        num, den = binom_ratio(p, q, k)
+        return (num + den, den) if (p, q, k) == (5, 2, 4) else (num, den)
 
-    monkeypatch.setattr(routes, "binom_gen", perturbed)
+    monkeypatch.setattr(routes, "binom_ratio", perturbed)
     with pytest.raises(AssertionError, match=r"u = w\*phi\(u\) violated"):
         routes.lagrange_pipeline(11)
 
@@ -119,15 +120,15 @@ def test_lagrange_pipeline_contracts_run_to_order_41():
 
 
 def test_binomial_identity_full_window():
-    assert all(routes.binomial_identity_check(g) for g in range(31))
+    assert all(checks.binomial_identity_check(g) for g in range(31))
 
 
 def test_catalan_half_binomial_full_window():
-    assert all(routes.catalan_half_binomial_check(n) for n in range(61))
+    assert all(checks.catalan_half_binomial_check(n) for n in range(61))
 
 
 def test_sigma3_route():
-    assert all(routes.sigma3_route_check(g) for g in range(1, 9))
+    assert all(checks.sigma3_route_check(g) for g in range(1, 9))
 
 
 def test_growth_report_bounds_hold():

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from oddcovers.combinat import binom_gen, catalan
-from oddcovers.series import Series, binomial_series, series_sqrt
+from oddcovers.series import Series, _scaled_power, binomial_series, series_sqrt
 
 from series_oracles import compose, lagrange_invert
 
@@ -208,3 +209,58 @@ def test_canonical_form_of_integral_fractions():
     assert half.coeffs == (Fraction(1, 2), 0, 0)
     _assert_canonical(half)
     _assert_canonical(half * 2)
+
+
+# The stored form: int numerators over one positive int den, reduced.
+
+def _assert_reduced(series):
+    assert all(type(c) is int for c in series.nums) and type(series.den) is int
+    assert series.den > 0
+    assert gcd(series.den, *series.nums) == 1
+
+
+@given(st.lists(mixed, min_size=1, max_size=10), st.lists(mixed, min_size=1, max_size=10),
+       nonzero, st.integers(min_value=-12, max_value=12).filter(bool))
+def test_stored_numerators_are_reduced(a, b, lead, k):
+    f, g = Series(a), Series(b)
+    unit = Series([lead] + b[1:])
+    results = [f, g, f + g, f - g, -f, f * g, k * f, f.over(k), unit.inverse(),
+               f.odd_part(), f.shifted(2), f.truncated(0),
+               binomial_series(Fraction(1, 2), Series([0] + a[1:]))]
+    for s in results:
+        _assert_reduced(s)
+    assert list(f.over(k).coeffs) == [Fraction(c) / k for c in a]
+
+
+@given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6), min_size=1, max_size=10),
+       st.integers(min_value=1, max_value=10 ** 4))
+def test_make_equals_init(nums, den):
+    made = Series._make(nums, den)
+    built = Series([Fraction(c, den) for c in nums])
+    assert made == built
+    assert (made.nums, made.den) == (built.nums, built.den)
+    assert made.coeffs == built.coeffs
+    assert hash(made) == hash(built)
+
+
+@given(exponents, inner_tails, st.integers(min_value=0, max_value=12))
+def test_binomial_series_steps_divide_exactly(a, tail, order):
+    # the integrality argument of binomial_series: no step leaves a remainder,
+    # which would raise ArithmeticError here
+    inner = Series([0] + tail)
+    order = min(order, inner.order)
+    power = binomial_series(a, inner, order)
+    _assert_reduced(power)
+    assert power == binomial_series((a.numerator, a.denominator), inner, order)
+
+
+@pytest.mark.parametrize("p, q, f, d, scale", [
+    (1, 2, [0, 1, 0, 0], 1, 2),      # sqrt(1 + w) needs 4^n, not 2^n
+    (-1, 2, [0, 1, 1, 1], 3, 6),     # (1 + (w+w^2+w^3)/3)^(-1/2) needs 12^n, not 6^n
+    (1, 3, [0, 1, 0, 0, 0], 1, 3),   # cube root needs 9^n
+])
+def test_scaled_power_refuses_a_wrong_scale(p, q, f, d, scale):
+    # a scale too small for the integrality argument raises, never floors
+    with pytest.raises(ArithmeticError, match="not integral at scale %d" % scale):
+        _scaled_power(p, q, f, d, scale, len(f) - 1)
+    assert len(_scaled_power(p, q, f, d, q * q * d, len(f) - 1)) == len(f)

@@ -35,6 +35,10 @@ COMMANDS = (
     "schubert --g 50 --cap 50 --format json",
     "table --max-g 30 --routes schubert,closed --n4 3 --n5 -7 --cap 30 --format json",
     "schubert --g 20 --n4 0 --n5 1 --cap 20",
+    "table --max-g 80 --routes coeff_form,genfun,lagrange --format json",
+    "series --order 0",
+    "series --order 1 --format csv",
+    "table --max-g 0 --routes coeff_form,genfun,lagrange",
 )
 
 
