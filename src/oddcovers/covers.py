@@ -10,7 +10,6 @@ Each check ramifies each of its maps once, by `ratmap.ramification_data`,
 which certifies Riemann-Hurwitz itself, and reads every index off that list.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 
 from .poly import Poly, discriminant_quadratic
@@ -24,16 +23,12 @@ from .ratmap import (
     ramification_data,
     vanishing_order,
 )
-
-
-def _bpoly(*coeffs):
-    """A polynomial in the family parameter b, used as a Poly scalar."""
-    return Poly(coeffs)
+from .ring import exact_div
 
 
 def _tpoly(*coeffs_in_b):
     """A polynomial in t whose coefficients are polynomials in b."""
-    return Poly([c if isinstance(c, Poly) else _bpoly(c) for c in coeffs_in_b])
+    return Poly([c if isinstance(c, Poly) else Poly([c]) for c in coeffs_in_b])
 
 
 def family_condition_deg5_alpha1() -> bool:
@@ -50,10 +45,10 @@ def family_condition_deg5_alpha1() -> bool:
     quad = _tpoly(3 * b, -4 * (1 + b), 5)
     if family.derivative() != t ** 2 * quad:
         return False
-    condition = _bpoly(4, -7, 4)
+    condition = Poly([4, -7, 4])
     if discriminant_quadratic(quad) != 4 * condition:
         return False
-    return discriminant_quadratic(condition) == Fraction(-15)
+    return discriminant_quadratic(condition) == -15
 
 
 def family_condition_deg5_alpha2() -> bool:
@@ -74,10 +69,10 @@ def family_condition_deg5_alpha2() -> bool:
         return False
     if derivative != 2 * tt * _tpoly(0 - b, 1) * _tpoly(-1, 2) + tt * tt:
         return False
-    condition = _bpoly(9, -16, 16)
+    condition = Poly([9, -16, 16])
     if discriminant_quadratic(quad) != condition:
         return False
-    return discriminant_quadratic(condition) == Fraction(-320)
+    return discriminant_quadratic(condition) == -320
 
 
 def quartic_cover_map() -> RationalMap:
@@ -201,81 +196,36 @@ def veronese_bound() -> int:
     return VERONESE_PER_SPIN * SPIN_STRUCTURES
 
 
-class TallyCase(namedtuple("TallyCase", "label num_source_choices node_orders "
-                           "automorphism_order sym_weight multiplicity", defaults=(1,))):
-    """One boundary configuration in a local cover count.
-
-    contribution = multiplicity * num_source_choices * sum(node_orders)
-                   * sym_weight / automorphism_order,
-    where node_orders are the ramification indices of the two branches over
-    the node (their sum is the local intersection multiplicity) and
-    multiplicity covers a case identical to a listed one by symmetry.
-    """
-
-    __slots__ = ()
-
-    def contribution(self) -> Fraction:
-        value = (
-            self.multiplicity
-            * self.num_source_choices
-            * sum(self.node_orders)
-            * self.sym_weight
-            / self.automorphism_order
-        )
-        if value <= 0:
-            raise AssertionError("non-positive tally contribution in %s" % self.label)
-        return value
+# Boundary configurations of the local cover counts, by degree, as
+# (label, node indices, automorphism order, copies): the node indices are the
+# ramification indices of the two branches over the node (their sum is the
+# local intersection multiplicity), and `copies` counts configurations
+# identical to the listed one by symmetry. Every configuration has the same
+# SOURCE_CHOICES choices of source.
+SOURCE_CHOICES = 2
+TALLY_CASES = {
+    4: (("triple point at an end node", (3, 1), 2, 1),
+        ("triple point at the middle node", (2, 2), 1, 1),
+        ("cubic pieces on both sides", (1, 1), 1, 1)),
+    5: (("triple point at an end node (two symmetric ends)", (3, 1), 2, 2),
+        ("triple point at the middle node", (2, 2), 1, 1)),
+}
 
 
-DEG5_CASES = (
-    TallyCase(
-        "triple point at an end node (two symmetric ends)",
-        num_source_choices=2,
-        node_orders=(3, 1),
-        automorphism_order=2,
-        sym_weight=Fraction(1),
-        multiplicity=2,
-    ),
-    TallyCase(
-        "triple point at the middle node",
-        num_source_choices=2,
-        node_orders=(2, 2),
-        automorphism_order=1,
-        sym_weight=Fraction(1),
-    ),
-)
-
-DEG4_CASES = (
-    TallyCase(
-        "triple point at an end node",
-        num_source_choices=2,
-        node_orders=(3, 1),
-        automorphism_order=2,
-        sym_weight=Fraction(1),
-    ),
-    TallyCase(
-        "triple point at the middle node",
-        num_source_choices=2,
-        node_orders=(2, 2),
-        automorphism_order=1,
-        sym_weight=Fraction(1),
-    ),
-    TallyCase(
-        "cubic pieces on both sides",
-        num_source_choices=2,
-        node_orders=(1, 1),
-        automorphism_order=1,
-        sym_weight=Fraction(1),
-    ),
-)
-
-
-def admissible_tally(deg: int) -> Fraction:
-    """Total local count over the boundary configurations for degree 4 or 5."""
-    if deg == 5:
-        cases = DEG5_CASES
-    elif deg == 4:
-        cases = DEG4_CASES
-    else:
+def tally_contributions(deg: int) -> list:
+    """Each configuration's share of the degree-4 or degree-5 count:
+    copies * SOURCE_CHOICES * sum(node indices) / automorphism order."""
+    if deg not in TALLY_CASES:
         raise ValueError("tally tables exist for degrees 4 and 5 only")
-    return sum((case.contribution() for case in cases), Fraction(0))
+    contributions = []
+    for label, nodes, automorphisms, copies in TALLY_CASES[deg]:
+        value = exact_div(copies * SOURCE_CHOICES * sum(nodes), automorphisms)
+        if value <= 0:
+            raise AssertionError("non-positive tally contribution in %s" % label)
+        contributions.append(value)
+    return contributions
+
+
+def admissible_tally(deg: int) -> int:
+    """Total local count over the boundary configurations for degree 4 or 5."""
+    return sum(tally_contributions(deg))

@@ -40,8 +40,11 @@ class Poly(RingElement):
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
         check_exact(coeffs)
-        coeffs = [c if type(c) is int or not isinstance(c, Rational) else canonical(c)
-                  for c in coeffs]
+        # Rational is an ABC, a slow isinstance test: ints, Fractions and ring
+        # elements are settled before it
+        coeffs = [c if type(c) is int or (type(c) is not Fraction and (
+                      isinstance(c, RingElement) or not isinstance(c, Rational)))
+                  else canonical(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))

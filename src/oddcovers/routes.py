@@ -3,7 +3,8 @@
 Routes: the closed alternating sum, coefficient extraction from an explicit
 product of binomial series, expansion of the algebraic generating function,
 and Lagrange inversion. All four agree exactly; the Schubert-calculus route
-lives in `schubert` and is bound to these by `checks.sigma3_route_check`.
+lives in `schubert` and is bound to these by the `schubert_route` and
+`sigma3_reduction` checks of `checks`.
 
 `route_prefix(route, G)` returns A_0..A_G. The series routes `genfun` and
 `lagrange` carry A_g at w^(2g+1) of one series, so they expand it once, to

@@ -25,7 +25,6 @@ Coefficients are Python ints, hence arbitrary precision throughout.
 
 from itertools import accumulate, repeat
 
-from .combinat import binom_int, catalan
 from .ring import RingElement
 
 
@@ -156,16 +155,6 @@ class SchubertVector(RingElement):
         return "SchubertVector(%s; n=%d)" % (body, self.n)
 
 
-def grassmannian_degree(n: int) -> int:
-    """Degree of G(2,n) in the Pluecker embedding: sigma_1^(2(n-2)) evaluated on the point class."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    v = SchubertVector.unit(n)
-    for _ in range(2 * (n - 2)):
-        v = v.pieri(1)
-    return v.top_eval()
-
-
 def sigma12_row(g: int) -> list:
     """[sigma_1^(2m) sigma_2^(2g-m) for m = 0..2g], top intersections in G(2,2g+2).
 
@@ -187,16 +176,6 @@ def sigma12_row(g: int) -> list:
             for (a, b), c in ones[m].terms.items())
         for m in range(box + 1)
     ]
-
-
-def catalan_alternating_sum(g: int, m: int) -> int:
-    """Alternating binomial-Catalan sum equal to entry m of sigma12_row(g)."""
-    if not 0 <= m <= 2 * g:
-        raise ValueError("need 0 <= m <= 2g")
-    return sum(
-        (-1) ** i * binom_int(2 * g - m, i) * catalan(2 * g - i)
-        for i in range(2 * g - m + 1)
-    )
 
 
 def top_power_prefix(terms, max_g: int) -> list:

@@ -183,9 +183,9 @@ def _scaled_power(p: int, q: int, f, d: int, scale: int, order: int) -> list:
     return g
 
 
-def binomial_series(a, inner: Series, order=None) -> Series:
-    """(1 + inner)^a mod w^(order+1) for a rational a (an int, a Fraction or
-    an int pair (p, q), q > 0); requires inner(0) = 0.
+def binomial_series(a, inner: Series) -> Series:
+    """(1 + inner)^a mod w^(inner.order+1) for a rational a (an int, a
+    Fraction or an int pair (p, q), q > 0); requires inner(0) = 0.
 
     J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7),
     n g_n = sum_{k=1..n} ((a+1)k - n) f_k g_{n-k} with g_0 = 1, from
@@ -196,20 +196,19 @@ def binomial_series(a, inner: Series, order=None) -> Series:
     lowest terms, each p - iq is prime to l and v_l(j!) < j). So each step of
     `_scaled_power` divides exactly.
     """
-    order = inner.order if order is None else order
-    if inner.nums[0] != 0 or order > inner.order:
-        raise ValueError("binomial_series requires inner(0) = 0 and order <= inner.order")
+    if inner.nums[0] != 0:
+        raise ValueError("binomial_series requires inner(0) = 0")
     if type(a) is not tuple:
         check_exact((a,))
         a = a.numerator, a.denominator
     p, q = a
-    scale = q * q * inner.den
+    scale, order = q * q * inner.den, inner.order
     g = _scaled_power(p, q, inner.nums, inner.den, scale, order)
     return Series._make([gn * scale ** (order - n) for n, gn in enumerate(g)], scale ** order)
 
 
-def series_sqrt(f: Series, order=None) -> Series:
+def series_sqrt(f: Series) -> Series:
     """Square root with constant term 1; callers factor out rational squares first."""
     if f.nums[0] != f.den:
         raise ValueError("series_sqrt requires constant term 1")
-    return binomial_series((1, 2), f - 1, order)
+    return binomial_series((1, 2), f - 1)

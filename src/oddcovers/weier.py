@@ -17,6 +17,7 @@ the P-line, the normal form is canonical: two expressions are equal iff
 their normal forms match coefficientwise.
 """
 
+import functools
 from collections import namedtuple
 from fractions import Fraction
 
@@ -70,9 +71,8 @@ E1 = Poly([Poly([0, 1])])
 E2 = Poly([Poly([Poly([0, 1])])])
 E3 = -E1 - E2
 
-G2 = 4 * (E1 * E1 + E1 * E2 + E2 * E2)
 CUBIC = 4 * (P - E1) * (P - E2) * (P - E3)
-PSECOND = 6 * P * P - Fraction(1, 2) * G2
+PSECOND = 6 * P * P - 2 * (E1 * E1 + E1 * E2 + E2 * E2)  # 6P^2 - g2/2
 
 
 class WeierExpr(RingElement):
@@ -182,6 +182,10 @@ Specialization = namedtuple("Specialization", "label value nonzero monomial")
 SPECIALIZATION_LABELS = ("e1=0", "e2=0", "e3=0 (e2=-e1)")
 
 
+# Each expression's tuple is built on first use and kept: importing this module
+# substitutes nothing, and a `verify` run substitutes into each expression
+# once although eight of its checks read the results.
+@functools.cache
 def _specialize(expr: Poly) -> tuple:
     values = (
         substitute(expr, 0, E2),
@@ -195,25 +199,13 @@ def _specialize(expr: Poly) -> tuple:
     )
 
 
-# Specialization tuples by expression, each built on first use and kept:
-# importing this module substitutes nothing, and a `verify` run substitutes
-# into each expression once although eight of its checks read the results.
-_SPECIALIZED = {}
-
-
-def _specialized(expr: Poly) -> tuple:
-    if expr not in _SPECIALIZED:
-        _SPECIALIZED[expr] = _specialize(expr)
-    return _SPECIALIZED[expr]
-
-
 def delta0_specializations() -> tuple:
     """Delta0 under e1 = 0, e2 = 0, e3 = 0: the three square-period cases.
 
     The values are -2 E2^2, 10 E1^2 and 7 E1^2; only their nonvanishing is
     mathematically load-bearing, and that is what callers assert.
     """
-    return _specialized(DELTA0)
+    return _specialize(DELTA0)
 
 
 GTILDE_QUADRATIC = (
@@ -247,4 +239,4 @@ def check_Gtilde_identities() -> bool:
 def gtilde_delta_specializations() -> tuple:
     """The degree-5 discriminant under e1 = 0, e2 = 0, e3 = 0 (240 E2^2,
     96 E1^2, 96 E1^2: all nonzero)."""
-    return _specialized(GTILDE_DELTA)
+    return _specialize(GTILDE_DELTA)

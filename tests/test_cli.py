@@ -372,6 +372,12 @@ def test_table_series_and_schubert_load_no_rational_number_modules(argv):
             if name in probe["added"]] == []
 
 
+def test_schubert_stands_on_ring_alone():
+    probe = _probe("import json, sys, oddcovers.schubert; print(json.dumps("
+                   "sorted(m for m in sys.modules if m.startswith('oddcovers'))))")
+    assert probe == ["oddcovers", "oddcovers.ring", "oddcovers.schubert"]
+
+
 def test_verify_loads_the_verify_stack():
     probe = _probe(COMMAND_PROBE, "verify", "--suite", "covers", "--max-g", "5",
                    "--format", "csv")

@@ -101,12 +101,26 @@ def test_admissible_tallies():
 
 
 def test_tally_case_breakdown():
-    deg5 = [case.contribution() for case in covers.DEG5_CASES]
+    deg5 = covers.tally_contributions(5)
     assert deg5 == [8, 8]
     # a single end-node configuration contributes 2 * 4 * 1/2 = 4
-    assert covers.DEG5_CASES[0].contribution() / covers.DEG5_CASES[0].multiplicity == 4
-    deg4 = [case.contribution() for case in covers.DEG4_CASES]
+    label, nodes, automorphisms, copies = covers.TALLY_CASES[5][0]
+    assert deg5[0] / copies == 4
+    deg4 = covers.tally_contributions(4)
     assert deg4 == [4, 8, 4]
+    assert all(type(c) is int for c in deg4 + deg5)
+
+
+def test_non_positive_tally_contribution_is_named(monkeypatch):
+    broken = ("a configuration with no node", (0, 0), 1, 1)
+    monkeypatch.setitem(covers.TALLY_CASES, 5, covers.TALLY_CASES[5] + (broken,))
+    with pytest.raises(AssertionError, match="non-positive tally contribution in "
+                                             "a configuration with no node"):
+        covers.tally_contributions(5)
+    [result] = [r for r in checks.run_checks(["covers"], 5) if r["name"] == "admissible_tally"]
+    assert not result["pass"]
+    assert result["detail"] == ("assertion failed: non-positive tally contribution in "
+                                "a configuration with no node")
 
 
 def test_three_routes_to_sixteen_coincide():

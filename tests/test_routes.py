@@ -4,6 +4,7 @@ import pytest
 
 from oddcovers import checks, routes
 from oddcovers.combinat import binom_gen, binom_ratio
+from oddcovers.schubert import SchubertVector, top_power_prefix
 from oddcovers.series import Series
 
 from growth_oracles import RATIO_BOUND, ROOT_WINDOW_START, growth_report
@@ -127,8 +128,21 @@ def test_catalan_half_binomial_full_window():
     assert all(checks.catalan_half_binomial_check(n) for n in range(61))
 
 
+def sigma3_top(g):
+    """Oracle: top((sigma_1 sigma_3)^g) with sigma_1 sigma_3 built by Pieri in
+    G(2,2g+2) itself and raised to the g-th power there, for this g only."""
+    s1s3 = SchubertVector.unit(2 * g + 2).pieri(3).pieri(1)
+    return top_power_prefix(s1s3.terms, g)[g]
+
+
 def test_sigma3_route():
-    assert all(checks.sigma3_route_check(g) for g in range(1, 9))
+    # the sigma3_reduction check reads every g off one chain in G(2,18); by
+    # the restriction map each value is the one of its own G(2,2g+2)
+    one_chain = top_power_prefix(SchubertVector.unit(18).pieri(3).pieri(1).terms, 8)
+    assert one_chain[1:] == [sigma3_top(g) for g in range(1, 9)]
+    assert all(16 ** g * sigma3_top(g) == routes.alt_catalan_closed(g) for g in range(1, 9))
+    [result] = [r for r in checks.run_checks(["schubert"], 5) if r["name"] == "sigma3_reduction"]
+    assert result["pass"]
 
 
 def test_growth_report_bounds_hold():

@@ -4,14 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oddcovers import routes
+from oddcovers.checks import catalan_alternating_sum, grassmannian_degree
 from oddcovers.combinat import catalan
-from oddcovers.schubert import (
-    SchubertVector,
-    grassmannian_degree,
-    catalan_alternating_sum,
-    sigma12_row,
-    top_power_prefix,
-)
+from oddcovers.schubert import SchubertVector, sigma12_row, top_power_prefix
 
 
 def sigma(a, b, n):

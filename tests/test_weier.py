@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -107,15 +108,20 @@ def test_substitution_numeric():
 
 def test_verify_specializes_each_discriminant_once(monkeypatch, capsys):
     calls = []
-    original = weier._specialize
+    original = weier._specialize.__wrapped__
 
     def counting(expr):
         calls.append(expr)
         return original(expr)
 
-    monkeypatch.setattr(weier, "_SPECIALIZED", {})
-    monkeypatch.setattr(weier, "_specialize", counting)
+    # an empty cache of its own, so earlier tests leave nothing cached
+    monkeypatch.setattr(weier, "_specialize", functools.cache(counting))
     assert cli.main(["verify", "--suite", "weierstrass"]) == 0
     assert "9 checks, 0 failed" in capsys.readouterr().out
     assert calls == [weier.DELTA0, weier.GTILDE_DELTA]
+    # the module's own cache misses once per expression, too
+    monkeypatch.undo()
+    weier._specialize.cache_clear()
+    assert cli.main(["verify", "--suite", "weierstrass"]) == 0
+    assert weier._specialize.cache_info().misses == 2
     assert type(weier.delta0_specializations()) is tuple

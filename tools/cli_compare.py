@@ -39,6 +39,9 @@ COMMANDS = (
     "series --order 0",
     "series --order 1 --format csv",
     "table --max-g 0 --routes coeff_form,genfun,lagrange",
+    "verify --suite covers --format json",
+    "verify --suite schubert --max-g 0 --format csv",
+    "verify --suite weierstrass --max-g 0",
 )
 
 
