@@ -4,10 +4,9 @@ command loads `covers`, `weier` and the `poly`, `ratmap` and `quadratic`
 layers under them."""
 
 from collections import namedtuple
-from fractions import Fraction
 
 from . import covers, routes, schubert, weier
-from .combinat import binom_gen, binom_int, catalan
+from .combinat import binom_int, binom_ratio, catalan
 
 # One certified fact; `run(max_g)` returns (passed, detail). `max_g` is the
 # identity window, --max-g but never below 5. A citation may name it as %(g)d,
@@ -28,22 +27,29 @@ def binomial_identity_check(g: int) -> bool:
 
 
 def catalan_half_binomial_check(n: int) -> bool:
-    """Catalan(n) == (-1)^n 2^(2n+1) binom(1/2, n+1), the square-root-series rewrite."""
-    return catalan(n) == (-1) ** n * 2 ** (2 * n + 1) * binom_gen(Fraction(1, 2), n + 1)
+    """Catalan(n) == (-1)^n 2^(2n+1) binom(1/2, n+1), the square-root-series
+    rewrite, compared in ints: binom(1/2, n+1) = num/den with den > 0, so it
+    holds iff Catalan(n) den == (-1)^n 2^(2n+1) num."""
+    num, den = binom_ratio(1, 2, n + 1)
+    return catalan(n) * den == (-1) ** n * 2 ** (2 * n + 1) * num
 
 
-def grassmannian_degree(n: int) -> int:
-    """Degree of G(2,n) in the Pluecker embedding: sigma_1^(2(n-2)) evaluated on the point class."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    v = schubert.SchubertVector.unit(n)
-    for _ in range(2 * (n - 2)):
-        v = v.pieri(1)
-    return v.top_eval()
+def grassmannian_degrees(max_n: int) -> list:
+    """[deg G(2,n) for n = 2..max_n] in the Pluecker embedding, off one sigma_1
+    chain in G(2,max_n): sigma_1^(2(n-2)) there restricts to G(2,n) as its
+    sigma_{n-2,n-2} term (Fulton, Young Tableaux, section 9.4), the degree
+    times the point class."""
+    v = schubert.SchubertVector.unit(max_n)  # sigma_1^(2(n-2)) at step n
+    degrees = []
+    for n in range(2, max_n + 1):
+        degrees.append(v.terms.get((n - 2, n - 2), 0))
+        if n < max_n:
+            v = v.pieri(1).pieri(1)
+    return degrees
 
 
 def catalan_alternating_sum(g: int, m: int) -> int:
-    """Alternating binomial-Catalan sum equal to entry m of schubert.sigma12_row(g)."""
+    """Alternating binomial-Catalan sum equal to entry m of the sigma12 row of g."""
     if not 0 <= m <= 2 * g:
         raise ValueError("need 0 <= m <= 2g")
     return sum(
@@ -166,14 +172,13 @@ CHECKS = (
     Check("schubert", "sigma12_vs_alternating_sum",
           "sigma_1^(2m) sigma_2^(2g-m) = sum_i (-1)^i C(2g-m,i) Cat(2g-i) "
           "in G(2,2g+2) for g <= 8, 0 <= m <= 2g",
-          lambda max_g: (all(
-              schubert.sigma12_row(g)
-              == [catalan_alternating_sum(g, m) for m in range(2 * g + 1)]
-              for g in range(9)), "")),
+          lambda max_g: (schubert.sigma12_rows(range(9)) == [
+              [catalan_alternating_sum(g, m) for m in range(2 * g + 1)]
+              for g in range(9)], "")),
     Check("schubert", "grassmannian_degree",
           "sigma_1^(2(n-2)) evaluates to Catalan(n-2) on G(2,n), n <= 12",
-          lambda max_g: (all(grassmannian_degree(n) == catalan(n - 2)
-                             for n in range(2, 13)), "")),
+          lambda max_g: (grassmannian_degrees(12)
+                         == [catalan(n - 2) for n in range(2, 13)], "")),
     Check("schubert", "schubert_route",
           "(16 sigma_{4,0} + 16 sigma_{3,1})^g equals the closed formula, g <= 8",
           lambda max_g: (routes.route_prefix("schubert", 8)

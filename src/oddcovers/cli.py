@@ -178,7 +178,7 @@ def cmd_schubert(args) -> int:
     from . import schubert
 
     value = routes.route_prefix("schubert", args.g, args.n4, args.n5)[args.g]
-    matrix = dict(enumerate(schubert.sigma12_row(args.g)))
+    matrix = dict(enumerate(schubert.sigma12_rows([args.g])[0]))
     lines = ["top intersections sigma_1^(2m) sigma_2^(2g-m) in G(2,%d), g=%d"
              % (2 * args.g + 2, args.g)]
     for m, v in matrix.items():

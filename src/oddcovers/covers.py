@@ -10,8 +10,6 @@ Each check ramifies each of its maps once, by `ratmap.ramification_data`,
 which certifies Riemann-Hurwitz itself, and reads every index off that list.
 """
 
-from fractions import Fraction
-
 from .poly import Poly, discriminant_quadratic
 from .quadratic import QuadScalar, sqrt_of
 from .ratmap import (
@@ -117,7 +115,7 @@ def paired_quartic_maps():
     )
     second = RationalMap(
         quartic,
-        t - QuadScalar(Fraction(1, 2), Fraction(1, 4), 3),
+        t - QuadScalar(2, 1, 3).over(4),  # 1/2 + sqrt(3)/4
     )
     return first, second
 
@@ -136,7 +134,7 @@ def check_paired_quartic_maps() -> tuple:
     """
     first, second = paired_quartic_maps()
     ramification_ok = True
-    pole_of_first = QuadScalar(Fraction(1, 2), Fraction(-1, 6), 3)
+    pole_of_first = QuadScalar(3, -1, 3).over(6)  # 1/2 - sqrt(3)/6
     for f, triple_at in ((first, pole_of_first), (second, INFINITY)):
         data = ramification_data(f)
         if (fiber_profile(f, 0) != [2, 2]
@@ -145,7 +143,7 @@ def check_paired_quartic_maps() -> tuple:
                 or sorted(point_indices(data)) != [2, 2, 3, 3]
                 or vanishing_order(f, 0, 0) != 2 or vanishing_order(f, 0, 1) != 2):
             ramification_ok = False
-    tau = mobius_fixing_0_1(QuadScalar(Fraction(1, 2), Fraction(1, 6), 3))
+    tau = mobius_fixing_0_1(QuadScalar(3, 1, 3).over(6))  # 1/2 + sqrt(3)/6
     return ramification_ok, second.compose_source(tau) == first
 
 
@@ -153,7 +151,7 @@ def deg3_maps():
     """The conjugate pair of degree-3 covers over Q(sqrt(-3))."""
     s = sqrt_of(-3)  # i * sqrt(3)
     t = Poly([QuadScalar(0, 0, -3), QuadScalar(1, 0, -3)])
-    shift = Fraction(1, 2) - Fraction(1, 6) * s
+    shift = (3 - s).over(6)  # 1/2 - sqrt(-3)/6
     f = RationalMap((t - shift) ** 3)
     conj = RationalMap(-((t - shift.conjugate()) ** 3))
     return f, conj

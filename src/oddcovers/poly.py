@@ -6,7 +6,10 @@ exact form of `ring.canonical`: an `int` when integral, a reduced `Fraction`
 otherwise, so the integer covers of `covers` run on Python ints. The
 constructor checks and canonicalizes what a caller passes; the ring
 operations build their results through the unchecked `Poly._make`.
-Division-based operations (divmod, monic) require field scalars. `gcd` and
+Division-based operations (divmod, monic) require field scalars; they
+divide a coefficient by an int or Fraction with `ring.exact_div` or
+`QuadScalar.over`, so a Fraction appears only where a quotient is one, and
+this module imports neither `fractions` nor `numbers`. `gcd` and
 `squarefree_decomposition` divide only exactly: `_integral` multiplies by the
 lcm of the coefficients' `denominator`s (a QuadScalar's is its common den),
 which lands in Z or Z[sqrt d]; the subresultant remainder sequence (Collins,
@@ -16,22 +19,21 @@ is made monic over the field once, at the end.
 
 A polynomial in several variables is a Poly in the outermost variable whose
 coefficients are polynomials in the others (Knuth, TAOCP vol. 2, section
-4.6): `covers` nests t over the parameter b, `weier` nests P over E1 over E2.
-So derivative(), p[k] and degree act on the outermost variable, and a
-constant may sit at any depth: Poly([1]), Poly([Poly([1])]) and 1 are equal.
+4.6): `covers` nests t over the parameter b (`weier` keeps its integer
+polynomials in P, E1, E2 sparse instead). So derivative(), p[k] and degree
+act on the outermost variable, and a constant may sit at any depth:
+Poly([1]), Poly([Poly([1])]) and 1 are equal.
 Equal values hash alike, because a Poly of degree at most 0 hashes as its
 constant coefficient (the zero Poly as 0), the rule QuadScalar uses when b = 0.
 
 The zero polynomial has degree None, a deliberate sentinel: no -1 arithmetic.
 """
 
-from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as _int_gcd
-from numbers import Rational
 
 from .quadratic import QuadScalar
-from .ring import RingElement, canonical, check_exact, exact_div
+from .ring import RingElement, canonical, check_exact, exact_div, is_rational
 
 
 class Poly(RingElement):
@@ -40,11 +42,8 @@ class Poly(RingElement):
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
         check_exact(coeffs)
-        # Rational is an ABC, a slow isinstance test: ints, Fractions and ring
-        # elements are settled before it
-        coeffs = [c if type(c) is int or (type(c) is not Fraction and (
-                      isinstance(c, RingElement) or not isinstance(c, Rational)))
-                  else canonical(c) for c in coeffs]
+        coeffs = [canonical(c) if type(c) is not int and is_rational(c) else c
+                  for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -53,17 +52,13 @@ class Poly(RingElement):
     def _make(cls, coeffs: list):
         """Unchecked constructor for the exact coefficients a ring operation
         produced: an integral Fraction becomes an int, trailing zeros go."""
-        coeffs = [c.numerator if type(c) is Fraction and c.denominator == 1 else c
-                  for c in coeffs]
+        coeffs = [c.numerator if type(c) is not int and not isinstance(c, RingElement)
+                  and c.denominator == 1 else c for c in coeffs]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self = object.__new__(cls)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         return self
-
-    @staticmethod
-    def constant(c):
-        return Poly([c])
 
     @staticmethod
     def x():
@@ -94,7 +89,7 @@ class Poly(RingElement):
     def _wrap(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, QuadScalar)) or type(other) is Fraction:
+        if isinstance(other, QuadScalar) or is_rational(other):
             return Poly._make([other])
         return None
 
@@ -147,12 +142,12 @@ class Poly(RingElement):
         dq = len(o.coeffs) - 1
         if len(rem) - 1 < dq:
             return Poly._make([]), self
-        # gcd and squarefree factors are monic: dividing by them needs no inverse
-        monic = o.leading() == 1
-        inv_lead = 1 if monic else _invert(o.leading())
+        # gcd and squarefree factors are monic: dividing by them divides no coefficient
+        lead = o.leading()
+        monic = lead == 1
         quot = [0] * (len(rem) - dq)
         for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem[i] if monic else rem[i] * inv_lead
+            c = rem[i] if monic else _divide(rem[i], lead)
             quot[i - dq] = c
             if c != 0:
                 for j in range(dq + 1):
@@ -168,8 +163,8 @@ class Poly(RingElement):
     def monic(self):
         if self.is_zero() or self.leading() == 1:
             return self
-        inv = _invert(self.leading())
-        return Poly._make([c * inv for c in self.coeffs])
+        lead = self.leading()
+        return Poly._make([_divide(c, lead) for c in self.coeffs])
 
     def derivative(self):
         return Poly._make([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -224,12 +219,20 @@ class Poly(RingElement):
         return "Poly(" + " + ".join(parts) + ")"
 
 
+def _divide(x, y):
+    """x / y for a nonzero field scalar y. A QuadScalar y is inverted; an int
+    or Fraction y divides a QuadScalar x by `QuadScalar.over` and a rational x
+    by `ring.exact_div`, so a Fraction appears only as a non-integral quotient
+    of rationals."""
+    if isinstance(y, QuadScalar):
+        return x * y.inverse()
+    if not is_rational(y):
+        raise TypeError("scalar %r is not invertible here" % (y,))
+    return x.over(y) if isinstance(x, QuadScalar) else exact_div(x, y)
+
+
 def _invert(c):
-    if isinstance(c, int) or type(c) is Fraction:
-        return exact_div(1, c)
-    if hasattr(c, "inverse"):
-        return c.inverse()
-    raise TypeError("scalar %r is not invertible here" % (c,))
+    return _divide(1, c)
 
 
 def _integral(p: Poly) -> list:
@@ -243,7 +246,7 @@ def _integral(p: Poly) -> list:
 
 def _exact_quotient(x, y):
     """x / y for a y that divides x in Z or Z[sqrt d]; raises if it does not."""
-    q = x * _invert(y)
+    q = _divide(x, y)
     if q.denominator != 1:
         raise ArithmeticError("%r does not divide %r" % (y, x))
     return q.numerator

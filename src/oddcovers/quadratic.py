@@ -13,10 +13,9 @@ and floats are refused. No nested extensions: sqrt of a QuadScalar is not
 provided.
 """
 
-from fractions import Fraction
 from math import gcd
 
-from .ring import RingElement, canonical, check_exact, exact_div
+from .ring import RingElement, canonical, check_exact, exact_div, is_rational
 
 
 class QuadScalar(RingElement):
@@ -70,9 +69,7 @@ class QuadScalar(RingElement):
             if other.d != self.d:
                 raise ValueError("mixed quadratic contexts: d=%s vs d=%s" % (self.d, other.d))
             return other
-        if type(other) is int:
-            return QuadScalar._make(other, 0, 1, self.d)
-        if type(other) is Fraction:
+        if type(other) is int or is_rational(other):
             return QuadScalar._make(other.numerator, 0, other.denominator, self.d)
         return None
 
@@ -106,10 +103,17 @@ class QuadScalar(RingElement):
     def _one(self):
         return QuadScalar._make(1, 0, 1, self.d)
 
+    def over(self, k):
+        """The scalar divided by the nonzero rational k."""
+        if k == 0:
+            raise ZeroDivisionError("QuadScalar divided by zero")
+        return QuadScalar._make(self.n * k.denominator, self.m * k.denominator,
+                                self.den * k.numerator, self.d)
+
     def conjugate(self):
         return QuadScalar._make(self.n, -self.m, self.den, self.d)
 
-    def norm(self) -> int | Fraction:
+    def norm(self):
         """Field norm a^2 - d*b^2; zero only for the zero scalar since d is non-square."""
         return exact_div(self.n * self.n - self.d * self.m * self.m, self.den * self.den)
 
@@ -124,7 +128,7 @@ class QuadScalar(RingElement):
     def __eq__(self, other):
         if isinstance(other, QuadScalar):
             return (self.n, self.m, self.den, self.d) == (other.n, other.m, other.den, other.d)
-        if isinstance(other, int) or type(other) is Fraction:
+        if type(other) is int or is_rational(other):
             return self.m == 0 and (self.n, self.den) == (other.numerator, other.denominator)
         return NotImplemented
 

@@ -6,8 +6,11 @@ when the operand is foreign), `__add__`, `__neg__`, `__mul__` and `_one()`.
 Immutability, subtraction and nonnegative integer powers are derived here,
 and `check_exact` keeps inexact numbers out of their coefficients.
 `canonical` and `exact_div` give a rational value the one form every ring
-class stores: an `int` when integral, a reduced `Fraction` otherwise; all
-three load `fractions` and `numbers` only once a non-`int` value appears.
+class stores: an `int` when integral, a reduced `Fraction` otherwise. A
+rational is told apart by `is_rational`, with no import: it has a
+`denominator` and is no ring element. `canonical` and `exact_div` load
+`fractions` only once a non-integral value appears, and `check_exact` loads
+`numbers` only for a value that is neither an `int` nor a ring element.
 """
 
 # Types known to be exact; check_exact adds each new type it clears.
@@ -25,11 +28,22 @@ def check_exact(values) -> None:
     """
     if _EXACT_TYPES.issuperset(map(type, values)):
         return
+    kinds = set(map(type, values)) - _EXACT_TYPES
+    _EXACT_TYPES.update(kind for kind in kinds if issubclass(kind, RingElement))
+    kinds -= _EXACT_TYPES
+    if not kinds:
+        return
     from numbers import Number, Rational
-    for kind in set(map(type, values)) - _EXACT_TYPES:
+    for kind in kinds:
         if issubclass(kind, Number) and not issubclass(kind, Rational):
             raise TypeError("exact arithmetic takes no %s values" % kind.__name__)
         _EXACT_TYPES.add(kind)
+
+
+def is_rational(x) -> bool:
+    """Whether x is an int or a Fraction: it has a `denominator` and is no
+    ring element (a QuadScalar has one, too)."""
+    return hasattr(x, "denominator") and not isinstance(x, RingElement)
 
 
 def canonical(c):

@@ -136,16 +136,6 @@ class SchubertVector(RingElement):
     def _one(self):
         return SchubertVector.unit(self.n)
 
-    def top_eval(self) -> int:
-        """Coefficient of the point class sigma_{n-2,n-2}; input must be
-        homogeneous of top degree (or zero)."""
-        if self.is_zero():
-            return 0
-        top = 2 * (self.n - 2)
-        if self.degrees() != {top}:
-            raise ValueError("top_eval on a class not of top degree %d" % top)
-        return self.terms.get((self.n - 2, self.n - 2), 0)
-
     def __repr__(self):
         if self.is_zero():
             return "SchubertVector(0; n=%d)" % self.n
@@ -155,27 +145,30 @@ class SchubertVector(RingElement):
         return "SchubertVector(%s; n=%d)" % (body, self.n)
 
 
-def sigma12_row(g: int) -> list:
-    """[sigma_1^(2m) sigma_2^(2g-m) for m = 0..2g], top intersections in G(2,2g+2).
+def sigma12_rows(gs) -> list:
+    """For each g in `gs`, the row [sigma_1^(2m) sigma_2^(2g-m) for m = 0..2g]
+    of top intersections in G(2,2g+2).
 
-    One sigma_1 chain (4g steps) and one sigma_2 chain (2g steps) are paired
-    by Poincare duality: sigma_{a,b} sigma_{c,d} is the point class when
-    (c, d) = (n-2-b, n-2-a) and 0 otherwise (Fulton, Young Tableaux,
-    section 9.4).
+    One sigma_1 chain (4G steps) and one sigma_2 chain (2G steps) in
+    G(2,2G+2), G = max(gs), serve every row: they restrict to the same powers
+    in G(2,2g+2), where Poincare duality pairs them: sigma_{a,b} sigma_{c,d}
+    is the point class when (c, d) = (2g-b, 2g-a) and 0 otherwise (Fulton,
+    Young Tableaux, section 9.4). A term with a > 2g restricts to 0 and finds
+    no partner, since 2g-a < 0.
     """
-    if g < 0:
+    gs = list(gs)
+    if any(g < 0 for g in gs):
         raise ValueError("g must be nonnegative")
-    box = 2 * g
+    box = 2 * max(gs, default=0)
     ones = [SchubertVector.unit(box + 2)]  # ones[m] = sigma_1^(2m)
     twos = [ones[0]]  # twos[k] = sigma_2^k
     for _ in range(box):
         ones.append(ones[-1].pieri(1).pieri(1))
         twos.append(twos[-1].pieri(2))
-    return [
-        sum(c * twos[box - m].terms.get((box - b, box - a), 0)
-            for (a, b), c in ones[m].terms.items())
-        for m in range(box + 1)
-    ]
+    return [[sum(c * twos[2 * g - m].terms.get((2 * g - b, 2 * g - a), 0)
+                 for (a, b), c in ones[m].terms.items())
+             for m in range(2 * g + 1)]
+            for g in gs]
 
 
 def top_power_prefix(terms, max_g: int) -> list:

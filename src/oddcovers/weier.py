@@ -4,10 +4,13 @@ Generators: P (the even degree-2 function), its derivative D, and two
 commuting constants E1, E2 holding half-period values e1, e2; the third
 half-period value is -E1-E2, so e1+e2+e3 = 0 holds at the representation
 level. Every expression is kept in the normal form even + odd*D with even
-and odd polynomial in (P, E1, E2), each a nested poly.Poly: a polynomial in P
-whose coefficients are polynomials in E1 over polynomials in E2. So
-derivative() is the partial derivative in P, and q[k] and q.degree are the
-P-coefficients and the P-degree. The square of D is always eliminated by
+and odd integer polynomials in (P, E1, E2). Such a polynomial is a
+`WeierPoly`: a dict {(i, j, k): c} of its nonzero terms c P^i E1^j E2^k
+with int c, added and multiplied term by term (Johnson, "Sparse polynomial
+arithmetic", SIGSAM Bull. 8(3), 1974), so nothing here builds a fraction.
+derivative() is the partial derivative in P, and p_coefficient(n) gives the
+P-coefficients a quadratic discriminant reads. The square of D is always
+eliminated by
 
     D^2 -> 4 (P - E1) (P - E2) (P + E1 + E2),
 
@@ -19,33 +22,108 @@ their normal forms match coefficientwise.
 
 import functools
 from collections import namedtuple
-from fractions import Fraction
 
-from .poly import Poly, discriminant_quadratic
 from .ring import RingElement
 
 
-def monomials(q, depth=3):
-    """The nonzero terms of a polynomial in (P, E1, E2) as {(i, j, k): c},
-    c the coefficient of P^i E1^j E2^k; `depth` counts the variables left."""
-    if depth == 0:
-        return {(): q} if q != 0 else {}
-    q = q if isinstance(q, Poly) else Poly([q])
-    return {
-        (i,) + key: c
-        for i, a in enumerate(q.coeffs)
-        for key, c in monomials(a, depth - 1).items()
-    }
+class WeierPoly(RingElement):
+    """An integer polynomial in (P, E1, E2): `terms` maps the exponents
+    (i, j, k) of each term c P^i E1^j E2^k to its nonzero int c."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        terms = terms or {}
+        for key, c in terms.items():
+            if not isinstance(c, int):
+                raise TypeError("WeierPoly coefficients are ints, not %s" % type(c).__name__)
+            if len(key) != 3 or min(key) < 0:
+                raise ValueError("invalid exponents %r" % (key,))
+        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+
+    @classmethod
+    def _make(cls, terms: dict):
+        """Unchecked constructor for int terms with valid exponents; drops zeros."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+        return self
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _wrap(self, other):
+        if isinstance(other, int):
+            return WeierPoly._make({(0, 0, 0): other})
+        return other if isinstance(other, WeierPoly) else None
+
+    def __add__(self, other):
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for k, c in o.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return WeierPoly._make(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return WeierPoly._make({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        out = {}
+        for (i, j, k), c in self.terms.items():
+            for (p, q, r), e in o.terms.items():
+                key = (i + p, j + q, k + r)
+                out[key] = out.get(key, 0) + c * e
+        return WeierPoly._make(out)
+
+    __rmul__ = __mul__
+
+    def _one(self):
+        return WeierPoly._make({(0, 0, 0): 1})
+
+    def __eq__(self, other):
+        o = self._wrap(other)
+        return NotImplemented if o is None else self.terms == o.terms
+
+    def __hash__(self):
+        # a constant hashes as its int (zero as 0), as equal values must
+        if self.terms.keys() <= {(0, 0, 0)}:
+            return hash(self.terms.get((0, 0, 0), 0))
+        return hash(frozenset(self.terms.items()))
+
+    def derivative(self):
+        """The partial derivative in P."""
+        return WeierPoly._make({(i - 1, j, k): i * c
+                                for (i, j, k), c in self.terms.items() if i})
+
+    def p_coefficient(self, n: int):
+        """The coefficient of P^n, a polynomial in E1 and E2."""
+        return WeierPoly._make({(0, j, k): c for (i, j, k), c in self.terms.items() if i == n})
+
+    def __repr__(self):
+        return "WeierPoly(%s)" % format_monomials(self)
 
 
-def format_monomials(q) -> str:
+def discriminant(q: WeierPoly) -> WeierPoly:
+    """b^2 - 4ac for q = a P^2 + b P + c of P-degree exactly 2; no division."""
+    if max((i for i, _, _ in q.terms), default=None) != 2:
+        raise ValueError("discriminant requires P-degree exactly 2")
+    c, b, a = (q.p_coefficient(n) for n in range(3))
+    return b * b - 4 * a * c
+
+
+def format_monomials(q: WeierPoly) -> str:
     """Terms by decreasing (P, E1, E2) exponents, as in 10*E1^2 + E1*E2."""
-    terms = monomials(q)
-    if not terms:
+    if not q.terms:
         return "0"
     parts = []
-    for key in sorted(terms, reverse=True):
-        c = terms[key]
+    for key in sorted(q.terms, reverse=True):
+        c = q.terms[key]
         factors = []
         for name, e in zip(("P", "E1", "E2"), key):
             if e == 1:
@@ -58,18 +136,17 @@ def format_monomials(q) -> str:
     return " + ".join(parts)
 
 
-def substitute(q, e1, e2):
-    """q with E1 and E2 replaced by the given values (int, Fraction or Poly)."""
-    return sum(
-        (c * P ** i * e1 ** j * e2 ** k for (i, j, k), c in monomials(q).items()),
-        Poly(),
-    )
-
-
-P = Poly([0, 1])
-E1 = Poly([Poly([0, 1])])
-E2 = Poly([Poly([Poly([0, 1])])])
+P = WeierPoly({(1, 0, 0): 1})
+E1 = WeierPoly({(0, 1, 0): 1})
+E2 = WeierPoly({(0, 0, 1): 1})
 E3 = -E1 - E2
+
+
+def substitute(q: WeierPoly, e1, e2) -> WeierPoly:
+    """q with E1 and E2 replaced by the given ints or WeierPolys."""
+    return sum((c * P ** i * e1 ** j * e2 ** k for (i, j, k), c in q.terms.items()),
+               WeierPoly())
+
 
 CUBIC = 4 * (P - E1) * (P - E2) * (P - E3)
 PSECOND = 6 * P * P - 2 * (E1 * E1 + E1 * E2 + E2 * E2)  # 6P^2 - g2/2
@@ -81,15 +158,15 @@ class WeierExpr(RingElement):
     __slots__ = ("even", "odd")
 
     def __init__(self, even=0, odd=0):
-        e = even if isinstance(even, Poly) else Poly.constant(even)
-        o = odd if isinstance(odd, Poly) else Poly.constant(odd)
+        e = even if isinstance(even, WeierPoly) else WeierPoly({(0, 0, 0): even})
+        o = odd if isinstance(odd, WeierPoly) else WeierPoly({(0, 0, 0): odd})
         object.__setattr__(self, "even", e)
         object.__setattr__(self, "odd", o)
 
     def _wrap(self, other):
         if isinstance(other, WeierExpr):
             return other
-        if isinstance(other, (int, Poly)) or type(other) is Fraction:
+        if isinstance(other, (int, WeierPoly)):
             return WeierExpr(other)
         return None
 
@@ -169,7 +246,7 @@ def check_G_identities() -> bool:
         return False
     if bracket != G_QUADRATIC:
         return False
-    if Poly([discriminant_quadratic(G_QUADRATIC)]) != 16 * DELTA0:
+    if discriminant(G_QUADRATIC) != 16 * DELTA0:
         return False
     return all(r.nonzero and r.monomial for r in delta0_specializations())
 
@@ -186,7 +263,7 @@ SPECIALIZATION_LABELS = ("e1=0", "e2=0", "e3=0 (e2=-e1)")
 # substitutes nothing, and a `verify` run substitutes into each expression
 # once although eight of its checks read the results.
 @functools.cache
-def _specialize(expr: Poly) -> tuple:
+def _specialize(expr: WeierPoly) -> tuple:
     values = (
         substitute(expr, 0, E2),
         substitute(expr, E1, 0),
@@ -194,7 +271,7 @@ def _specialize(expr: Poly) -> tuple:
     )
     return tuple(
         Specialization(label, format_monomials(v), not v.is_zero(),
-                       len(monomials(v)) == 1)
+                       len(v.terms) == 1)
         for label, v in zip(SPECIALIZATION_LABELS, values)
     )
 
@@ -231,7 +308,7 @@ def check_Gtilde_identities() -> bool:
     )
     if gt.derive() != rhs:
         return False
-    if Poly([discriminant_quadratic(GTILDE_QUADRATIC)]) != GTILDE_DELTA:
+    if discriminant(GTILDE_QUADRATIC) != GTILDE_DELTA:
         return False
     return all(r.nonzero and r.monomial for r in gtilde_delta_specializations())
 

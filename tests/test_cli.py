@@ -363,9 +363,11 @@ def test_only_the_schubert_route_and_command_load_schubert(argv, loads_schubert)
     ["table", "--max-g", "4", "--routes", "closed,coeff_form,schubert,genfun,lagrange"],
     ["series", "--order", "11"],
     ["schubert", "--g", "3"],
+    ["verify", "--suite", "all", "--max-g", "5"],
 ])
 def test_table_series_and_schubert_load_no_rational_number_modules(argv):
-    # the series kernels run on int numerators, so no Fraction is ever built
+    # the series kernels run on int numerators, and every certified fact of
+    # verify on ints or Z[sqrt d], so no Fraction is ever built
     probe = _probe(COMMAND_PROBE, *argv)
     assert probe["code"] == 0
     assert [name for name in ("fractions", "decimal", "numbers")

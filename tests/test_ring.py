@@ -26,8 +26,11 @@ CASES = {
         SchubertVector(6, {(2, 0): 3, (0, 0): 1}),
         SchubertVector.unit(6),
     ),
-    # the nested Poly in P, E1, E2 that weier computes with
-    "nested_Poly": (P * P - Fraction(1, 2) * E1, E1 * E2 + 3 * P, 1),
+    # a polynomial in t over b, as the covers families nest them
+    "nested_Poly": (Poly([Poly([0, Fraction(-1, 2)]), 0, 1]),
+                    Poly([0, 3, Poly([0, 1])]), 1),
+    # the sparse integer polynomials in P, E1, E2 that weier computes with
+    "WeierPoly": (P * P - 2 * E1, E1 * E2 + 3 * P, 1),
     "WeierExpr": (WeierExpr(P - E1, E2 + 1), WeierExpr(E2, 2 * P), 1),
 }
 
@@ -98,6 +101,6 @@ def test_poly_and_series_do_not_mix(op):
 @pytest.mark.parametrize("inexact", [0.5, 1 + 2j, Decimal("0.1")],
                          ids=lambda x: type(x).__name__)
 def test_check_exact_rejects_inexact_numbers(inexact):
-    check_exact([1, True, Fraction(1, 3), QuadScalar(1, 2, 3), Poly([1])])
+    check_exact([1, True, Fraction(1, 3), QuadScalar(1, 2, 3), Poly([1]), P])
     with pytest.raises(TypeError, match=type(inexact).__name__):
         check_exact([Fraction(1, 3), inexact])

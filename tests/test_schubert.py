@@ -3,10 +3,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddcovers import routes
-from oddcovers.checks import catalan_alternating_sum, grassmannian_degree
+from oddcovers import checks, cli, routes
+from oddcovers.checks import catalan_alternating_sum, grassmannian_degrees
 from oddcovers.combinat import catalan
-from oddcovers.schubert import SchubertVector, sigma12_row, top_power_prefix
+from oddcovers.schubert import SchubertVector, sigma12_rows, top_power_prefix
+
+
+def top_eval(v):
+    """The coefficient of the point class sigma_{n-2,n-2} of a class v of top
+    degree (or zero) in G(2,n)."""
+    top = 2 * (v.n - 2)
+    if not v.degrees() <= {top}:
+        raise ValueError("top_eval on a class not of top degree %d" % top)
+    return v.terms.get((v.n - 2, v.n - 2), 0)
 
 
 def sigma(a, b, n):
@@ -75,7 +84,7 @@ def test_duality_pairing():
             for c, d in classes:
                 if a + b + c + d != 2 * box:
                     continue
-                value = (sigma(a, b, n) * sigma(c, d, n)).top_eval()
+                value = top_eval(sigma(a, b, n) * sigma(c, d, n))
                 expected = 1 if (c, d) == (box - b, box - a) else 0
                 assert value == expected
 
@@ -180,9 +189,26 @@ def test_coefficients_must_be_ints(inexact):
         top_power_prefix({(4, 0): inexact, (3, 1): 16}, 3)
 
 
+def grassmannian_degree(n):
+    """Oracle: sigma_1^(2(n-2)) by its own chain in G(2,n), on the point class."""
+    v = SchubertVector.unit(n)
+    for _ in range(2 * (n - 2)):
+        v = v.pieri(1)
+    return top_eval(v)
+
+
 def test_grassmannian_degree_is_catalan():
     for n in range(2, 13):
         assert grassmannian_degree(n) == catalan(n - 2)
+    # the one-chain reading agrees with the per-n chains, also past n = 12
+    degrees = grassmannian_degrees(16)
+    assert degrees == [grassmannian_degree(n) for n in range(2, 17)]
+    assert degrees == [catalan(n - 2) for n in range(2, 17)]
+    assert grassmannian_degrees(2) == [1]
+    with pytest.raises(ValueError, match="n >= 2"):
+        grassmannian_degrees(1)
+    with pytest.raises(ValueError, match="not of top degree 4"):
+        top_eval(sigma(1, 0, 4))
 
 
 def sigma12_power(g, m):
@@ -192,25 +218,49 @@ def sigma12_power(g, m):
         v = v.pieri(1)
     for _ in range(2 * g - m):
         v = v.pieri(2)
-    return v.top_eval()
+    return top_eval(v)
+
+
+def sigma12_row(g):
+    """Oracle: the row of g off one sigma_1 and one sigma_2 chain in its own
+    G(2,2g+2), paired by Poincare duality."""
+    box = 2 * g
+    ones = [SchubertVector.unit(box + 2)]  # ones[m] = sigma_1^(2m)
+    twos = [ones[0]]  # twos[k] = sigma_2^k
+    for _ in range(box):
+        ones.append(ones[-1].pieri(1).pieri(1))
+        twos.append(twos[-1].pieri(2))
+    return [
+        sum(c * twos[box - m].terms.get((box - b, box - a), 0)
+            for (a, b), c in ones[m].terms.items())
+        for m in range(box + 1)
+    ]
 
 
 def test_sigma12_row_matches_oracle_and_alternating_sum():
+    rows = sigma12_rows(range(13))
     for g in range(0, 13):
         row = sigma12_row(g)
+        assert rows[g] == row
         assert row == [sigma12_power(g, m) for m in range(2 * g + 1)]
         assert row == [catalan_alternating_sum(g, m) for m in range(2 * g + 1)]
+    # one row alone, and rows in any order, read off the chains of the largest g
+    assert sigma12_rows([7]) == [sigma12_row(7)]
+    assert sigma12_rows([5, 0, 9, 5]) == [rows[5], rows[0], rows[9], rows[5]]
+    assert sigma12_rows([]) == []
 
 
 def test_sigma12_row_rejects_negative_g():
     with pytest.raises(ValueError, match="nonnegative"):
-        sigma12_row(-1)
+        sigma12_rows([-1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        sigma12_rows([3, -1])
 
 
 def test_sigma2_fourth_power():
     # sigma_2^4 in G(2,6) is 3: sigma_2^2 = sigma_{4}+sigma_{3,1}+sigma_{2,2}
     # is self-dual term by term
-    assert sigma12_row(2)[0] == 3
+    assert sigma12_rows([2])[0][0] == 3
 
 
 def test_schubert_route_small_values():
@@ -236,7 +286,7 @@ degree_four = st.fixed_dictionaries({
 def test_top_power_prefix_matches_per_ambient_powers(terms, max_g):
     # oracle: v^g by square-and-multiply in each G(2,2g+2) separately
     assert top_power_prefix(terms, max_g) == [
-        (SchubertVector(2 * g + 2, terms) ** g).top_eval() for g in range(max_g + 1)
+        top_eval(SchubertVector(2 * g + 2, terms) ** g) for g in range(max_g + 1)
     ]
 
 
@@ -258,3 +308,33 @@ def test_top_power_prefix_checks_every_step(monkeypatch):
 
 def test_schubert_prefix_matches_closed_to_g_40():
     assert routes.route_prefix("schubert", 40) == routes.route_prefix("closed", 40)
+
+
+def test_each_schubert_check_reads_one_chain(monkeypatch, capsys):
+    # sigma12_vs_alternating_sum: a sigma_1^2 chain of 16 steps and a sigma_2
+    # chain of 16 in G(2,18); grassmannian_degree: a sigma_1^2 chain of 10
+    # steps in G(2,12); the two route checks: 8 products of 3 Pieri calls
+    # each, plus 2 to build sigma_1 sigma_3
+    calls = []
+    original = SchubertVector.pieri
+
+    def counting(self, c):
+        calls.append((self.n, c))
+        return original(self, c)
+
+    monkeypatch.setattr(SchubertVector, "pieri", counting)
+    per_check = {}
+    for check in checks.CHECKS:
+        before = len(calls)
+        assert check.run(5)[0]
+        if len(calls) > before:
+            per_check[check.name] = calls[before:]
+    assert {name: len(made) for name, made in per_check.items()} == {
+        "sigma12_vs_alternating_sum": 48, "grassmannian_degree": 20,
+        "schubert_route": 24, "sigma3_reduction": 26}
+    assert {n for n, _ in per_check["sigma12_vs_alternating_sum"]} == {18}
+    assert {n for n, _ in per_check["grassmannian_degree"]} == {12}
+    calls.clear()
+    assert cli.main(["verify", "--suite", "all", "--max-g", "5"]) == 0
+    assert "23 checks, 0 failed" in capsys.readouterr().out
+    assert len(calls) <= 118

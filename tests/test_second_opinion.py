@@ -1,14 +1,20 @@
-"""A second opinion on the explicit covers, recomputed in sympy.
+"""A second opinion on the certified facts, recomputed in sympy.
 
 The maps over Q(sqrt 3) and Q(sqrt -3) certified by `covers` are written
 down again here from their formulas, never taken from `oddcovers` objects:
 sympy factors their Wronskians and fibers over the extension
 (`factor_list(..., extension=...)`) and checks their Moebius and involution
 identities. Only the results are compared with what `ratmap` returns, as
-tuples of rational coefficient pairs (a, b) for a + b sqrt(d). A defect in
-the one `Poly`, `QuadScalar` and `gcd` kernel under every covers check would
-have to be repeated in sympy to go unseen (McKeeman, "Differential testing
-for software", Digital Technical Journal 10(1), 1998).
+tuples of rational coefficient pairs (a, b) for a + b sqrt(d). The same goes
+for the two one-parameter families of `covers` (derivative factorizations
+and the discriminants -15 and -320) and for the Weierstrass identities of
+`weier`: the derivatives G' and G~' under D^2 = 4(P-e1)(P-e2)(P-e3), the
+discriminants of their quadratic factors and the six square-period
+specializations, compared with the `WeierPoly` terms as dicts
+{(i, j, k): int}. A defect in the one `Poly`, `QuadScalar`, `gcd` or
+`WeierPoly` kernel under those checks would have to be repeated in sympy to
+go unseen (McKeeman, "Differential testing for software", Digital Technical
+Journal 10(1), 1998).
 """
 
 from fractions import Fraction
@@ -17,12 +23,16 @@ from functools import cache
 import pytest
 import sympy
 
+from oddcovers import weier
 from oddcovers.covers import (
     check_deg3_maps,
     check_paired_quartic_maps,
     deg3_maps,
+    family_condition_deg5_alpha1,
+    family_condition_deg5_alpha2,
     paired_quartic_maps,
 )
+from oddcovers.poly import Poly, discriminant_quadratic
 from oddcovers.quadratic import QuadScalar
 from oddcovers.ratmap import INFINITY, fiber_profile, ramification_data
 
@@ -153,3 +163,122 @@ def test_second_after_moebius_is_first_in_sympy():
 def test_cubic_reflected_is_its_conjugate_in_sympy():
     assert sympy.expand(CUBIC[0].subs(t, 1 - t) - CUBIC_CONJ[0]) == 0
     assert check_deg3_maps()
+
+
+# -- the one-parameter families of covers ----------------------------------
+
+b = sympy.Symbol("b")
+
+
+def _nested_in_b(expr):
+    """A polynomial in t over b as the nested `Poly` of `covers`."""
+    return Poly([Poly([int(c) for c in reversed(sympy.Poly(coeff, b).all_coeffs())])
+                 for coeff in reversed(sympy.Poly(expr, t).all_coeffs())])
+
+
+@pytest.mark.parametrize("family, cofactor, quadratic, scale, condition, value, check", [
+    # t^3 (t-1)(t-b): f' = t^2 (5t^2 - 4(1+b)t + 3b), disc 4(4b^2 - 7b + 4)
+    (t ** 3 * (t - 1) * (t - b), t ** 2, 5 * t ** 2 - 4 * (1 + b) * t + 3 * b,
+     4, 4 * b ** 2 - 7 * b + 4, -15, family_condition_deg5_alpha1),
+    # t^2 (t-1)^2 (t-b): f' = (t^2-t)(5t^2 - (3+4b)t + 2b), disc 16b^2 - 16b + 9
+    (t ** 2 * (t - 1) ** 2 * (t - b), t ** 2 - t, 5 * t ** 2 - (3 + 4 * b) * t + 2 * b,
+     1, 16 * b ** 2 - 16 * b + 9, -320, family_condition_deg5_alpha2),
+], ids=["alpha1", "alpha2"])
+def test_family_discriminants_match_sympy(family, cofactor, quadratic, scale,
+                                          condition, value, check):
+    assert sympy.expand(sympy.diff(family, t) - cofactor * quadratic) == 0
+    disc = sympy.discriminant(quadratic, t)
+    assert sympy.expand(disc - scale * condition) == 0
+    # the condition has two distinct (non-real) roots
+    assert sympy.discriminant(condition, b) == value
+    assert len(sympy.roots(condition, b)) == 2
+    # the nested Poly layer computes the same discriminant, in b over Z
+    ours = discriminant_quadratic(_nested_in_b(quadratic))
+    assert ours == Poly([int(c) for c in reversed(sympy.Poly(disc, b).all_coeffs())])
+    assert check()
+
+
+# -- the Weierstrass identities --------------------------------------------
+
+P, D, e1, e2 = sympy.symbols("P D e1 e2")
+e3 = -e1 - e2
+WEIER_CUBIC = 4 * (P - e1) * (P - e2) * (P - e3)
+G2 = 4 * (e1 ** 2 + e1 * e2 + e2 ** 2)
+
+
+def _derive(f):
+    """The derivation P' = D, D' = 6P^2 - g2/2, on a rational function of P, D."""
+    return sympy.diff(f, P) * D + sympy.diff(f, D) * (6 * P ** 2 - G2 / 2)
+
+
+def _vanishes_on_the_curve(expr):
+    """Whether the rational function expr of P, D is 0 once D^2 = the cubic."""
+    numerator = sympy.expand(sympy.fraction(sympy.together(expr))[0])
+    return sympy.rem(numerator, D ** 2 - WEIER_CUBIC, D) == 0
+
+
+def _terms(expr):
+    """expr as the dict {(i, j, k): int} of its terms c P^i e1^j e2^k."""
+    return {key: int(c) for key, c in sympy.Poly(expr, P, e1, e2).as_dict().items()}
+
+
+def _normal_form(expr):
+    """The polynomial expr of P, D reduced by D^2 = the cubic to even + odd*D,
+    as the pair of term dicts of even and odd."""
+    reduced = sympy.Poly(sympy.rem(sympy.expand(expr), D ** 2 - WEIER_CUBIC, D), D)
+    return _terms(reduced.nth(0)), _terms(reduced.nth(1))
+
+
+# The quadratic factors of G' and G~', as their docstrings and citations state them.
+G_FACTOR = 2 * (3 * P ** 2 + 2 * (e2 - e1) * P - 3 * e1 ** 2 - e1 * e2 + e2 ** 2)
+GTILDE_FACTOR = 6 * P ** 2 - 2 * (e1 ** 2 + e1 * e2 + e2 ** 2) + 4 * (P - e2) * (P - e3)
+DELTA0 = 10 * e1 ** 2 + e1 * e2 - 2 * e2 ** 2
+GTILDE_DELTA = 16 * (5 * e1 ** 2 + 6 * e2 ** 2 + e3 ** 2 + 5 * e1 * e2 - 8 * e2 * e3)
+
+
+def test_weierstrass_derivatives_match_sympy():
+    # (D^2)' = 2 D D' is the derivative of the cubic
+    assert _vanishes_on_the_curve(2 * D * _derive(D) - _derive(WEIER_CUBIC))
+    # G = D (P-e2)/(P-e1): G' = ((P-e2)/(P-e1)) * G_FACTOR, and
+    # G_FACTOR = D' + 4(e2-e1)(P-e3)
+    g = D * (P - e2) / (P - e1)
+    assert _vanishes_on_the_curve(_derive(g) - (P - e2) / (P - e1) * G_FACTOR)
+    assert sympy.expand(G_FACTOR - (_derive(D) + 4 * (e2 - e1) * (P - e3))) == 0
+    # G~ = D (P-e1): G~' = (P-e1) * GTILDE_FACTOR
+    assert _vanishes_on_the_curve(_derive(D * (P - e1)) - (P - e1) * GTILDE_FACTOR)
+    # the derivation itself, in normal form, on the pieces of G and G~
+    for even, odd, expr in ((weier.P - weier.E1, 0, P - e1),
+                            (0, weier.P - weier.E2, D * (P - e2)),
+                            (0, weier.P - weier.E1, D * (P - e1)),
+                            (weier.CUBIC, weier.P * weier.P, WEIER_CUBIC + D * P ** 2)):
+        derived = weier.WeierExpr(even, odd).derive()
+        assert (derived.even.terms, derived.odd.terms) == _normal_form(_derive(expr))
+    # the same quadratics as weier's sparse integer polynomials
+    assert weier.G_QUADRATIC.terms == _terms(G_FACTOR)
+    assert weier.GTILDE_QUADRATIC.terms == _terms(GTILDE_FACTOR)
+    assert weier.CUBIC.terms == _terms(WEIER_CUBIC)
+    assert weier.PSECOND.terms == _terms(6 * P ** 2 - G2 / 2)
+
+
+def test_weierstrass_discriminants_match_sympy():
+    assert sympy.expand(sympy.discriminant(G_FACTOR, P) - 16 * DELTA0) == 0
+    assert sympy.expand(sympy.discriminant(GTILDE_FACTOR, P) - GTILDE_DELTA) == 0
+    assert weier.discriminant(weier.G_QUADRATIC).terms == _terms(16 * DELTA0)
+    assert weier.DELTA0.terms == _terms(DELTA0)
+    assert weier.discriminant(weier.GTILDE_QUADRATIC).terms == _terms(GTILDE_DELTA)
+    assert weier.GTILDE_DELTA.terms == _terms(GTILDE_DELTA)
+
+
+@pytest.mark.parametrize("expr, ours, values", [
+    (DELTA0, weier.DELTA0, (-2 * e2 ** 2, 10 * e1 ** 2, 7 * e1 ** 2)),
+    (GTILDE_DELTA, weier.GTILDE_DELTA, (240 * e2 ** 2, 96 * e1 ** 2, 96 * e1 ** 2)),
+], ids=["Delta0", "Gtilde_Delta"])
+def test_square_period_specializations_match_sympy(expr, ours, values):
+    # e1 = 0, e2 = 0 and e3 = 0 (e2 = -e1), in weier.SPECIALIZATION_LABELS order
+    substitutions = ({e1: 0}, {e2: 0}, {e2: -e1})
+    ourselves = ((0, weier.E2), (weier.E1, 0), (weier.E1, -weier.E1))
+    for subs, (x, y), value in zip(substitutions, ourselves, values):
+        special = sympy.expand(expr.subs(subs))
+        assert special == value
+        assert len(sympy.Add.make_args(special)) == 1 and special != 0
+        assert weier.substitute(ours, x, y).terms == _terms(special)

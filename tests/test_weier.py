@@ -1,11 +1,12 @@
 import functools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oddcovers import cli, weier
-from oddcovers.poly import Poly, discriminant_quadratic
-from oddcovers.weier import E1, E2, E3, P, WeierExpr
+from oddcovers.poly import Poly
+from oddcovers.weier import E1, E2, E3, P, WeierExpr, WeierPoly
 
 
 def test_generator_derivatives():
@@ -38,7 +39,7 @@ monos = st.tuples(
 
 def from_monomials(terms):
     return sum((c * P ** i * E1 ** j * E2 ** k for (i, j, k), c in terms.items()),
-               Poly())
+               WeierPoly())
 
 
 polys = st.dictionaries(monos, coeffs, max_size=3).map(from_monomials)
@@ -59,16 +60,20 @@ def test_normal_form_is_canonical(x, y):
 
 
 def test_equal_expressions_hash_alike():
-    # (E1 + 1) - E1 keeps its constant at depth 2, WeierExpr(1) at depth 1
+    # a constant left by cancellation hashes as the constant it equals
     assert len({WeierExpr(P * P - P * P + 1), WeierExpr(1)}) == 1
     assert len({WeierExpr((E1 + 1) - E1), WeierExpr(1)}) == 1
+    assert len({(E1 + 1) - E1, 1}) == 1
+    assert len({E1 - E1, WeierPoly(), 0}) == 1
 
 
 @settings(max_examples=40)
 @given(st.dictionaries(monos, coeffs, max_size=3))
 def test_monomials_round_trip(terms):
-    q = from_monomials(terms)
-    assert weier.monomials(q) == {k: c for k, c in terms.items() if c != 0}
+    nonzero = {k: c for k, c in terms.items() if c != 0}
+    assert from_monomials(terms).terms == nonzero
+    assert WeierPoly(terms).terms == nonzero
+    assert WeierPoly(terms) == from_monomials(terms)
 
 
 def test_G_identities():
@@ -95,15 +100,19 @@ def test_gtilde_delta_specializations():
 
 
 def test_discriminant_constants():
-    disc = discriminant_quadratic(weier.G_QUADRATIC)
-    assert Poly([disc]) == 16 * weier.DELTA0
+    disc = weier.discriminant(weier.G_QUADRATIC)
+    assert disc == 16 * weier.DELTA0
     assert weier.DELTA0 == 10 * E1 * E1 + E1 * E2 - 2 * E2 * E2
+    assert weier.discriminant(weier.GTILDE_QUADRATIC) == weier.GTILDE_DELTA
+    with pytest.raises(ValueError, match="P-degree exactly 2"):
+        weier.discriminant(weier.CUBIC)
 
 
 def test_substitution_numeric():
     # Delta0 at (e1, e2) = (1, 2): 10 + 2 - 8 = 4
     value = weier.substitute(weier.DELTA0, 1, 2)
-    assert value == Poly.constant(Fraction(4))
+    assert value == 4
+    assert value.terms == {(0, 0, 0): 4}
 
 
 def test_verify_specializes_each_discriminant_once(monkeypatch, capsys):
@@ -125,3 +134,68 @@ def test_verify_specializes_each_discriminant_once(monkeypatch, capsys):
     assert cli.main(["verify", "--suite", "weierstrass"]) == 0
     assert weier._specialize.cache_info().misses == 2
     assert type(weier.delta0_specializations()) is tuple
+
+
+@pytest.mark.parametrize("operand", [Fraction(1, 2), Fraction(2, 1), 0.5])
+def test_weier_polynomials_take_ints_only(operand):
+    with pytest.raises(TypeError):
+        operand * E1
+    with pytest.raises(TypeError):
+        E1 + operand
+    with pytest.raises(TypeError, match="ints, not %s" % type(operand).__name__):
+        WeierPoly({(0, 1, 0): operand})
+    with pytest.raises(TypeError):
+        WeierExpr(operand)
+    with pytest.raises(TypeError):
+        WeierExpr(P) * operand
+
+
+def test_weier_polynomials_refuse_bad_exponents():
+    with pytest.raises(ValueError, match="invalid exponents"):
+        WeierPoly({(0, -1, 0): 1})
+    with pytest.raises(ValueError, match="invalid exponents"):
+        WeierPoly({(1, 0): 1})
+
+
+# The nested Poly that `covers` still computes with: P over E1 over E2.
+NESTED_P = Poly([0, 1])
+NESTED_E1 = Poly([Poly([0, 1])])
+NESTED_E2 = Poly([Poly([Poly([0, 1])])])
+
+
+def nested(terms):
+    """The monomial dict as a nested Poly in P over E1 over E2."""
+    return sum((c * NESTED_P ** i * NESTED_E1 ** j * NESTED_E2 ** k
+                for (i, j, k), c in terms.items()), Poly())
+
+
+def nested_monomials(q, depth=3):
+    """Oracle: the nonzero terms {(i, j, k): c} of a nested Poly."""
+    if depth == 0:
+        return {(): q} if q != 0 else {}
+    q = q if isinstance(q, Poly) else Poly([q])
+    return {(i,) + key: c
+            for i, a in enumerate(q.coeffs)
+            for key, c in nested_monomials(a, depth - 1).items()}
+
+
+monomial_dicts = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+    st.integers(min_value=-20, max_value=20), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_dicts, monomial_dicts)
+def test_sparse_arithmetic_matches_nested_poly(x, y):
+    a, b = WeierPoly(x), WeierPoly(y)
+    assert (a + b).terms == nested_monomials(nested(x) + nested(y))
+    assert (a - b).terms == nested_monomials(nested(x) - nested(y))
+    assert (a * b).terms == nested_monomials(nested(x) * nested(y))
+    assert (3 * a).terms == nested_monomials(3 * nested(x))
+    assert a.derivative().terms == nested_monomials(nested(x).derivative())
+    # the P-coefficients are those of the outer Poly
+    outer = nested(x)
+    for n in range(5):
+        q = a.p_coefficient(n)
+        assert {key[1:]: c for key, c in q.terms.items()} == nested_monomials(outer[n], 2)
+        assert not any(key[0] for key in q.terms)

@@ -42,6 +42,9 @@ COMMANDS = (
     "verify --suite covers --format json",
     "verify --suite schubert --max-g 0 --format csv",
     "verify --suite weierstrass --max-g 0",
+    "schubert --g 8 --format json",
+    "verify --suite identities --format csv",
+    "verify --suite schubert --format json",
 )
 
 
