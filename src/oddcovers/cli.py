@@ -12,11 +12,10 @@ import sys
 from . import routes
 
 # The default cap on g for the Schubert route and the `schubert` command is a
-# CLI contract, pinned with exit code 3 by
-# tests/test_cli.py::test_resource_cap_exit_code; it is not a resource limit.
-# With --cap 50, `table --max-g 50 --routes schubert` takes about 0.12 s and
-# `schubert --g 50` about 0.13 s (process start to exit, no bytecode cache,
-# median of 21 runs, 2-core Xeon VM, Python 3.11).
+# CLI contract (exit code 3, pinned by tests/test_cli.py::test_resource_cap_exit_code),
+# not a resource limit. With --cap 50, `table --max-g 50 --routes schubert`
+# takes 0.11-0.13 s and `schubert --g 50` 0.12-0.14 s (process start to exit,
+# no bytecode cache, medians of 3 x 21 runs, shared 2-core Xeon VM, Python 3.11).
 SCHUBERT_CAP_DEFAULT = 12
 
 # The suites of `checks.SUITES`, in registry order: the --suite choices besides
@@ -131,13 +130,11 @@ def cmd_table(args) -> int:
         return 3
     prefixes = {r: routes.route_prefix(r, args.max_g, args.n4, args.n5) for r in route_list}
     rows = []
-    all_agree = True
     for g in range(args.max_g + 1):
         values = {r: prefixes[r][g] for r in route_list}
-        agree = len(set(values.values())) == 1
-        all_agree = all_agree and agree
         rows.append({"g": g, "values": {r: str(v) for r, v in values.items()},
-                     "agree": agree})
+                     "agree": len(set(values.values())) == 1})
+    all_agree = all(row["agree"] for row in rows)
     lines = ["g\t" + "\t".join(route_list) + "\tagree"]
     for row in rows:
         lines.append("%d\t%s\t%s" % (
@@ -214,12 +211,8 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "table": cmd_table,
-        "series": cmd_series,
-        "verify": cmd_verify,
-        "schubert": cmd_schubert,
-    }
+    handlers = {"table": cmd_table, "series": cmd_series,
+                "verify": cmd_verify, "schubert": cmd_schubert}
     return handlers[args.command](args)
 
 

@@ -5,8 +5,6 @@ Everything here is exact; no floating point is used anywhere in the package.
 
 from math import comb
 
-from .ring import check_exact, exact_div
-
 
 def binom_int(n: int, k: int) -> int:
     """Binomial coefficient n!/(k!(n-k)!); zero when k > n."""
@@ -25,13 +23,6 @@ def binom_ratio(p: int, q: int, k: int) -> tuple:
         num *= p - i * q
         den *= q * (i + 1)
     return num, den
-
-
-def binom_gen(a, k: int):
-    """Generalized binomial a(a-1)...(a-k+1)/k! for rational a, in canonical
-    form: one `binom_ratio` and a single gcd."""
-    check_exact((a,))
-    return exact_div(*binom_ratio(a.numerator, a.denominator, k))
 
 
 def catalan(n: int) -> int:

@@ -198,15 +198,12 @@ class Poly(RingElement):
 
     def root_order(self, point):
         """Multiplicity of `point` as a root (0 when not a root)."""
-        p = self
-        lin = Poly([-point, 1])
-        order = 0
-        while not p.is_zero():
-            q, r = divmod(p, lin)
-            if not r.is_zero():
-                break
+        p, lin, order = self, Poly([-point, 1]), 0
+        while p:
+            p, r = divmod(p, lin)
+            if r:
+                return order
             order += 1
-            p = q
         return order
 
     def __repr__(self):

@@ -13,6 +13,7 @@ and floats are refused. No nested extensions: sqrt of a QuadScalar is not
 provided.
 """
 
+import sys
 from math import gcd
 
 from .ring import RingElement, canonical, check_exact, exact_div, is_rational
@@ -133,21 +134,32 @@ class QuadScalar(RingElement):
         return NotImplemented
 
     def __hash__(self):
-        if self.m == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        if self.m:
+            return hash((self.n, self.m, self.den, self.d))
+        # hash(n/den) as Python hashes every rational, n times den^-1 modulo
+        # sys.hash_info.modulus ("Hashing of numeric types"): no Fraction
+        p = sys.hash_info.modulus
+        if self.den % p:
+            return hash(self.n * pow(self.den, -1, p))
+        return sys.hash_info.inf if self.n > 0 else -sys.hash_info.inf
 
     def __bool__(self):
         return self.n != 0 or self.m != 0
 
     def __repr__(self):
         if self.m == 0:
-            return repr(self.a)
-        return "(%s + %s*sqrt(%s))" % (self.a, self.b, self.d)
+            return repr(self.n) if self.den == 1 else "Fraction(%d, %d)" % (self.n, self.den)
+        return "(%s + %s*sqrt(%d))" % (_ratio(self.n, self.den), _ratio(self.m, self.den), self.d)
 
 
 # Slot setters that bypass RingElement's immutability guard.
 _SET_N, _SET_M, _SET_DEN, _SET_D = (QuadScalar.__dict__[k].__set__ for k in QuadScalar.__slots__)
+
+
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms as `str` writes a rational: "3" or "-3/4"."""
+    g = gcd(num, den)
+    return "%d" % (num // g) if den == g else "%d/%d" % (num // g, den // g)
 
 
 def sqrt_of(d) -> QuadScalar:

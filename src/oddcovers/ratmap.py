@@ -35,13 +35,10 @@ class RationalMap:
 
     @property
     def degree(self) -> int:
-        dn = self.num.degree if not self.num.is_zero() else 0
-        dd = self.den.degree
-        return max(dn, dd)
+        return max(self.num.degree or 0, self.den.degree)
 
     def is_constant(self) -> bool:
-        nd = self.num.degree
-        return (nd is None or nd == 0) and self.den.degree == 0
+        return not self.num.degree and self.den.degree == 0
 
     def __eq__(self, other):
         if not isinstance(other, RationalMap):
@@ -81,7 +78,9 @@ class RationalMap:
 
 def _fiber(f: RationalMap, value) -> Poly:
     """The polynomial whose roots, with multiplicity, are the finite points
-    of the fiber of f over `value`."""
+    of the fiber of f over `value`; raises ValueError for a constant f."""
+    if f.is_constant():
+        raise ValueError("constant map")
     return f.den if value == INFINITY else f.num - value * f.den
 
 
@@ -90,8 +89,6 @@ def vanishing_order(f: RationalMap, value, point) -> int:
 
     Returns 0 when f(point) != value.
     """
-    if f.is_constant():
-        raise ValueError("constant map")
     fib = _fiber(f, value)
     if point == INFINITY:
         return f.degree - fib.degree
@@ -143,8 +140,6 @@ def point_indices(data) -> list:
 def fiber_profile(f: RationalMap, value):
     """Partition of deg(f) given by multiplicities in the fiber over `value`,
     as a descending list; irrational points contribute via their factors."""
-    if f.is_constant():
-        raise ValueError("constant map")
     d = f.degree
     fib = _fiber(f, value)
     parts = []

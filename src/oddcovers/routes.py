@@ -12,7 +12,9 @@ order 2G+1, and integer-check every coefficient they read; the Schubert route
 reads every top evaluation off one chain of products in G(2,2G+2)
 (`schubert.top_power_prefix`); the coefficient route expands its g-free
 factor (1+z)^(1/2) once and takes one dot product per g; the closed route
-computes each g on its own.
+builds Catalan(0..2G) once and steps each row of binomial weights by exact
+ratios. Only the functions that expand a series import `series`, and only
+`route_prefix` imports `schubert`, so a job loads neither unless it runs them.
 
 The closed formula is evaluated for every g >= 0: the small-g values are the
 formal values of the sum and agree with the generating series.
@@ -20,18 +22,27 @@ formal values of the sum and agree with the generating series.
 
 from math import gcd
 
-from .combinat import binom_int, binom_ratio, catalan
+from .combinat import binom_ratio, catalan
 from .ring import exact_div
-from .series import Series, binomial_series, series_sqrt
 
 
-def alt_catalan_closed(g: int) -> int:
-    """A_g = 16^g * sum_i (-2)^i C(g,i) Catalan(2g-i)."""
-    if g < 0:
-        raise ValueError("g must be nonnegative")
-    return 16 ** g * sum(
-        (-2) ** i * binom_int(g, i) * catalan(2 * g - i) for i in range(g + 1)
-    )
+def closed_prefix(max_g: int) -> list:
+    """[A_0, ..., A_max_g], A_g = 16^g sum_i (-2)^i C(g,i) Catalan(2g-i), in
+    O(max_g^2) int operations: Catalan(0..2*max_g) is built once, and the weight
+    (-2)^i C(g,i) steps to i+1 by the ratio -2(g-i)/(i+1), checked to be exact."""
+    if max_g < 0:
+        raise ValueError("max_g must be nonnegative")
+    cats = [catalan(n) for n in range(2 * max_g + 1)]
+    prefix = []
+    for g in range(max_g + 1):
+        weight, total = 1, 0
+        for i in range(g + 1):
+            total += weight * cats[2 * g - i]
+            weight, rem = divmod(-2 * (g - i) * weight, i + 1)
+            if rem:
+                raise ArithmeticError("inexact binomial step at g = %d, i = %d" % (g, i))
+        prefix.append(16 ** g * total)
+    return prefix
 
 
 def coeff_form_prefix(max_g: int) -> list:
@@ -41,6 +52,7 @@ def coeff_form_prefix(max_g: int) -> list:
     2*max_g+1; [z^k] (1+z/2)^g is binom(g,k) 2^(-k). Each A_g is then one
     O(g) dot product, integer-checked, and the prefix costs O(max_g^2).
     """
+    from .series import Series, binomial_series
     if max_g < 0:
         raise ValueError("max_g must be nonnegative")
     root = binomial_series((1, 2), Series.identity(2 * max_g + 1))
@@ -63,13 +75,14 @@ def _integer(num: int, den: int, route: str) -> int:
     return num // den
 
 
-def genfun_series(order: int) -> Series:
+def genfun_series(order: int) -> "Series":
     """The generating series sum_g A_g w^(2g+1), expanded to the given order.
 
     Built from 2w / (R(w) + R(-w)), R = sqrt(1+64w^2+16w*s) with the even
     s = sqrt(1+16w^2): w over the even part of R, a unit series; every even
     coefficient vanishes.
     """
+    from .series import Series, series_sqrt
     if order < 1:
         raise ValueError("order must be at least 1")
     w = Series.identity(order)
@@ -78,9 +91,10 @@ def genfun_series(order: int) -> Series:
     return w * (root - root.odd_part()).inverse()
 
 
-def fmod_series(order: int) -> Series:
+def fmod_series(order: int) -> "Series":
     """Independent closed-form expansion of f(w):
     sqrt(64w^2 + 1 + 16w sqrt(16w^2+1)) / (8 sqrt(16w^2+1))."""
+    from .series import Series, series_sqrt
     w = Series.identity(order)
     s = series_sqrt(1 + 16 * (w * w))
     radicand = 1 + 64 * (w * w) + 16 * (w * s)
@@ -105,6 +119,7 @@ def lagrange_pipeline(order: int):
     phi, phi' = 4 (1+z/2)^(-1/2) and psi all have binomial form, so each is
     composed with u by `binomial_series` in O(n^2).
     """
+    from .series import Series, binomial_series
     if order < 1:
         raise ValueError("order must be at least 1")
     # [w^n] u = 2^(3n+1) binom(n/2, n-1) / n over the common denominator
@@ -143,19 +158,13 @@ ROUTES = ("closed", "coeff_form", "schubert", "genfun", "lagrange")
 
 
 def route_prefix(route: str, max_g: int, n4: int = 16, n5: int = 16) -> list:
-    """[A_0, ..., A_max_g] by one route.
-
-    `genfun` and `lagrange` expand their series once, to order 2*max_g+1, and
-    read every A_g off it, each checked to be an integer; `schubert` reads
-    every A_g off one chain of products in G(2,2*max_g+2); `coeff_form` is
-    `coeff_form_prefix`; `closed` computes each g on its own. `n4` and `n5`
-    weight sigma_{4,0} and sigma_{3,1} in the Schubert route. Raises
-    ValueError for an unknown route.
-    """
+    """[A_0, ..., A_max_g] by one route, computed as the module docstring
+    says; `n4` and `n5` weight sigma_{4,0} and sigma_{3,1} in the Schubert
+    route. Raises ValueError for an unknown route."""
     if max_g < 0:
         raise ValueError("max_g must be nonnegative")
     if route == "closed":
-        return [alt_catalan_closed(g) for g in range(max_g + 1)]
+        return closed_prefix(max_g)
     if route == "schubert":
         from . import schubert
 

@@ -118,19 +118,22 @@ class SchubertVector(RingElement):
         return SchubertVector._make(self.n, out)
 
     def __mul__(self, other):
-        """Giambelli, forming each o sigma_k at most once per product."""
+        """Giambelli, with the weight of each sigma_k sigma_j summed first: Pieri
+        runs for nonzero weights only (once per k, as k fixes j in a homogeneous class)."""
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        times = {0: o}  # times[k] = o sigma_k
-        out = {}
+        weights = {}  # weights[k, j] = weight of sigma_k sigma_j
         for (a, b), coeff in self.terms.items():
-            for k, j, sign in ((a, b, coeff), (a + 1, b - 1, -coeff)) if b else ((a, b, coeff),):
-                if k not in times:
-                    times[k] = o.pieri(k)
-                part = times[k].pieri(j) if j else times[k]
-                for key, c in part.terms.items():
-                    out[key] = out.get(key, 0) + sign * c
+            weights[a, b] = weights.get((a, b), 0) + coeff
+            if b:
+                weights[a + 1, b - 1] = weights.get((a + 1, b - 1), 0) - coeff
+        out = {}
+        for (k, j), weight in weights.items():
+            if weight:
+                part = o.pieri(k)
+                for key, c in (part.pieri(j) if j else part).terms.items():
+                    out[key] = out.get(key, 0) + weight * c
         return SchubertVector._make(self.n, out)
 
     def _one(self):

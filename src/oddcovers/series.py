@@ -17,7 +17,7 @@ cost O(n^2) coefficient operations at order n (fewer for sparse f).
 
 from math import gcd
 
-from .ring import RingElement, canonical, check_exact, exact_div
+from .ring import RingElement, canonical, check_exact, exact_div, is_rational
 
 
 class Series(RingElement):
@@ -86,8 +86,8 @@ class Series(RingElement):
     def _wrap(self, other):
         if isinstance(other, Series):
             return other
-        if hasattr(other, "denominator") and not isinstance(other, RingElement):
-            return Series.constant(other, self.order)  # an int or a Fraction
+        if is_rational(other):
+            return Series.constant(other, self.order)
         return None
 
     def __add__(self, other):

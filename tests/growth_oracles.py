@@ -9,7 +9,7 @@ decimal root strings come from integer root extraction.
 from collections import namedtuple
 from fractions import Fraction
 
-from oddcovers import routes
+from series_oracles import alt_catalan_closed
 
 
 def integer_nth_root(x: int, n: int) -> int:
@@ -60,7 +60,7 @@ def growth_report(max_g: int):
     """
     if max_g < 5:
         raise ValueError("growth_report needs max_g >= 5")
-    values = {g: routes.alt_catalan_closed(g) for g in range(ROOT_WINDOW_START, max_g + 1)}
+    values = {g: alt_catalan_closed(g) for g in range(ROOT_WINDOW_START, max_g + 1)}
     rows = []
     for g in range(ROOT_WINDOW_START, max_g):
         ratio = Fraction(values[g + 1], values[g])

@@ -1,15 +1,35 @@
-"""Generic series algorithms kept as test oracles.
+"""Generic series algorithms and per-term formulas kept as test oracles.
 
 The package computes the Lagrange route in O(n^2) from closed-form
 coefficients and binomial compositions; these are the generic routines it
 replaced (Horner composition, the power-by-power inversion rule, both O(n^3),
 and the derivative), which the tests use to cross-check it by a path that
-shares none of that structure.
+shares none of that structure. Likewise `binom_gen` is one generalized
+binomial at a time, and `alt_catalan_closed` the closed sum for one g at a
+time, with a fresh binomial and Catalan number for every term.
 """
 
 from fractions import Fraction
 
+from oddcovers.combinat import binom_int, binom_ratio, catalan
+from oddcovers.ring import check_exact, exact_div
 from oddcovers.series import Series
+
+
+def binom_gen(a, k: int):
+    """Generalized binomial a(a-1)...(a-k+1)/k! for rational a, in canonical
+    form: one `binom_ratio` and a single gcd."""
+    check_exact((a,))
+    return exact_div(*binom_ratio(a.numerator, a.denominator, k))
+
+
+def alt_catalan_closed(g: int) -> int:
+    """A_g = 16^g * sum_i (-2)^i C(g,i) Catalan(2g-i)."""
+    if g < 0:
+        raise ValueError("g must be nonnegative")
+    return 16 ** g * sum(
+        (-2) ** i * binom_int(g, i) * catalan(2 * g - i) for i in range(g + 1)
+    )
 
 
 def compose(outer: Series, inner: Series) -> Series:

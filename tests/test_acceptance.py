@@ -34,7 +34,7 @@ def _passed(suite, names, max_g=5):
 def test_criterion_1_route_agreement():
     start = time.time()
     ok = _passed("identities", ["route_agreement"], max_g=20)
-    spots = [routes.alt_catalan_closed(g) for g in range(4)]
+    spots = routes.route_prefix("closed", 3)
     ok = ok and spots == [1, 0, 512, 32768]
     ok = ok and time.time() - start < 30
     _report("criterion 1: four series/sum routes agree for g <= 20 "

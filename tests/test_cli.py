@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from oddcovers import cli, routes
-from oddcovers.routes import alt_catalan_closed
 from oddcovers.series import Series
+
+from series_oracles import alt_catalan_closed
 
 
 def run(capsys, *argv):
@@ -44,7 +45,6 @@ def test_table_json_round_trips(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["command"] == "table"
-    from oddcovers.routes import alt_catalan_closed
     for row in payload["rows"]:
         assert int(row["values"]["closed"]) == alt_catalan_closed(row["g"])
         assert row["agree"] is True
@@ -372,6 +372,29 @@ def test_table_series_and_schubert_load_no_rational_number_modules(argv):
     assert probe["code"] == 0
     assert [name for name in ("fractions", "decimal", "numbers")
             if name in probe["added"]] == []
+
+
+def test_cli_import_loads_no_series():
+    probe = _probe(IMPORT_PROBE)
+    assert "oddcovers.routes" in probe["added"]
+    assert "oddcovers.series" not in probe["added"]
+
+
+@pytest.mark.parametrize("argv, loads_series", [
+    (["table", "--max-g", "4", "--routes", "closed,schubert"], False),
+    (["table", "--max-g", "4", "--routes", "closed"], False),
+    (["schubert", "--g", "3"], False),
+    (["table", "--max-g", "4", "--routes", "closed,coeff_form"], True),
+    (["table", "--max-g", "4", "--routes", "genfun"], True),
+    (["table", "--max-g", "4", "--routes", "lagrange"], True),
+    (["series", "--order", "11"], True),
+    (["verify", "--suite", "identities", "--max-g", "5"], True),
+])
+def test_only_series_work_loads_series(argv, loads_series):
+    # closed and schubert compute on ints and Schubert classes alone
+    probe = _probe(COMMAND_PROBE, *argv)
+    assert probe["code"] == 0
+    assert ("oddcovers.series" in probe["added"]) is loads_series
 
 
 def test_schubert_stands_on_ring_alone():

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oddcovers.combinat import binom_gen, binom_int, catalan
+from oddcovers.combinat import binom_int, catalan
 
 from growth_oracles import decimal_root_string, integer_nth_root
+from series_oracles import binom_gen
 
 CATALANS = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 

@@ -1,10 +1,15 @@
 import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from oddcovers import quadratic
 from oddcovers.quadratic import QuadScalar, sqrt_of
 
 rationals = st.fractions(max_denominator=6, min_value=Fraction(-8), max_value=Fraction(8))
@@ -144,6 +149,37 @@ def test_operations_build_what_the_checked_constructor_builds(a, b, c, e, r):
         assert _stored(value) == _stored(checked[name]), name
         assert value == checked[name] and hash(value) == hash(checked[name])
         assert repr(value) == repr(checked[name])
+
+
+HASH_MODULUS = sys.hash_info.modulus
+
+
+@given(st.fractions(), st.fractions())
+@example(Fraction(1, HASH_MODULUS), 0)
+@example(Fraction(-3, 2 * HASH_MODULUS), 0)
+@example(Fraction(-1, 2), 0)
+@example(Fraction(-1, 2), Fraction(5, 6))
+def test_hash_and_repr_read_the_stored_ints(a, b):
+    # hash and repr agree with those of the rational parts a and b
+    x = QuadScalar(a, b, D)
+    a, b = (c.numerator if c.denominator == 1 else c for c in (a, b))
+    if b == 0:
+        assert hash(x) == hash(a) == hash(Fraction(a)) and repr(x) == repr(a)
+    else:
+        assert hash(x) == hash((x * 6).over(6)) and x != a
+        assert repr(x) == "(%s + %s*sqrt(%s))" % (a, b, D)
+
+
+def test_hash_and_repr_load_no_fractions():
+    script = ("import sys; from oddcovers.quadratic import QuadScalar\n"
+              "for x in (QuadScalar(1, 0, 3).over(2), QuadScalar(1, 1, 3).over(2)):\n"
+              "    hash(x), repr(x)\n"
+              "print('fractions' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(quadratic.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_rational_discriminant_is_refused():

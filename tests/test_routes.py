@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from oddcovers import checks, routes
-from oddcovers.combinat import binom_gen, binom_ratio
+from oddcovers import checks, routes, series
+from oddcovers.combinat import binom_ratio
 from oddcovers.schubert import SchubertVector, top_power_prefix
 from oddcovers.series import Series
 
 from growth_oracles import RATIO_BOUND, ROOT_WINDOW_START, growth_report
-from series_oracles import compose, derivative, lagrange_invert
+from series_oracles import alt_catalan_closed, binom_gen, compose, derivative, lagrange_invert
 
 # Frozen by an independent pre-build evaluation of the alternating sum.
 FROZEN = [
@@ -30,13 +30,20 @@ F_COEFFS = [
 
 
 def test_closed_formula_frozen_values():
-    assert [routes.alt_catalan_closed(g) for g in range(9)] == FROZEN
+    assert routes.route_prefix("closed", 8) == FROZEN
+    assert [alt_catalan_closed(g) for g in range(9)] == FROZEN
 
 
 def test_coeff_form_matches_closed():
     # A_g as the last entry of its own prefix, for every g
     for g in range(31):
-        assert routes.route_prefix("coeff_form", g)[g] == routes.alt_catalan_closed(g)
+        assert routes.route_prefix("coeff_form", g)[g] == alt_catalan_closed(g)
+
+
+def test_closed_prefix_matches_the_per_g_sum_to_g_200():
+    # one Catalan table and ratio-stepped binomial rows against a fresh
+    # binomial and Catalan number for every term of every g
+    assert routes.route_prefix("closed", 200) == [alt_catalan_closed(g) for g in range(201)]
 
 
 def test_coeff_form_prefix_matches_closed_to_g_100():
@@ -50,14 +57,14 @@ def test_genfun_is_odd_with_A_g_coefficients():
         if n % 2 == 0:
             assert f[n] == 0
         else:
-            assert f[n] == routes.alt_catalan_closed((n - 1) // 2)
+            assert f[n] == alt_catalan_closed((n - 1) // 2)
 
 
 def test_genfun_agrees_with_closed_to_order_201():
     f = routes.genfun_series(201)
     for g in range(100 + 1):
         assert f[2 * g] == 0
-        assert f[2 * g + 1] == routes.alt_catalan_closed(g)
+        assert f[2 * g + 1] == alt_catalan_closed(g)
 
 
 def test_genfun_and_lagrange_series_are_integral():
@@ -67,7 +74,7 @@ def test_genfun_and_lagrange_series_are_integral():
 
 
 def test_coeff_form_integer_checks_its_dot_product(monkeypatch):
-    monkeypatch.setattr(routes, "binomial_series",
+    monkeypatch.setattr(series, "binomial_series",
                         lambda a, inner: Series([Fraction(1, 3)] * (inner.order + 1)))
     with pytest.raises(AssertionError, match="coefficient route produced a non-integer"):
         routes.route_prefix("coeff_form", 2)
@@ -78,7 +85,7 @@ def test_lagrange_pipeline_matches_closed():
     u, f, h = routes.lagrange_pipeline(order)
     assert [f[n] for n in range(8)] == F_COEFFS
     for g in range(20 + 1):
-        assert h[2 * g + 1] == routes.alt_catalan_closed(g)
+        assert h[2 * g + 1] == alt_catalan_closed(g)
 
 
 def test_lagrange_pipeline_reads_odd_part_of_its_own_f():
@@ -140,7 +147,7 @@ def test_sigma3_route():
     # the restriction map each value is the one of its own G(2,2g+2)
     one_chain = top_power_prefix(SchubertVector.unit(18).pieri(3).pieri(1).terms, 8)
     assert one_chain[1:] == [sigma3_top(g) for g in range(1, 9)]
-    assert all(16 ** g * sigma3_top(g) == routes.alt_catalan_closed(g) for g in range(1, 9))
+    assert all(16 ** g * sigma3_top(g) == alt_catalan_closed(g) for g in range(1, 9))
     [result] = [r for r in checks.run_checks(["schubert"], 5) if r["name"] == "sigma3_reduction"]
     assert result["pass"]
 
@@ -181,7 +188,7 @@ def test_route_prefix_rejects_non_integer(monkeypatch, route, name, fake):
 def test_route_prefix_matches_closed(route):
     top = 12 if route == "schubert" else 20
     assert routes.route_prefix(route, top) == [
-        routes.alt_catalan_closed(g) for g in range(top + 1)
+        alt_catalan_closed(g) for g in range(top + 1)
     ]
     assert routes.route_prefix(route, 0) == [1]
 
@@ -189,7 +196,7 @@ def test_route_prefix_matches_closed(route):
 def test_lagrange_route_prefix_matches_closed_to_g_80():
     # one expansion to order 161, every contract checked on the way
     assert routes.route_prefix("lagrange", 80) == [
-        routes.alt_catalan_closed(g) for g in range(81)
+        alt_catalan_closed(g) for g in range(81)
     ]
 
 
@@ -221,4 +228,6 @@ def test_route_prefix_checks_every_coefficient(monkeypatch, route, name, fake):
 
 def test_negative_g_rejected():
     with pytest.raises(ValueError):
-        routes.alt_catalan_closed(-1)
+        routes.closed_prefix(-1)
+    with pytest.raises(ValueError):
+        alt_catalan_closed(-1)

@@ -165,8 +165,8 @@ def test_product_matches_giambelli_oracle(drawn):
     assert (u * v).terms == product_oracle(u.terms, v.terms, n)
 
 
-def test_top_power_prefix_makes_three_pieri_calls_per_step(monkeypatch):
-    # r * (16 sigma_{4,0} + 16 sigma_{3,1}) needs r sigma_4, r sigma_3 and (r sigma_3) sigma_1
+def _count_pieri(monkeypatch):
+    """The list of c of every Pieri call from now on."""
     calls = []
     pieri = SchubertVector.pieri
 
@@ -175,9 +175,45 @@ def test_top_power_prefix_makes_three_pieri_calls_per_step(monkeypatch):
         return pieri(self, c)
 
     monkeypatch.setattr(SchubertVector, "pieri", counted)
+    return calls
+
+
+def test_top_power_prefix_makes_three_pieri_calls_per_step(monkeypatch):
+    # unequal weights: 8 sigma_{4,0} + 5 sigma_{3,1} = 3 sigma_4 + 5 sigma_3 sigma_1,
+    # so each step needs r sigma_4, r sigma_3 and (r sigma_3) sigma_1
+    calls = _count_pieri(monkeypatch)
+    tops = top_power_prefix({(4, 0): 8, (3, 1): 5}, 12)
+    assert sorted(calls) == sorted([4, 3, 1] * 12)
+    monkeypatch.undo()
+    n, r, oracle = 26, {(0, 0): 1}, []
+    for g in range(13):
+        oracle.append(r.get((2 * g, 2 * g), 0))
+        r = product_oracle({(4, 0): 8, (3, 1): 5}, r, n)
+    assert tops == oracle
+
+
+def test_top_power_prefix_makes_two_pieri_calls_per_step(monkeypatch):
+    # 16 sigma_{4,0} + 16 sigma_{3,1} = 16 sigma_3 sigma_1: the sigma_4 weights
+    # cancel, so each step is r sigma_3 and (r sigma_3) sigma_1
+    calls = _count_pieri(monkeypatch)
     tops = top_power_prefix({(4, 0): 16, (3, 1): 16}, 12)
-    assert len(calls) == 3 * 12
+    assert calls == [3, 1] * 12
     assert tops == routes.route_prefix("closed", 12)
+
+
+@pytest.mark.parametrize("n", [6, 8, 11])
+def test_product_with_cancelling_giambelli_weights(monkeypatch, n):
+    # sigma_{4,0} + sigma_{3,1} + sigma_{2,2} = sigma_2^2: the weights on
+    # sigma_3 sigma_1 and on sigma_4 cancel, leaving 2 Pieri calls
+    u = giambelli(4, 0, n) + giambelli(3, 1, n) + giambelli(2, 2, n)
+    assert u == SchubertVector(n, {(4, 0): 1, (3, 1): 1, (2, 2): 1})
+    v = SchubertVector(n, {(a, b): 2 * a - b + 1 for a in range(n - 1) for b in range(a + 1)})
+    calls = _count_pieri(monkeypatch)
+    product = u * v
+    assert calls == [2, 2]
+    monkeypatch.undo()
+    assert product == v.pieri(2).pieri(2)
+    assert product.terms == product_oracle(u.terms, v.terms, n)
 
 
 @pytest.mark.parametrize("inexact", [0.5, Fraction(1, 2), Fraction(2, 1)],
@@ -313,8 +349,9 @@ def test_schubert_prefix_matches_closed_to_g_40():
 def test_each_schubert_check_reads_one_chain(monkeypatch, capsys):
     # sigma12_vs_alternating_sum: a sigma_1^2 chain of 16 steps and a sigma_2
     # chain of 16 in G(2,18); grassmannian_degree: a sigma_1^2 chain of 10
-    # steps in G(2,12); the two route checks: 8 products of 3 Pieri calls
-    # each, plus 2 to build sigma_1 sigma_3
+    # steps in G(2,12); the two route checks: 8 products of 2 Pieri calls
+    # each (the sigma_4 weights of sigma_{4,0} + sigma_{3,1} cancel), plus 2
+    # to build sigma_1 sigma_3
     calls = []
     original = SchubertVector.pieri
 
@@ -331,10 +368,10 @@ def test_each_schubert_check_reads_one_chain(monkeypatch, capsys):
             per_check[check.name] = calls[before:]
     assert {name: len(made) for name, made in per_check.items()} == {
         "sigma12_vs_alternating_sum": 48, "grassmannian_degree": 20,
-        "schubert_route": 24, "sigma3_reduction": 26}
+        "schubert_route": 16, "sigma3_reduction": 18}
     assert {n for n, _ in per_check["sigma12_vs_alternating_sum"]} == {18}
     assert {n for n, _ in per_check["grassmannian_degree"]} == {12}
     calls.clear()
     assert cli.main(["verify", "--suite", "all", "--max-g", "5"]) == 0
     assert "23 checks, 0 failed" in capsys.readouterr().out
-    assert len(calls) <= 118
+    assert len(calls) == 102

@@ -4,10 +4,10 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oddcovers.combinat import binom_gen, catalan
+from oddcovers.combinat import catalan
 from oddcovers.series import Series, _scaled_power, binomial_series, series_sqrt
 
-from series_oracles import compose, lagrange_invert
+from series_oracles import binom_gen, compose, lagrange_invert
 
 
 def test_geometric_inverse():

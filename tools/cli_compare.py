@@ -45,6 +45,9 @@ COMMANDS = (
     "schubert --g 8 --format json",
     "verify --suite identities --format csv",
     "verify --suite schubert --format json",
+    "table --max-g 200 --routes closed,coeff_form --format json",
+    "table --max-g 60 --routes closed --format csv",
+    "table --max-g 40 --routes schubert,closed --cap 40 --format json",
 )
 
 
