@@ -4,9 +4,10 @@ command loads `covers`, `weier` and the `poly`, `ratmap` and `quadratic`
 layers under them."""
 
 from collections import namedtuple
+from math import comb
 
 from . import covers, routes, schubert, weier
-from .combinat import binom_int, binom_ratio, catalan
+from .combinat import binom_ratio, catalan
 
 # One certified fact; `run(max_g)` returns (passed, detail). `max_g` is the
 # identity window, --max-g but never below 5. A citation may name it as %(g)d,
@@ -21,8 +22,8 @@ ROUTE_AGREEMENT_MAX_G = 20
 
 def binomial_identity_check(g: int) -> bool:
     """sum_k (-1)^k 2^(g-k) C(g,k) C(g-k,i) == C(g,i) 2^i for every 0 <= i <= g."""
-    return all(sum((-1) ** k * 2 ** (g - k) * binom_int(g, k) * binom_int(g - k, i)
-                   for k in range(g - i + 1)) == binom_int(g, i) * 2 ** i
+    return all(sum((-1) ** k * 2 ** (g - k) * comb(g, k) * comb(g - k, i)
+                   for k in range(g - i + 1)) == comb(g, i) * 2 ** i
                for i in range(g + 1))
 
 
@@ -53,7 +54,7 @@ def catalan_alternating_sum(g: int, m: int) -> int:
     if not 0 <= m <= 2 * g:
         raise ValueError("need 0 <= m <= 2g")
     return sum(
-        (-1) ** i * binom_int(2 * g - m, i) * catalan(2 * g - i)
+        (-1) ** i * comb(2 * g - m, i) * catalan(2 * g - i)
         for i in range(2 * g - m + 1)
     )
 

@@ -6,13 +6,6 @@ Everything here is exact; no floating point is used anywhere in the package.
 from math import comb
 
 
-def binom_int(n: int, k: int) -> int:
-    """Binomial coefficient n!/(k!(n-k)!); zero when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binom_int requires nonnegative arguments")
-    return comb(n, k) if k <= n else 0
-
-
 def binom_ratio(p: int, q: int, k: int) -> tuple:
     """(num, den), ints with binom(p/q, k) = num/den and den = q^k k! > 0 for
     q > 0: num is prod_{i<k} (p - iq). Not reduced."""

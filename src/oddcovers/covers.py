@@ -2,15 +2,16 @@
 
 Three independent strands meet here: symbolic one-parameter families of
 covers of the line (discriminant conditions with the parameter b kept as an
-indeterminate), explicit low-degree maps over Q, Q(sqrt(3)) and Q(sqrt(-3))
-whose ramification is verified point by point, and the bookkeeping that
+indeterminate, in the integer polynomials `poly.IntPoly` in t and b),
+explicit low-degree maps over Q, Q(sqrt(3)) and Q(sqrt(-3)) whose
+ramification is verified point by point, and the bookkeeping that
 turns local cover counts into the two intersection numbers 16 feeding the
 Schubert route. Everything is an exact polynomial identity; no numerics.
 Each check ramifies each of its maps once, by `ratmap.ramification_data`,
 which certifies Riemann-Hurwitz itself, and reads every index off that list.
 """
 
-from .poly import Poly, discriminant_quadratic
+from .poly import IntPoly, Poly, discriminant
 from .quadratic import QuadScalar, sqrt_of
 from .ratmap import (
     INFINITY,
@@ -24,11 +25,6 @@ from .ratmap import (
 from .ring import exact_div
 
 
-def _tpoly(*coeffs_in_b):
-    """A polynomial in t whose coefficients are polynomials in b."""
-    return Poly([c if isinstance(c, Poly) else Poly([c]) for c in coeffs_in_b])
-
-
 def family_condition_deg5_alpha1() -> bool:
     """The family t^3 (t-1) (t-b) with a triple point at 0.
 
@@ -37,16 +33,15 @@ def family_condition_deg5_alpha1() -> bool:
     4b^2 - 7b + 4 has two distinct roots (its own discriminant is -15,
     incidentally negative: the two parameter values are non-real).
     """
-    b = Poly.x()
-    t = _tpoly(0, 1)
-    family = t ** 3 * (t - _tpoly(1)) * (t - Poly([b]))
-    quad = _tpoly(3 * b, -4 * (1 + b), 5)
-    if family.derivative() != t ** 2 * quad:
+    t, b = IntPoly.variables(2)
+    family = t ** 3 * (t - 1) * (t - b)
+    quad = 5 * t * t - 4 * (1 + b) * t + 3 * b
+    if family.derivative(0) != t ** 2 * quad:
         return False
-    condition = Poly([4, -7, 4])
-    if discriminant_quadratic(quad) != 4 * condition:
+    condition = 4 * b * b - 7 * b + 4
+    if discriminant(quad, 0) != 4 * condition:
         return False
-    return discriminant_quadratic(condition) == -15
+    return discriminant(condition, 1) == -15
 
 
 def family_condition_deg5_alpha2() -> bool:
@@ -57,20 +52,19 @@ def family_condition_deg5_alpha2() -> bool:
     as well, and that the double-root condition on the quadratic factor is
     16b^2 - 16b + 9 = 0, again with two distinct roots (discriminant -320).
     """
-    b = Poly.x()
-    t = _tpoly(0, 1)
+    t, b = IntPoly.variables(2)
     tt = t * t - t
-    family = tt * tt * (t - Poly([b]))
-    quad = _tpoly(2 * b, -1 * (3 + 4 * b), 5)
-    derivative = family.derivative()
+    family = tt * tt * (t - b)
+    quad = 5 * t * t - (3 + 4 * b) * t + 2 * b
+    derivative = family.derivative(0)
     if derivative != tt * quad:
         return False
-    if derivative != 2 * tt * _tpoly(0 - b, 1) * _tpoly(-1, 2) + tt * tt:
+    if derivative != 2 * tt * (2 * t - 1) * (t - b) + tt * tt:
         return False
-    condition = Poly([9, -16, 16])
-    if discriminant_quadratic(quad) != condition:
+    condition = 16 * b * b - 16 * b + 9
+    if discriminant(quad, 0) != condition:
         return False
-    return discriminant_quadratic(condition) == -320
+    return discriminant(condition, 1) == -320
 
 
 def quartic_cover_map() -> RationalMap:

@@ -1,10 +1,11 @@
-"""Dense univariate polynomials over an exact scalar ring.
+"""The polynomial rings: dense univariate `Poly` over Q and Q(sqrt d), and
+sparse `IntPoly` over Z in a fixed number of variables.
 
-Scalars may be rationals, QuadScalar, or (for computations with a symbolic
-parameter) another Poly. A rational coefficient is stored in the canonical
-exact form of `ring.canonical`: an `int` when integral, a reduced `Fraction`
-otherwise, so the integer covers of `covers` run on Python ints. The
-constructor checks and canonicalizes what a caller passes; the ring
+A `Poly` coefficient is a rational or a QuadScalar; any other coefficient
+(a Poly included) raises TypeError. A rational coefficient is stored in the
+canonical exact form of `ring.canonical`: an `int` when integral, a reduced
+`Fraction` otherwise, so the integer covers of `covers` run on Python ints.
+The constructor checks and canonicalizes what a caller passes; the ring
 operations build their results through the unchecked `Poly._make`.
 Division-based operations (divmod, monic) require field scalars; they
 divide a coefficient by an int or Fraction with `ring.exact_div` or
@@ -16,24 +17,24 @@ which lands in Z or Z[sqrt d]; the subresultant remainder sequence (Collins,
 JACM 1967; Brown & Traub, JACM 1971; Knuth, TAOCP vol. 2, section 4.6.1,
 Algorithm C) and Yun's steps run there on pseudo-quotients, and each result
 is made monic over the field once, at the end.
-
-A polynomial in several variables is a Poly in the outermost variable whose
-coefficients are polynomials in the others (Knuth, TAOCP vol. 2, section
-4.6): `covers` nests t over the parameter b (`weier` keeps its integer
-polynomials in P, E1, E2 sparse instead). So derivative(), p[k] and degree
-act on the outermost variable, and a constant may sit at any depth:
-Poly([1]), Poly([Poly([1])]) and 1 are equal.
 Equal values hash alike, because a Poly of degree at most 0 hashes as its
 constant coefficient (the zero Poly as 0), the rule QuadScalar uses when b = 0.
-
 The zero polynomial has degree None, a deliberate sentinel: no -1 arithmetic.
+
+An `IntPoly` in n variables is a `ring.SparseElement`: a dict {exponents: c}
+of its nonzero terms, each exponent tuple of length n and each c an int,
+added and multiplied term by term (Johnson, "Sparse polynomial arithmetic",
+SIGSAM Bull. 8(3), 1974), so it builds no fraction. `covers` computes in
+(t, b) and `weier` in (P, E1, E2); operands in different numbers of
+variables raise ValueError, and ints coerce to constants.
 """
 
 from itertools import zip_longest
 from math import gcd as _int_gcd
+from operator import add
 
 from .quadratic import QuadScalar
-from .ring import RingElement, canonical, check_exact, exact_div, is_rational
+from .ring import RingElement, SparseElement, canonical, exact_div, is_rational
 
 
 class Poly(RingElement):
@@ -41,7 +42,10 @@ class Poly(RingElement):
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
-        check_exact(coeffs)
+        for c in coeffs:
+            if not _is_scalar(c):
+                raise TypeError("Poly coefficients are rationals or QuadScalars, not %s"
+                                % type(c).__name__)
         coeffs = [canonical(c) if type(c) is not int and is_rational(c) else c
                   for c in coeffs]
         while coeffs and coeffs[-1] == 0:
@@ -89,7 +93,7 @@ class Poly(RingElement):
     def _wrap(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, QuadScalar) or is_rational(other):
+        if _is_scalar(other):
             return Poly._make([other])
         return None
 
@@ -216,6 +220,10 @@ class Poly(RingElement):
         return "Poly(" + " + ".join(parts) + ")"
 
 
+def _is_scalar(c) -> bool:
+    return isinstance(c, QuadScalar) or is_rational(c)
+
+
 def _divide(x, y):
     """x / y for a nonzero field scalar y. A QuadScalar y is inverted; an int
     or Fraction y divides a QuadScalar x by `QuadScalar.over` and a rational x
@@ -319,14 +327,6 @@ def gcd(p: Poly, q: Poly) -> Poly:
     return Poly._make(_gcd_multiple(_integral(p), _integral(q))).monic()
 
 
-def discriminant_quadratic(p: Poly):
-    """b^2 - 4ac for a degree-2 polynomial; ring operation, no division."""
-    if p.degree != 2:
-        raise ValueError("discriminant_quadratic requires degree exactly 2")
-    alpha, beta, gamma = p.coeffs[2], p.coeffs[1], p.coeffs[0]
-    return beta * beta - 4 * alpha * gamma
-
-
 def _divide_both(b: Poly, c: Poly, f):
     """lc(f)^e (b / f, c / f) for the e = deg b - deg f + 1 of b, where f
     divides b and c and deg c < deg b: exact pseudo-quotients, one scale."""
@@ -361,3 +361,89 @@ def squarefree_decomposition(p: Poly):
             out.append((Poly._make(f).monic(), i))
         b, c = _divide_both(b, d, f)
     raise ArithmeticError("Yun's steps did not end within deg p = %d" % p.degree)
+
+
+class IntPoly(SparseElement):
+    __slots__ = ()
+    _mismatch = "mismatched variable counts %d vs %d"
+
+    def __init__(self, n: int, terms=None):
+        terms = terms or {}
+        for key, c in terms.items():
+            if not isinstance(c, int):
+                raise TypeError("IntPoly coefficients are ints, not %s" % type(c).__name__)
+            if len(key) != n or min(key, default=0) < 0:
+                raise ValueError("invalid exponents %r" % (key,))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+
+    @staticmethod
+    def variables(n: int) -> tuple:
+        """The n generators x_0, ..., x_{n-1}."""
+        return tuple(IntPoly._make(n, {tuple(int(i == v) for i in range(n)): 1})
+                     for v in range(n))
+
+    def _wrap(self, other):
+        if isinstance(other, int):
+            return IntPoly._make(self.n, {(0,) * self.n: other})
+        return super()._wrap(other)
+
+    def __mul__(self, other):
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        out = {}
+        for k, c in self.terms.items():
+            for m, e in o.terms.items():
+                key = tuple(map(add, k, m))
+                out[key] = out.get(key, 0) + c * e
+        return IntPoly._make(self.n, out)
+
+    __rmul__ = __mul__
+
+    def _one(self):
+        return IntPoly._make(self.n, {(0,) * self.n: 1})
+
+    def __hash__(self):
+        # a constant hashes as its int (zero as 0), as equal values must
+        zero = (0,) * self.n
+        if self.terms.keys() <= {zero}:
+            return hash(self.terms.get(zero, 0))
+        return hash(frozenset(self.terms.items()))
+
+    def derivative(self, var: int):
+        """The partial derivative in variable `var`."""
+        return IntPoly._make(self.n, {k[:var] + (k[var] - 1,) + k[var + 1:]: k[var] * c
+                                      for k, c in self.terms.items() if k[var]})
+
+    def coefficient(self, var: int, e: int):
+        """The coefficient of x_var^e, a polynomial in the other variables."""
+        return IntPoly._make(self.n, {k[:var] + (0,) + k[var + 1:]: c
+                                      for k, c in self.terms.items() if k[var] == e})
+
+    def format(self, names) -> str:
+        """Terms by decreasing exponents, as in 10*E1^2 + E1*E2 for names
+        (P, E1, E2)."""
+        if not self.terms:
+            return "0"
+        parts = []
+        for key in sorted(self.terms, reverse=True):
+            c = self.terms[key]
+            factors = [name if e == 1 else "%s^%d" % (name, e)
+                       for name, e in zip(names, key) if e]
+            if not factors or c != 1:
+                factors.insert(0, str(c))
+            parts.append("*".join(factors))
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return "IntPoly(%s; n=%d)" % (self.format(["x%d" % i for i in range(self.n)]), self.n)
+
+
+def discriminant(q: IntPoly, var: int) -> IntPoly:
+    """b^2 - 4ac for q = a x^2 + b x + c of degree exactly 2 in x = x_var;
+    no division."""
+    if max((k[var] for k in q.terms), default=None) != 2:
+        raise ValueError("discriminant requires degree exactly 2 in x_%d" % var)
+    c, b, a = (q.coefficient(var, e) for e in range(3))
+    return b * b - 4 * a * c

@@ -5,6 +5,9 @@ supplies `_wrap(other)` (the operand as an element of its own ring, or None
 when the operand is foreign), `__add__`, `__neg__`, `__mul__` and `_one()`.
 Immutability, subtraction and nonnegative integer powers are derived here,
 and `check_exact` keeps inexact numbers out of their coefficients.
+`SparseElement` is the dict of nonzero int terms over a shared context `n`
+that `SchubertVector` (n of G(2,n)) and `poly.IntPoly` (n variables) both
+are: it supplies their construction, addition, negation and equality.
 `canonical` and `exact_div` give a rational value the one form every ring
 class stores: an `int` when integral, a reduced `Fraction` otherwise. A
 rational is told apart by `is_rational`, with no import: it has a
@@ -96,3 +99,50 @@ class RingElement:
             if not n:
                 return result
             base = base * base
+
+
+class SparseElement(RingElement):
+    """`terms` maps keys to nonzero ints, over a context `n` that two operands
+    must share. A subclass validates in its own `__init__` and supplies
+    `__mul__`, `_one`, `__hash__`, `__repr__` and `_mismatch`, the message
+    (formatted with both n) for operands over different n."""
+
+    __slots__ = ("n", "terms")
+
+    @classmethod
+    def _make(cls, n: int, terms: dict):
+        """Unchecked constructor for valid keys and int values; drops zeros."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+        return self
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _wrap(self, other):
+        if not isinstance(other, type(self)):
+            return None
+        if other.n != self.n:
+            raise ValueError(self._mismatch % (self.n, other.n))
+        return other
+
+    def __add__(self, other):
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for k, c in o.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return self._make(self.n, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make(self.n, {k: -c for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)) and other.n != self.n:
+            return False
+        o = self._wrap(other)
+        return NotImplemented if o is None else self.terms == o.terms

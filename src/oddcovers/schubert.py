@@ -20,16 +20,20 @@ G(2,N) restricts to v^g in every smaller G(2,n), and its top evaluation there
 is the sigma_{n-2,n-2} coefficient; `top_power_prefix` reads the top
 evaluations for every g off one chain of products this way.
 
-Coefficients are Python ints, hence arbitrary precision throughout.
+Coefficients are Python ints, hence arbitrary precision throughout. A class
+is a `ring.SparseElement` with n the ambient G(2,n): `terms` maps each
+partition (a, b) to its coefficient, and sums, negation and equality (False
+across ambients) come from there.
 """
 
 from itertools import accumulate, repeat
 
-from .ring import RingElement
+from .ring import SparseElement
 
 
-class SchubertVector(RingElement):
-    __slots__ = ("n", "terms")
+class SchubertVector(SparseElement):
+    __slots__ = ()
+    _mismatch = "mismatched ambient Grassmannians G(2,%d) vs G(2,%d)"
 
     def __init__(self, n: int, terms=None):
         if n < 2:
@@ -44,52 +48,17 @@ class SchubertVector(RingElement):
         object.__setattr__(self, "terms", {(a, b): c for (a, b), c in terms.items()
                                            if c != 0 and a <= n - 2})
 
-    @classmethod
-    def _make(cls, n: int, terms: dict):
-        """Unchecked constructor for terms already valid, in the box and int; drops zeros."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
-        return self
-
     @staticmethod
     def unit(n: int):
         return SchubertVector(n, {(0, 0): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degrees(self):
         return {a + b for a, b in self.terms}
-
-    def _wrap(self, other):
-        if not isinstance(other, SchubertVector):
-            return None
-        if self.n != other.n:
-            raise ValueError("mismatched ambient Grassmannians G(2,%d) vs G(2,%d)" % (self.n, other.n))
-        return other
-
-    def __add__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for k, c in o.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return SchubertVector._make(self.n, terms)
-
-    def __neg__(self):
-        return SchubertVector._make(self.n, {k: -v for k, v in self.terms.items()})
 
     def __rmul__(self, c):
         if not isinstance(c, int):
             return NotImplemented
         return SchubertVector._make(self.n, {k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, SchubertVector):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.n, tuple(sorted(self.terms.items()))))

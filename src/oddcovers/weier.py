@@ -4,13 +4,10 @@ Generators: P (the even degree-2 function), its derivative D, and two
 commuting constants E1, E2 holding half-period values e1, e2; the third
 half-period value is -E1-E2, so e1+e2+e3 = 0 holds at the representation
 level. Every expression is kept in the normal form even + odd*D with even
-and odd integer polynomials in (P, E1, E2). Such a polynomial is a
-`WeierPoly`: a dict {(i, j, k): c} of its nonzero terms c P^i E1^j E2^k
-with int c, added and multiplied term by term (Johnson, "Sparse polynomial
-arithmetic", SIGSAM Bull. 8(3), 1974), so nothing here builds a fraction.
-derivative() is the partial derivative in P, and p_coefficient(n) gives the
-P-coefficients a quadratic discriminant reads. The square of D is always
-eliminated by
+and odd integer polynomials in (P, E1, E2): each is a `poly.IntPoly` in
+those three variables, so nothing here builds a fraction. derivative(0) is
+the partial derivative in P, and `poly.discriminant(q, 0)` is the
+discriminant of a quadratic in P. The square of D is always eliminated by
 
     D^2 -> 4 (P - E1) (P - E2) (P + E1 + E2),
 
@@ -23,129 +20,18 @@ their normal forms match coefficientwise.
 import functools
 from collections import namedtuple
 
+from .poly import IntPoly, discriminant
 from .ring import RingElement
 
-
-class WeierPoly(RingElement):
-    """An integer polynomial in (P, E1, E2): `terms` maps the exponents
-    (i, j, k) of each term c P^i E1^j E2^k to its nonzero int c."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        terms = terms or {}
-        for key, c in terms.items():
-            if not isinstance(c, int):
-                raise TypeError("WeierPoly coefficients are ints, not %s" % type(c).__name__)
-            if len(key) != 3 or min(key) < 0:
-                raise ValueError("invalid exponents %r" % (key,))
-        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
-
-    @classmethod
-    def _make(cls, terms: dict):
-        """Unchecked constructor for int terms with valid exponents; drops zeros."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
-        return self
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _wrap(self, other):
-        if isinstance(other, int):
-            return WeierPoly._make({(0, 0, 0): other})
-        return other if isinstance(other, WeierPoly) else None
-
-    def __add__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for k, c in o.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return WeierPoly._make(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WeierPoly._make({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        out = {}
-        for (i, j, k), c in self.terms.items():
-            for (p, q, r), e in o.terms.items():
-                key = (i + p, j + q, k + r)
-                out[key] = out.get(key, 0) + c * e
-        return WeierPoly._make(out)
-
-    __rmul__ = __mul__
-
-    def _one(self):
-        return WeierPoly._make({(0, 0, 0): 1})
-
-    def __eq__(self, other):
-        o = self._wrap(other)
-        return NotImplemented if o is None else self.terms == o.terms
-
-    def __hash__(self):
-        # a constant hashes as its int (zero as 0), as equal values must
-        if self.terms.keys() <= {(0, 0, 0)}:
-            return hash(self.terms.get((0, 0, 0), 0))
-        return hash(frozenset(self.terms.items()))
-
-    def derivative(self):
-        """The partial derivative in P."""
-        return WeierPoly._make({(i - 1, j, k): i * c
-                                for (i, j, k), c in self.terms.items() if i})
-
-    def p_coefficient(self, n: int):
-        """The coefficient of P^n, a polynomial in E1 and E2."""
-        return WeierPoly._make({(0, j, k): c for (i, j, k), c in self.terms.items() if i == n})
-
-    def __repr__(self):
-        return "WeierPoly(%s)" % format_monomials(self)
-
-
-def discriminant(q: WeierPoly) -> WeierPoly:
-    """b^2 - 4ac for q = a P^2 + b P + c of P-degree exactly 2; no division."""
-    if max((i for i, _, _ in q.terms), default=None) != 2:
-        raise ValueError("discriminant requires P-degree exactly 2")
-    c, b, a = (q.p_coefficient(n) for n in range(3))
-    return b * b - 4 * a * c
-
-
-def format_monomials(q: WeierPoly) -> str:
-    """Terms by decreasing (P, E1, E2) exponents, as in 10*E1^2 + E1*E2."""
-    if not q.terms:
-        return "0"
-    parts = []
-    for key in sorted(q.terms, reverse=True):
-        c = q.terms[key]
-        factors = []
-        for name, e in zip(("P", "E1", "E2"), key):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append("%s^%d" % (name, e))
-        if not factors or c != 1:
-            factors.insert(0, str(c))
-        parts.append("*".join(factors))
-    return " + ".join(parts)
-
-
-P = WeierPoly({(1, 0, 0): 1})
-E1 = WeierPoly({(0, 1, 0): 1})
-E2 = WeierPoly({(0, 0, 1): 1})
+NAMES = ("P", "E1", "E2")
+P, E1, E2 = IntPoly.variables(3)
 E3 = -E1 - E2
 
 
-def substitute(q: WeierPoly, e1, e2) -> WeierPoly:
-    """q with E1 and E2 replaced by the given ints or WeierPolys."""
+def substitute(q: IntPoly, e1, e2) -> IntPoly:
+    """q with E1 and E2 replaced by the given ints or IntPolys."""
     return sum((c * P ** i * e1 ** j * e2 ** k for (i, j, k), c in q.terms.items()),
-               WeierPoly())
+               IntPoly(3))
 
 
 CUBIC = 4 * (P - E1) * (P - E2) * (P - E3)
@@ -158,15 +44,15 @@ class WeierExpr(RingElement):
     __slots__ = ("even", "odd")
 
     def __init__(self, even=0, odd=0):
-        e = even if isinstance(even, WeierPoly) else WeierPoly({(0, 0, 0): even})
-        o = odd if isinstance(odd, WeierPoly) else WeierPoly({(0, 0, 0): odd})
+        e = even if isinstance(even, IntPoly) else IntPoly(3, {(0, 0, 0): even})
+        o = odd if isinstance(odd, IntPoly) else IntPoly(3, {(0, 0, 0): odd})
         object.__setattr__(self, "even", e)
         object.__setattr__(self, "odd", o)
 
     def _wrap(self, other):
         if isinstance(other, WeierExpr):
             return other
-        if isinstance(other, (int, WeierPoly)):
+        if isinstance(other, (int, IntPoly)):
             return WeierExpr(other)
         return None
 
@@ -208,12 +94,12 @@ class WeierExpr(RingElement):
 
     def derive(self):
         """The derivation: P' = D, D' = 6P^2 - g2/2, extended by Leibniz."""
-        even = self.odd.derivative() * CUBIC + self.odd * PSECOND
-        return WeierExpr(even, self.even.derivative())
+        even = self.odd.derivative(0) * CUBIC + self.odd * PSECOND
+        return WeierExpr(even, self.even.derivative(0))
 
     def __repr__(self):
         return "WeierExpr(%s + (%s)*D)" % (
-            format_monomials(self.even), format_monomials(self.odd))
+            self.even.format(NAMES), self.odd.format(NAMES))
 
 
 def check_derivation_consistency() -> bool:
@@ -246,7 +132,7 @@ def check_G_identities() -> bool:
         return False
     if bracket != G_QUADRATIC:
         return False
-    if discriminant(G_QUADRATIC) != 16 * DELTA0:
+    if discriminant(G_QUADRATIC, 0) != 16 * DELTA0:
         return False
     return all(r.nonzero and r.monomial for r in delta0_specializations())
 
@@ -263,14 +149,14 @@ SPECIALIZATION_LABELS = ("e1=0", "e2=0", "e3=0 (e2=-e1)")
 # substitutes nothing, and a `verify` run substitutes into each expression
 # once although eight of its checks read the results.
 @functools.cache
-def _specialize(expr: WeierPoly) -> tuple:
+def _specialize(expr: IntPoly) -> tuple:
     values = (
         substitute(expr, 0, E2),
         substitute(expr, E1, 0),
         substitute(expr, E1, -E1),
     )
     return tuple(
-        Specialization(label, format_monomials(v), not v.is_zero(),
+        Specialization(label, v.format(NAMES), not v.is_zero(),
                        len(v.terms) == 1)
         for label, v in zip(SPECIALIZATION_LABELS, values)
     )
@@ -308,7 +194,7 @@ def check_Gtilde_identities() -> bool:
     )
     if gt.derive() != rhs:
         return False
-    if discriminant(GTILDE_QUADRATIC) != GTILDE_DELTA:
+    if discriminant(GTILDE_QUADRATIC, 0) != GTILDE_DELTA:
         return False
     return all(r.nonzero and r.monomial for r in gtilde_delta_specializations())
 

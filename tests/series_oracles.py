@@ -10,8 +10,9 @@ time, with a fresh binomial and Catalan number for every term.
 """
 
 from fractions import Fraction
+from math import comb
 
-from oddcovers.combinat import binom_int, binom_ratio, catalan
+from oddcovers.combinat import binom_ratio, catalan
 from oddcovers.ring import check_exact, exact_div
 from oddcovers.series import Series
 
@@ -28,7 +29,7 @@ def alt_catalan_closed(g: int) -> int:
     if g < 0:
         raise ValueError("g must be nonnegative")
     return 16 ** g * sum(
-        (-2) ** i * binom_int(g, i) * catalan(2 * g - i) for i in range(g + 1)
+        (-2) ** i * comb(g, i) * catalan(2 * g - i) for i in range(g + 1)
     )
 
 

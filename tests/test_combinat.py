@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oddcovers.combinat import binom_int, catalan
+from oddcovers.combinat import catalan
 
 from growth_oracles import decimal_root_string, integer_nth_root
 from series_oracles import binom_gen
@@ -15,15 +16,10 @@ def test_catalan_small_values():
     assert [catalan(n) for n in range(11)] == CATALANS
 
 
-def test_binom_int_vanishes_above_n():
-    assert binom_int(3, 5) == 0
-    assert binom_int(5, 3) == 10
-
-
 def test_binom_gen_extends_integer_binomials():
     for n in range(8):
         for k in range(n + 1):
-            assert binom_gen(n, k) == binom_int(n, k)
+            assert binom_gen(n, k) == comb(n, k)
 
 
 def test_binom_gen_half():

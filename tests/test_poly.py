@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from oddcovers import poly
 from oddcovers.covers import paired_quartic_maps, quartic_cover_map
 from oddcovers.poly import (
+    IntPoly,
     Poly,
-    discriminant_quadratic,
+    discriminant,
     gcd,
     squarefree_decomposition,
 )
@@ -28,11 +29,12 @@ def test_zero_degree_is_none():
     assert Poly([0, 1]).degree == 1
 
 
-def test_constants_at_any_depth_hash_alike():
-    assert Poly([1]) == Poly([Poly([1])]) == 1
-    assert len({Poly([1]), Poly([Poly([1])]), 1}) == 1
-    assert len({Poly(), Poly([Poly()]), 0}) == 1
-    assert hash(Poly([Poly([0, 1]), 2])) == hash(Poly([Poly([0, 1]), Poly([2])]))
+def test_poly_coefficient_raises_type_error():
+    # Poly is univariate: several variables are an IntPoly
+    for coeffs in ([Poly([1])], [0, Poly([0, 1])], [1, IntPoly(2)]):
+        with pytest.raises(TypeError, match="not (Poly|IntPoly)"):
+            Poly(coeffs)
+    assert Poly([1]) == 1 and len({Poly([1]), 1}) == 1 and len({Poly(), 0}) == 1
 
 
 def test_divmod_quartic_by_linear():
@@ -79,8 +81,14 @@ def test_gcd_is_monic_common_divisor(a, b, c):
 
 
 def test_discriminant_quadratic():
-    assert discriminant_quadratic(Poly([4, -7, 4])) == Fraction(-15)
-    assert discriminant_quadratic(Poly([9, -16, 16])) == Fraction(-320)
+    t, b = IntPoly.variables(2)
+    assert discriminant(4 * b * b - 7 * b + 4, 1) == -15
+    assert discriminant(16 * t * t - 16 * t + 9, 0) == -320
+    # in t over b: b^2 t^2 + t - 1 has discriminant 1 + 4 b^2
+    assert discriminant(b * b * t * t + t - 1, 0) == 1 + 4 * b * b
+    for q, var in ((t * t * t, 0), (t * b, 0), (IntPoly(2), 1)):
+        with pytest.raises(ValueError, match="degree exactly 2"):
+            discriminant(q, var)
 
 
 def test_squarefree_decomposition_recovers_multiplicities():
@@ -324,8 +332,7 @@ def test_operations_build_what_the_checked_constructor_builds(a, b):
 
 @given(mixed)
 def test_equal_values_hash_alike(r):
-    values = [r, Fraction(r), QuadScalar(r, 0, D), Poly([r]), Poly([QuadScalar(r, 0, D)]),
-              Poly([Poly([r])])]
+    values = [r, Fraction(r), QuadScalar(r, 0, D), Poly([r]), Poly([QuadScalar(r, 0, D)])]
     if Fraction(r).denominator == 1:
         values.append(int(r))
     for x in values:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from oddcovers.poly import Poly
+from oddcovers.poly import IntPoly, Poly
 from oddcovers.quadratic import QuadScalar
 from oddcovers.ring import check_exact
 from oddcovers.schubert import SchubertVector
@@ -14,6 +14,8 @@ from oddcovers.series import Series
 from oddcovers.weier import E1, E2, P, WeierExpr
 
 from test_schubert import sigma
+
+T, B = IntPoly.variables(2)
 
 # (x, y, unit): two elements of one ring and its unit. The unit is the int 1
 # exactly for the classes that coerce ints.
@@ -26,10 +28,9 @@ CASES = {
         SchubertVector(6, {(2, 0): 3, (0, 0): 1}),
         SchubertVector.unit(6),
     ),
-    # a polynomial in t over b, as the covers families nest them
-    "nested_Poly": (Poly([Poly([0, Fraction(-1, 2)]), 0, 1]),
-                    Poly([0, 3, Poly([0, 1])]), 1),
-    # the sparse integer polynomials in P, E1, E2 that weier computes with
+    # an integer polynomial in t and b, as the covers families compute them
+    "IntPoly": (T * T * B - 2 * B + 1, 5 * T - 3 * B * B, 1),
+    # the integer polynomials in P, E1, E2 (IntPoly in three variables) of weier
     "WeierPoly": (P * P - 2 * E1, E1 * E2 + 3 * P, 1),
     "WeierExpr": (WeierExpr(P - E1, E2 + 1), WeierExpr(E2, 2 * P), 1),
 }
@@ -40,8 +41,10 @@ INT_CASES = {name: case for name, case in CASES.items() if case[2] == 1}
 
 @elements
 def test_setting_an_attribute_raises(x, y, unit):
+    # the first slot along the MRO: a subclass of ring.SparseElement adds none
+    slot = next(name for cls in type(x).__mro__ for name in getattr(cls, "__slots__", ()))
     with pytest.raises(AttributeError, match="%s is immutable" % type(x).__name__):
-        setattr(x, type(x).__slots__[0], None)
+        setattr(x, slot, None)
 
 
 @elements
@@ -86,6 +89,32 @@ def test_schubert_ambients_must_match(op):
     y = sigma(1, 0, 6)
     with pytest.raises(ValueError, match="mismatched ambient"):
         op(x, y)
+
+
+def test_schubert_classes_in_different_ambients_are_unequal():
+    # the point class of G(2,2) and the unit of G(2,3) share their terms
+    assert SchubertVector.unit(2).terms == SchubertVector.unit(3).terms
+    assert SchubertVector.unit(2) != SchubertVector.unit(3)
+    assert not SchubertVector.unit(2) == SchubertVector.unit(3)
+    assert sigma(0, 0, 5) != sigma(0, 0, 6) and sigma(0, 0, 5) == sigma(0, 0, 5)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_int_polys_in_different_variable_counts_do_not_mix(op):
+    (x,) = IntPoly.variables(1)
+    with pytest.raises(ValueError, match="mismatched variable counts 2 vs 1"):
+        op(T, x)
+    with pytest.raises(ValueError, match="mismatched variable counts 3 vs 2"):
+        op(P, T)
+    assert T != x and IntPoly(2) != IntPoly(3)
+
+
+def test_int_operands_keep_the_variable_count():
+    for q in (IntPoly(2), T, IntPoly(3)):
+        for value in (3 + q, q + 3, 3 - q, q - 3, 3 * q, q * 3, sum([q, q]), q ** 0):
+            assert type(value) is IntPoly and value.n == q.n
+            assert all(len(k) == q.n for k in value.terms)
+    assert 3 + IntPoly(2) == 3 and (3 + IntPoly(2)).terms == {(0, 0): 3}
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])

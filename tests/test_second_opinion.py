@@ -10,11 +10,13 @@ for the two one-parameter families of `covers` (derivative factorizations
 and the discriminants -15 and -320) and for the Weierstrass identities of
 `weier`: the derivatives G' and G~' under D^2 = 4(P-e1)(P-e2)(P-e3), the
 discriminants of their quadratic factors and the six square-period
-specializations, compared with the `WeierPoly` terms as dicts
-{(i, j, k): int}. A defect in the one `Poly`, `QuadScalar`, `gcd` or
-`WeierPoly` kernel under those checks would have to be repeated in sympy to
-go unseen (McKeeman, "Differential testing for software", Digital Technical
-Journal 10(1), 1998).
+specializations, compared with the `IntPoly` terms as dicts
+{(i, j, k): int}. The quartic cover t^3 (t-4)/(t-1) over Q is recomputed the
+same way, and the counting checks `bound_arithmetic` and `admissible_tally`
+in plain arithmetic from their citations. A defect in the one `Poly`,
+`QuadScalar`, `gcd` or `IntPoly` kernel under those checks would have to be
+repeated in sympy to go unseen (McKeeman, "Differential testing for
+software", Digital Technical Journal 10(1), 1998).
 """
 
 from fractions import Fraction
@@ -23,16 +25,18 @@ from functools import cache
 import pytest
 import sympy
 
-from oddcovers import weier
+from oddcovers import checks, weier
 from oddcovers.covers import (
     check_deg3_maps,
     check_paired_quartic_maps,
+    check_quartic_cover,
     deg3_maps,
     family_condition_deg5_alpha1,
     family_condition_deg5_alpha2,
     paired_quartic_maps,
+    quartic_cover_map,
 )
-from oddcovers.poly import Poly, discriminant_quadratic
+from oddcovers.poly import IntPoly, discriminant
 from oddcovers.quadratic import QuadScalar
 from oddcovers.ratmap import INFINITY, fiber_profile, ramification_data
 
@@ -165,15 +169,59 @@ def test_cubic_reflected_is_its_conjugate_in_sympy():
     assert check_deg3_maps()
 
 
+# -- the quartic cover over Q ----------------------------------------------
+
+# f = N / D as in `covers.quartic_cover_map`; over Q, written with d = 1
+QUARTIC_COVER = (t ** 3 * (t - 4), t - 1)
+
+
+def test_quartic_cover_matches_sympy():
+    num, den = QUARTIC_COVER
+    f = quartic_cover_map()
+    # triple points exactly at 0, 2 (the monic t(t-2)) and infinity
+    places = sympy_ramification(num, den, 1)
+    assert places == {(_sympy_tuple(t * (t - 2), 1), 3), (INFINITY, 3)}
+    ours = {(INFINITY if place == INFINITY else _oddcovers_tuple(place), index)
+            for place, index in ramification_data(f)}
+    assert ours == places
+    # the fiber over c is the fiber over 0 of N - cD over D, and the fiber
+    # over infinity that of D over N; (t-2)^3 (t+2) is the one over -16
+    fibers = {0: (num, den), -16: (num + 16 * den, den), INFINITY: (den, num)}
+    for value, (n, d) in fibers.items():
+        assert sympy_profile_over_zero(sympy.expand(n), d, 1) == [3, 1]
+        assert fiber_profile(f, value) == [3, 1]
+    assert sympy.factor(num + 16 * den) == (t - 2) ** 3 * (t + 2)
+    # the involution f(2-t) = -f(t) - 16 pairing the branch values 0 and -16
+    assert sympy.cancel((num / den).subs(t, 2 - t) + num / den + 16) == 0
+    assert check_quartic_cover()
+
+
+# -- the counting checks -----------------------------------------------------
+
+def test_counting_checks_match_their_citations():
+    by_name = {check.name: check for check in checks.CHECKS}
+    bound, tally = by_name["bound_arithmetic"], by_name["admissible_tally"]
+    # 4(5 - 2*2) = 4 per spin structure over 4 spin structures, and the
+    # Veronese degree 2^2 = 4 per spin: 16 both ways
+    assert "4(5-2*2) = 4 per spin structure, times 4 spins = 16" in bound.citation
+    assert "Veronese degree 2^2 = 4 per spin, total 16" in bound.citation
+    assert 4 * (5 - 2 * 2) == 4 and 4 * 4 == 16 and 2 ** 2 * 4 == 16
+    assert bound.run(5) == (True, "")
+    # the boundary configurations give 4 + 8 + 4 in degree 4 and 8 + 8 in degree 5
+    assert "4+8+4 in degree 4 and 8+8 in degree 5" in tally.citation
+    deg4, deg5 = 4 + 8 + 4, 8 + 8
+    assert tally.run(5) == (True, "deg4 = %d, deg5 = %d" % (deg4, deg5))
+    assert deg4 == deg5 == 16
+
+
 # -- the one-parameter families of covers ----------------------------------
 
 b = sympy.Symbol("b")
 
 
-def _nested_in_b(expr):
-    """A polynomial in t over b as the nested `Poly` of `covers`."""
-    return Poly([Poly([int(c) for c in reversed(sympy.Poly(coeff, b).all_coeffs())])
-                 for coeff in reversed(sympy.Poly(expr, t).all_coeffs())])
+def _in_t_and_b(expr):
+    """A polynomial in t and b as the `IntPoly` of `covers`."""
+    return IntPoly(2, {key: int(c) for key, c in sympy.Poly(expr, t, b).as_dict().items()})
 
 
 @pytest.mark.parametrize("family, cofactor, quadratic, scale, condition, value, check", [
@@ -192,9 +240,9 @@ def test_family_discriminants_match_sympy(family, cofactor, quadratic, scale,
     # the condition has two distinct (non-real) roots
     assert sympy.discriminant(condition, b) == value
     assert len(sympy.roots(condition, b)) == 2
-    # the nested Poly layer computes the same discriminant, in b over Z
-    ours = discriminant_quadratic(_nested_in_b(quadratic))
-    assert ours == Poly([int(c) for c in reversed(sympy.Poly(disc, b).all_coeffs())])
+    # the IntPoly layer computes the same discriminant, in b over Z
+    ours = discriminant(_in_t_and_b(quadratic), 0)
+    assert ours == _in_t_and_b(disc)
     assert check()
 
 
@@ -263,9 +311,9 @@ def test_weierstrass_derivatives_match_sympy():
 def test_weierstrass_discriminants_match_sympy():
     assert sympy.expand(sympy.discriminant(G_FACTOR, P) - 16 * DELTA0) == 0
     assert sympy.expand(sympy.discriminant(GTILDE_FACTOR, P) - GTILDE_DELTA) == 0
-    assert weier.discriminant(weier.G_QUADRATIC).terms == _terms(16 * DELTA0)
+    assert discriminant(weier.G_QUADRATIC, 0).terms == _terms(16 * DELTA0)
     assert weier.DELTA0.terms == _terms(DELTA0)
-    assert weier.discriminant(weier.GTILDE_QUADRATIC).terms == _terms(GTILDE_DELTA)
+    assert discriminant(weier.GTILDE_QUADRATIC, 0).terms == _terms(GTILDE_DELTA)
     assert weier.GTILDE_DELTA.terms == _terms(GTILDE_DELTA)
 
 

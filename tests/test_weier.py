@@ -2,11 +2,12 @@ import functools
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from oddcovers import cli, weier
-from oddcovers.poly import Poly
-from oddcovers.weier import E1, E2, E3, P, WeierExpr, WeierPoly
+from oddcovers.poly import IntPoly, discriminant
+from oddcovers.weier import E1, E2, E3, P, WeierExpr
 
 
 def test_generator_derivatives():
@@ -39,7 +40,7 @@ monos = st.tuples(
 
 def from_monomials(terms):
     return sum((c * P ** i * E1 ** j * E2 ** k for (i, j, k), c in terms.items()),
-               WeierPoly())
+               IntPoly(3))
 
 
 polys = st.dictionaries(monos, coeffs, max_size=3).map(from_monomials)
@@ -64,7 +65,7 @@ def test_equal_expressions_hash_alike():
     assert len({WeierExpr(P * P - P * P + 1), WeierExpr(1)}) == 1
     assert len({WeierExpr((E1 + 1) - E1), WeierExpr(1)}) == 1
     assert len({(E1 + 1) - E1, 1}) == 1
-    assert len({E1 - E1, WeierPoly(), 0}) == 1
+    assert len({E1 - E1, IntPoly(3), 0}) == 1
 
 
 @settings(max_examples=40)
@@ -72,8 +73,8 @@ def test_equal_expressions_hash_alike():
 def test_monomials_round_trip(terms):
     nonzero = {k: c for k, c in terms.items() if c != 0}
     assert from_monomials(terms).terms == nonzero
-    assert WeierPoly(terms).terms == nonzero
-    assert WeierPoly(terms) == from_monomials(terms)
+    assert IntPoly(3, terms).terms == nonzero
+    assert IntPoly(3, terms) == from_monomials(terms)
 
 
 def test_G_identities():
@@ -100,12 +101,12 @@ def test_gtilde_delta_specializations():
 
 
 def test_discriminant_constants():
-    disc = weier.discriminant(weier.G_QUADRATIC)
+    disc = discriminant(weier.G_QUADRATIC, 0)
     assert disc == 16 * weier.DELTA0
     assert weier.DELTA0 == 10 * E1 * E1 + E1 * E2 - 2 * E2 * E2
-    assert weier.discriminant(weier.GTILDE_QUADRATIC) == weier.GTILDE_DELTA
-    with pytest.raises(ValueError, match="P-degree exactly 2"):
-        weier.discriminant(weier.CUBIC)
+    assert discriminant(weier.GTILDE_QUADRATIC, 0) == weier.GTILDE_DELTA
+    with pytest.raises(ValueError, match="degree exactly 2 in x_0"):
+        discriminant(weier.CUBIC, 0)
 
 
 def test_substitution_numeric():
@@ -143,7 +144,7 @@ def test_weier_polynomials_take_ints_only(operand):
     with pytest.raises(TypeError):
         E1 + operand
     with pytest.raises(TypeError, match="ints, not %s" % type(operand).__name__):
-        WeierPoly({(0, 1, 0): operand})
+        IntPoly(3, {(0, 1, 0): operand})
     with pytest.raises(TypeError):
         WeierExpr(operand)
     with pytest.raises(TypeError):
@@ -152,50 +153,38 @@ def test_weier_polynomials_take_ints_only(operand):
 
 def test_weier_polynomials_refuse_bad_exponents():
     with pytest.raises(ValueError, match="invalid exponents"):
-        WeierPoly({(0, -1, 0): 1})
+        IntPoly(3, {(0, -1, 0): 1})
     with pytest.raises(ValueError, match="invalid exponents"):
-        WeierPoly({(1, 0): 1})
+        IntPoly(3, {(1, 0): 1})
 
 
-# The nested Poly that `covers` still computes with: P over E1 over E2.
-NESTED_P = Poly([0, 1])
-NESTED_E1 = Poly([Poly([0, 1])])
-NESTED_E2 = Poly([Poly([Poly([0, 1])])])
+def monomial_dicts(n):
+    return st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=3)] * n),
+                           st.integers(min_value=-20, max_value=20), max_size=6)
 
 
-def nested(terms):
-    """The monomial dict as a nested Poly in P over E1 over E2."""
-    return sum((c * NESTED_P ** i * NESTED_E1 ** j * NESTED_E2 ** k
-                for (i, j, k), c in terms.items()), Poly())
+def sympy_terms(poly):
+    """The nonzero terms {exponents: int} of a sympy.Poly."""
+    return {key: int(c) for key, c in poly.as_dict().items() if c}
 
 
-def nested_monomials(q, depth=3):
-    """Oracle: the nonzero terms {(i, j, k): c} of a nested Poly."""
-    if depth == 0:
-        return {(): q} if q != 0 else {}
-    q = q if isinstance(q, Poly) else Poly([q])
-    return {(i,) + key: c
-            for i, a in enumerate(q.coeffs)
-            for key, c in nested_monomials(a, depth - 1).items()}
-
-
-monomial_dicts = st.dictionaries(
-    st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
-    st.integers(min_value=-20, max_value=20), max_size=6)
-
-
+@pytest.mark.parametrize("n", [2, 3])
 @settings(max_examples=60, deadline=None)
-@given(monomial_dicts, monomial_dicts)
-def test_sparse_arithmetic_matches_nested_poly(x, y):
-    a, b = WeierPoly(x), WeierPoly(y)
-    assert (a + b).terms == nested_monomials(nested(x) + nested(y))
-    assert (a - b).terms == nested_monomials(nested(x) - nested(y))
-    assert (a * b).terms == nested_monomials(nested(x) * nested(y))
-    assert (3 * a).terms == nested_monomials(3 * nested(x))
-    assert a.derivative().terms == nested_monomials(nested(x).derivative())
-    # the P-coefficients are those of the outer Poly
-    outer = nested(x)
-    for n in range(5):
-        q = a.p_coefficient(n)
-        assert {key[1:]: c for key, c in q.terms.items()} == nested_monomials(outer[n], 2)
-        assert not any(key[0] for key in q.terms)
+@given(data=st.data())
+def test_sparse_arithmetic_matches_sympy(n, data):
+    x, y = data.draw(monomial_dicts(n), "x"), data.draw(monomial_dicts(n), "y")
+    gens = sympy.symbols("x0:%d" % n)
+    a, b = IntPoly(n, x), IntPoly(n, y)
+    sa, sb = (sympy.Poly.from_dict(terms or {(0,) * n: 0}, *gens, domain="ZZ")
+              for terms in (x, y))
+    assert a.terms == sympy_terms(sa) and b.terms == sympy_terms(sb)
+    assert (a + b).terms == sympy_terms(sa + sb)
+    assert (a - b).terms == sympy_terms(sa - sb)
+    assert (a * b).terms == sympy_terms(sa * sb)
+    assert (3 * a).terms == sympy_terms(3 * sa)
+    for var, gen in enumerate(gens):
+        assert a.derivative(var).terms == sympy_terms(sa.diff(gen))
+        for e in range(5):
+            # the coefficient of gen^e, a polynomial in the other generators
+            want = sympy.Poly(sa.as_expr().coeff(gen, e), *gens, domain="ZZ")
+            assert a.coefficient(var, e).terms == sympy_terms(want)

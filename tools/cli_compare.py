@@ -48,6 +48,8 @@ COMMANDS = (
     "table --max-g 200 --routes closed,coeff_form --format json",
     "table --max-g 60 --routes closed --format csv",
     "table --max-g 40 --routes schubert,closed --cap 40 --format json",
+    "verify --suite covers",
+    "verify --suite weierstrass --format csv",
 )
 
 
