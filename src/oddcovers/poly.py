@@ -25,8 +25,11 @@ An `IntPoly` in n variables is a `ring.SparseElement`: a dict {exponents: c}
 of its nonzero terms, each exponent tuple of length n and each c an int,
 added and multiplied term by term (Johnson, "Sparse polynomial arithmetic",
 SIGSAM Bull. 8(3), 1974), so it builds no fraction. `covers` computes in
-(t, b) and `weier` in (P, E1, E2); operands in different numbers of
-variables raise ValueError, and ints coerce to constants.
+(t, b); operands in different numbers of variables raise ValueError, and
+ints coerce to constants. Every method builds its result through `_make`
+of the operand's own class, and an operand of another class is foreign, so
+a subclass that overrides `_make` stays closed: `weier.WeierExpr` is the
+quotient ring Z[P, E1, E2, D]/(D^2 - cubic), reduced in its `_make`.
 """
 
 from itertools import zip_longest
@@ -367,25 +370,24 @@ class IntPoly(SparseElement):
     __slots__ = ()
     _mismatch = "mismatched variable counts %d vs %d"
 
-    def __init__(self, n: int, terms=None):
+    def __new__(cls, n: int, terms=None):
         terms = terms or {}
         for key, c in terms.items():
             if not isinstance(c, int):
                 raise TypeError("IntPoly coefficients are ints, not %s" % type(c).__name__)
             if len(key) != n or min(key, default=0) < 0:
                 raise ValueError("invalid exponents %r" % (key,))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+        return cls._make(n, terms)
 
-    @staticmethod
-    def variables(n: int) -> tuple:
+    @classmethod
+    def variables(cls, n: int) -> tuple:
         """The n generators x_0, ..., x_{n-1}."""
-        return tuple(IntPoly._make(n, {tuple(int(i == v) for i in range(n)): 1})
+        return tuple(cls._make(n, {tuple(int(i == v) for i in range(n)): 1})
                      for v in range(n))
 
     def _wrap(self, other):
         if isinstance(other, int):
-            return IntPoly._make(self.n, {(0,) * self.n: other})
+            return self._make(self.n, {(0,) * self.n: other})
         return super()._wrap(other)
 
     def __mul__(self, other):
@@ -397,12 +399,12 @@ class IntPoly(SparseElement):
             for m, e in o.terms.items():
                 key = tuple(map(add, k, m))
                 out[key] = out.get(key, 0) + c * e
-        return IntPoly._make(self.n, out)
+        return self._make(self.n, out)
 
     __rmul__ = __mul__
 
     def _one(self):
-        return IntPoly._make(self.n, {(0,) * self.n: 1})
+        return self._make(self.n, {(0,) * self.n: 1})
 
     def __hash__(self):
         # a constant hashes as its int (zero as 0), as equal values must
@@ -413,13 +415,13 @@ class IntPoly(SparseElement):
 
     def derivative(self, var: int):
         """The partial derivative in variable `var`."""
-        return IntPoly._make(self.n, {k[:var] + (k[var] - 1,) + k[var + 1:]: k[var] * c
-                                      for k, c in self.terms.items() if k[var]})
+        return self._make(self.n, {k[:var] + (k[var] - 1,) + k[var + 1:]: k[var] * c
+                                   for k, c in self.terms.items() if k[var]})
 
     def coefficient(self, var: int, e: int):
         """The coefficient of x_var^e, a polynomial in the other variables."""
-        return IntPoly._make(self.n, {k[:var] + (0,) + k[var + 1:]: c
-                                      for k, c in self.terms.items() if k[var] == e})
+        return self._make(self.n, {k[:var] + (0,) + k[var + 1:]: c
+                                   for k, c in self.terms.items() if k[var] == e})
 
     def format(self, names) -> str:
         """Terms by decreasing exponents, as in 10*E1^2 + E1*E2 for names
@@ -437,7 +439,8 @@ class IntPoly(SparseElement):
         return " + ".join(parts)
 
     def __repr__(self):
-        return "IntPoly(%s; n=%d)" % (self.format(["x%d" % i for i in range(self.n)]), self.n)
+        return "%s(%s; n=%d)" % (type(self).__name__,
+                                 self.format(["x%d" % i for i in range(self.n)]), self.n)
 
 
 def discriminant(q: IntPoly, var: int) -> IntPoly:

@@ -9,14 +9,14 @@ every ring operation, the conjugate, the norm and the inverse
 den*(n - m*sqrt(d)) / (n^2 - d*m^2) run on Python ints with one gcd per
 result. `a`, `b` and `d` read back in the canonical exact form of
 `ring.canonical` (an `int` when integral, a reduced `Fraction` otherwise),
-and floats are refused. No nested extensions: sqrt of a QuadScalar is not
-provided.
+and a component `ring.is_rational` rejects (a float, say) raises TypeError.
+No nested extensions: sqrt of a QuadScalar is not provided.
 """
 
 import sys
 from math import gcd
 
-from .ring import RingElement, canonical, check_exact, exact_div, is_rational
+from .ring import RingElement, canonical, exact_div, is_rational
 
 
 class QuadScalar(RingElement):
@@ -25,7 +25,10 @@ class QuadScalar(RingElement):
     def __new__(cls, a, b=0, d=None):
         if d is None:
             raise ValueError("QuadScalar requires an explicit discriminant d")
-        check_exact((a, b, d))
+        for c in (a, b, d):
+            if not is_rational(c):
+                raise TypeError("QuadScalar components are rationals, not %s"
+                                % type(c).__name__)
         a, b, d = canonical(a), canonical(b), canonical(d)
         if type(d) is not int:
             raise ValueError("QuadScalar requires an integer discriminant, not %s" % d)

@@ -3,44 +3,21 @@
 A subclass sets its slots past the `__setattr__` guard in its constructor and
 supplies `_wrap(other)` (the operand as an element of its own ring, or None
 when the operand is foreign), `__add__`, `__neg__`, `__mul__` and `_one()`.
-Immutability, subtraction and nonnegative integer powers are derived here,
-and `check_exact` keeps inexact numbers out of their coefficients.
+Immutability, subtraction and nonnegative integer powers are derived here.
 `SparseElement` is the dict of nonzero int terms over a shared context `n`
 that `SchubertVector` (n of G(2,n)) and `poly.IntPoly` (n variables) both
-are: it supplies their construction, addition, negation and equality.
+are: it supplies their construction, addition, negation and equality. Its
+`_wrap` and `==` take exactly their own type, so a subclass that builds its
+results through `_make` (as `weier.WeierExpr` reduces by D^2) stays closed.
 `canonical` and `exact_div` give a rational value the one form every ring
 class stores: an `int` when integral, a reduced `Fraction` otherwise. A
 rational is told apart by `is_rational`, with no import: it has a
-`denominator` and is no ring element. `canonical` and `exact_div` load
-`fractions` only once a non-integral value appears, and `check_exact` loads
-`numbers` only for a value that is neither an `int` nor a ring element.
+`denominator` and is no ring element. That is the one exactness rule: a
+constructor refuses with TypeError every value it rejects (a float, a
+complex, a Decimal, a string), so nothing inexact is ever parsed into a
+Fraction. `canonical` and `exact_div` load `fractions` only once a
+non-integral value appears.
 """
-
-# Types known to be exact; check_exact adds each new type it clears.
-_EXACT_TYPES = {int}
-
-
-def check_exact(values) -> None:
-    """Raise TypeError if any of `values` is an inexact number.
-
-    An inexact number is a `numbers.Number` that is not `Rational` (a binary
-    or decimal floating-point value, or a complex one); turning it into a
-    Fraction would carry its rounding error into exact results. Each type is
-    judged once, so a scan of values of known types costs one set lookup per
-    value and callers can run it on whole coefficient lists.
-    """
-    if _EXACT_TYPES.issuperset(map(type, values)):
-        return
-    kinds = set(map(type, values)) - _EXACT_TYPES
-    _EXACT_TYPES.update(kind for kind in kinds if issubclass(kind, RingElement))
-    kinds -= _EXACT_TYPES
-    if not kinds:
-        return
-    from numbers import Number, Rational
-    for kind in kinds:
-        if issubclass(kind, Number) and not issubclass(kind, Rational):
-            raise TypeError("exact arithmetic takes no %s values" % kind.__name__)
-        _EXACT_TYPES.add(kind)
 
 
 def is_rational(x) -> bool:
@@ -121,7 +98,7 @@ class SparseElement(RingElement):
         return not self.terms
 
     def _wrap(self, other):
-        if not isinstance(other, type(self)):
+        if type(other) is not type(self):
             return None
         if other.n != self.n:
             raise ValueError(self._mismatch % (self.n, other.n))
@@ -142,7 +119,7 @@ class SparseElement(RingElement):
         return self._make(self.n, {k: -c for k, c in self.terms.items()})
 
     def __eq__(self, other):
-        if isinstance(other, type(self)) and other.n != self.n:
+        if type(other) is type(self) and other.n != self.n:
             return False
         o = self._wrap(other)
         return NotImplemented if o is None else self.terms == o.terms

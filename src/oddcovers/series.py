@@ -17,7 +17,7 @@ cost O(n^2) coefficient operations at order n (fewer for sparse f).
 
 from math import gcd
 
-from .ring import RingElement, canonical, check_exact, exact_div, is_rational
+from .ring import RingElement, canonical, exact_div, is_rational
 
 
 class Series(RingElement):
@@ -27,7 +27,9 @@ class Series(RingElement):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a Series stores at least its constant term")
-        check_exact(coeffs)
+        for c in coeffs:
+            if not is_rational(c):
+                raise TypeError("Series coefficients are rationals, not %s" % type(c).__name__)
         coeffs = [canonical(c) for c in coeffs]
         den = 1
         for d in {c.denominator for c in coeffs}:
@@ -199,7 +201,9 @@ def binomial_series(a, inner: Series) -> Series:
     if inner.nums[0] != 0:
         raise ValueError("binomial_series requires inner(0) = 0")
     if type(a) is not tuple:
-        check_exact((a,))
+        if not is_rational(a):
+            raise TypeError("binomial_series takes a rational exponent, not %s"
+                            % type(a).__name__)
         a = a.numerator, a.denominator
     p, q = a
     scale, order = q * q * inner.den, inner.order

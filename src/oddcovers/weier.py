@@ -3,111 +3,78 @@
 Generators: P (the even degree-2 function), its derivative D, and two
 commuting constants E1, E2 holding half-period values e1, e2; the third
 half-period value is -E1-E2, so e1+e2+e3 = 0 holds at the representation
-level. Every expression is kept in the normal form even + odd*D with even
-and odd integer polynomials in (P, E1, E2): each is a `poly.IntPoly` in
-those three variables, so nothing here builds a fraction. derivative(0) is
-the partial derivative in P, and `poly.discriminant(q, 0)` is the
-discriminant of a quadratic in P. The square of D is always eliminated by
+level. Everything here computes in one ring, the quotient
+Z[P, E1, E2, D]/(D^2 - CUBIC) of the coordinate ring of the curve
+(Silverman, The Arithmetic of Elliptic Curves, GTM 106, sections III.1-3):
+a `WeierExpr` is a `poly.IntPoly` in the four variables (P, E1, E2, D)
+whose `_make` rewrites every D^k with k >= 2 as D^(k-2) * CUBIC, with
 
-    D^2 -> 4 (P - E1) (P - E2) (P + E1 + E2),
+    CUBIC = 4 (P - E1) (P - E2) (P + E1 + E2),
 
-and the derivation sends P to D and D to 6P^2 - g2/2 with
-g2 = 4 (E1^2 + E1*E2 + E2^2). Since D is transcendental of degree 2 over
-the P-line, the normal form is canonical: two expressions are equal iff
-their normal forms match coefficientwise.
+so each result is the remainder on division by that relation, monic in D
+(Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 2): the
+normal form even + odd*D with integer polynomials even and odd in
+(P, E1, E2), and nothing here builds a fraction. Since D is transcendental
+of degree 2 over the P-line, that normal form is canonical: two expressions
+are equal iff their terms match. derivative(0) is the partial derivative in
+P, and `poly.discriminant(q, 0)` is the discriminant of a quadratic in P.
+The derivation sends P to D and D to 6P^2 - g2/2 with
+g2 = 4 (E1^2 + E1*E2 + E2^2).
 """
 
 import functools
 from collections import namedtuple
 
 from .poly import IntPoly, discriminant
-from .ring import RingElement
 
-NAMES = ("P", "E1", "E2")
-P, E1, E2 = IntPoly.variables(3)
+
+class WeierExpr(IntPoly):
+    """An element of Z[P, E1, E2, D]/(D^2 - CUBIC), in normal form."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, n: int, terms: dict):
+        """The normal form of `terms`: each D^k with k >= 2 becomes
+        D^(k-2) * CUBIC until the degree in D is at most 1."""
+        if n != 4:
+            raise ValueError("a WeierExpr is in the 4 variables P, E1, E2, D, not %d" % n)
+        # CUBIC, defined below, has no D: building it reduces nothing
+        while any(k[3] > 1 for k in terms):
+            out = {}
+            for k, c in terms.items():
+                if k[3] < 2:
+                    out[k] = out.get(k, 0) + c
+                    continue
+                for m, e in CUBIC.terms.items():
+                    key = (k[0] + m[0], k[1] + m[1], k[2] + m[2], k[3] - 2)
+                    out[key] = out.get(key, 0) + c * e
+            terms = out
+        return super()._make(n, terms)
+
+    def derive(self):
+        """The derivation: P' = D, D' = 6P^2 - g2/2, extended by Leibniz."""
+        return self.derivative(0) * D + self.derivative(3) * PSECOND
+
+
+NAMES = ("P", "E1", "E2", "D")
+P, E1, E2, D = WeierExpr.variables(4)
 E3 = -E1 - E2
 
 
-def substitute(q: IntPoly, e1, e2) -> IntPoly:
-    """q with E1 and E2 replaced by the given ints or IntPolys."""
-    return sum((c * P ** i * e1 ** j * e2 ** k for (i, j, k), c in q.terms.items()),
-               IntPoly(3))
+def substitute(q: WeierExpr, e1, e2) -> WeierExpr:
+    """q with E1 and E2 replaced by the given ints or WeierExprs."""
+    return sum((c * P ** i * e1 ** j * e2 ** k * D ** l
+                for (i, j, k, l), c in q.terms.items()), WeierExpr(4))
 
 
 CUBIC = 4 * (P - E1) * (P - E2) * (P - E3)
 PSECOND = 6 * P * P - 2 * (E1 * E1 + E1 * E2 + E2 * E2)  # 6P^2 - g2/2
 
 
-class WeierExpr(RingElement):
-    """Normal form even + odd*D of an element of the differential algebra."""
-
-    __slots__ = ("even", "odd")
-
-    def __init__(self, even=0, odd=0):
-        e = even if isinstance(even, IntPoly) else IntPoly(3, {(0, 0, 0): even})
-        o = odd if isinstance(odd, IntPoly) else IntPoly(3, {(0, 0, 0): odd})
-        object.__setattr__(self, "even", e)
-        object.__setattr__(self, "odd", o)
-
-    def _wrap(self, other):
-        if isinstance(other, WeierExpr):
-            return other
-        if isinstance(other, (int, IntPoly)):
-            return WeierExpr(other)
-        return None
-
-    def is_zero(self) -> bool:
-        return self.even.is_zero() and self.odd.is_zero()
-
-    def __add__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return WeierExpr(self.even + o.even, self.odd + o.odd)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WeierExpr(-self.even, -self.odd)
-
-    def __mul__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        even = self.even * o.even + self.odd * o.odd * CUBIC
-        odd = self.even * o.odd + self.odd * o.even
-        return WeierExpr(even, odd)
-
-    __rmul__ = __mul__
-
-    def _one(self):
-        return WeierExpr(1)
-
-    def __eq__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self.even == o.even and self.odd == o.odd
-
-    def __hash__(self):
-        return hash((self.even, self.odd))
-
-    def derive(self):
-        """The derivation: P' = D, D' = 6P^2 - g2/2, extended by Leibniz."""
-        even = self.odd.derivative(0) * CUBIC + self.odd * PSECOND
-        return WeierExpr(even, self.even.derivative(0))
-
-    def __repr__(self):
-        return "WeierExpr(%s + (%s)*D)" % (
-            self.even.format(NAMES), self.odd.format(NAMES))
-
-
 def check_derivation_consistency() -> bool:
     """(D^2)' computed as 2 D D' matches the derivative of its reduced form."""
-    d = WeierExpr(0, 1)
-    lhs = 2 * (d * d.derive())
-    rhs = WeierExpr(CUBIC).derive()
-    return lhs == rhs
+    return 2 * (D * D.derive()) == CUBIC.derive()
 
 
 # The quadratic controlling the extra triple points of the degree-4 family,
@@ -125,9 +92,9 @@ def check_G_identities() -> bool:
     under each of the specializations e1 = 0, e2 = 0, e3 = 0.
     """
     # G = N/Q, and G' = F/Q for the factored numerator F iff N'Q - NQ' = FQ
-    num, den = WeierExpr(0, P - E2), WeierExpr(P - E1)
+    num, den = D * (P - E2), P - E1
     bracket = PSECOND + 4 * (E2 - E1) * (P - E3)
-    factored = WeierExpr((P - E2) * bracket)
+    factored = (P - E2) * bracket
     if num.derive() * den - num * den.derive() != factored * den:
         return False
     if bracket != G_QUADRATIC:
@@ -149,7 +116,7 @@ SPECIALIZATION_LABELS = ("e1=0", "e2=0", "e3=0 (e2=-e1)")
 # substitutes nothing, and a `verify` run substitutes into each expression
 # once although eight of its checks read the results.
 @functools.cache
-def _specialize(expr: IntPoly) -> tuple:
+def _specialize(expr: WeierExpr) -> tuple:
     values = (
         substitute(expr, 0, E2),
         substitute(expr, E1, 0),
@@ -187,11 +154,9 @@ def check_Gtilde_identities() -> bool:
     16(5 e1^2 + 6 e2^2 + e3^2 + 5 e1 e2 - 8 e2 e3) with e3 = -e1-e2; and the
     discriminant is a nonzero monomial under e1 = 0, e2 = 0, e3 = 0.
     """
-    gt = WeierExpr(0, P - E1)
-    rhs = WeierExpr(
-        (P - E1)
-        * (6 * P * P - 2 * (E1 * E1 + E1 * E2 + E2 * E2) + 4 * (P - E2) * (P - E3))
-    )
+    gt = D * (P - E1)
+    rhs = (P - E1) * (6 * P * P - 2 * (E1 * E1 + E1 * E2 + E2 * E2)
+                      + 4 * (P - E2) * (P - E3))
     if gt.derive() != rhs:
         return False
     if discriminant(GTILDE_QUADRATIC, 0) != GTILDE_DELTA:

@@ -13,14 +13,15 @@ from fractions import Fraction
 from math import comb
 
 from oddcovers.combinat import binom_ratio, catalan
-from oddcovers.ring import check_exact, exact_div
+from oddcovers.ring import exact_div, is_rational
 from oddcovers.series import Series
 
 
 def binom_gen(a, k: int):
     """Generalized binomial a(a-1)...(a-k+1)/k! for rational a, in canonical
     form: one `binom_ratio` and a single gcd."""
-    check_exact((a,))
+    if not is_rational(a):
+        raise TypeError("binom_gen takes a rational a, not %s" % type(a).__name__)
     return exact_div(*binom_ratio(a.numerator, a.denominator, k))
 
 

@@ -8,10 +8,9 @@ import pytest
 
 from oddcovers.poly import IntPoly, Poly
 from oddcovers.quadratic import QuadScalar
-from oddcovers.ring import check_exact
 from oddcovers.schubert import SchubertVector
-from oddcovers.series import Series
-from oddcovers.weier import E1, E2, P, WeierExpr
+from oddcovers.series import Series, binomial_series
+from oddcovers.weier import E1, E2, D, P
 
 from test_schubert import sigma
 
@@ -30,9 +29,10 @@ CASES = {
     ),
     # an integer polynomial in t and b, as the covers families compute them
     "IntPoly": (T * T * B - 2 * B + 1, 5 * T - 3 * B * B, 1),
-    # the integer polynomials in P, E1, E2 (IntPoly in three variables) of weier
+    # the integer polynomials in P, E1, E2 of weier: free of D
     "WeierPoly": (P * P - 2 * E1, E1 * E2 + 3 * P, 1),
-    "WeierExpr": (WeierExpr(P - E1, E2 + 1), WeierExpr(E2, 2 * P), 1),
+    # even + odd*D, reduced by D^2 = the cubic
+    "WeierExpr": (P - E1 + (E2 + 1) * D, E2 + 2 * P * D, 1),
 }
 
 elements = pytest.mark.parametrize("x, y, unit", CASES.values(), ids=CASES.keys())
@@ -102,10 +102,11 @@ def test_schubert_classes_in_different_ambients_are_unequal():
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
 def test_int_polys_in_different_variable_counts_do_not_mix(op):
     (x,) = IntPoly.variables(1)
+    p = IntPoly.variables(3)[0]
     with pytest.raises(ValueError, match="mismatched variable counts 2 vs 1"):
         op(T, x)
     with pytest.raises(ValueError, match="mismatched variable counts 3 vs 2"):
-        op(P, T)
+        op(p, T)
     assert T != x and IntPoly(2) != IntPoly(3)
 
 
@@ -127,9 +128,20 @@ def test_poly_and_series_do_not_mix(op):
         op(s, p)
 
 
-@pytest.mark.parametrize("inexact", [0.5, 1 + 2j, Decimal("0.1")],
+CONSTRUCTORS = {
+    "Series": lambda c: Series([Fraction(1, 3), c]),
+    "QuadScalar": lambda c: QuadScalar(c, 2, 3),
+    "binomial_series": lambda c: binomial_series(c, Series.identity(3)),
+    "Poly": lambda c: Poly([Fraction(1, 3), c]),
+}
+
+
+@pytest.mark.parametrize("inexact", [0.5, 1 + 2j, Decimal("0.1"), "1/3"],
                          ids=lambda x: type(x).__name__)
-def test_check_exact_rejects_inexact_numbers(inexact):
-    check_exact([1, True, Fraction(1, 3), QuadScalar(1, 2, 3), Poly([1]), P])
-    with pytest.raises(TypeError, match=type(inexact).__name__):
-        check_exact([Fraction(1, 3), inexact])
+def test_constructors_reject_inexact_numbers(inexact):
+    # one rule, ring.is_rational: nothing inexact is parsed into a Fraction
+    for build in CONSTRUCTORS.values():
+        with pytest.raises(TypeError, match=type(inexact).__name__):
+            build(inexact)
+        for exact in (1, True, Fraction(1, 3)):
+            build(exact)

@@ -9,9 +9,10 @@ tuples of rational coefficient pairs (a, b) for a + b sqrt(d). The same goes
 for the two one-parameter families of `covers` (derivative factorizations
 and the discriminants -15 and -320) and for the Weierstrass identities of
 `weier`: the derivatives G' and G~' under D^2 = 4(P-e1)(P-e2)(P-e3), the
-discriminants of their quadratic factors and the six square-period
-specializations, compared with the `IntPoly` terms as dicts
-{(i, j, k): int}. The quartic cover t^3 (t-4)/(t-1) over Q is recomputed the
+discriminants of their quadratic factors, the six square-period
+specializations and the reduction by D^2 itself on drawn products and
+powers, compared with the `WeierExpr` terms as dicts {(i, j, k, l): int}
+of c P^i e1^j e2^k D^l. The quartic cover t^3 (t-4)/(t-1) over Q is recomputed the
 same way, and the counting checks `bound_arithmetic` and `admissible_tally`
 in plain arithmetic from their citations. A defect in the one `Poly`,
 `QuadScalar`, `gcd` or `IntPoly` kernel under those checks would have to be
@@ -24,6 +25,7 @@ from functools import cache
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from oddcovers import checks, weier
 from oddcovers.covers import (
@@ -266,15 +268,14 @@ def _vanishes_on_the_curve(expr):
 
 
 def _terms(expr):
-    """expr as the dict {(i, j, k): int} of its terms c P^i e1^j e2^k."""
-    return {key: int(c) for key, c in sympy.Poly(expr, P, e1, e2).as_dict().items()}
+    """expr as the dict {(i, j, k, l): int} of its terms c P^i e1^j e2^k D^l."""
+    return {key: int(c) for key, c in sympy.Poly(expr, P, e1, e2, D).as_dict().items()}
 
 
 def _normal_form(expr):
     """The polynomial expr of P, D reduced by D^2 = the cubic to even + odd*D,
-    as the pair of term dicts of even and odd."""
-    reduced = sympy.Poly(sympy.rem(sympy.expand(expr), D ** 2 - WEIER_CUBIC, D), D)
-    return _terms(reduced.nth(0)), _terms(reduced.nth(1))
+    as the term dict of that remainder."""
+    return _terms(sympy.rem(sympy.expand(expr), D ** 2 - WEIER_CUBIC, D))
 
 
 # The quadratic factors of G' and G~', as their docstrings and citations state them.
@@ -295,12 +296,11 @@ def test_weierstrass_derivatives_match_sympy():
     # G~ = D (P-e1): G~' = (P-e1) * GTILDE_FACTOR
     assert _vanishes_on_the_curve(_derive(D * (P - e1)) - (P - e1) * GTILDE_FACTOR)
     # the derivation itself, in normal form, on the pieces of G and G~
-    for even, odd, expr in ((weier.P - weier.E1, 0, P - e1),
-                            (0, weier.P - weier.E2, D * (P - e2)),
-                            (0, weier.P - weier.E1, D * (P - e1)),
-                            (weier.CUBIC, weier.P * weier.P, WEIER_CUBIC + D * P ** 2)):
-        derived = weier.WeierExpr(even, odd).derive()
-        assert (derived.even.terms, derived.odd.terms) == _normal_form(_derive(expr))
+    for ours, expr in ((weier.P - weier.E1, P - e1),
+                       (weier.D * (weier.P - weier.E2), D * (P - e2)),
+                       (weier.D * (weier.P - weier.E1), D * (P - e1)),
+                       (weier.CUBIC + weier.D * weier.P * weier.P, WEIER_CUBIC + D * P ** 2)):
+        assert ours.derive().terms == _normal_form(_derive(expr))
     # the same quadratics as weier's sparse integer polynomials
     assert weier.G_QUADRATIC.terms == _terms(G_FACTOR)
     assert weier.GTILDE_QUADRATIC.terms == _terms(GTILDE_FACTOR)
@@ -315,6 +315,30 @@ def test_weierstrass_discriminants_match_sympy():
     assert weier.DELTA0.terms == _terms(DELTA0)
     assert discriminant(weier.GTILDE_QUADRATIC, 0).terms == _terms(GTILDE_DELTA)
     assert weier.GTILDE_DELTA.terms == _terms(GTILDE_DELTA)
+
+
+# Terms {(i, j, k, l): c} of c P^i e1^j e2^k D^l, with D^l of any degree.
+raw_terms = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=1),
+              st.integers(min_value=0, max_value=1), st.integers(min_value=0, max_value=5)),
+    st.integers(min_value=-3, max_value=3), max_size=3)
+
+
+def _from_terms(terms):
+    return sum((c * P ** i * e1 ** j * e2 ** k * D ** l
+                for (i, j, k, l), c in terms.items()), sympy.Integer(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw_terms, raw_terms, st.integers(min_value=0, max_value=4))
+def test_weierstrass_reduction_matches_sympy(x, y, k):
+    # the WeierExpr reduction by D^2 = the cubic is sympy's remainder on
+    # division by D^2 - cubic, for raw terms, products and powers alike
+    ours_x, ours_y = weier.WeierExpr(4, x), weier.WeierExpr(4, y)
+    raw_x, raw_y = _from_terms(x), _from_terms(y)
+    assert ours_x.terms == _normal_form(raw_x)
+    assert (ours_x * ours_y).terms == _normal_form(raw_x * raw_y)
+    assert (ours_x ** k).terms == _normal_form(raw_x ** k)
 
 
 @pytest.mark.parametrize("expr, ours, values", [

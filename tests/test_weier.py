@@ -1,4 +1,5 @@
 import functools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from oddcovers import cli, weier
 from oddcovers.poly import IntPoly, discriminant
-from oddcovers.weier import E1, E2, E3, P, WeierExpr
+from oddcovers.weier import CUBIC, E1, E2, E3, D, P, WeierExpr
 
 
 def test_generator_derivatives():
-    p = WeierExpr(P)
-    d = WeierExpr(0, 1)
-    assert p.derive() == d
-    assert d.derive() == WeierExpr(weier.PSECOND)
+    assert P.derive() == D
+    assert D.derive() == weier.PSECOND
 
 
 def test_half_period_values_sum_to_zero():
@@ -22,8 +21,8 @@ def test_half_period_values_sum_to_zero():
 
 
 def test_d_squared_reduces_to_cubic():
-    d = WeierExpr(0, 1)
-    assert d * d == WeierExpr(weier.CUBIC)
+    assert D * D == CUBIC
+    assert (D * D).terms == CUBIC.terms
 
 
 def test_derivation_consistency():
@@ -40,11 +39,12 @@ monos = st.tuples(
 
 def from_monomials(terms):
     return sum((c * P ** i * E1 ** j * E2 ** k for (i, j, k), c in terms.items()),
-               IntPoly(3))
+               WeierExpr(4))
 
 
 polys = st.dictionaries(monos, coeffs, max_size=3).map(from_monomials)
-exprs = st.builds(WeierExpr, polys, polys)
+# the normal form even + odd*D
+exprs = st.builds(lambda even, odd: even + odd * D, polys, polys)
 
 
 @settings(max_examples=60)
@@ -57,24 +57,77 @@ def test_leibniz_rule(x, y):
 @given(exprs, exprs)
 def test_normal_form_is_canonical(x, y):
     # equality is coefficientwise equality of the normal forms
-    assert (x == y) == ((x - y).even.is_zero() and (x - y).odd.is_zero())
+    assert (x == y) == ((x - y).coefficient(3, 0).is_zero()
+                        and (x - y).coefficient(3, 1).is_zero())
 
 
 def test_equal_expressions_hash_alike():
     # a constant left by cancellation hashes as the constant it equals
-    assert len({WeierExpr(P * P - P * P + 1), WeierExpr(1)}) == 1
-    assert len({WeierExpr((E1 + 1) - E1), WeierExpr(1)}) == 1
+    assert len({P * P - P * P + 1, WeierExpr(4, {(0, 0, 0, 0): 1})}) == 1
+    assert len({D * D - CUBIC + 1, P ** 0}) == 1
     assert len({(E1 + 1) - E1, 1}) == 1
-    assert len({E1 - E1, IntPoly(3), 0}) == 1
+    assert len({E1 - E1, WeierExpr(4), 0}) == 1
 
 
 @settings(max_examples=40)
 @given(st.dictionaries(monos, coeffs, max_size=3))
 def test_monomials_round_trip(terms):
-    nonzero = {k: c for k, c in terms.items() if c != 0}
+    nonzero = {k + (0,): c for k, c in terms.items() if c != 0}
     assert from_monomials(terms).terms == nonzero
-    assert IntPoly(3, terms).terms == nonzero
-    assert IntPoly(3, terms) == from_monomials(terms)
+    assert WeierExpr(4, {k + (0,): c for k, c in terms.items()}).terms == nonzero
+    assert WeierExpr(4, {k + (0,): c for k, c in terms.items()}) == from_monomials(terms)
+    assert IntPoly(3, terms).terms == {k: c for k, c in terms.items() if c != 0}
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_plain_int_polys_do_not_mix_with_the_quotient_ring(op):
+    # IntPoly's operators would leave D^2 unreduced, so a plain IntPoly in
+    # four variables is foreign to a WeierExpr in either operand order
+    plain = IntPoly(4, {(1, 0, 0, 1): 2, (0, 0, 0, 0): 1})
+    for x, y in ((plain, D), (D, plain), (plain, P * D + E1), (CUBIC, plain)):
+        with pytest.raises(TypeError):
+            op(x, y)
+    # the same terms in the two rings are still unequal
+    assert plain != WeierExpr(4, plain.terms) and plain.terms == WeierExpr(4, plain.terms).terms
+
+
+def test_construction_reduces_by_the_relation():
+    assert WeierExpr(4, {(0, 0, 0, 2): 1}) == CUBIC
+    assert WeierExpr(4, {(1, 0, 0, 3): 2}) == 2 * P * D * CUBIC
+    assert WeierExpr(4, {(0, 0, 0, 4): 1, (0, 0, 0, 2): -1}) == CUBIC * CUBIC - CUBIC
+    assert WeierExpr(4, {(0, 0, 0, 5): 1}).terms == (D * CUBIC * CUBIC).terms
+    assert type(WeierExpr(4)) is WeierExpr and WeierExpr(4).is_zero()
+
+
+def test_quotient_ring_has_four_variables():
+    with pytest.raises(ValueError, match="4 variables"):
+        WeierExpr(3, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="4 variables"):
+        WeierExpr(3)
+    with pytest.raises(ValueError, match="4 variables"):
+        WeierExpr.variables(3)
+    with pytest.raises(ValueError, match="invalid exponents"):
+        WeierExpr(4, {(0, 0, 2): 1})
+
+
+raw_exprs = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 3, st.integers(min_value=0, max_value=4)),
+    coeffs, max_size=4).map(lambda terms: WeierExpr(4, terms))
+
+
+def in_normal_form(value):
+    return (type(value) is WeierExpr and value.n == 4
+            and all(len(k) == 4 and k[3] <= 1 for k in value.terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_exprs, raw_exprs, st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2),
+       st.sampled_from([(0, E2), (E1, 0), (E1, -E1), (1, 2)]))
+def test_every_result_stays_in_normal_form(x, y, k, var, e, values):
+    results = [x, x + y, x - y, 3 - x, x + 1, -x, x * y, 2 * x, x ** k, x.derive(),
+               x.derivative(var), x.coefficient(var, e), weier.substitute(x, *values)]
+    assert all(in_normal_form(r) for r in results)
 
 
 def test_G_identities():
@@ -106,14 +159,14 @@ def test_discriminant_constants():
     assert weier.DELTA0 == 10 * E1 * E1 + E1 * E2 - 2 * E2 * E2
     assert discriminant(weier.GTILDE_QUADRATIC, 0) == weier.GTILDE_DELTA
     with pytest.raises(ValueError, match="degree exactly 2 in x_0"):
-        discriminant(weier.CUBIC, 0)
+        discriminant(CUBIC, 0)
 
 
 def test_substitution_numeric():
     # Delta0 at (e1, e2) = (1, 2): 10 + 2 - 8 = 4
     value = weier.substitute(weier.DELTA0, 1, 2)
     assert value == 4
-    assert value.terms == {(0, 0, 0): 4}
+    assert value.terms == {(0, 0, 0, 0): 4}
 
 
 def test_verify_specializes_each_discriminant_once(monkeypatch, capsys):
@@ -145,10 +198,10 @@ def test_weier_polynomials_take_ints_only(operand):
         E1 + operand
     with pytest.raises(TypeError, match="ints, not %s" % type(operand).__name__):
         IntPoly(3, {(0, 1, 0): operand})
+    with pytest.raises(TypeError, match="ints, not %s" % type(operand).__name__):
+        WeierExpr(4, {(0, 0, 0, 0): operand})
     with pytest.raises(TypeError):
-        WeierExpr(operand)
-    with pytest.raises(TypeError):
-        WeierExpr(P) * operand
+        P * operand
 
 
 def test_weier_polynomials_refuse_bad_exponents():
