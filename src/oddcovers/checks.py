@@ -1,7 +1,7 @@
 """The checks `verify` runs, by suite, with the identity checks only they use.
 Only `verify` and the acceptance gate import this module, so no other
 command loads `covers`, `weier` and the `poly`, `ratmap` and `quadratic`
-layers under them."""
+layers under them. Each check reads its value off the one function computing it."""
 
 from collections import namedtuple
 from math import comb
@@ -33,20 +33,6 @@ def catalan_half_binomial_check(n: int) -> bool:
     holds iff Catalan(n) den == (-1)^n 2^(2n+1) num."""
     num, den = binom_ratio(1, 2, n + 1)
     return catalan(n) * den == (-1) ** n * 2 ** (2 * n + 1) * num
-
-
-def grassmannian_degrees(max_n: int) -> list:
-    """[deg G(2,n) for n = 2..max_n] in the Pluecker embedding, off one sigma_1
-    chain in G(2,max_n): sigma_1^(2(n-2)) there restricts to G(2,n) as its
-    sigma_{n-2,n-2} term (Fulton, Young Tableaux, section 9.4), the degree
-    times the point class."""
-    v = schubert.SchubertVector.unit(max_n)  # sigma_1^(2(n-2)) at step n
-    degrees = []
-    for n in range(2, max_n + 1):
-        degrees.append(v.terms.get((n - 2, n - 2), 0))
-        if n < max_n:
-            v = v.pieri(1).pieri(1)
-    return degrees
 
 
 def catalan_alternating_sum(g: int, m: int) -> int:
@@ -86,18 +72,14 @@ def _admissible_tally(max_g):
     return t4 == 16 and t5 == 16, "deg4 = %s, deg5 = %s" % (t4, t5)
 
 
-def _delta0(label):
-    spec = next(s for s in weier.delta0_specializations() if s.label == label)
-    detail = "Delta0 -> %s" % spec.value
-    if label.startswith("e3=0"):
-        detail += (" (informational: the certified fact is nonvanishing; "
-                   "the coefficient itself is reported, not assumed)")
-    return spec.nonzero and spec.monomial, detail
+E3_NOTE = (" (informational: the certified fact is nonvanishing; "
+           "the coefficient itself is reported, not assumed)")
 
 
-def _gtilde_delta(label):
-    spec = next(s for s in weier.gtilde_delta_specializations() if s.label == label)
-    return spec.nonzero and spec.monomial, "Delta -> %s" % spec.value
+def _nonzero_monomial(expr, i, name, note=""):
+    """(passed, detail): specialization i of `expr` is a nonzero monomial."""
+    v = weier.specializations(expr)[i]
+    return len(v.terms) == 1, "%s -> %s%s" % (name, v.format(weier.NAMES), note)
 
 
 def _route_agreement(max_g):
@@ -152,12 +134,12 @@ CHECKS = (
           lambda max_g: (weier.check_Gtilde_identities(), "")),
     *(Check("weierstrass", "delta0[%s]" % label,
             "Delta0 specialization is a nonzero monomial",
-            lambda max_g, label=label: _delta0(label))
-      for label in weier.SPECIALIZATION_LABELS),
+            lambda max_g, i=i, note=note: _nonzero_monomial(weier.DELTA0, i, "Delta0", note))
+      for i, (label, note) in enumerate(zip(weier.SPECIALIZATION_LABELS, ("", "", E3_NOTE)))),
     *(Check("weierstrass", "gtilde_delta[%s]" % label,
             "degree-5 discriminant specialization is a nonzero monomial",
-            lambda max_g, label=label: _gtilde_delta(label))
-      for label in weier.SPECIALIZATION_LABELS),
+            lambda max_g, i=i: _nonzero_monomial(weier.GTILDE_DELTA, i, "Delta"))
+      for i, label in enumerate(weier.SPECIALIZATION_LABELS)),
     Check("identities", "binomial_identity",
           "sum_k (-1)^k 2^(g-k) C(g,k) C(g-k,i) = C(g,i) 2^i for g <= %(g)d",
           lambda max_g: (all(binomial_identity_check(g)
@@ -178,8 +160,9 @@ CHECKS = (
               for g in range(9)], "")),
     Check("schubert", "grassmannian_degree",
           "sigma_1^(2(n-2)) evaluates to Catalan(n-2) on G(2,n), n <= 12",
-          lambda max_g: (grassmannian_degrees(12)
-                         == [catalan(n - 2) for n in range(2, 13)], "")),
+          # sigma_1^2 = sigma_2 + sigma_{1,1}; its g-th power lives in G(2,g+2)
+          lambda max_g: (schubert.top_power_prefix({(2, 0): 1, (1, 1): 1}, 10)
+                         == [catalan(n) for n in range(11)], "")),
     Check("schubert", "schubert_route",
           "(16 sigma_{4,0} + 16 sigma_{3,1})^g equals the closed formula, g <= 8",
           lambda max_g: (routes.route_prefix("schubert", 8)

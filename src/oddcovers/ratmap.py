@@ -8,9 +8,9 @@ to order d - deg(num - c den) (d - deg den for c = infinity). Irrational
 critical points are carried by their monic squarefree factors rather than
 radical expressions.
 
-`ramification_data` is the one ramification computation: it builds the
-Wronskian once, certifies Riemann-Hurwitz on the result before returning it,
-and callers read the point indices off that one list (`point_indices`).
+`ramification_data` is the one ramification computation: it reads every finite
+index off the Wronskian alone, certifies Riemann-Hurwitz on the result before
+returning it, and callers read the indices off that list (`point_indices`).
 """
 
 from .poly import Poly, _invert, gcd, squarefree_decomposition
@@ -98,25 +98,17 @@ def vanishing_order(f: RationalMap, value, point) -> int:
 def ramification_data(f: RationalMap):
     """All ramification of f as a list of (place, index), index >= 2.
 
-    Places are monic squarefree polynomials (their roots share the index)
-    or INFINITY. Conjugate irrational points appear through one factor.
-    A root of order k of the Wronskian, pole factors stripped, has index
-    k + 1; a pole of order m has index m; the index at infinity is the order
-    of f - f(infinity) there. Raises AssertionError unless the indices
-    satisfy Riemann-Hurwitz, sum(index - 1) = 2 deg(f) - 2.
+    Places are monic squarefree polynomials (their roots share the index, poles
+    or not) or INFINITY; conjugate irrational points appear through one factor.
+    A root of order k of the Wronskian W = p'q - pq' has index k + 1, at a pole
+    too: with q = (t-a)^m r, r(a) != 0, W = (t-a)^(m-1) [(t-a)(p'r - pr') - m p r]
+    and the bracket is -m p(a) r(a) != 0, so W vanishes there to order m - 1.
+    The index at infinity is the order of f - f(infinity) there. Raises
+    AssertionError unless sum(index - 1) = 2 deg(f) - 2 (Riemann-Hurwitz).
     """
     if f.is_constant():
         raise ValueError("constant map")
-    w = f.wronskian().monic()
-    while True:
-        g = gcd(w, f.den)
-        if not (g.degree and g.degree > 0):
-            break
-        w = (w // g).monic()
-    data = [(factor, mult + 1) for factor, mult in squarefree_decomposition(w)]
-    for factor, mult in squarefree_decomposition(f.den):
-        if mult >= 2:
-            data.append((factor, mult))
+    data = [(factor, mult + 1) for factor, mult in squarefree_decomposition(f.wronskian())]
     inf_idx = vanishing_order(f, f(INFINITY), INFINITY)
     if inf_idx >= 2:
         data.append((INFINITY, inf_idx))

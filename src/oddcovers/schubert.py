@@ -18,7 +18,8 @@ sigma_{a,b} when a <= n-2 and to 0 otherwise, and this pullback is a ring map
 (Fulton, Young Tableaux, section 9.4). So a power v^g computed once in a large
 G(2,N) restricts to v^g in every smaller G(2,n), and its top evaluation there
 is the sigma_{n-2,n-2} coefficient; `top_power_prefix` reads the top
-evaluations for every g off one chain of products this way.
+evaluations for every g off one chain of products this way, for v of any even
+degree (sigma_1^2 gives deg G(2,n) = Catalan(n-2)).
 
 Coefficients are Python ints, hence arbitrary precision throughout. A class
 is a `ring.SparseElement` with n the ambient G(2,n): `terms` maps each
@@ -144,24 +145,28 @@ def sigma12_rows(gs) -> list:
 
 
 def top_power_prefix(terms, max_g: int) -> list:
-    """[top(v^0), ..., top(v^max_g)], each in its own G(2,2g+2), from one chain.
+    """[top(v^0), ..., top(v^max_g)], each in its own G(2,e*g+2), from one chain.
 
     `terms` maps partitions (a, b) to integer weights; v = sum c*sigma_{a,b}
-    must be homogeneous of degree 4. The chain r <- v * r runs once in
-    G(2, 2*max_g+2), and step g reads the sigma_{2g,2g} coefficient of v^g,
-    which by the restriction map is the top evaluation of v^g in G(2,2g+2).
+    must be zero or homogeneous of one even degree 2e, read off its nonzero
+    terms. The chain r <- v * r runs once in G(2, e*max_g+2), and step g reads
+    the sigma_{eg,eg} coefficient of v^g, which by the restriction map is the
+    top evaluation of v^g in G(2,e*g+2). The zero class gives [1, 0, 0, ...].
     """
     if max_g < 0:
         raise ValueError("max_g must be nonnegative")
-    if any(a + b != 4 for (a, b), c in terms.items() if c != 0):
-        raise ValueError("top_power_prefix needs a class of degree 4")
-    v = SchubertVector(2 * max_g + 2, terms)
+    degrees = {a + b for (a, b), c in terms.items() if c != 0}
+    if len(degrees) > 1 or sum(degrees) % 2:
+        raise ValueError("top_power_prefix needs a class of one even degree, not %s"
+                         % sorted(degrees))
+    e = sum(degrees) // 2
+    v = SchubertVector(e * max_g + 2, terms)
     r = SchubertVector.unit(v.n)
     tops = []
     for g in range(max_g + 1):
-        if not r.degrees() <= {4 * g}:
-            raise ValueError("v^%d is not homogeneous of degree %d" % (g, 4 * g))
-        tops.append(r.terms.get((2 * g, 2 * g), 0))
+        if not r.degrees() <= {2 * e * g}:
+            raise ValueError("v^%d is not homogeneous of degree %d" % (g, 2 * e * g))
+        tops.append(r.terms.get((e * g, e * g), 0))
         if g < max_g:
             r = v * r
     return tops

@@ -71,16 +71,20 @@ class Series(RingElement):
         return exact_div(self.nums[n], self.den)
 
     def truncated(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend truncation order")
+        if not 0 <= order <= self.order:
+            raise ValueError("truncation order must be nonnegative and at most %d" % self.order)
         return Series._make(self.nums[: order + 1], self.den)
 
     def shifted(self, k: int):
-        """Multiply by w^k; the order grows by k."""
+        """Multiply by w^k, k >= 0; the order grows by k."""
+        if k < 0:
+            raise ValueError("shift must be nonnegative")
         return Series._make((0,) * k + self.nums, self.den)
 
     def over(self, k: int):
         """The series divided by the nonzero int k."""
+        if k == 0:
+            raise ZeroDivisionError("Series divided by zero")
         return Series._make(self.nums, self.den * k)
 
     # -- arithmetic ------------------------------------------------------

@@ -19,11 +19,12 @@ of degree 2 over the P-line, that normal form is canonical: two expressions
 are equal iff their terms match. derivative(0) is the partial derivative in
 P, and `poly.discriminant(q, 0)` is the discriminant of a quadratic in P.
 The derivation sends P to D and D to 6P^2 - g2/2 with
-g2 = 4 (E1^2 + E1*E2 + E2^2).
+g2 = 4 (E1^2 + E1*E2 + E2^2). `specializations` returns the three
+square-period values of an expression as plain `WeierExpr`s, and a nonzero
+monomial is a value with exactly one term.
 """
 
 import functools
-from collections import namedtuple
 
 from .poly import IntPoly, discriminant
 
@@ -101,41 +102,22 @@ def check_G_identities() -> bool:
         return False
     if discriminant(G_QUADRATIC, 0) != 16 * DELTA0:
         return False
-    return all(r.nonzero and r.monomial for r in delta0_specializations())
+    return all(len(v.terms) == 1 for v in specializations(DELTA0))
 
 
-Specialization = namedtuple("Specialization", "label value nonzero monomial")
-
-
-# The three square-period cases, in the order every specialization list
-# reports them; each label names the substitution `_specialize` makes.
+# The three square-period cases, each named by its substitution.
 SPECIALIZATION_LABELS = ("e1=0", "e2=0", "e3=0 (e2=-e1)")
 
 
-# Each expression's tuple is built on first use and kept: importing this module
-# substitutes nothing, and a `verify` run substitutes into each expression
-# once although eight of its checks read the results.
+# Each expression's values are built on first use and kept: importing this
+# module substitutes nothing, and a `verify` run substitutes into each
+# expression once although eight of its checks read the results.
 @functools.cache
-def _specialize(expr: WeierExpr) -> tuple:
-    values = (
-        substitute(expr, 0, E2),
-        substitute(expr, E1, 0),
-        substitute(expr, E1, -E1),
-    )
-    return tuple(
-        Specialization(label, v.format(NAMES), not v.is_zero(),
-                       len(v.terms) == 1)
-        for label, v in zip(SPECIALIZATION_LABELS, values)
-    )
-
-
-def delta0_specializations() -> tuple:
-    """Delta0 under e1 = 0, e2 = 0, e3 = 0: the three square-period cases.
-
-    The values are -2 E2^2, 10 E1^2 and 7 E1^2; only their nonvanishing is
-    mathematically load-bearing, and that is what callers assert.
-    """
-    return _specialize(DELTA0)
+def specializations(expr: WeierExpr) -> tuple:
+    """expr under e1 = 0, e2 = 0 and e3 = 0 (e2 = -e1), in SPECIALIZATION_LABELS
+    order: Delta0 goes to -2 E2^2, 10 E1^2, 7 E1^2 and GTILDE_DELTA to 240 E2^2,
+    96 E1^2, 96 E1^2; callers assert only that each is a nonzero monomial."""
+    return substitute(expr, 0, E2), substitute(expr, E1, 0), substitute(expr, E1, -E1)
 
 
 GTILDE_QUADRATIC = (
@@ -161,10 +143,4 @@ def check_Gtilde_identities() -> bool:
         return False
     if discriminant(GTILDE_QUADRATIC, 0) != GTILDE_DELTA:
         return False
-    return all(r.nonzero and r.monomial for r in gtilde_delta_specializations())
-
-
-def gtilde_delta_specializations() -> tuple:
-    """The degree-5 discriminant under e1 = 0, e2 = 0, e3 = 0 (240 E2^2,
-    96 E1^2, 96 E1^2: all nonzero)."""
-    return _specialize(GTILDE_DELTA)
+    return all(len(v.terms) == 1 for v in specializations(GTILDE_DELTA))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oddcovers.covers import deg3_maps, paired_quartic_maps, quartic_cover_map
-from oddcovers.poly import Poly
+from oddcovers.poly import Poly, gcd, squarefree_decomposition
 from oddcovers.ratmap import (
     INFINITY,
     RationalMap,
@@ -168,3 +168,52 @@ def test_infinity_by_degrees_matches_the_flip_on_the_covers(f):
 def test_constant_map_rejected():
     with pytest.raises(ValueError):
         ramification_data(RationalMap(Poly([5])))
+
+
+def two_path_ramification(f):
+    """Oracle: ramification by two computations. The Wronskian with every pole
+    factor stripped gives index k + 1 at a root of order k, and the
+    denominator's factors of multiplicity m >= 2 give the poles of index m."""
+    w = f.wronskian().monic()
+    while True:
+        g = gcd(w, f.den)
+        if not (g.degree and g.degree > 0):
+            break
+        w = (w // g).monic()
+    data = [(factor, mult + 1) for factor, mult in squarefree_decomposition(w)]
+    data += [(factor, mult) for factor, mult in squarefree_decomposition(f.den) if mult >= 2]
+    at_infinity = vanishing_order(f, f(INFINITY), INFINITY)
+    if at_infinity >= 2:
+        data.append((INFINITY, at_infinity))
+    return data
+
+
+def by_index(data):
+    """{index: product of the finite places of that index}, and the index at
+    infinity (1 when it is unramified)."""
+    products, at_infinity = {}, 1
+    for place, index in data:
+        if place == INFINITY:
+            at_infinity = index
+        else:
+            products[index] = products.get(index, Poly([1])) * place
+    return products, at_infinity
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(small, min_size=1, max_size=5), st.lists(small, min_size=1, max_size=3),
+       small, st.sampled_from([2, 3]))
+def test_ramification_matches_two_path_oracle_at_multiple_poles(num, rest, a, m):
+    # a pole of order m at a, unless num cancels part of it
+    p, r = Poly(num), Poly(rest)
+    if p.is_zero() or r.is_zero():
+        return
+    f = RationalMap(p, (T - a) ** m * r)
+    if f.is_constant():
+        return
+    assert by_index(ramification_data(f)) == by_index(two_path_ramification(f))
+
+
+@pytest.mark.parametrize("f", [quartic_cover_map(), *paired_quartic_maps(), *deg3_maps()])
+def test_ramification_matches_two_path_oracle_on_the_covers(f):
+    assert ramification_data(f) == two_path_ramification(f)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oddcovers import checks, cli, routes
-from oddcovers.checks import catalan_alternating_sum, grassmannian_degrees
+from oddcovers.checks import catalan_alternating_sum
 from oddcovers.combinat import catalan
 from oddcovers.schubert import SchubertVector, sigma12_rows, top_power_prefix
 
@@ -233,16 +233,19 @@ def grassmannian_degree(n):
     return top_eval(v)
 
 
+SIGMA1_SQUARED = {(2, 0): 1, (1, 1): 1}  # sigma_1^2 = sigma_2 + sigma_{1,1}
+
+
 def test_grassmannian_degree_is_catalan():
     for n in range(2, 13):
         assert grassmannian_degree(n) == catalan(n - 2)
     # the one-chain reading agrees with the per-n chains, also past n = 12
-    degrees = grassmannian_degrees(16)
+    degrees = top_power_prefix(SIGMA1_SQUARED, 14)
     assert degrees == [grassmannian_degree(n) for n in range(2, 17)]
     assert degrees == [catalan(n - 2) for n in range(2, 17)]
-    assert grassmannian_degrees(2) == [1]
+    assert top_power_prefix(SIGMA1_SQUARED, 0) == [1]
     with pytest.raises(ValueError, match="n >= 2"):
-        grassmannian_degrees(1)
+        SchubertVector.unit(1)
     with pytest.raises(ValueError, match="not of top degree 4"):
         top_eval(sigma(1, 0, 4))
 
@@ -310,27 +313,32 @@ def test_schubert_route_vanishing_weights():
     assert routes.route_prefix("schubert", 2, 1, 0)[2] == 1  # sigma_4^2 top in G(2,6) by duality
 
 
-degree_four = st.fixed_dictionaries({
-    (4, 0): st.integers(min_value=-3, max_value=3),
-    (3, 1): st.integers(min_value=-3, max_value=3),
-    (2, 2): st.integers(min_value=-3, max_value=3),
-})
+def even_degree_class(degree):
+    """(e, terms): a class of degree 2e = `degree` with small weights on
+    every partition of that degree; all of them may be 0."""
+    weight = st.integers(min_value=-3, max_value=3)
+    return st.tuples(st.just(degree // 2), st.fixed_dictionaries(
+        {(degree - b, b): weight for b in range(degree // 2 + 1)}))
 
 
 @settings(max_examples=40, deadline=None)
-@given(degree_four, st.integers(min_value=0, max_value=10))
-def test_top_power_prefix_matches_per_ambient_powers(terms, max_g):
-    # oracle: v^g by square-and-multiply in each G(2,2g+2) separately
+@given(st.one_of(*map(even_degree_class, (0, 2, 4, 6)), st.just((0, {}))),
+       st.integers(min_value=0, max_value=10))
+def test_top_power_prefix_matches_per_ambient_powers(degree_class, max_g):
+    # oracle: v^g by square-and-multiply in each G(2,e*g+2) separately
+    e, terms = degree_class
     assert top_power_prefix(terms, max_g) == [
-        top_eval(SchubertVector(2 * g + 2, terms) ** g) for g in range(max_g + 1)
+        top_eval(SchubertVector(e * g + 2, terms) ** g) for g in range(max_g + 1)
     ]
 
 
 def test_top_power_prefix_rejects_bad_input():
-    with pytest.raises(ValueError, match="degree 4"):
+    with pytest.raises(ValueError, match="one even degree, not \\[3\\]"):
         top_power_prefix({(3, 0): 1}, 3)
-    with pytest.raises(ValueError, match="degree 4"):
+    with pytest.raises(ValueError, match="one even degree, not \\[3, 4\\]"):
         top_power_prefix({(4, 0): 1, (2, 1): 2}, 3)
+    with pytest.raises(ValueError, match="one even degree, not \\[2, 4\\]"):
+        top_power_prefix({(4, 0): 1, (2, 0): 1}, 3)
     with pytest.raises(ValueError, match="nonnegative"):
         top_power_prefix({(4, 0): 1}, -1)
 

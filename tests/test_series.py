@@ -56,6 +56,25 @@ def test_shifted_raises_order():
     assert f.shifted(2).order == f.order + 2
 
 
+def test_over_zero_raises():
+    # den 0 would store negated numerators, equal Series([3, 6]).over(0) and
+    # fail only when a coefficient is read
+    with pytest.raises(ZeroDivisionError):
+        Series([1, 2]).over(0)
+
+
+def test_negative_truncation_raises():
+    # order -1 would keep no terms, a series the constructor refuses
+    with pytest.raises(ValueError, match="nonnegative"):
+        Series([1, 2]).truncated(-1)
+
+
+def test_negative_shift_raises():
+    # (0,) * -1 is empty, so the series would come back unshifted
+    with pytest.raises(ValueError, match="nonnegative"):
+        Series([1, 2]).shifted(-1)
+
+
 def test_compose_requires_nilpotent_inner():
     with pytest.raises(ValueError):
         compose(Series([1, 1]), Series([1, 1]))

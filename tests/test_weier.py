@@ -139,18 +139,18 @@ def test_Gtilde_identities():
 
 
 def test_delta0_specializations():
-    by_label = {s.label: s for s in weier.delta0_specializations()}
-    assert by_label["e1=0"].value == "-2*E2^2"
-    assert by_label["e2=0"].value == "10*E1^2"
+    by_label = dict(zip(weier.SPECIALIZATION_LABELS, weier.specializations(weier.DELTA0)))
+    assert by_label["e1=0"].format(weier.NAMES) == "-2*E2^2"
+    assert by_label["e2=0"].format(weier.NAMES) == "10*E1^2"
     # the computed coefficient at e3=0 is 7; only nonvanishing is load-bearing
-    assert by_label["e3=0 (e2=-e1)"].value == "7*E1^2"
-    assert all(s.nonzero and s.monomial for s in by_label.values())
+    assert by_label["e3=0 (e2=-e1)"].format(weier.NAMES) == "7*E1^2"
+    assert all(len(v.terms) == 1 for v in by_label.values())
 
 
 def test_gtilde_delta_specializations():
-    values = [s.value for s in weier.gtilde_delta_specializations()]
-    assert values == ["240*E2^2", "96*E1^2", "96*E1^2"]
-    assert all(s.nonzero for s in weier.gtilde_delta_specializations())
+    values = weier.specializations(weier.GTILDE_DELTA)
+    assert [v.format(weier.NAMES) for v in values] == ["240*E2^2", "96*E1^2", "96*E1^2"]
+    assert not any(v.is_zero() for v in values)
 
 
 def test_discriminant_constants():
@@ -171,23 +171,23 @@ def test_substitution_numeric():
 
 def test_verify_specializes_each_discriminant_once(monkeypatch, capsys):
     calls = []
-    original = weier._specialize.__wrapped__
+    original = weier.specializations.__wrapped__
 
     def counting(expr):
         calls.append(expr)
         return original(expr)
 
     # an empty cache of its own, so earlier tests leave nothing cached
-    monkeypatch.setattr(weier, "_specialize", functools.cache(counting))
+    monkeypatch.setattr(weier, "specializations", functools.cache(counting))
     assert cli.main(["verify", "--suite", "weierstrass"]) == 0
     assert "9 checks, 0 failed" in capsys.readouterr().out
     assert calls == [weier.DELTA0, weier.GTILDE_DELTA]
     # the module's own cache misses once per expression, too
     monkeypatch.undo()
-    weier._specialize.cache_clear()
+    weier.specializations.cache_clear()
     assert cli.main(["verify", "--suite", "weierstrass"]) == 0
-    assert weier._specialize.cache_info().misses == 2
-    assert type(weier.delta0_specializations()) is tuple
+    assert weier.specializations.cache_info().misses == 2
+    assert type(weier.specializations(weier.DELTA0)) is tuple
 
 
 @pytest.mark.parametrize("operand", [Fraction(1, 2), Fraction(2, 1), 0.5])

@@ -50,6 +50,8 @@ COMMANDS = (
     "table --max-g 40 --routes schubert,closed --cap 40 --format json",
     "verify --suite covers",
     "verify --suite weierstrass --format csv",
+    "table --max-g 5 --routes schubert,closed --n4 0 --n5 0 --format json",
+    "schubert --g 3 --n4 0 --n5 0 --format csv",
 )
 
 
