@@ -1,7 +1,8 @@
 """The checks `verify` runs, by suite, with the identity checks only they use.
 Only `verify` and the acceptance gate import this module, so no other
 command loads `covers`, `weier` and the `poly`, `ratmap` and `quadratic`
-layers under them. Each check reads its value off the one function computing it."""
+layers under them. Each check reads its value off the one function computing it;
+the three map checks of `covers` state their points and only multiply."""
 
 from collections import namedtuple
 from math import comb

@@ -7,20 +7,21 @@ explicit low-degree maps over Q, Q(sqrt(3)) and Q(sqrt(-3)) whose
 ramification is verified point by point, and the bookkeeping that
 turns local cover counts into the two intersection numbers 16 feeding the
 Schubert route. Everything is an exact polynomial identity; no numerics.
-Each check ramifies each of its maps once, by `ratmap.ramification_data`,
-which certifies Riemann-Hurwitz itself, and reads every index off that list.
+Each map is a pair of binary forms (`ratmap`) with cleared denominators, and
+each check states its points: `certified` tests the claimed ramification
+and fibers of a map with one Jacobian and products alone.
 """
 
-from .poly import IntPoly, Poly, discriminant
-from .quadratic import QuadScalar, sqrt_of
+from .poly import IntPoly, discriminant
+from .quadratic import form_ring
 from .ratmap import (
-    INFINITY,
-    RationalMap,
-    fiber_profile,
+    compose,
+    fiber_is,
     mobius_fixing_0_1,
-    point_indices,
-    ramification_data,
-    vanishing_order,
+    ramified_exactly_at,
+    same_map,
+    same_point,
+    value_at,
 )
 from .ring import exact_div
 
@@ -67,9 +68,33 @@ def family_condition_deg5_alpha2() -> bool:
     return discriminant(condition, 1) == -320
 
 
-def quartic_cover_map() -> RationalMap:
-    """The degree-4 cover t^3 (t-4) / (t-1) with triple points over 0 and -16."""
-    return RationalMap(Poly([0, 0, 0, -4, 1]), Poly([-1, 1]))
+def certified(f, claims) -> bool:
+    """Whether the map f has exactly the claimed ramification and fibers.
+
+    A check's claims about one map are a pair (ramification, fibers): every
+    ramification point as a pair (point, index), and fibers as pairs
+    (value, ((point, multiplicity), ...)); a point or value (a, b) stands
+    for (a : b), infinity for (1 : 0).
+    """
+    ramification, fibers = claims
+    return (ramified_exactly_at(f, ramification)
+            and all(fiber_is(f, target, points) for target, points in fibers))
+
+
+def quartic_cover_map():
+    """The degree-4 cover t^3 (t-4) / (t-1) with triple points over 0 and -16,
+    as the forms (x^3 (x - 4z), z^3 (x - z))."""
+    x, z = IntPoly.variables(2)
+    return x ** 3 * (x - 4 * z), z ** 3 * (x - z)
+
+
+def quartic_cover_claims() -> tuple:
+    """Triple points at 0, 2 and infinity; fibers {3,1} over 0, -16 and
+    infinity, at 0 and 4, at 2 and -2, at infinity and 1."""
+    return ((((0, 1), 3), ((2, 1), 3), ((1, 0), 3)),
+            (((0, 1), (((0, 1), 3), ((4, 1), 1))),
+             ((-16, 1), (((2, 1), 3), ((-2, 1), 1))),
+             ((1, 0), (((1, 0), 3), ((1, 1), 1)))))
 
 
 def check_quartic_cover() -> bool:
@@ -81,37 +106,33 @@ def check_quartic_cover() -> bool:
     involution identity f(2-t) = -f(t) - 16 pairing the two branch values.
     """
     f = quartic_cover_map()
-    t = Poly.x()
-    if ramification_data(f) != [(t * (t - 2), 3), (INFINITY, 3)]:
+    if not certified(f, quartic_cover_claims()):
         return False
-    if vanishing_order(f, 0, 0) != 3 or vanishing_order(f, -16, 2) != 3:
+    x, z = IntPoly.variables(2)
+    if (x - 2 * z) ** 3 * (x + 2 * z) != x ** 4 - 4 * x ** 3 * z + 16 * x * z ** 3 - 16 * z ** 4:
         return False
-    if vanishing_order(f, INFINITY, INFINITY) != 3:
-        return False
-    for value in (0, -16, INFINITY):
-        if fiber_profile(f, value) != [3, 1]:
-            return False
-    if (t - 2) ** 3 * (t + 2) != Poly([-16, 16, 0, -4, 1]):
-        return False
-    reflected = f.compose_source(RationalMap(Poly([2, -1])))
-    negated = RationalMap(-f.num - 16 * f.den, f.den)
-    return reflected == negated
+    F, G = f
+    return same_map(compose(f, (2 * z - x, z)), (-F - 16 * G, G))
 
 
 def paired_quartic_maps():
-    """The two degree-4 maps over Q(sqrt(3)) with double points at 0 and 1."""
-    r3 = sqrt_of(3)
-    t = Poly([QuadScalar(0, 0, 3), QuadScalar(1, 0, 3)])
-    quartic = (t * t) * (t - 1) * (t - 1)
-    first = RationalMap(
-        48 * r3 * quartic,
-        (-2 * t + 1 + r3) * (r3 + 6 * t - 3) ** 3,
-    )
-    second = RationalMap(
-        quartic,
-        t - QuadScalar(2, 1, 3).over(4),  # 1/2 + sqrt(3)/4
-    )
+    """The two degree-4 maps over Q(sqrt(3)) with double points at 0 and 1,
+    48 sqrt3 t^2 (t-1)^2 / ((1 + sqrt3 - 2t)(sqrt3 + 6t - 3)^3) and
+    t^2 (t-1)^2 / (t - 1/2 - sqrt3/4), as forms over Z[sqrt 3]."""
+    x, z, r = form_ring(3).variables(3)
+    quartic = x * x * (x - z) ** 2
+    first = (48 * r * quartic, (-2 * x + (1 + r) * z) * (6 * x + (r - 3) * z) ** 3)
+    second = (4 * quartic, z ** 3 * (4 * x - (2 + r) * z))
     return first, second
+
+
+def paired_quartic_claims() -> tuple:
+    """For each map: double points at 0 and 1, the whole fiber over 0; triple
+    points at its degree-3 pole and at one further point."""
+    x, z, r = form_ring(3).variables(3)
+    double = (((0, 1), 2), ((1, 1), 2))
+    return ((double + (((3 - r, 6), 3), ((1, 0), 3)), (((0, 1), double),)),
+            (double + (((1, 0), 3), ((3 + r, 6), 3)), (((0, 1), double),)))
 
 
 def check_paired_quartic_maps() -> tuple:
@@ -126,29 +147,27 @@ def check_paired_quartic_maps() -> tuple:
     is everything before that equation, for both maps; `identical` is the
     equation.
     """
-    first, second = paired_quartic_maps()
-    ramification_ok = True
-    pole_of_first = QuadScalar(3, -1, 3).over(6)  # 1/2 - sqrt(3)/6
-    for f, triple_at in ((first, pole_of_first), (second, INFINITY)):
-        data = ramification_data(f)
-        if (fiber_profile(f, 0) != [2, 2]
-                or vanishing_order(f, f(triple_at), triple_at) != 3
-                # two double points (the fiber over 0) and two triple points, only
-                or sorted(point_indices(data)) != [2, 2, 3, 3]
-                or vanishing_order(f, 0, 0) != 2 or vanishing_order(f, 0, 1) != 2):
-            ramification_ok = False
-    tau = mobius_fixing_0_1(QuadScalar(3, 1, 3).over(6))  # 1/2 + sqrt(3)/6
-    return ramification_ok, second.compose_source(tau) == first
+    maps = paired_quartic_maps()
+    ramification_ok = all(certified(f, claims)
+                          for f, claims in zip(maps, paired_quartic_claims()))
+    x, z, r = form_ring(3).variables(3)
+    tau = mobius_fixing_0_1((3 + r, 6), x, z)  # 1/2 + sqrt(3)/6
+    return ramification_ok, same_map(compose(maps[1], tau), maps[0])
 
 
 def deg3_maps():
-    """The conjugate pair of degree-3 covers over Q(sqrt(-3))."""
-    s = sqrt_of(-3)  # i * sqrt(3)
-    t = Poly([QuadScalar(0, 0, -3), QuadScalar(1, 0, -3)])
-    shift = (3 - s).over(6)  # 1/2 - sqrt(-3)/6
-    f = RationalMap((t - shift) ** 3)
-    conj = RationalMap(-((t - shift.conjugate()) ** 3))
-    return f, conj
+    """The conjugate pair of degree-3 covers over Q(sqrt(-3)),
+    +/-(t - 1/2 +/- sqrt(-3)/6)^3, as forms over Z[sqrt -3]."""
+    x, z, s = form_ring(-3).variables(3)  # s = i * sqrt(3)
+    return ((6 * x + (s - 3) * z) ** 3, 216 * z ** 3), (-(6 * x - (3 + s) * z) ** 3, 216 * z ** 3)
+
+
+def deg3_claims() -> tuple:
+    """For each cubic: triple points at infinity and at (3 -/+ sqrt(-3))/6,
+    the whole fiber over 0."""
+    x, z, s = form_ring(-3).variables(3)
+    return tuple((((point, 3), ((1, 0), 3)), (((0, 1), ((point, 3),)),))
+                 for point in ((3 - s, 6), (3 + s, 6)))
 
 
 def check_deg3_maps() -> bool:
@@ -159,13 +178,12 @@ def check_deg3_maps() -> bool:
     identity f(1-t) = conj(t).
     """
     f, conj = deg3_maps()
-    for g in (f, conj):
-        data = ramification_data(g)
-        if sorted(point_indices(data)) != [3, 3] or not any(p == INFINITY for p, _ in data):
-            return False
-    if f(0) != f(1):
+    if not all(certified(g, claims) for g, claims in zip((f, conj), deg3_claims())):
         return False
-    return f.compose_source(RationalMap(Poly([1, -1]))) == conj
+    if not same_point(value_at(f, (0, 1)), value_at(f, (1, 1))):
+        return False
+    x, z, s = form_ring(-3).variables(3)
+    return same_map(compose(f, (z - x, z)), conj)
 
 
 def chern_upper_bound(c1F: int, c1V: int) -> int:

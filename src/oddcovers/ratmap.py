@@ -1,151 +1,111 @@
-"""Rational self-maps of the projective line and their ramification, exactly.
+"""Maps of the projective line as pairs of binary forms, certified at stated
+points.
 
-A RationalMap is a coprime pair of polynomials over Q or Q(sqrt(d)); the
-point at infinity is handled by counting degrees, never by floating point or
-projective coordinates. For f = num/den of degree d, f(infinity) is infinity
-when deg den < d and num[d]/den[d] otherwise, and f - c vanishes at infinity
-to order d - deg(num - c den) (d - deg den for c = infinity). Irrational
-critical points are carried by their monic squarefree factors rather than
-radical expressions.
+A map of degree d is a pair f = (F, G) of binary forms of degree d in (x, z)
+(Silverman, The Arithmetic of Dynamical Systems, GTM 241, ch. 1): `IntPoly`s
+over Q, `quadratic.form_ring(d)` elements over Q(sqrt d), with integral
+scalars, since maps and points are defined up to a scalar. A point is a pair
+(a, b), the point (a : b) with linear form b x - a z; infinity is (1 : 0).
+Points, values and maps compare by cross-multiplying, and composing with a
+map of the source is a linear substitution.
 
-`ramification_data` is the one ramification computation: it reads every finite
-index off the Wronskian alone, certifies Riemann-Hurwitz on the result before
-returning it, and callers read the indices off that list (`point_indices`).
+Nothing here searches or divides: a check states its places and this layer
+only multiplies (McConnell, Mehlhorn, Naher & Schweitzer, "Certifying
+algorithms", Computer Science Review 5(2), 2011). The Jacobian
+J = F_x G_z - F_z G_x has degree 2d - 2 and vanishes to order exactly k - 1
+at a point of index k. `ramified_exactly_at` passes iff J is a nonzero
+multiple of prod (b x - a z)^(k-1) over the stated places, the points are
+distinct, and F and G do not both vanish at any of them: a common zero of F
+and G is a zero of J, so F and G are coprime, the degree is right, and
+comparing degrees is Riemann-Hurwitz. `fiber_is` checks the fiber over
+(v : w) as w F - v G = c * prod (b x - a z)^m, the same way.
 """
 
-from .poly import Poly, _invert, gcd, squarefree_decomposition
 
-INFINITY = "infinity"
-
-
-class RationalMap:
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = None):
-        if den is None:
-            den = Poly([1])
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        g = gcd(num, den) * den.leading()  # den // g is monic
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RationalMap is immutable")
-
-    @property
-    def degree(self) -> int:
-        return max(self.num.degree or 0, self.den.degree)
-
-    def is_constant(self) -> bool:
-        return not self.num.degree and self.den.degree == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalMap):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __call__(self, point):
-        """Value at a point of the source line; may be INFINITY."""
-        if point == INFINITY:
-            d = self.degree
-            if self.den.degree < d:
-                return INFINITY
-            return self.num[d] * _invert(self.den[d])
-        d = self.den(point)
-        if d == 0:
-            return INFINITY
-        return self.num(point) * _invert(d)
-
-    def wronskian(self) -> Poly:
-        """Numerator p'q - pq' of the derivative; its root orders encode all
-        finite ramification (index - 1 at poles and regular points alike)."""
-        return self.num.derivative() * self.den - self.num * self.den.derivative()
-
-    def compose_source(self, other):
-        """f composed with a source change of coordinates (a rational map)."""
-        d = self.degree
-        num = self.num.compose_fractional(other.num, other.den, d)
-        den = self.den.compose_fractional(other.num, other.den, d)
-        return RationalMap(num, den)
-
-    def __repr__(self):
-        return "RationalMap(%r / %r)" % (self.num, self.den)
+def value(form, point):
+    """F(a, b) for the point (a : b): a scalar of the ring of `form`."""
+    return form.substitute(tuple(point) + type(form).variables(form.n)[2:])
 
 
-def _fiber(f: RationalMap, value) -> Poly:
-    """The polynomial whose roots, with multiplicity, are the finite points
-    of the fiber of f over `value`; raises ValueError for a constant f."""
-    if f.is_constant():
-        raise ValueError("constant map")
-    return f.den if value == INFINITY else f.num - value * f.den
+def value_at(f, point) -> tuple:
+    """The value (F(a, b) : G(a, b)) of the map f at the point (a : b)."""
+    return value(f[0], point), value(f[1], point)
 
 
-def vanishing_order(f: RationalMap, value, point) -> int:
-    """Order of vanishing of f - value at the point; pole order for INFINITY.
-
-    Returns 0 when f(point) != value.
-    """
-    fib = _fiber(f, value)
-    if point == INFINITY:
-        return f.degree - fib.degree
-    return fib.root_order(point)
+def same_point(p, q) -> bool:
+    """(a : b) = (a' : b'), that is a b' = a' b; neither is (0 : 0)."""
+    return p[0] * q[1] == q[0] * p[1]
 
 
-def ramification_data(f: RationalMap):
-    """All ramification of f as a list of (place, index), index >= 2.
-
-    Places are monic squarefree polynomials (their roots share the index, poles
-    or not) or INFINITY; conjugate irrational points appear through one factor.
-    A root of order k of the Wronskian W = p'q - pq' has index k + 1, at a pole
-    too: with q = (t-a)^m r, r(a) != 0, W = (t-a)^(m-1) [(t-a)(p'r - pr') - m p r]
-    and the bracket is -m p(a) r(a) != 0, so W vanishes there to order m - 1.
-    The index at infinity is the order of f - f(infinity) there. Raises
-    AssertionError unless sum(index - 1) = 2 deg(f) - 2 (Riemann-Hurwitz).
-    """
-    if f.is_constant():
-        raise ValueError("constant map")
-    data = [(factor, mult + 1) for factor, mult in squarefree_decomposition(f.wronskian())]
-    inf_idx = vanishing_order(f, f(INFINITY), INFINITY)
-    if inf_idx >= 2:
-        data.append((INFINITY, inf_idx))
-    total = sum(index - 1 for index in point_indices(data))
-    expected = 2 * f.degree - 2
-    if total != expected:
-        raise AssertionError(
-            "ramification bookkeeping off: sum(index-1) = %d, expected %d"
-            % (total, expected)
-        )
-    return data
+def same_map(f, g) -> bool:
+    """F G' = F' G: f and g agree as maps of the line."""
+    return f[0] * g[1] == g[0] * f[1]
 
 
-def point_indices(data) -> list:
-    """The index of every ramification point in `ramification_data` output,
-    conjugates counted: a factor of degree k contributes its index k times."""
-    return [index for place, index in data
-            for _ in range(1 if place == INFINITY else place.degree)]
+def compose(f, images):
+    """f after the map of the source sending (x : z) to the pair of linear
+    forms `images`: (F(X, Z), G(X, Z))."""
+    images = tuple(images) + type(f[0]).variables(f[0].n)[2:]
+    return f[0].substitute(images), f[1].substitute(images)
 
 
-def fiber_profile(f: RationalMap, value):
-    """Partition of deg(f) given by multiplicities in the fiber over `value`,
-    as a descending list; irrational points contribute via their factors."""
-    d = f.degree
-    fib = _fiber(f, value)
-    parts = []
-    finite_degree = 0
-    if not fib.is_zero() and fib.degree > 0:
-        for factor, mult in squarefree_decomposition(fib):
-            parts.extend([mult] * factor.degree)
-            finite_degree += mult * factor.degree
-    if finite_degree < d:
-        parts.append(d - finite_degree)
-    return sorted(parts, reverse=True)
+def mobius_fixing_0_1(point, x, z) -> tuple:
+    """The linear forms of the Moebius map fixing 0 and 1 and sending
+    infinity to the point (a : b): (x : z) -> (a x : b x + (a - b) z)."""
+    a, b = point
+    return a * x, b * x + (a - b) * z
 
 
-def mobius_fixing_0_1(image_of_infinity) -> RationalMap:
-    """The Moebius map fixing 0 and 1 sending infinity to the given point."""
-    lam = _invert(image_of_infinity)
-    return RationalMap(Poly([0, 1]), Poly([1 - lam, lam]))
+def jacobian(f):
+    """J = F_x G_z - F_z G_x, of degree 2d - 2: a point of index k is a zero
+    of order k - 1."""
+    F, G = f
+    return F.derivative(0) * G.derivative(1) - F.derivative(1) * G.derivative(0)
+
+
+def proportional(a, b) -> bool:
+    """a = c b for a nonzero scalar c, b a nonzero form: with i, j the
+    exponents of a term of b, a b_ij = b a_ij and a_ij != 0, for the
+    coefficients a_ij, b_ij of x^i z^j; the scalars form a domain."""
+    if b.is_zero():
+        return False
+    i, j = next(iter(b.terms))[:2]
+    a_ij = a.coefficient(0, i).coefficient(1, j)
+    b_ij = b.coefficient(0, i).coefficient(1, j)
+    return not a_ij.is_zero() and a * b_ij == b * a_ij
+
+
+def _distinct(points) -> bool:
+    return all(not same_point(p, q) for i, p in enumerate(points) for q in points[:i])
+
+
+def _stated_product(form, stated):
+    """prod (b x - a z)^e over the stated (point, e), in the ring of `form`."""
+    x, z = type(form).variables(form.n)[:2]
+    product = form ** 0
+    for (a, b), e in stated:
+        line = b * x - a * z
+        for _ in range(e):
+            product = product * line
+    return product
+
+
+def ramified_exactly_at(f, places) -> bool:
+    """Whether the map f ramifies at exactly the stated places, given as
+    (point, index) pairs, with exactly those indices, and F and G are coprime."""
+    points = [point for point, _ in places]
+    if not _distinct(points):
+        return False
+    if any(value(f[0], p).is_zero() and value(f[1], p).is_zero() for p in points):
+        return False
+    stated = _stated_product(f[0], [(point, index - 1) for point, index in places])
+    return proportional(jacobian(f), stated)
+
+
+def fiber_is(f, target, points) -> bool:
+    """Whether the fiber of f over the value (v : w) is exactly the stated
+    (point, multiplicity) pairs: w F - v G = c * prod (b x - a z)^m."""
+    if not _distinct([point for point, _ in points]):
+        return False
+    v, w = target
+    return proportional(w * f[0] - v * f[1], _stated_product(f[0], points))

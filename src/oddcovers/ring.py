@@ -8,9 +8,11 @@ Immutability, subtraction and nonnegative integer powers are derived here.
 that `SchubertVector` (n of G(2,n)) and `poly.IntPoly` (n variables) both
 are: it supplies their construction, addition, negation and equality. Its
 `_wrap` and `==` take exactly their own type, so a subclass that builds its
-results through `_make` (as `weier.WeierExpr` reduces by D^2) stays closed.
-`canonical` and `exact_div` give a rational value the one form every ring
-class stores: an `int` when integral, a reduced `Fraction` otherwise. A
+results through `_make` stays closed: the quotient rings `weier.WeierExpr`
+and `quadratic.form_ring(d)` never mix with plain `IntPoly`s (whose own
+`==` compares constants by value across classes).
+`canonical` and `exact_div` give a rational value the one form `Series`
+stores: an `int` when integral, a reduced `Fraction` otherwise. A
 rational is told apart by `is_rational`, with no import: it has a
 `denominator` and is no ring element. That is the one exactness rule: a
 constructor refuses with TypeError every value it rejects (a float, a
@@ -22,7 +24,7 @@ non-integral value appears.
 
 def is_rational(x) -> bool:
     """Whether x is an int or a Fraction: it has a `denominator` and is no
-    ring element (a QuadScalar has one, too)."""
+    ring element."""
     return hasattr(x, "denominator") and not isinstance(x, RingElement)
 
 
@@ -67,14 +69,14 @@ class RingElement:
         """Binary square-and-multiply (Knuth, TAOCP vol. 2, section 4.6.3)."""
         if n < 0:
             raise ValueError("negative power of a %s" % type(self).__name__)
-        result = self._one()
+        result = None
         base = self
         while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if not n:
-                return result
+                return self._one() if result is None else result
             base = base * base
 
 
@@ -88,10 +90,13 @@ class SparseElement(RingElement):
 
     @classmethod
     def _make(cls, n: int, terms: dict):
-        """Unchecked constructor for valid keys and int values; drops zeros."""
+        """Unchecked constructor for valid keys and int values; drops zeros.
+        It keeps `terms` itself, so callers pass a dict they do not keep."""
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+        _SET_N(self, n)
+        _SET_TERMS(self, terms)
         return self
 
     def is_zero(self) -> bool:
@@ -123,3 +128,7 @@ class SparseElement(RingElement):
             return False
         o = self._wrap(other)
         return NotImplemented if o is None else self.terms == o.terms
+
+
+# Slot setters that bypass RingElement's immutability guard.
+_SET_N, _SET_TERMS = (SparseElement.__dict__[k].__set__ for k in SparseElement.__slots__)

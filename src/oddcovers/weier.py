@@ -7,7 +7,8 @@ level. Everything here computes in one ring, the quotient
 Z[P, E1, E2, D]/(D^2 - CUBIC) of the coordinate ring of the curve
 (Silverman, The Arithmetic of Elliptic Curves, GTM 106, sections III.1-3):
 a `WeierExpr` is a `poly.IntPoly` in the four variables (P, E1, E2, D)
-whose `_make` rewrites every D^k with k >= 2 as D^(k-2) * CUBIC, with
+whose quotient rule `_square = (3, CUBIC)` rewrites every D^k with k >= 2 as
+D^(k-2) * CUBIC, in the constructor and in products, with
 
     CUBIC = 4 (P - E1) (P - E2) (P + E1 + E2),
 
@@ -34,25 +35,6 @@ class WeierExpr(IntPoly):
 
     __slots__ = ()
 
-    @classmethod
-    def _make(cls, n: int, terms: dict):
-        """The normal form of `terms`: each D^k with k >= 2 becomes
-        D^(k-2) * CUBIC until the degree in D is at most 1."""
-        if n != 4:
-            raise ValueError("a WeierExpr is in the 4 variables P, E1, E2, D, not %d" % n)
-        # CUBIC, defined below, has no D: building it reduces nothing
-        while any(k[3] > 1 for k in terms):
-            out = {}
-            for k, c in terms.items():
-                if k[3] < 2:
-                    out[k] = out.get(k, 0) + c
-                    continue
-                for m, e in CUBIC.terms.items():
-                    key = (k[0] + m[0], k[1] + m[1], k[2] + m[2], k[3] - 2)
-                    out[key] = out.get(key, 0) + c * e
-            terms = out
-        return super()._make(n, terms)
-
     def derive(self):
         """The derivation: P' = D, D' = 6P^2 - g2/2, extended by Leibniz."""
         return self.derivative(0) * D + self.derivative(3) * PSECOND
@@ -63,13 +45,10 @@ P, E1, E2, D = WeierExpr.variables(4)
 E3 = -E1 - E2
 
 
-def substitute(q: WeierExpr, e1, e2) -> WeierExpr:
-    """q with E1 and E2 replaced by the given ints or WeierExprs."""
-    return sum((c * P ** i * e1 ** j * e2 ** k * D ** l
-                for (i, j, k, l), c in q.terms.items()), WeierExpr(4))
-
-
+# CUBIC has no D, so building it reduces nothing; from here on every
+# product and constructor dict is reduced by D^2 = CUBIC
 CUBIC = 4 * (P - E1) * (P - E2) * (P - E3)
+WeierExpr._square = (3, CUBIC)
 PSECOND = 6 * P * P - 2 * (E1 * E1 + E1 * E2 + E2 * E2)  # 6P^2 - g2/2
 
 
@@ -117,7 +96,7 @@ def specializations(expr: WeierExpr) -> tuple:
     """expr under e1 = 0, e2 = 0 and e3 = 0 (e2 = -e1), in SPECIALIZATION_LABELS
     order: Delta0 goes to -2 E2^2, 10 E1^2, 7 E1^2 and GTILDE_DELTA to 240 E2^2,
     96 E1^2, 96 E1^2; callers assert only that each is a nonzero monomial."""
-    return substitute(expr, 0, E2), substitute(expr, E1, 0), substitute(expr, E1, -E1)
+    return tuple(expr.substitute((P, e1, e2, D)) for e1, e2 in ((0, E2), (E1, 0), (E1, -E1)))
 
 
 GTILDE_QUADRATIC = (

@@ -2,19 +2,16 @@
 import pytest
 
 from oddcovers import checks, covers, ratmap
-from oddcovers.ratmap import (
-    INFINITY,
-    RationalMap,
-    fiber_profile,
-    point_indices,
-    ramification_data,
-    vanishing_order,
-)
+from oddcovers.poly import IntPoly
+from oddcovers.quadratic import form_ring
+from oddcovers.ratmap import fiber_is, ramified_exactly_at, same_point, value_at
+
+MAP_CHECKS = {"check_quartic_cover", "check_deg3_maps", "check_paired_quartic_maps"}
 
 
-def hurwitz_sum(f):
-    """sum(index - 1) over every ramification point of f, conjugates counted."""
-    return sum(index - 1 for index in point_indices(ramification_data(f)))
+def hurwitz_sum(claims):
+    """sum(index - 1) over the claimed ramification points."""
+    return sum(index - 1 for _, index in claims[0])
 
 
 def test_family_condition_alpha1():
@@ -31,10 +28,14 @@ def test_quartic_cover_check():
 
 def test_quartic_cover_fibers_directly():
     f = covers.quartic_cover_map()
-    assert fiber_profile(f, 0) == [3, 1]
-    assert fiber_profile(f, -16) == [3, 1]
-    assert fiber_profile(f, INFINITY) == [3, 1]
-    assert hurwitz_sum(f) == 6
+    # fibers {3, 1} over 0, -16 and infinity, at the stated points
+    assert fiber_is(f, (0, 1), (((0, 1), 3), ((4, 1), 1)))
+    assert fiber_is(f, (-16, 1), (((2, 1), 3), ((-2, 1), 1)))
+    assert fiber_is(f, (1, 0), (((1, 0), 3), ((1, 1), 1)))
+    assert not fiber_is(f, (-16, 1), (((2, 1), 2), ((-2, 1), 2)))
+    claims = covers.quartic_cover_claims()
+    assert covers.certified(f, claims)
+    assert hurwitz_sum(claims) == 6
 
 
 def test_paired_quartic_report():
@@ -47,7 +48,7 @@ def test_paired_quartic_maps_must_agree_exactly(monkeypatch):
     # 2*first has the same ramification as first but agrees with second o M
     # only after the target Moebius map x -> 2x, which no longer passes
     first, second = covers.paired_quartic_maps()
-    doubled = RationalMap(2 * first.num, first.den)
+    doubled = (2 * first[0], first[1])
     monkeypatch.setattr(covers, "paired_quartic_maps", lambda: (doubled, second))
     ramification_ok, identical = covers.check_paired_quartic_maps()
     assert ramification_ok
@@ -58,20 +59,29 @@ def test_paired_quartic_maps_must_agree_exactly(monkeypatch):
 
 
 def test_paired_quartic_maps_share_branch_structure():
-    first, second = covers.paired_quartic_maps()
-    for f in (first, second):
-        assert f.degree == 4
-        assert vanishing_order(f, 0, 0) == 2
-        assert vanishing_order(f, 0, 1) == 2
-        assert hurwitz_sum(f) == 6
-    assert vanishing_order(second, INFINITY, INFINITY) == 3
+    maps = covers.paired_quartic_maps()
+    for f, claims in zip(maps, covers.paired_quartic_claims()):
+        assert all(sum(k[:2]) == 4 for form in f for k in form.terms)
+        # double points at 0 and 1 over 0
+        assert fiber_is(f, (0, 1), (((0, 1), 2), ((1, 1), 2)))
+        assert covers.certified(f, claims)
+        assert hurwitz_sum(claims) == 6
+    # each map's first triple point is its degree-3 pole: (3 - sqrt3)/6 for
+    # the first, infinity for the second
+    x, z, r = form_ring(3).variables(3)
+    assert fiber_is(maps[0], (1, 0), (((3 - r, 6), 3), ((1 + r, 2), 1)))
+    assert fiber_is(maps[1], (1, 0), (((1, 0), 3), ((2 + r, 4), 1)))
+    assert ((3 - r, 6), 3) in covers.paired_quartic_claims()[0][0]
+    assert ((1, 0), 3) in covers.paired_quartic_claims()[1][0]
 
 
 def test_deg3_maps():
     assert covers.check_deg3_maps()
     f, conj = covers.deg3_maps()
-    assert f(0) == f(1)
-    assert vanishing_order(f, f(INFINITY), INFINITY) == 3
+    assert same_point(value_at(f, (0, 1)), value_at(f, (1, 1)))
+    # infinity is a triple point, the whole fiber over f(infinity)
+    assert fiber_is(f, value_at(f, (1, 0)), (((1, 0), 3),))
+    assert ramified_exactly_at(f, covers.deg3_claims()[0][0])
 
 
 def test_chern_upper_bound():
@@ -135,41 +145,95 @@ def test_three_routes_to_sixteen_coincide():
     (covers.check_quartic_cover, lambda: (covers.quartic_cover_map(),)),
 ])
 def test_each_map_is_ramified_once_per_check(monkeypatch, check, maps):
-    seen, wronskians = [], []
-    original = ratmap.ramification_data
-    original_wronskian = ratmap.RationalMap.wronskian
+    # one Jacobian per map: the ramification of each is computed once
+    seen = []
+    original = ratmap.jacobian
 
     def counting(f):
         seen.append(f)
         return original(f)
 
-    def counting_wronskian(f):
-        wronskians.append(f)
-        return original_wronskian(f)
-
-    # covers holds its own reference; patching both also counts any call
-    # made through ratmap itself
-    monkeypatch.setattr(ratmap, "ramification_data", counting)
-    monkeypatch.setattr(covers, "ramification_data", counting)
-    monkeypatch.setattr(ratmap.RationalMap, "wronskian", counting_wronskian)
+    monkeypatch.setattr(ratmap, "jacobian", counting)
     assert check()
     assert seen == list(maps())
-    assert wronskians == list(maps())
 
 
 def test_broken_ramification_count_fails_its_checks(monkeypatch):
-    # dropping one squarefree factor loses ramification, so Riemann-Hurwitz
-    # fails inside ramification_data and verify reports FAIL, not a traceback
-    original = ratmap.squarefree_decomposition
-    monkeypatch.setattr(ratmap, "squarefree_decomposition", lambda p: original(p)[1:])
-    broken = {"check_quartic_cover", "check_deg3_maps", "check_paired_quartic_maps"}
+    # a Jacobian with one zero too many matches no statement of the places,
+    # so the three map checks report FAIL, and the others still pass
+    original = ratmap.jacobian
+
+    def broken(f):
+        J = original(f)
+        return J * type(J).variables(J.n)[0]
+
+    monkeypatch.setattr(ratmap, "jacobian", broken)
     results = checks.run_checks(("covers",), 5)
     assert len(results) == 7
     for result in results:
-        if result["name"] in broken:
-            assert not result["pass"]
-            assert result["detail"].startswith(
-                "assertion failed: ramification bookkeeping off: ")
-        else:
-            assert result["pass"], result["name"]
-    assert broken <= {result["name"] for result in results}
+        assert result["pass"] is (result["name"] not in MAP_CHECKS), result["name"]
+    assert MAP_CHECKS <= {result["name"] for result in results}
+
+
+def _first_claims(claims, change):
+    """claims with the first map's claims replaced by change(its claims)."""
+    return (change(claims[0]),) + claims[1:]
+
+
+# Wrong claims, each planted into the claims of one map of each check:
+# (ramification, fibers) -> the same with one thing wrong.
+def _wrong_index(claims):
+    (point, index), *rest = claims[0]
+    return ((point, index + 1), *rest), claims[1]
+
+
+def _missing_point(claims):
+    return claims[0][1:], claims[1]
+
+
+def _wrong_point(claims):
+    (_, index), *rest = claims[0]
+    return (((7, 1), index), *rest), claims[1]
+
+
+def _wrong_fiber_multiplicity(claims):
+    (target, ((point, m), *points)), *fibers = claims[1]
+    return claims[0], ((target, ((point, m + 1), *points)), *fibers)
+
+
+PLANTED = {"wrong index": _wrong_index, "missing point": _missing_point,
+           "wrong point": _wrong_point, "wrong fiber multiplicity": _wrong_fiber_multiplicity}
+
+
+@pytest.mark.parametrize("plant", PLANTED.values(), ids=PLANTED.keys())
+def test_planted_wrong_claims_fail_their_checks(monkeypatch, plant):
+    quartic = covers.quartic_cover_claims()
+    paired = covers.paired_quartic_claims()
+    cubics = covers.deg3_claims()
+    monkeypatch.setattr(covers, "quartic_cover_claims", lambda: plant(quartic))
+    monkeypatch.setattr(covers, "paired_quartic_claims", lambda: _first_claims(paired, plant))
+    monkeypatch.setattr(covers, "deg3_claims", lambda: _first_claims(cubics, plant))
+    assert not covers.check_quartic_cover()
+    assert covers.check_paired_quartic_maps() == (False, True)
+    assert not covers.check_deg3_maps()
+    results = {r["name"]: r for r in checks.run_checks(("covers",), 5)}
+    for name in MAP_CHECKS:
+        assert not results[name]["pass"], name
+    assert results["check_paired_quartic_maps"]["detail"] == "relation found: identity"
+
+
+def test_a_common_factor_of_F_and_G_fails_the_check(monkeypatch):
+    # (x - 5z) F / (x - 5z) G is the same map of the line, but not a pair of
+    # coprime forms of degree 5: the check fails whatever it states at 5
+    F, G = covers.quartic_cover_map()
+    x, z = IntPoly.variables(2)
+    line = x - 5 * z
+    monkeypatch.setattr(covers, "quartic_cover_map", lambda: (line * F, line * G))
+    claims = covers.quartic_cover_claims()
+    for extra in ((), (((5, 1), 2),), (((5, 1), 3),)):
+        monkeypatch.setattr(covers, "quartic_cover_claims",
+                            lambda extra=extra: (claims[0] + extra, claims[1]))
+        assert not covers.check_quartic_cover()
+    [result] = [r for r in checks.run_checks(("covers",), 5)
+                if r["name"] == "check_quartic_cover"]
+    assert not result["pass"]

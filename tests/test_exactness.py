@@ -69,3 +69,45 @@ def test_scan_allows_only_the_listed_math_names():
     assert [d for _, d in inexact_nodes(ast.parse(source))] == [
         "from math import sqrt", "from math import exp", "from math import log"]
     assert inexact_nodes(ast.parse("from math import gcd")) == []
+
+
+# The binary-form layers check stated points by multiplying alone.
+DIVISION_FREE = ("ratmap.py", "quadratic.py")
+DIVISION_NAMES = {"divmod", "exact_div", "inverse"}
+
+
+def division_nodes(tree):
+    """(line, description) for each division, remainder or inversion in the tree."""
+    found = []
+    for node in ast.walk(tree):
+        op = getattr(node, "op", None)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                op, (ast.Div, ast.FloorDiv, ast.Mod)):
+            found.append((node.lineno, type(op).__name__))
+        elif isinstance(node, ast.Name) and node.id in DIVISION_NAMES:
+            found.append((node.lineno, "name %s" % node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in DIVISION_NAMES:
+            found.append((node.lineno, "attribute %s" % node.attr))
+        elif isinstance(node, ast.alias) and node.name in DIVISION_NAMES:
+            found.append((getattr(node, "lineno", 0), "import %s" % node.name))
+    return found
+
+
+@pytest.mark.parametrize("name", DIVISION_FREE)
+def test_form_layers_do_not_divide(name):
+    module = next(m for m in MODULES if m.name == name)
+    assert division_nodes(ast.parse(module.read_text(), str(module))) == []
+
+
+@pytest.mark.parametrize("source", [
+    "x = a / b",
+    "x = a // b",
+    "x = a % b",
+    "x %= 2",
+    "label = 'd = %d' % d",
+    "q, r = divmod(a, b)",
+    "from oddcovers.ring import exact_div",
+    "y = x.inverse()",
+])
+def test_division_scan_flags_every_form(source):
+    assert division_nodes(ast.parse(source))

@@ -1,19 +1,17 @@
+"""The polynomial kernels: `IntPoly` and `discriminant` of `oddcovers.poly`,
+and the univariate `Poly`, `gcd` and squarefree decomposition kept as test
+oracles in `map_oracles`."""
+
 import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddcovers import poly
-from oddcovers.covers import paired_quartic_maps, quartic_cover_map
-from oddcovers.poly import (
-    IntPoly,
-    Poly,
-    discriminant,
-    gcd,
-    squarefree_decomposition,
-)
-from oddcovers.quadratic import QuadScalar
+import map_oracles as poly
+from map_oracles import Poly, QuadScalar, gcd, squarefree_decomposition
+from oddcovers.covers import deg3_maps, paired_quartic_maps, quartic_cover_map
+from oddcovers.poly import IntPoly, discriminant
 
 coeff = st.fractions(
     max_denominator=8,
@@ -219,11 +217,9 @@ def test_integral_coefficients_are_ints():
     assert [type(c) for c in p.coeffs] == [int, Fraction, int, QuadScalar]
     assert type(p[7]) is int and type(Poly()(5)) is int
     assert Poly([2, 4]).monic().coeffs == (Fraction(1, 2), 1)
-    f = quartic_cover_map()
-    assert all(type(c) is int for c in f.num.coeffs + f.den.coeffs)
-    for f in (f, *paired_quartic_maps()):
-        _assert_canonical(f.num)
-        _assert_canonical(f.den)
+    # the maps of covers are forms with cleared denominators: int coefficients
+    for f in (quartic_cover_map(), *paired_quartic_maps(), *deg3_maps()):
+        assert all(type(c) is int for form in f for c in form.terms.values())
 
 
 def _scalar_polys(d, max_size):

@@ -1,3 +1,6 @@
+"""The binary forms over Z[sqrt d] of `oddcovers.quadratic`, and the
+`QuadScalar` of Q(sqrt d) kept as a test oracle in `map_oracles`."""
+
 import operator
 import os
 import subprocess
@@ -7,10 +10,13 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oddcovers import quadratic
-from oddcovers.quadratic import QuadScalar, sqrt_of
+import map_oracles
+from map_oracles import QuadScalar, sqrt_of
+from oddcovers import poly, weier
+from oddcovers.poly import IntPoly
+from oddcovers.quadratic import QuadForm, form_ring
 
 rationals = st.fractions(max_denominator=6, min_value=Fraction(-8), max_value=Fraction(8))
 scalars = st.builds(lambda a, b: QuadScalar(a, b, 3), rationals, rationals)
@@ -171,11 +177,12 @@ def test_hash_and_repr_read_the_stored_ints(a, b):
 
 
 def test_hash_and_repr_load_no_fractions():
-    script = ("import sys; from oddcovers.quadratic import QuadScalar\n"
+    script = ("import sys; from map_oracles import QuadScalar\n"
               "for x in (QuadScalar(1, 0, 3).over(2), QuadScalar(1, 1, 3).over(2)):\n"
               "    hash(x), repr(x)\n"
               "print('fractions' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=str(Path(quadratic.__file__).resolve().parents[1]))
+    paths = (Path(poly.__file__).resolve().parents[1], Path(map_oracles.__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -199,3 +206,107 @@ def test_float_operands_are_refused(f, x):
             op(x, f)
         with pytest.raises(TypeError):
             op(f, x)
+
+
+# -- the form ring Z[x, z, r]/(r^2 - d) ---------------------------------------
+
+def forms(d):
+    return form_ring(d).variables(3)
+
+
+def test_r_squares_to_d():
+    for d in (3, -3, 5):
+        x, z, r = forms(d)
+        assert r * r == d and (r * r).terms == {(0, 0, 0): d}
+        assert form_ring(d)(3, {(0, 0, 3): 1}) == d * r
+        assert type(r * r) is form_ring(d) and form_ring(d).d == d
+
+
+def test_form_rings_are_one_class_per_d():
+    assert form_ring(3) is form_ring(3) and form_ring(3) is not form_ring(-3)
+    assert issubclass(form_ring(3), QuadForm) and issubclass(QuadForm, IntPoly)
+
+
+@pytest.mark.parametrize("d", [0, 1, 4, 9])
+def test_square_d_is_refused(d):
+    # r^2 - d factors for a square d, so the ring is no domain
+    with pytest.raises(ValueError, match="is a square"):
+        form_ring(d)
+
+
+@pytest.mark.parametrize("d", [Fraction(3), 3.0, "3"], ids=["Fraction", "float", "str"])
+def test_non_int_d_is_refused(d):
+    form_ring(3)  # built first, so that a cache keyed by value would hand it out
+    with pytest.raises(TypeError, match="int d"):
+        form_ring(d)
+
+
+def test_different_d_do_not_mix():
+    (x3, _, r3), (x5, _, r5) = forms(3), forms(5)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(r3, r5)
+    # the same terms over two d, or in the polynomial ring, are unequal
+    assert x3 != x5 and x3.terms == x5.terms
+    assert x3 != IntPoly.variables(3)[0]
+    with pytest.raises(ValueError, match="3 variables, not 2"):
+        form_ring(3)(2, {(1, 0): 1})
+
+
+form_terms = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 2, st.integers(min_value=0, max_value=3)),
+    st.integers(min_value=-5, max_value=5), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(form_terms, form_terms, form_terms, st.sampled_from([3, -3]))
+def test_form_ring_axioms_and_normal_form(a, b, c, d):
+    ring = form_ring(d)
+    x, y, w = ring(3, a), ring(3, b), ring(3, c)
+    assert x * (y + w) == x * y + x * w
+    assert (x * y) * w == x * (y * w)
+    for value in (x, x + y, x - y, -x, x * y, 3 * x, x ** 2, x.substitute((y, w, forms(d)[2]))):
+        assert type(value) is ring and all(k[2] <= 1 for k in value.terms)
+    # multiplying by r twice multiplies by d
+    r = forms(d)[2]
+    assert x * r * r == d * x and (x * r * r).terms == (d * x).terms
+
+
+@pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), Fraction(2, 1), "1"],
+                         ids=lambda v: type(v).__name__)
+def test_form_ring_refuses_floats_fractions_and_strings(bad):
+    ring = form_ring(3)
+    x, z, r = forms(3)
+    with pytest.raises(TypeError, match="ints, not %s" % type(bad).__name__):
+        ring(3, {(1, 0, 0): bad})
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        assert getattr(r, op)(bad) is NotImplemented
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(x + r, bad)
+        with pytest.raises(TypeError):
+            op(bad, x + r)
+    with pytest.raises(TypeError):
+        x.substitute((bad, z, r))
+
+
+def test_weier_and_forms_share_one_reduction(monkeypatch):
+    # both quotient rings reduce through IntPoly._reduced, on constructor
+    # dicts and products only: sums, negations and int coercions do not scan
+    calls = []
+    original = IntPoly._reduced.__func__
+
+    def counting(cls, terms):
+        calls.append(cls)
+        return original(cls, terms)
+
+    monkeypatch.setattr(IntPoly, "_reduced", classmethod(counting))
+    x, z, r = forms(3)
+    calls.clear()
+    total = (x + r) - z + 2 - (-r)
+    assert calls == [] and total.terms == {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 0): 2,
+                                           (0, 0, 1): 2}
+    assert r * r == 3 and calls == [form_ring(3)]
+    assert weier.D * weier.D == weier.CUBIC and calls == [form_ring(3), weier.WeierExpr]
+    assert weier.WeierExpr(4, {(0, 0, 0, 2): 1}) == weier.CUBIC
+    assert calls[-1] is weier.WeierExpr and len(calls) == 3

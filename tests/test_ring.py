@@ -1,4 +1,5 @@
-"""The operator contract every exact ring class inherits from RingElement."""
+"""The operator contract every exact ring class inherits from RingElement,
+and equality across the IntPoly classes."""
 
 import operator
 from decimal import Decimal
@@ -6,15 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from oddcovers.poly import IntPoly, Poly
-from oddcovers.quadratic import QuadScalar
+from hypothesis import given, strategies as st
+
+from map_oracles import Poly, QuadScalar
+from oddcovers.poly import IntPoly
+from oddcovers.quadratic import form_ring
 from oddcovers.schubert import SchubertVector
 from oddcovers.series import Series, binomial_series
-from oddcovers.weier import E1, E2, D, P
-
-from test_schubert import sigma
+from oddcovers.weier import E1, E2, D, P, WeierExpr
+from schubert_helpers import sigma
 
 T, B = IntPoly.variables(2)
+X3, Z3, R3 = form_ring(3).variables(3)
 
 # (x, y, unit): two elements of one ring and its unit. The unit is the int 1
 # exactly for the classes that coerce ints.
@@ -33,6 +37,8 @@ CASES = {
     "WeierPoly": (P * P - 2 * E1, E1 * E2 + 3 * P, 1),
     # even + odd*D, reduced by D^2 = the cubic
     "WeierExpr": (P - E1 + (E2 + 1) * D, E2 + 2 * P * D, 1),
+    # binary forms over Z[sqrt 3], reduced by r^2 = 3
+    "QuadForm": (X3 * X3 - 2 * R3 * Z3 + 1, (3 - R3) * X3 + 6 * Z3, 1),
 }
 
 elements = pytest.mark.parametrize("x, y, unit", CASES.values(), ids=CASES.keys())
@@ -107,7 +113,9 @@ def test_int_polys_in_different_variable_counts_do_not_mix(op):
         op(T, x)
     with pytest.raises(ValueError, match="mismatched variable counts 3 vs 2"):
         op(p, T)
-    assert T != x and IntPoly(2) != IntPoly(3)
+    # non-constants in different variable counts are unequal; constants
+    # compare by their int values, as they hash
+    assert T != x and IntPoly(2) == IntPoly(3) and x + 2 != T + 2
 
 
 def test_int_operands_keep_the_variable_count():
@@ -145,3 +153,38 @@ def test_constructors_reject_inexact_numbers(inexact):
             build(inexact)
         for exact in (1, True, Fraction(1, 3)):
             build(exact)
+
+
+# Constants and non-constants of every IntPoly class: ints, IntPolys in 2, 3
+# and 4 variables, WeierExprs and forms over Z[sqrt 3] and Z[sqrt -3].
+def _int_poly_values(c):
+    forms3, forms_3 = form_ring(3).variables(3), form_ring(-3).variables(3)
+    return [c, IntPoly(2, {(0, 0): c}), IntPoly(3, {(0, 0, 0): c}),
+            IntPoly(4, {(0, 0, 0, 0): c}), WeierExpr(4, {(0, 0, 0, 0): c}),
+            form_ring(3)(3, {(0, 0, 0): c}), form_ring(-3)(3, {(0, 0, 0): c}),
+            T + c, IntPoly.variables(3)[0] + c, IntPoly.variables(4)[0] + c,
+            P + c, forms3[2] + c, forms_3[2] + c, forms3[0] + c]
+
+
+@given(st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=3))
+def test_int_poly_equality_is_transitive_and_hash_consistent(constants):
+    values = [v for c in constants for v in _int_poly_values(c)]
+    for x in values:
+        for y in values:
+            if x == y:
+                assert y == x and hash(x) == hash(y), (x, y)
+                assert all((x == z) == (y == z) for z in values), (x, y)
+    # a set keeps one value per equality class, whatever the insertion order
+    classes = len(set(values))
+    assert len(set(reversed(values))) == classes
+    assert classes == sum(1 for i, x in enumerate(values) if all(x != y for y in values[:i]))
+
+
+def test_constants_compare_by_value_across_classes():
+    one = [1, IntPoly(2, {(0, 0): 1}), IntPoly(3, {(0, 0, 0): 1}), WeierExpr(4, {(0, 0, 0, 0): 1}),
+           form_ring(3)(3, {(0, 0, 0): 1}), R3 * R3 - 2, D ** 0]
+    assert all(x == y and hash(x) == hash(y) for x in one for y in one)
+    assert len(set(one)) == 1 and len({IntPoly(2), WeierExpr(4), 0}) == 1
+    # non-constants stay apart across classes, equal terms or not
+    assert P != IntPoly.variables(4)[0] and R3 != IntPoly.variables(3)[2]
+    assert form_ring(3).variables(3)[2] != form_ring(-3).variables(3)[2]

@@ -7,6 +7,7 @@ from oddcovers import checks, cli, routes
 from oddcovers.checks import catalan_alternating_sum
 from oddcovers.combinat import catalan
 from oddcovers.schubert import SchubertVector, sigma12_rows, top_power_prefix
+from schubert_helpers import sigma
 
 
 def top_eval(v):
@@ -16,11 +17,6 @@ def top_eval(v):
     if not v.degrees() <= {top}:
         raise ValueError("top_eval on a class not of top degree %d" % top)
     return v.terms.get((v.n - 2, v.n - 2), 0)
-
-
-def sigma(a, b, n):
-    """The basis class sigma_{a,b} of G(2,n); zero if it falls outside the box."""
-    return SchubertVector(n, {(a, b): 1})
 
 
 def giambelli(a, b, n):

@@ -1,23 +1,25 @@
 """A second opinion on the certified facts, recomputed in sympy.
 
-The maps over Q(sqrt 3) and Q(sqrt -3) certified by `covers` are written
+The maps over Q, Q(sqrt 3) and Q(sqrt -3) certified by `covers` are written
 down again here from their formulas, never taken from `oddcovers` objects:
 sympy factors their Wronskians and fibers over the extension
 (`factor_list(..., extension=...)`) and checks their Moebius and involution
-identities. Only the results are compared with what `ratmap` returns, as
-tuples of rational coefficient pairs (a, b) for a + b sqrt(d). The same goes
-for the two one-parameter families of `covers` (derivative factorizations
-and the discriminants -15 and -320) and for the Weierstrass identities of
-`weier`: the derivatives G' and G~' under D^2 = 4(P-e1)(P-e2)(P-e3), the
-discriminants of their quadratic factors, the six square-period
-specializations and the reduction by D^2 itself on drawn products and
-powers, compared with the `WeierExpr` terms as dicts {(i, j, k, l): int}
-of c P^i e1^j e2^k D^l. The quartic cover t^3 (t-4)/(t-1) over Q is recomputed the
-same way, and the counting checks `bound_arithmetic` and `admissible_tally`
-in plain arithmetic from their citations. A defect in the one `Poly`,
-`QuadScalar`, `gcd` or `IntPoly` kernel under those checks would have to be
-repeated in sympy to go unseen (McKeeman, "Differential testing for
-software", Digital Technical Journal 10(1), 1998).
+identities. What is compared with the package is what each check states:
+its ramification points with their indices and its fibers with their
+multiplicities (`covers.quartic_cover_claims` and the like), each point
+(a : b) read as t = a/b in sympy, as tuples of rational coefficient pairs
+(a, b) for a + b sqrt(d). The same goes for the two one-parameter families of
+`covers` (derivative factorizations and the discriminants -15 and -320) and
+for the Weierstrass identities of `weier`: the derivatives G' and G~' under
+D^2 = 4(P-e1)(P-e2)(P-e3), the discriminants of their quadratic factors, the
+six square-period specializations and the reduction by D^2 itself on drawn
+products and powers, compared with the `WeierExpr` terms as dicts
+{(i, j, k, l): int} of c P^i e1^j e2^k D^l. The counting checks
+`bound_arithmetic` and `admissible_tally` are redone in plain arithmetic
+from their citations. A wrong stated point, or a defect in the one `IntPoly`
+kernel under those checks, would have to be repeated in sympy to go unseen
+(McKeeman, "Differential testing for software", Digital Technical Journal
+10(1), 1998).
 """
 
 from fractions import Fraction
@@ -27,24 +29,20 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from oddcovers import checks, weier
+from oddcovers import checks, covers, weier
 from oddcovers.covers import (
     check_deg3_maps,
     check_paired_quartic_maps,
     check_quartic_cover,
-    deg3_maps,
     family_condition_deg5_alpha1,
     family_condition_deg5_alpha2,
-    paired_quartic_maps,
-    quartic_cover_map,
 )
 from oddcovers.poly import IntPoly, discriminant
-from oddcovers.quadratic import QuadScalar
-from oddcovers.ratmap import INFINITY, fiber_profile, ramification_data
 
 t = sympy.Symbol("t")
 R3 = sympy.sqrt(3)
 S = sympy.sqrt(-3)  # i sqrt(3)
+INFINITY = "infinity"  # the point t = infinity, in the sets compared here
 
 # f = N / D as in `covers.paired_quartic_maps` and `covers.deg3_maps`.
 QUARTIC = t ** 2 * (t - 1) ** 2
@@ -71,11 +69,6 @@ def _sympy_tuple(factor, d):
     return tuple(_pair(c, d) for c in reversed(monic.all_coeffs()))
 
 
-def _oddcovers_tuple(p):
-    return tuple((c.a, c.b) if isinstance(c, QuadScalar) else (Fraction(c), Fraction(0))
-                 for c in p.coeffs)
-
-
 def _factors(expr, d):
     """[(irreducible factor, multiplicity)] of a polynomial over Q(sqrt d)."""
     return [(f, k) for f, k in sympy.factor_list(expr, t, extension=sympy.sqrt(d))[1]
@@ -97,9 +90,10 @@ def _degree(expr):
 
 @cache
 def sympy_ramification(num, den, d):
-    """{(place, index)} by the rule of `ratmap.ramification_data`: Wronskian
-    factors prime to the poles at index k + 1, repeated pole factors at index
-    k, and infinity at the order of f - f(infinity) there."""
+    """{(place, index)}: Wronskian factors prime to the poles at index k + 1,
+    repeated pole factors at index k, and infinity at the order of
+    f - f(infinity) there; the finite places of one index as one monic
+    squarefree polynomial."""
     wronskian = sympy.expand(sympy.diff(num, t) * den - num * sympy.diff(den, t))
     pole_factors = [f for f, _ in _factors(den, d)]
     # irreducible factors: p divides f only when they agree up to a scalar
@@ -121,39 +115,72 @@ def sympy_ramification(num, den, d):
 
 
 @cache
-def sympy_profile_over_zero(num, den, d):
-    """The fiber partition over 0: root multiplicities of N, one per conjugate
-    root, and the rest of the degree at infinity."""
-    parts = [k for f, k in _factors(num, d) for _ in range(_degree(f))]
+def sympy_fiber_over_zero(num, den, d):
+    """{(place, multiplicity)} of the fiber over 0: the roots of N, those of
+    one multiplicity as one monic squarefree polynomial, and infinity at the
+    rest of the degree."""
+    places = {(place, k) for k, place in _squarefree_parts(_factors(num, d), d).items()}
     degree = max(_degree(num), _degree(den))
-    if sum(parts) < degree:
-        parts.append(degree - sum(parts))
-    return sorted(parts, reverse=True)
+    if _degree(num) < degree:
+        places.add((INFINITY, degree - _degree(num)))
+    return places
+
+
+def _profile(places):
+    """The partition of the degree a set of places gives."""
+    return sorted((k for place, k in places
+                   for _ in range(1 if place == INFINITY else len(place) - 1)), reverse=True)
+
+
+def _scalar(c, d):
+    """An int, or a scalar of `quadratic.form_ring(d)`, as a sympy number."""
+    if type(c) is int:
+        return sympy.Integer(c)
+    assert all(k[:2] == (0, 0) for k in c.terms), c
+    return c.terms.get((0, 0, 0), 0) + c.terms.get((0, 0, 1), 0) * sympy.sqrt(d)
+
+
+def stated_places(stated, d):
+    """The stated (point, k) pairs of a check, each point (a : b) read as
+    t = a/b, in the form of `sympy_ramification`."""
+    products, places = {}, set()
+    for (a, b), k in stated:
+        a, b = _scalar(a, d), _scalar(b, d)
+        if b == 0:
+            places.add((INFINITY, k))
+        else:
+            products[k] = products.get(k, 1) * (t - sympy.radsimp(a / b))
+    return places | {(_sympy_tuple(p, d), k) for k, p in products.items()}
 
 
 CASES = [
-    ("first quartic", 3, FIRST, lambda: paired_quartic_maps()[0]),
-    ("second quartic", 3, SECOND, lambda: paired_quartic_maps()[1]),
-    ("cubic", -3, CUBIC, lambda: deg3_maps()[0]),
-    ("conjugate cubic", -3, CUBIC_CONJ, lambda: deg3_maps()[1]),
+    ("first quartic", 3, FIRST, lambda: covers.paired_quartic_claims()[0]),
+    ("second quartic", 3, SECOND, lambda: covers.paired_quartic_claims()[1]),
+    ("cubic", -3, CUBIC, lambda: covers.deg3_claims()[0]),
+    ("conjugate cubic", -3, CUBIC_CONJ, lambda: covers.deg3_claims()[1]),
 ]
 
 
-@pytest.mark.parametrize("d, formula, built", [case[1:] for case in CASES],
+def _stated_fiber(claims, value):
+    [points] = [points for target, points in claims[1] if target == value]
+    return points
+
+
+@pytest.mark.parametrize("d, formula, claimed", [case[1:] for case in CASES],
                          ids=[case[0] for case in CASES])
-def test_ramification_and_fiber_over_zero_match_sympy(d, formula, built):
-    f = built()
-    ours = {(INFINITY if place == INFINITY else _oddcovers_tuple(place), index)
-            for place, index in ramification_data(f)}
-    assert ours == sympy_ramification(*formula, d)
-    assert fiber_profile(f, 0) == sympy_profile_over_zero(*formula, d)
+def test_ramification_and_fiber_over_zero_match_sympy(d, formula, claimed):
+    claims = claimed()
+    assert stated_places(claims[0], d) == sympy_ramification(*formula, d)
+    over_zero = stated_places(_stated_fiber(claims, (0, 1)), d)
+    assert over_zero == sympy_fiber_over_zero(*formula, d)
+    assert _profile(over_zero) == _profile(sympy_fiber_over_zero(*formula, d))
 
 
 def test_the_triple_points_sympy_finds():
     # spot values of the recomputation itself, from the covers docstrings
     assert (_sympy_tuple(t - (3 - R3) / 6, 3), 3) in sympy_ramification(*FIRST, 3)
     assert (INFINITY, 3) in sympy_ramification(*SECOND, 3)
-    assert sympy_profile_over_zero(*FIRST, 3) == [2, 2]
+    assert _profile(sympy_fiber_over_zero(*FIRST, 3)) == [2, 2]
 
 
 def test_second_after_moebius_is_first_in_sympy():
@@ -179,19 +206,19 @@ QUARTIC_COVER = (t ** 3 * (t - 4), t - 1)
 
 def test_quartic_cover_matches_sympy():
     num, den = QUARTIC_COVER
-    f = quartic_cover_map()
+    claims = covers.quartic_cover_claims()
     # triple points exactly at 0, 2 (the monic t(t-2)) and infinity
     places = sympy_ramification(num, den, 1)
     assert places == {(_sympy_tuple(t * (t - 2), 1), 3), (INFINITY, 3)}
-    ours = {(INFINITY if place == INFINITY else _oddcovers_tuple(place), index)
-            for place, index in ramification_data(f)}
-    assert ours == places
+    assert stated_places(claims[0], 1) == places
     # the fiber over c is the fiber over 0 of N - cD over D, and the fiber
     # over infinity that of D over N; (t-2)^3 (t+2) is the one over -16
-    fibers = {0: (num, den), -16: (num + 16 * den, den), INFINITY: (den, num)}
+    fibers = {(0, 1): (num, den), (-16, 1): (num + 16 * den, den), (1, 0): (den, num)}
+    assert {target for target, _ in claims[1]} == set(fibers)
     for value, (n, d) in fibers.items():
-        assert sympy_profile_over_zero(sympy.expand(n), d, 1) == [3, 1]
-        assert fiber_profile(f, value) == [3, 1]
+        theirs = sympy_fiber_over_zero(sympy.expand(n), d, 1)
+        assert _profile(theirs) == [3, 1]
+        assert stated_places(_stated_fiber(claims, value), 1) == theirs
     assert sympy.factor(num + 16 * den) == (t - 2) ** 3 * (t + 2)
     # the involution f(2-t) = -f(t) - 16 pairing the branch values 0 and -16
     assert sympy.cancel((num / den).subs(t, 2 - t) + num / den + 16) == 0
@@ -353,4 +380,4 @@ def test_square_period_specializations_match_sympy(expr, ours, values):
         special = sympy.expand(expr.subs(subs))
         assert special == value
         assert len(sympy.Add.make_args(special)) == 1 and special != 0
-        assert weier.substitute(ours, x, y).terms == _terms(special)
+        assert ours.substitute((weier.P, x, y, weier.D)).terms == _terms(special)

@@ -126,7 +126,7 @@ def in_normal_form(value):
        st.sampled_from([(0, E2), (E1, 0), (E1, -E1), (1, 2)]))
 def test_every_result_stays_in_normal_form(x, y, k, var, e, values):
     results = [x, x + y, x - y, 3 - x, x + 1, -x, x * y, 2 * x, x ** k, x.derive(),
-               x.derivative(var), x.coefficient(var, e), weier.substitute(x, *values)]
+               x.derivative(var), x.coefficient(var, e), x.substitute((P, *values, D))]
     assert all(in_normal_form(r) for r in results)
 
 
@@ -164,7 +164,7 @@ def test_discriminant_constants():
 
 def test_substitution_numeric():
     # Delta0 at (e1, e2) = (1, 2): 10 + 2 - 8 = 4
-    value = weier.substitute(weier.DELTA0, 1, 2)
+    value = weier.DELTA0.substitute((P, 1, 2, D))
     assert value == 4
     assert value.terms == {(0, 0, 0, 0): 4}
 
