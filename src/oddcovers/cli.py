@@ -8,6 +8,7 @@ consumers never overflow; values parse back to identical integers.
 import argparse
 import json
 import sys
+from math import gcd
 
 from . import routes
 
@@ -151,10 +152,11 @@ def cmd_series(args) -> int:
         sys.stderr.write("--order must be nonnegative\n")
         return 2
     series = routes.genfun_series(max(args.order, 1)).truncated(args.order)
-    if series.den != 1:
-        raise AssertionError("non-integer series coefficient %s"
-                             % next(c for c in series.coeffs if type(c) is not int))
-    coeffs = series.nums
+    coeffs, den = series.nums, series.den
+    if den != 1:  # reduced, so some numerator is no multiple of den
+        c = next(c for c in coeffs if c % den)
+        raise AssertionError("non-integer series coefficient %d/%d"
+                             % (c // gcd(c, den), den // gcd(c, den)))
     note = ("coefficient of w^n at index n; A_g sits at the odd index n = 2g+1, "
             "every even index is 0")
     rows = [{"g": n, "values": {"genfun": str(c)}, "agree": True}

@@ -6,7 +6,8 @@ indeterminate, in the integer polynomials `poly.IntPoly` in t and b),
 explicit low-degree maps over Q, Q(sqrt(3)) and Q(sqrt(-3)) whose
 ramification is verified point by point, and the bookkeeping that
 turns local cover counts into the two intersection numbers 16 feeding the
-Schubert route. Everything is an exact polynomial identity; no numerics.
+Schubert route. Everything is an exact polynomial identity, and every tally
+share is checked to be a whole number; no numerics.
 Each map is a pair of binary forms (`ratmap`) with cleared denominators, and
 each check states its points: `certified` tests the claimed ramification
 and fibers of a map with one Jacobian and products alone.
@@ -23,7 +24,6 @@ from .ratmap import (
     same_point,
     value_at,
 )
-from .ring import exact_div
 
 
 def family_condition_deg5_alpha1() -> bool:
@@ -224,12 +224,15 @@ TALLY_CASES = {
 
 def tally_contributions(deg: int) -> list:
     """Each configuration's share of the degree-4 or degree-5 count:
-    copies * SOURCE_CHOICES * sum(node indices) / automorphism order."""
+    copies * SOURCE_CHOICES * sum(node indices) / automorphism order, a
+    positive integer; a share that is not raises AssertionError."""
     if deg not in TALLY_CASES:
         raise ValueError("tally tables exist for degrees 4 and 5 only")
     contributions = []
     for label, nodes, automorphisms, copies in TALLY_CASES[deg]:
-        value = exact_div(copies * SOURCE_CHOICES * sum(nodes), automorphisms)
+        value, rest = divmod(copies * SOURCE_CHOICES * sum(nodes), automorphisms)
+        if rest:
+            raise AssertionError("non-integral tally contribution in %s" % label)
         if value <= 0:
             raise AssertionError("non-positive tally contribution in %s" % label)
         contributions.append(value)

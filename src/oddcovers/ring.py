@@ -11,40 +11,7 @@ are: it supplies their construction, addition, negation and equality. Its
 results through `_make` stays closed: the quotient rings `weier.WeierExpr`
 and `quadratic.form_ring(d)` never mix with plain `IntPoly`s (whose own
 `==` compares constants by value across classes).
-`canonical` and `exact_div` give a rational value the one form `Series`
-stores: an `int` when integral, a reduced `Fraction` otherwise. A
-rational is told apart by `is_rational`, with no import: it has a
-`denominator` and is no ring element. That is the one exactness rule: a
-constructor refuses with TypeError every value it rejects (a float, a
-complex, a Decimal, a string), so nothing inexact is ever parsed into a
-Fraction. `canonical` and `exact_div` load `fractions` only once a
-non-integral value appears.
 """
-
-
-def is_rational(x) -> bool:
-    """Whether x is an int or a Fraction: it has a `denominator` and is no
-    ring element."""
-    return hasattr(x, "denominator") and not isinstance(x, RingElement)
-
-
-def canonical(c):
-    """The exact value c as an int when integral, else as a reduced Fraction."""
-    if type(c) is int:
-        return c
-    from fractions import Fraction
-    c = c if type(c) is Fraction else Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def exact_div(x, d):
-    """x / d for exact x and nonzero d: the int quotient when the division
-    leaves no remainder, the Fraction x/d otherwise; never rounded."""
-    q, r = divmod(x, d)
-    if r == 0:
-        return q
-    from fractions import Fraction
-    return Fraction(x, d)
 
 
 class RingElement:

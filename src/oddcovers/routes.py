@@ -13,8 +13,10 @@ reads every top evaluation off one chain of products in G(2,2G+2)
 (`schubert.top_power_prefix`); the coefficient route expands its g-free
 factor (1+z)^(1/2) once and takes one dot product per g; the closed route
 builds Catalan(0..2G) once and steps each row of binomial weights by exact
-ratios. Only the functions that expand a series import `series`, and only
-`route_prefix` imports `schubert`, so a job loads neither unless it runs them.
+ratios. Every route computes in ints, and a value that is no integer is
+named as its reduced p/q. Only the functions that expand a series import
+`series`, and only `route_prefix` imports `schubert`, so a job loads neither
+unless it runs them.
 
 The closed formula is evaluated for every g >= 0: the small-g values are the
 formal values of the sum and agree with the generating series.
@@ -23,7 +25,6 @@ formal values of the sum and agree with the generating series.
 from math import gcd
 
 from .combinat import binom_ratio, catalan
-from .ring import exact_div
 
 
 def closed_prefix(max_g: int) -> list:
@@ -69,9 +70,11 @@ def coeff_form_prefix(max_g: int) -> list:
 
 
 def _integer(num: int, den: int, route: str) -> int:
-    """The integer num/den, den > 0; raises AssertionError rather than truncate."""
+    """The integer num/den, den > 0; raises AssertionError, naming the reduced
+    p/q, rather than truncate."""
     if num % den:
-        raise AssertionError("%s route produced a non-integer: %s" % (route, exact_div(num, den)))
+        g = gcd(num, den)
+        raise AssertionError("%s route produced a non-integer: %d/%d" % (route, num // g, den // g))
     return num // den
 
 
@@ -122,14 +125,10 @@ def lagrange_pipeline(order: int):
     from .series import Series, binomial_series
     if order < 1:
         raise ValueError("order must be at least 1")
-    # [w^n] u = 2^(3n+1) binom(n/2, n-1) / n over the common denominator
+    # [w^n] u = 2^(3n+1) binom(n/2, n-1) / n is an integer, read as one
     ratios = [binom_ratio(n, 2, n - 1) for n in range(1, order + 1)]
-    ratios = [(0, 1)] + [(2 ** (3 * n + 1) * num, den * n)
-                         for n, (num, den) in enumerate(ratios, 1)]
-    common = 1
-    for _, den in ratios:
-        common = common * den // gcd(common, den)
-    u = Series._make([num * (common // den) for num, den in ratios], common)
+    u = Series._make([0] + [_integer(2 ** (3 * n + 1) * num, den * n, "lagrange")
+                            for n, (num, den) in enumerate(ratios, 1)])
     half_u = u.over(2)
 
     phi_u = 16 * binomial_series((1, 2), half_u)

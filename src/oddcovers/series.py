@@ -1,40 +1,38 @@
 """Truncated formal power series over Q with explicit truncation order.
 
-A Series of order N is known modulo w^(N+1). It stores N+1 `int` numerators
-`nums`, constant term first, over one `int` denominator `den` > 0, reduced
-so that gcd(nums, den) = 1 (integers over one denominator, as in Cohen, GTM
-138, section 4.2). So every kernel runs on Python ints, and `_make` builds
-each result unchecked with one gcd; `coeffs`, indexing, `repr` and `==` give
-callers the canonical exact values (an `int` when integral, a reduced
-`Fraction` otherwise). A division that must be exact raises ArithmeticError
-on a remainder; nothing rounds or floors, and no floating point enters.
-Binary operations return the minimum of the two operand orders; `shifted`
-(times w^k) raises the order by k.
+A Series of order N is known modulo w^(N+1). It is built from ints alone,
+`Series(nums, den)`: N+1 numerators `nums`, constant term first, over one
+denominator `den`, stored with den > 0 and gcd(nums, den) = 1 (integers over
+one denominator, as in Cohen, GTM 138, section 4.2). So every kernel runs on
+Python ints, and `_make` builds each result unchecked with one gcd. A
+division that must be exact raises ArithmeticError on a remainder; nothing
+rounds or floors. Binary operations return the minimum of the two operand
+orders; `shifted` (times w^k) raises the order by k.
 
-A product, `inverse` and binomial powers (1 + f)^a, with them `series_sqrt`,
-cost O(n^2) coefficient operations at order n (fewer for sparse f).
+A product, `inverse` and binomial powers (1 + f)^(p/q), with them
+`series_sqrt`, cost O(n^2) coefficient operations at order n (fewer for
+sparse f).
 """
 
 from math import gcd
 
-from .ring import RingElement, canonical, exact_div, is_rational
+from .ring import RingElement
 
 
 class Series(RingElement):
     __slots__ = ("nums", "den")
 
-    def __new__(cls, coeffs):
-        coeffs = tuple(coeffs)
-        if not coeffs:
+    def __new__(cls, nums, den=1):
+        nums = tuple(nums)
+        if not nums:
             raise ValueError("a Series stores at least its constant term")
-        for c in coeffs:
-            if not is_rational(c):
-                raise TypeError("Series coefficients are rationals, not %s" % type(c).__name__)
-        coeffs = [canonical(c) for c in coeffs]
-        den = 1
-        for d in {c.denominator for c in coeffs}:
-            den *= d
-        return cls._make([c.numerator * (den // c.denominator) for c in coeffs], den)
+        for c in nums + (den,):
+            if not isinstance(c, int):
+                raise TypeError("Series numerators and denominator are ints, not %s"
+                                % type(c).__name__)
+        if den == 0:
+            raise ZeroDivisionError("Series denominator is zero")
+        return cls._make(nums, den)
 
     @staticmethod
     def _make(nums, den=1):
@@ -47,8 +45,8 @@ class Series(RingElement):
         return self
 
     @staticmethod
-    def constant(c, order):
-        return Series([c] + [0] * order)
+    def constant(c: int, order: int):
+        return Series((c,) + (0,) * order)
 
     @staticmethod
     def identity(order):
@@ -60,15 +58,6 @@ class Series(RingElement):
     @property
     def order(self) -> int:
         return len(self.nums) - 1
-
-    @property
-    def coeffs(self) -> tuple:
-        return self.nums if self.den == 1 else tuple(exact_div(c, self.den) for c in self.nums)
-
-    def __getitem__(self, n: int):
-        if not 0 <= n <= self.order:
-            raise IndexError("coefficient %d beyond truncation order %d" % (n, self.order))
-        return exact_div(self.nums[n], self.den)
 
     def truncated(self, order):
         if not 0 <= order <= self.order:
@@ -92,7 +81,7 @@ class Series(RingElement):
     def _wrap(self, other):
         if isinstance(other, Series):
             return other
-        if is_rational(other):
+        if isinstance(other, int):
             return Series.constant(other, self.order)
         return None
 
@@ -167,7 +156,7 @@ class Series(RingElement):
         return hash((self.nums, self.den))
 
     def __repr__(self):
-        return "Series(%s; order=%d)" % (list(self.coeffs), self.order)
+        return "Series(%s/%d; order=%d)" % (list(self.nums), self.den, self.order)
 
 
 def _scaled_power(p: int, q: int, f, d: int, scale: int, order: int) -> list:
@@ -189,9 +178,9 @@ def _scaled_power(p: int, q: int, f, d: int, scale: int, order: int) -> list:
     return g
 
 
-def binomial_series(a, inner: Series) -> Series:
-    """(1 + inner)^a mod w^(inner.order+1) for a rational a (an int, a
-    Fraction or an int pair (p, q), q > 0); requires inner(0) = 0.
+def binomial_series(a: tuple, inner: Series) -> Series:
+    """(1 + inner)^(p/q) mod w^(inner.order+1) for the int pair a = (p, q),
+    q > 0; requires inner(0) = 0.
 
     J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7),
     n g_n = sum_{k=1..n} ((a+1)k - n) f_k g_{n-k} with g_0 = 1, from
@@ -199,17 +188,20 @@ def binomial_series(a, inner: Series) -> Series:
     on G_n = (q^2 D)^n g_n, which are integers: g_n = sum_{j<=n} binom(a, j)
     [w^n] f^j, [w^n] f^j is an integer over D^j, and q^(2j) binom(a, j) is an
     integer (l-integral for a prime l not dividing q; for l | q, with p/q in
-    lowest terms, each p - iq is prime to l and v_l(j!) < j). So each step of
-    `_scaled_power` divides exactly.
+    lowest terms, each p - iq is prime to l and v_l(j!) < j; a pair not in
+    lowest terms only multiplies the scale). So each step of `_scaled_power`
+    divides exactly.
     """
+    pair = a if type(a) is tuple and len(a) == 2 else (a,)
+    for c in pair:
+        if len(pair) != 2 or not isinstance(c, int):
+            raise TypeError("binomial_series takes an int pair (p, q), not %s"
+                            % type(c).__name__)
+    p, q = a
+    if q <= 0:
+        raise ValueError("binomial_series needs q > 0")
     if inner.nums[0] != 0:
         raise ValueError("binomial_series requires inner(0) = 0")
-    if type(a) is not tuple:
-        if not is_rational(a):
-            raise TypeError("binomial_series takes a rational exponent, not %s"
-                            % type(a).__name__)
-        a = a.numerator, a.denominator
-    p, q = a
     scale, order = q * q * inner.den, inner.order
     g = _scaled_power(p, q, inner.nums, inner.den, scale, order)
     return Series._make([gn * scale ** (order - n) for n, gn in enumerate(g)], scale ** order)

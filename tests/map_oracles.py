@@ -21,7 +21,36 @@ import sys
 from itertools import zip_longest
 from math import gcd as _int_gcd
 
-from oddcovers.ring import RingElement, canonical, exact_div, is_rational
+from oddcovers.ring import RingElement
+
+
+# The rational values of the oracles, which compute over Q: an int when
+# integral, a reduced Fraction otherwise. `fractions` is loaded only once a
+# non-integral value appears.
+
+def is_rational(x) -> bool:
+    """Whether x is an int or a Fraction: it has a `denominator` and is no
+    ring element."""
+    return hasattr(x, "denominator") and not isinstance(x, RingElement)
+
+
+def canonical(c):
+    """The exact value c as an int when integral, else as a reduced Fraction."""
+    if type(c) is int:
+        return c
+    from fractions import Fraction
+    c = c if type(c) is Fraction else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def exact_div(x, d):
+    """x / d for exact x and nonzero d: the int quotient when the division
+    leaves no remainder, the Fraction x/d otherwise; never rounded."""
+    q, r = divmod(x, d)
+    if r == 0:
+        return q
+    from fractions import Fraction
+    return Fraction(x, d)
 
 
 class QuadScalar(RingElement):
@@ -365,7 +394,7 @@ def _is_scalar(c) -> bool:
 def _divide(x, y):
     """x / y for a nonzero field scalar y. A QuadScalar y is inverted; an int
     or Fraction y divides a QuadScalar x by `QuadScalar.over` and a rational x
-    by `ring.exact_div`, so a Fraction appears only as a non-integral quotient
+    by `exact_div`, so a Fraction appears only as a non-integral quotient
     of rationals."""
     if isinstance(y, QuadScalar):
         return x * y.inverse()

@@ -7,14 +7,30 @@ and the derivative), which the tests use to cross-check it by a path that
 shares none of that structure. Likewise `binom_gen` is one generalized
 binomial at a time, and `alt_catalan_closed` the closed sum for one g at a
 time, with a fresh binomial and Catalan number for every term.
+
+A `Series` is built from ints alone; `series_of` and `values_of` carry a
+list of rationals (ints and Fractions) in and out of one.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
+from map_oracles import exact_div, is_rational
 from oddcovers.combinat import binom_ratio, catalan
-from oddcovers.ring import exact_div, is_rational
 from oddcovers.series import Series
+
+
+def series_of(values) -> Series:
+    """The Series with the coefficients `values`, ints and Fractions: their
+    numerators over the least common denominator."""
+    den = lcm(*(c.denominator for c in values))
+    return Series([c.numerator * (den // c.denominator) for c in values], den)
+
+
+def values_of(series: Series) -> list:
+    """The coefficients of `series`: an int when integral, a reduced Fraction
+    otherwise."""
+    return [exact_div(c, series.den) for c in series.nums]
 
 
 def binom_gen(a, k: int):
@@ -36,14 +52,14 @@ def alt_catalan_closed(g: int) -> int:
 
 def compose(outer: Series, inner: Series) -> Series:
     """outer evaluated at `inner` by Horner's rule; requires inner(0) = 0."""
-    if inner[0] != 0:
+    if inner.nums[0] != 0:
         raise ValueError("compose requires inner constant term zero")
     n = min(outer.order, inner.order)
     result = Series.constant(0, n)
     inner = inner.truncated(n)
-    for c in reversed(outer.coeffs[: n + 1]):
+    for c in reversed(outer.nums[: n + 1]):
         result = result * inner + c
-    return result
+    return result.over(outer.den)
 
 
 def lagrange_invert(phi: Series, order: int) -> Series:
@@ -52,7 +68,7 @@ def lagrange_invert(phi: Series, order: int) -> Series:
     Coefficients come from the classical inversion rule
     [w^n] u = (1/n) [z^(n-1)] phi(z)^n, one power of phi at a time.
     """
-    if phi[0] == 0:
+    if phi.nums[0] == 0:
         raise ValueError("lagrange_invert requires phi(0) != 0")
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -63,12 +79,12 @@ def lagrange_invert(phi: Series, order: int) -> Series:
     power = Series.constant(1, phi.order)
     for n in range(1, order + 1):
         power = power * phi
-        out[n] = Fraction(power[n - 1], n)
-    return Series(out)
+        out[n] = Fraction(power.nums[n - 1], power.den * n)
+    return series_of(out)
 
 
 def derivative(series: Series) -> Series:
     """The termwise derivative; its order is one less."""
     if series.order == 0:
         raise ValueError("derivative of an order-0 series retains no terms")
-    return Series([i * c for i, c in enumerate(series.coeffs)][1:])
+    return Series([i * c for i, c in enumerate(series.nums)][1:], series.den)

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -91,8 +90,18 @@ def test_series_order_zero(capsys):
 
 def test_series_refuses_a_non_integer_coefficient(monkeypatch):
     monkeypatch.setattr(routes, "genfun_series",
-                        lambda order: Series([0] * order + [Fraction(1, 2)]))
+                        lambda order: Series([0] * order + [1], 2))
     with pytest.raises(AssertionError, match="non-integer series coefficient 1/2"):
+        cli.main(["series", "--order", "3"])
+
+
+def test_series_names_a_non_integer_coefficient_reduced(monkeypatch):
+    # 2/4 at w^1 over the common denominator 4 reads as 1/2, as str(Fraction)
+    monkeypatch.setattr(routes, "genfun_series", lambda order: Series([0, 2, -3, 1], 4))
+    with pytest.raises(AssertionError, match="non-integer series coefficient 1/2"):
+        cli.main(["series", "--order", "3"])
+    monkeypatch.setattr(routes, "genfun_series", lambda order: Series([4, -6, 0, 8], 4))
+    with pytest.raises(AssertionError, match="non-integer series coefficient -3/2"):
         cli.main(["series", "--order", "3"])
 
 
@@ -378,6 +387,14 @@ def test_cli_import_loads_no_series():
     probe = _probe(IMPORT_PROBE)
     assert "oddcovers.routes" in probe["added"]
     assert "oddcovers.series" not in probe["added"]
+
+
+def test_cli_import_loads_no_ring():
+    # routes computes in ints, so the CLI stands on routes and combinat alone
+    probe = _probe(IMPORT_PROBE)
+    assert "oddcovers.ring" not in probe["added"]
+    assert [m for m in probe["added"] if m.startswith("oddcovers")] == [
+        "oddcovers", "oddcovers.cli", "oddcovers.combinat", "oddcovers.routes"]
 
 
 @pytest.mark.parametrize("argv, loads_series", [

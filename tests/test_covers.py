@@ -133,6 +133,18 @@ def test_non_positive_tally_contribution_is_named(monkeypatch):
                                 "a configuration with no node")
 
 
+def test_non_integral_tally_contribution_is_named(monkeypatch):
+    # automorphism order 3: the share 1 * 2 * (2 + 2) / 3 = 8/3 is no integer
+    label, nodes, _, copies = covers.TALLY_CASES[5][1]
+    cases = (covers.TALLY_CASES[5][0], (label, nodes, 3, copies))
+    monkeypatch.setitem(covers.TALLY_CASES, 5, cases)
+    with pytest.raises(AssertionError, match="non-integral tally contribution in " + label):
+        covers.admissible_tally(5)
+    [result] = [r for r in checks.run_checks(["covers"], 5) if r["name"] == "admissible_tally"]
+    assert not result["pass"]
+    assert result["detail"] == "assertion failed: non-integral tally contribution in " + label
+
+
 def test_three_routes_to_sixteen_coincide():
     chern_total = 4 * covers.chern_upper_bound(2, 5)
     assert chern_total == covers.veronese_bound() == covers.admissible_tally(4) \

@@ -63,6 +63,47 @@ def test_scan_allows_exact_math():
     assert inexact_nodes(ast.parse(source)) == []
 
 
+# src computes in ints alone: no rational-number module, and none of the
+# rational helpers the test oracles keep for themselves.
+RATIONAL_MODULES = {"fractions", "decimal", "numbers"}
+RATIONAL_HELPERS = {"is_rational", "canonical", "exact_div"}
+
+
+def rational_nodes(tree):
+    """(line, description) for each rational-number import or helper in the tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "import " + a.name) for a in node.names
+                      if a.name.split(".")[0] in RATIONAL_MODULES]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] in RATIONAL_MODULES:
+                found.append((node.lineno, "from %s import" % node.module))
+            found += [(node.lineno, "import " + a.name) for a in node.names
+                      if a.name in RATIONAL_HELPERS]
+        elif isinstance(node, ast.FunctionDef) and node.name in RATIONAL_HELPERS:
+            found.append((node.lineno, "def " + node.name))
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.name)
+def test_module_computes_in_ints_alone(module):
+    assert rational_nodes(ast.parse(module.read_text(), str(module))) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from fractions import Fraction",
+    "import fractions",
+    "import decimal as d",
+    "from numbers import Rational",
+    "from .ring import exact_div",
+    "from oddcovers.ring import canonical as c",
+    "def is_rational(x):\n    return True",
+])
+def test_rational_scan_flags_every_form(source):
+    assert rational_nodes(ast.parse(source))
+
+
 def test_scan_allows_only_the_listed_math_names():
     # gcd is exact integer arithmetic; the rest of `math` stays flagged beside it
     source = "from math import gcd, sqrt\nfrom math import gcd as int_gcd, exp, log"

@@ -24,7 +24,8 @@ X3, Z3, R3 = form_ring(3).variables(3)
 # exactly for the classes that coerce ints.
 CASES = {
     "Poly": (Poly([1, 2, Fraction(1, 3)]), Poly([-4, 0, 5, 1]), 1),
-    "Series": (Series([1, -2, 5, Fraction(1, 2)]), Series([0, 3, -7, 2]), 1),
+    # 1 - 2w + 5w^2 + w^3/2: int numerators over one denominator
+    "Series": (Series([2, -4, 10, 1], 2), Series([0, 3, -7, 2]), 1),
     "QuadScalar": (QuadScalar(1, 2, 3), QuadScalar(Fraction(-1, 2), 5, 3), 1),
     "SchubertVector": (
         SchubertVector(6, {(1, 0): 2, (1, 1): -1}),
@@ -136,10 +137,17 @@ def test_poly_and_series_do_not_mix(op):
         op(s, p)
 
 
-CONSTRUCTORS = {
-    "Series": lambda c: Series([Fraction(1, 3), c]),
+# The src constructors take ints alone; the Q oracles of map_oracles take
+# ints and Fractions.
+INT_CONSTRUCTORS = {
+    "Series": lambda c: Series([1, c], 3),
+    "Series.den": lambda c: Series([1, 2], c),
+    "binomial_series": lambda c: binomial_series((c, 2), Series.identity(3)),
+    "IntPoly": lambda c: IntPoly(2, {(0, 0): c}),
+    "SchubertVector": lambda c: SchubertVector(4, {(1, 0): c}),
+}
+RATIONAL_CONSTRUCTORS = {
     "QuadScalar": lambda c: QuadScalar(c, 2, 3),
-    "binomial_series": lambda c: binomial_series(c, Series.identity(3)),
     "Poly": lambda c: Poly([Fraction(1, 3), c]),
 }
 
@@ -147,10 +155,16 @@ CONSTRUCTORS = {
 @pytest.mark.parametrize("inexact", [0.5, 1 + 2j, Decimal("0.1"), "1/3"],
                          ids=lambda x: type(x).__name__)
 def test_constructors_reject_inexact_numbers(inexact):
-    # one rule, ring.is_rational: nothing inexact is parsed into a Fraction
-    for build in CONSTRUCTORS.values():
+    # nothing inexact is parsed: a constructor names the type it refuses
+    for build in {**INT_CONSTRUCTORS, **RATIONAL_CONSTRUCTORS}.values():
         with pytest.raises(TypeError, match=type(inexact).__name__):
             build(inexact)
+    for build in INT_CONSTRUCTORS.values():
+        for exact in (1, True):
+            build(exact)
+        with pytest.raises(TypeError, match="Fraction"):
+            build(Fraction(1, 3))
+    for build in RATIONAL_CONSTRUCTORS.values():
         for exact in (1, True, Fraction(1, 3)):
             build(exact)
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oddcovers import checks, routes, series
 from oddcovers.combinat import binom_ratio
@@ -8,7 +9,15 @@ from oddcovers.schubert import SchubertVector, top_power_prefix
 from oddcovers.series import Series
 
 from growth_oracles import RATIO_BOUND, ROOT_WINDOW_START, growth_report
-from series_oracles import alt_catalan_closed, binom_gen, compose, derivative, lagrange_invert
+from series_oracles import (
+    alt_catalan_closed,
+    binom_gen,
+    compose,
+    derivative,
+    lagrange_invert,
+    series_of,
+    values_of,
+)
 
 # Frozen by an independent pre-build evaluation of the alternating sum.
 FROZEN = [
@@ -52,7 +61,7 @@ def test_coeff_form_prefix_matches_closed_to_g_100():
 
 def test_genfun_is_odd_with_A_g_coefficients():
     order = 25
-    f = routes.genfun_series(order)
+    f = values_of(routes.genfun_series(order))
     for n in range(order + 1):
         if n % 2 == 0:
             assert f[n] == 0
@@ -61,7 +70,7 @@ def test_genfun_is_odd_with_A_g_coefficients():
 
 
 def test_genfun_agrees_with_closed_to_order_201():
-    f = routes.genfun_series(201)
+    f = values_of(routes.genfun_series(201))
     for g in range(100 + 1):
         assert f[2 * g] == 0
         assert f[2 * g + 1] == alt_catalan_closed(g)
@@ -69,13 +78,13 @@ def test_genfun_agrees_with_closed_to_order_201():
 
 def test_genfun_and_lagrange_series_are_integral():
     # the integer kernel's premise: no denominator survives in either series
-    assert all(type(c) is int for c in routes.genfun_series(201).coeffs)
-    assert all(type(c) is int for c in routes.lagrange_pipeline(81)[0].coeffs)
+    assert routes.genfun_series(201).den == 1
+    assert routes.lagrange_pipeline(81)[0].den == 1
 
 
 def test_coeff_form_integer_checks_its_dot_product(monkeypatch):
     monkeypatch.setattr(series, "binomial_series",
-                        lambda a, inner: Series([Fraction(1, 3)] * (inner.order + 1)))
+                        lambda a, inner: Series([1] * (inner.order + 1), 3))
     with pytest.raises(AssertionError, match="coefficient route produced a non-integer"):
         routes.route_prefix("coeff_form", 2)
 
@@ -83,9 +92,9 @@ def test_coeff_form_integer_checks_its_dot_product(monkeypatch):
 def test_lagrange_pipeline_matches_closed():
     order = 41
     u, f, h = routes.lagrange_pipeline(order)
-    assert [f[n] for n in range(8)] == F_COEFFS
+    assert values_of(f)[:8] == F_COEFFS
     for g in range(20 + 1):
-        assert h[2 * g + 1] == alt_catalan_closed(g)
+        assert values_of(h)[2 * g + 1] == alt_catalan_closed(g)
 
 
 def test_lagrange_pipeline_reads_odd_part_of_its_own_f():
@@ -95,7 +104,7 @@ def test_lagrange_pipeline_reads_odd_part_of_its_own_f():
 
 def _binomial_coeffs(a, scale, order):
     """(1 + scale*z)^a as the coefficient list binom(a, k) scale^k."""
-    return Series([binom_gen(a, k) * scale ** k for k in range(order + 1)])
+    return series_of([binom_gen(a, k) * scale ** k for k in range(order + 1)])
 
 
 def test_lagrange_pipeline_matches_generic_inversion_at_order_41():
@@ -103,21 +112,33 @@ def test_lagrange_pipeline_matches_generic_inversion_at_order_41():
     order = 41
     half, minus_half = Fraction(1, 2), Fraction(-1, 2)
     phi = 16 * _binomial_coeffs(half, half, order)
-    psi = Fraction(1, 8) * (_binomial_coeffs(half, 1, order)
-                            * _binomial_coeffs(minus_half, half, order))
+    psi = (_binomial_coeffs(half, 1, order)
+           * _binomial_coeffs(minus_half, half, order)).over(8)
     u = lagrange_invert(phi, order)
     f = compose(psi, u) * (1 - compose(derivative(phi), u).shifted(1)).inverse()
     assert routes.lagrange_pipeline(order)[:2] == (u, f)
 
 
-def test_lagrange_pipeline_rejects_perturbed_inversion_coefficient(monkeypatch):
-    # binom(5/2, 4) + 1, as the ratio (num + den) / den
+def _perturbed_binom_ratio(by):
+    # binom(5/2, 4) + by, as the ratio (num + by * den) / den
     def perturbed(p, q, k):
         num, den = binom_ratio(p, q, k)
-        return (num + den, den) if (p, q, k) == (5, 2, 4) else (num, den)
+        return (num + by * den, den) if (p, q, k) == (5, 2, 4) else (num, den)
+    return perturbed
 
-    monkeypatch.setattr(routes, "binom_ratio", perturbed)
+
+def test_lagrange_pipeline_rejects_perturbed_inversion_coefficient(monkeypatch):
+    # + 5 keeps [w^5] u = 2^16 binom(5/2, 4) / 5 an integer, so the relation
+    # u = w phi(u) is what catches it
+    monkeypatch.setattr(routes, "binom_ratio", _perturbed_binom_ratio(5))
     with pytest.raises(AssertionError, match=r"u = w\*phi\(u\) violated"):
+        routes.lagrange_pipeline(11)
+
+
+def test_lagrange_pipeline_refuses_a_non_integral_inversion_coefficient(monkeypatch):
+    # + 1 makes [w^5] u = -512 + 2^16/5 = 62976/5, which _integer refuses
+    monkeypatch.setattr(routes, "binom_ratio", _perturbed_binom_ratio(1))
+    with pytest.raises(AssertionError, match="lagrange route produced a non-integer: 62976/5"):
         routes.lagrange_pipeline(11)
 
 
@@ -171,7 +192,7 @@ def test_route_prefix_dispatch():
 
 
 def _half_at_top(order):
-    return Series([0] * order + [Fraction(1, 2)])
+    return Series([0] * order + [1], 2)
 
 
 @pytest.mark.parametrize("route, name, fake", [
@@ -213,7 +234,7 @@ def test_route_prefix_rejects_unknown_route():
 
 def _half_at_g2(order):
     # 1/2 at w^5 (g = 2), below the top index the prefix reads
-    return Series([Fraction(1, 2) if n == 5 else 0 for n in range(order + 1)])
+    return Series([1 if n == 5 else 0 for n in range(order + 1)], 2)
 
 
 @pytest.mark.parametrize("route, name, fake", [
@@ -231,3 +252,13 @@ def test_negative_g_rejected():
         routes.closed_prefix(-1)
     with pytest.raises(ValueError):
         alt_catalan_closed(-1)
+
+
+@given(st.integers(min_value=-10 ** 6, max_value=10 ** 6), st.integers(min_value=1, max_value=10 ** 4))
+def test_integer_names_a_non_integer_as_its_reduced_fraction(num, den):
+    if num % den:
+        with pytest.raises(AssertionError) as failure:
+            routes._integer(num, den, "closed")
+        assert str(failure.value) == "closed route produced a non-integer: %s" % Fraction(num, den)
+    else:
+        assert routes._integer(num, den, "closed") == num // den

@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 from oddcovers.combinat import catalan
 from oddcovers.series import Series, _scaled_power, binomial_series, series_sqrt
 
-from series_oracles import binom_gen, compose, lagrange_invert
+from series_oracles import binom_gen, compose, lagrange_invert, series_of, values_of
 
 
 def test_geometric_inverse():
@@ -19,7 +19,7 @@ def test_geometric_inverse():
 def test_sqrt_coefficients():
     z = Series.identity(3)
     root = series_sqrt(1 + z)
-    assert root.coeffs == (1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))
+    assert values_of(root) == [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)]
 
 
 def test_sqrt_requires_unit_constant_term():
@@ -32,14 +32,14 @@ small = st.fractions(max_denominator=5, min_value=Fraction(-5), max_value=Fracti
 
 @given(st.lists(small, min_size=5, max_size=9))
 def test_sqrt_round_trip(tail):
-    f = Series([1] + tail)
+    f = series_of([1] + tail)
     root = series_sqrt(f)
     assert root * root == f
 
 
 @given(st.lists(small, min_size=4, max_size=8), st.lists(small, min_size=4, max_size=8))
 def test_mul_commutes_and_min_order(a, b):
-    f, g = Series([1] + a), Series([2] + b)
+    f, g = series_of([1] + a), series_of([2] + b)
     assert f * g == g * f
     assert (f * g).order == min(f.order, g.order)
 
@@ -48,6 +48,30 @@ def test_series_rejects_float_coefficient():
     # Fraction(0.1) would silently store 3602879701896397/36028797018963968
     with pytest.raises(TypeError, match="float"):
         Series([0.1, 1])
+
+
+@pytest.mark.parametrize("nums, den, bad", [
+    ([Fraction(1, 3), 1], 1, Fraction(1, 3)),
+    ([1, 2], 2.0, 2.0),
+    ([1, "2"], 1, "2"),
+    ([1, 2], Fraction(1, 2), Fraction(1, 2)),
+], ids=["Fraction", "float-den", "str", "Fraction-den"])
+def test_series_takes_int_numerators_and_denominator_only(nums, den, bad):
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        Series(nums, den)
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        Series.constant(bad, 3)
+    with pytest.raises(TypeError):
+        Series([1, 2]) + bad
+
+
+def test_series_int_input_is_stored_reduced():
+    # bools count as ints; a negative denominator moves its sign up
+    assert Series([True, 2], 4) == Series([1, 2], 4) == Series([-1, -2], -4)
+    assert (Series([2, 4, 6], -4).nums, Series([2, 4, 6], -4).den) == ((-1, -2, -3), 2)
+    with pytest.raises(ZeroDivisionError):
+        Series([1, 2], 0)
+    assert repr(Series([1, 2], 4)) == "Series([1, 2]/4; order=1)"
 
 
 def test_shifted_raises_order():
@@ -85,7 +109,7 @@ def test_lagrange_invert_catalan_oracle():
     order = 10
     phi = Series([1, -1] + [0] * (order - 2)).inverse()  # 1/(1-z)
     u = lagrange_invert(phi, order)
-    assert [u[n] for n in range(1, order + 1)] == [catalan(n - 1) for n in range(1, order + 1)]
+    assert values_of(u)[1:] == [catalan(n - 1) for n in range(1, order + 1)]
     # and u really solves the fixed-point equation
     residual = u - compose(phi, u).shifted(1).truncated(order)
     assert residual.is_zero()
@@ -105,25 +129,39 @@ def test_binomial_series_integer_exponent_matches_power():
     z = Series.identity(6)
     power = Series.constant(1, 6)
     for a in range(6):
-        assert binomial_series(a, z) == power
+        assert binomial_series((a, 1), z) == power
         power = power * (1 + z)
 
 
 def test_binomial_series_order_below_inner_order():
     inner = Series([0, 1, 2, 3, 4, 5])
-    assert (binomial_series(Fraction(1, 2), inner.truncated(3))
+    assert (binomial_series((1, 2), inner.truncated(3))
             == series_sqrt(1 + inner).truncated(3))
-    assert binomial_series(-1, inner.truncated(0)) == Series([1])
+    assert binomial_series((-1, 1), inner.truncated(0)) == Series([1])
 
 
 def test_binomial_series_rejects_bad_input():
     with pytest.raises(ValueError):
-        binomial_series(Fraction(1, 2), Series([1, 1, 1]))  # nonzero inner(0)
+        binomial_series((1, 2), Series([1, 1, 1]))  # nonzero inner(0)
+    with pytest.raises(ValueError, match="q > 0"):
+        binomial_series((1, 0), Series.identity(3))
+    with pytest.raises(ValueError, match="q > 0"):
+        binomial_series((1, -2), Series.identity(3))
 
 
 def test_binomial_series_rejects_float_exponent():
     with pytest.raises(TypeError, match="float"):
         binomial_series(0.5, Series.identity(3))
+
+
+@pytest.mark.parametrize("a, name", [
+    ((2.0, 1), "float"), ((1, 2.0), "float"), (("1", 2), "str"),
+    (Fraction(1, 2), "Fraction"), (2, "int"), ((1, 2, 3), "tuple"),
+])
+def test_binomial_series_takes_an_int_pair_only(a, name):
+    # (2.0, 1) once gave Series([1, 2.0, 1.0, 0.0, 0]): a float in the numerators
+    with pytest.raises(TypeError, match="int pair \\(p, q\\), not %s" % name):
+        binomial_series(a, Series.identity(4))
 
 
 def _binomial_naive(a, inner):
@@ -133,7 +171,8 @@ def _binomial_naive(a, inner):
     result = Series.constant(1, order)
     for k in range(1, order + 1):
         power = power * inner
-        result = result + binom_gen(a, k) * power
+        b = binom_gen(a, k)
+        result = result + (b.numerator * power).over(b.denominator)
     return result
 
 
@@ -149,9 +188,9 @@ inner_tails = st.lists(st.one_of(st.just(Fraction(0)), small), max_size=12)
 @example(Fraction(1, 2), [Fraction(0)] * 12, 12)
 @example(Fraction(-3, 2), [Fraction(0), Fraction(0), Fraction(1)], 3)
 def test_binomial_series_matches_power_sum(a, tail, order):
-    inner = Series([0] + tail)
+    inner = series_of([0] + tail)
     inner = inner.truncated(min(order, inner.order))
-    assert binomial_series(a, inner) == _binomial_naive(a, inner)
+    assert binomial_series((a.numerator, a.denominator), inner) == _binomial_naive(a, inner)
 
 
 def test_genfun_square_roots_match_power_sum_at_order_41():
@@ -189,11 +228,6 @@ def _miller(a, f):
     return g
 
 
-def _assert_canonical(series):
-    for c in series.coeffs:
-        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
-
-
 mixed = st.one_of(st.integers(min_value=-40, max_value=40), small)
 nonzero = mixed.filter(lambda c: c != 0)
 
@@ -202,29 +236,20 @@ nonzero = mixed.filter(lambda c: c != 0)
        nonzero, exponents)
 @example([2, Fraction(1, 2)], [Fraction(2), 3], Fraction(1, 3), Fraction(1, 2))
 def test_kernels_match_fraction_only_arithmetic(a, b, lead, exponent):
-    f, g = Series(a), Series(b)
+    f, g = series_of(a), series_of(b)
     for s in (f, g):
-        _assert_canonical(s)
+        _assert_reduced(s)
     product = f * g
-    assert list(product.coeffs) == _convolve(a, b)
-    _assert_canonical(product)
+    assert values_of(product) == _convolve(a, b)
+    _assert_reduced(product)
     unit = [lead] + b[1:]
-    inverse = Series(unit).inverse()
-    assert list(inverse.coeffs) == _reciprocal(unit)
-    _assert_canonical(inverse)
+    inverse = series_of(unit).inverse()
+    assert values_of(inverse) == _reciprocal(unit)
+    _assert_reduced(inverse)
     inner = [0] + a[1:]
-    power = binomial_series(exponent, Series(inner))
-    assert list(power.coeffs) == _miller(exponent, inner)
-    _assert_canonical(power)
-
-
-def test_canonical_form_of_integral_fractions():
-    s = Series([Fraction(4, 2), Fraction(1, 2) * 2, Fraction(3, 4)])
-    assert [type(c) for c in s.coeffs] == [int, int, Fraction]
-    half = Series([2, 0, 0]).inverse()
-    assert half.coeffs == (Fraction(1, 2), 0, 0)
-    _assert_canonical(half)
-    _assert_canonical(half * 2)
+    power = binomial_series((exponent.numerator, exponent.denominator), series_of(inner))
+    assert values_of(power) == _miller(exponent, inner)
+    _assert_reduced(power)
 
 
 # The stored form: int numerators over one positive int den, reduced.
@@ -235,39 +260,52 @@ def _assert_reduced(series):
     assert gcd(series.den, *series.nums) == 1
 
 
+def test_canonical_form_of_integral_fractions():
+    # 4/2, 1 and 3/4 over the denominator 4: numerators 8, 4, 3
+    s = Series([8, 4, 3], 4)
+    assert [type(c) for c in values_of(s)] == [int, int, Fraction]
+    assert series_of([Fraction(4, 2), Fraction(1, 2) * 2, Fraction(3, 4)]) == s
+    half = Series([2, 0, 0]).inverse()
+    assert (half.nums, half.den) == ((1, 0, 0), 2)
+    assert ((half * 2).nums, (half * 2).den) == ((1, 0, 0), 1)
+    _assert_reduced(half)
+    _assert_reduced(half * 2)
+
+
 @given(st.lists(mixed, min_size=1, max_size=10), st.lists(mixed, min_size=1, max_size=10),
        nonzero, st.integers(min_value=-12, max_value=12).filter(bool))
 def test_stored_numerators_are_reduced(a, b, lead, k):
-    f, g = Series(a), Series(b)
-    unit = Series([lead] + b[1:])
+    f, g = series_of(a), series_of(b)
+    unit = series_of([lead] + b[1:])
     results = [f, g, f + g, f - g, -f, f * g, k * f, f.over(k), unit.inverse(),
                f.odd_part(), f.shifted(2), f.truncated(0),
-               binomial_series(Fraction(1, 2), Series([0] + a[1:]))]
+               binomial_series((1, 2), series_of([0] + a[1:]))]
     for s in results:
         _assert_reduced(s)
-    assert list(f.over(k).coeffs) == [Fraction(c) / k for c in a]
+    assert values_of(f.over(k)) == [Fraction(c) / k for c in a]
 
 
 @given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6), min_size=1, max_size=10),
        st.integers(min_value=1, max_value=10 ** 4))
 def test_make_equals_init(nums, den):
     made = Series._make(nums, den)
-    built = Series([Fraction(c, den) for c in nums])
-    assert made == built
-    assert (made.nums, made.den) == (built.nums, built.den)
-    assert made.coeffs == built.coeffs
-    assert hash(made) == hash(built)
+    for built in (Series(nums, den), series_of([Fraction(c, den) for c in nums])):
+        assert made == built
+        assert (made.nums, made.den) == (built.nums, built.den)
+        assert values_of(made) == values_of(built)
+        assert hash(made) == hash(built)
 
 
 @given(exponents, inner_tails, st.integers(min_value=0, max_value=12))
 def test_binomial_series_steps_divide_exactly(a, tail, order):
     # the integrality argument of binomial_series: no step leaves a remainder,
     # which would raise ArithmeticError here
-    inner = Series([0] + tail)
+    inner = series_of([0] + tail)
     inner = inner.truncated(min(order, inner.order))
-    power = binomial_series(a, inner)
+    power = binomial_series((a.numerator, a.denominator), inner)
     _assert_reduced(power)
-    assert power == binomial_series((a.numerator, a.denominator), inner)
+    # a pair not in lowest terms only scales the integers up
+    assert power == binomial_series((3 * a.numerator, 3 * a.denominator), inner)
 
 
 @pytest.mark.parametrize("p, q, f, d, scale", [

@@ -52,6 +52,10 @@ COMMANDS = (
     "verify --suite weierstrass --format csv",
     "table --max-g 5 --routes schubert,closed --n4 0 --n5 0 --format json",
     "schubert --g 3 --n4 0 --n5 0 --format csv",
+    "series --order -1",
+    "schubert --g -1",
+    "table --max-g -1",
+    "table --max-g 3 --routes lagrange --format csv",
 )
 
 
