@@ -5,9 +5,9 @@ exceeded. Big integers are serialized as decimal strings in JSON and CSV so
 consumers never overflow; values parse back to identical integers.
 """
 
-import argparse
 import json
 import sys
+import types
 from math import gcd
 
 from . import routes
@@ -15,55 +15,99 @@ from . import routes
 # The default cap on g for the Schubert route and the `schubert` command is a
 # CLI contract (exit code 3, pinned by tests/test_cli.py::test_resource_cap_exit_code),
 # not a resource limit. With --cap 50, `table --max-g 50 --routes schubert`
-# takes 0.11-0.13 s and `schubert --g 50` 0.12-0.14 s (process start to exit,
-# no bytecode cache, medians of 3 x 21 runs, shared 2-core Xeon VM, Python 3.11).
+# takes 0.063-0.093 s and `schubert --g 50` 0.069-0.102 s, against
+# 0.048-0.070 s for a bare `python -c pass` (process start to exit, no
+# bytecode cache, medians of 6 x 21 interleaved runs, shared 2-core Xeon VM,
+# Python 3.11).
 SCHUBERT_CAP_DEFAULT = 12
 
 # The suites of `checks.SUITES`, in registry order: the --suite choices besides
 # `all`. Spelled out so that parsing arguments does not load the registry.
 SUITES = ("covers", "weierstrass", "identities", "schubert")
 
+# The one option table. Each command maps to its help line and its options,
+# each option being (flag, kind, default, metavar, help) with kind int, str or
+# a tuple of choices. `_read` and `build_parser` are both built from it.
+_COMMON = (
+    ("--format", ("text", "json", "csv"), "text", None, None),
+    ("--output", str, None, "PATH", "write output to PATH instead of stdout"),
+)
+COMMANDS = {
+    "table": ("A_g for g = 0..max_g by the requested routes", _COMMON + (
+        ("--max-g", int, 8, None, None),
+        ("--routes", str, "closed", None,
+         "comma-separated subset of: %s" % ",".join(routes.ROUTES)),
+        ("--n4", int, 16, None, None),
+        ("--n5", int, 16, None, None),
+        ("--cap", int, SCHUBERT_CAP_DEFAULT, None,
+         "resource cap on g for the schubert route"),
+    )),
+    "series": ("generating-series coefficients up to an order", _COMMON + (
+        ("--order", int, 11, None, None),
+    )),
+    "verify": ("run the verification suites", _COMMON + (
+        ("--suite", ("all",) + SUITES, "all", None, None),
+        ("--max-g", int, 30, None, "upper g for the identity checks"),
+    )),
+    "schubert": ("intersection-number tables for one g", _COMMON + (
+        ("--g", int, 2, None, None),
+        ("--n4", int, 16, None, None),
+        ("--n5", int, 16, None, None),
+        ("--cap", int, SCHUBERT_CAP_DEFAULT, None, None),
+    )),
+}
 
-def build_parser() -> argparse.ArgumentParser:
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _read(argv):
+    """The namespace argparse gives for `COMMAND (--flag VALUE)*`, with every
+    flag spelled in full and every value valid; None for any other argv.
+
+    A value may begin with `-` only as an int option's negative decimal,
+    which argparse also reads as a value (its `^-\\d+$`). Everything this
+    declines, from help to usage errors, is left to `build_parser`."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    options = COMMANDS[argv[0]][1]
+    kinds = {flag: kind for flag, kind, *_ in options}
+    fields = {_dest(flag): default for flag, _, default, *_ in options}
+    fields["command"] = argv[0]
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        kind = kinds.get(flag)
+        if kind is None:
+            return None
+        if value.startswith("-") and not (kind is int and value[1:].isdecimal()):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        fields[_dest(flag)] = value
+    return types.SimpleNamespace(**fields)
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="oddcovers",
         description="Alternating Catalan numbers by independent exact routes, "
         "with verification suites for the underlying identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--output", metavar="PATH", default=None,
-                        help="write output to PATH instead of stdout")
-
-    table = sub.add_parser("table", parents=[common],
-                           help="A_g for g = 0..max_g by the requested routes")
-    table.add_argument("--max-g", type=int, default=8)
-    table.add_argument("--routes", default="closed",
-                       help="comma-separated subset of: %s" % ",".join(routes.ROUTES))
-    table.add_argument("--n4", type=int, default=16)
-    table.add_argument("--n5", type=int, default=16)
-    table.add_argument("--cap", type=int, default=SCHUBERT_CAP_DEFAULT,
-                       help="resource cap on g for the schubert route")
-
-    series = sub.add_parser("series", parents=[common],
-                            help="generating-series coefficients up to an order")
-    series.add_argument("--order", type=int, default=11)
-
-    verify = sub.add_parser("verify", parents=[common],
-                            help="run the verification suites")
-    verify.add_argument("--suite", default="all",
-                        choices=("all",) + SUITES)
-    verify.add_argument("--max-g", type=int, default=30,
-                        help="upper g for the identity checks")
-
-    schub = sub.add_parser("schubert", parents=[common],
-                           help="intersection-number tables for one g")
-    schub.add_argument("--g", type=int, default=2)
-    schub.add_argument("--n4", type=int, default=16)
-    schub.add_argument("--n5", type=int, default=16)
-    schub.add_argument("--cap", type=int, default=SCHUBERT_CAP_DEFAULT)
+    for command, (summary, options) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=summary)
+        for flag, kind, default, metavar, text in options:
+            command_parser.add_argument(
+                flag, type=int if kind is int else None,
+                choices=kind if type(kind) is tuple else None,
+                default=default, metavar=metavar, help=text)
     return parser
 
 
@@ -211,8 +255,9 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv) or build_parser().parse_args(argv)
     handlers = {"table": cmd_table, "series": cmd_series,
                 "verify": cmd_verify, "schubert": cmd_schubert}
     return handlers[args.command](args)

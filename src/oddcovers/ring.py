@@ -6,11 +6,11 @@ when the operand is foreign), `__add__`, `__neg__`, `__mul__` and `_one()`.
 Immutability, subtraction and nonnegative integer powers are derived here.
 `SparseElement` is the dict of nonzero int terms over a shared context `n`
 that `SchubertVector` (n of G(2,n)) and `poly.IntPoly` (n variables) both
-are: it supplies their construction, addition, negation and equality. Its
-`_wrap` and `==` take exactly their own type, so a subclass that builds its
-results through `_make` stays closed: the quotient rings `weier.WeierExpr`
-and `quadratic.form_ring(d)` never mix with plain `IntPoly`s (whose own
-`==` compares constants by value across classes).
+are: it supplies their construction, addition, subtraction, negation and
+equality. Its `_wrap` and `==` take exactly their own type, so a subclass
+that builds its results through `_make` stays closed: the quotient rings
+`weier.WeierExpr` and `quadratic.form_ring(d)` never mix with plain
+`IntPoly`s (whose own `==` compares constants by value across classes).
 """
 
 
@@ -86,6 +86,21 @@ class SparseElement(RingElement):
         return self._make(self.n, terms)
 
     __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._wrap(other)
+        return NotImplemented if o is None else self._minus(self, o)
+
+    def __rsub__(self, other):
+        o = self._wrap(other)
+        return NotImplemented if o is None else self._minus(o, self)
+
+    def _minus(self, a, b):
+        """a - b with one dict copy, for a and b of this element's ring."""
+        terms = dict(a.terms)
+        for k, c in b.terms.items():
+            terms[k] = terms.get(k, 0) - c
+        return self._make(self.n, terms)
 
     def __neg__(self):
         return self._make(self.n, {k: -c for k, c in self.terms.items()})

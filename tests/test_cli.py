@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from oddcovers import cli, routes
 from oddcovers.series import Series
 
@@ -138,6 +140,66 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["table", "--format", "yaml"])
     assert err.value.code == 2
+
+
+# Tokens the direct reader must decline wherever they stand, or read exactly
+# as argparse does: help, an abbreviation, an inline value, a short option,
+# negative and padded numbers (`int` reads "-1_0", argparse takes it for an
+# option), a non-ASCII digit, the empty string, the end-of-options marker and
+# an unknown command.
+JUNK = ["-h", "--max", "--max-g=3", "-x", "-1", "-1 ", "-1_0", " 5", "\u0663", "", "--",
+        "bogus"]
+OPTIONS = [option for _, options in cli.COMMANDS.values() for option in options]
+VALUES = {int: ["-3", "-0", "0", "13", " 5", "\u0663", "-\u0663", "-1 ", "-1_0", "x"],
+          str: ["closed,schubert", "out.json", "", "yaml"]}
+TOKENS = sorted({flag for flag, *_ in OPTIONS}
+                | {v for kind in VALUES.values() for v in kind}
+                | {choice for _, kind, *_ in OPTIONS if type(kind) is tuple
+                   for choice in kind}) + JUNK
+
+
+def _values(kind):
+    """Mostly values of `kind`, sometimes any token."""
+    fitting = st.sampled_from(VALUES.get(kind) or list(kind))
+    return st.one_of(fitting, fitting, st.sampled_from(TOKENS))
+
+
+def _pairs(options):
+    return st.sampled_from(options).flatmap(
+        lambda option: st.tuples(st.just(option[0]), _values(option[1])).map(list))
+
+
+def _command_argv(command):
+    """`command` with mostly its own flags and values, some of any command's,
+    and some tokens of anything."""
+    pair, other = _pairs(cli.COMMANDS[command][1]), _pairs(OPTIONS)
+    token = st.sampled_from(TOKENS).map(lambda token: [token])
+    return st.lists(st.one_of(pair, pair, pair, other, token), max_size=5).map(
+        lambda parts: [command] + [t for part in parts for t in part])
+
+
+ARGV = st.one_of(st.sampled_from(list(cli.COMMANDS)).flatmap(_command_argv),
+                 st.lists(st.sampled_from(TOKENS + list(cli.COMMANDS)), max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ARGV)
+def test_direct_reader_declines_or_reads_as_argparse_does(argv):
+    read = cli._read(argv)
+    if read is not None:
+        assert vars(read) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["table"],
+    ["table", "--max-g", "16", "--routes", "closed,genfun", "--format", "json"],
+    ["table", "--max-g", "30", "--n5", "-7", "--n5", "\u0663", "--output", "out.csv"],
+    ["series", "--order", "101", "--format", "csv"],
+    ["verify", "--suite", "all", "--max-g", "5", "--format", "json"],
+    ["schubert", "--g", "-1", "--cap", "50"],
+])
+def test_direct_reader_reads_well_formed_argv(argv):
+    assert vars(cli._read(argv)) == vars(cli.build_parser().parse_args(argv))
 
 
 def test_verify_all_passes(capsys):
@@ -418,6 +480,38 @@ def test_schubert_stands_on_ring_alone():
     probe = _probe("import json, sys, oddcovers.schubert; print(json.dumps("
                    "sorted(m for m in sys.modules if m.startswith('oddcovers'))))")
     assert probe == ["oddcovers", "oddcovers.ring", "oddcovers.schubert"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--max-g", "16", "--routes", "closed,coeff_form,genfun,lagrange",
+     "--format", "json"],
+    ["series", "--order", "101", "--format", "json"],
+    ["verify", "--suite", "all", "--max-g", "5", "--format", "json"],
+    ["schubert", "--g", "3", "--n4", "-2"],
+])
+def test_well_formed_jobs_load_no_argparse(argv):
+    probe = _probe(COMMAND_PROBE, *argv)
+    assert probe["code"] == 0
+    assert [name for name in ("argparse", "gettext", "locale")
+            if name in probe["added"]] == []
+
+
+def test_cli_import_loads_no_argparse():
+    probe = _probe(IMPORT_PROBE)
+    assert [name for name in ("argparse", "gettext", "locale")
+            if name in probe["added"]] == []
+
+
+def test_a_usage_error_still_goes_through_argparse():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = ("import sys\nfrom oddcovers import cli\ntry:\n    cli.main(sys.argv[1:])\n"
+              "finally:\n    print('argparse' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script, "verify", "--suite", "bogus"],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == "True\n"
+    assert "invalid choice: 'bogus'" in done.stderr
 
 
 def test_verify_loads_the_verify_stack():

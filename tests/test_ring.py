@@ -67,6 +67,41 @@ def test_reflected_subtraction_of_an_int(x, y, unit):
     assert (3 - x) + x == 3
 
 
+def _sparse(cls, n, key):
+    return st.dictionaries(key, st.integers(-4, 4), max_size=5).map(
+        lambda terms: cls(n, terms))
+
+
+# Random elements of each SparseElement ring, with whether it coerces ints.
+SPARSE = {
+    "IntPoly": (_sparse(IntPoly, 2, st.tuples(*[st.integers(0, 3)] * 2)), True),
+    # D^2 and D^3 reduce by the cubic
+    "WeierExpr": (_sparse(WeierExpr, 4, st.tuples(*[st.integers(0, 3)] * 4)), True),
+    "QuadForm": (_sparse(form_ring(3), 3, st.tuples(*[st.integers(0, 3)] * 3)), True),
+    "SchubertVector": (_sparse(SchubertVector, 6, st.tuples(*[st.integers(0, 5)] * 2).map(
+        lambda ab: (max(ab), min(ab)))), False),
+}
+
+
+@pytest.mark.parametrize("name", SPARSE)
+@given(data=st.data(), k=st.integers(-3, 3))
+def test_sparse_subtraction_is_adding_the_negative(name, data, k):
+    ring, coerces_ints = SPARSE[name]
+    a, b = data.draw(ring), data.draw(ring)
+    for difference, expected in ((a - b, a + (-b)), (b - a, -(a - b)), (a - a, 0 * a)):
+        assert type(difference) is type(a) and difference.n == a.n
+        assert difference.terms == expected.terms and 0 not in difference.terms.values()
+    if coerces_ints:
+        assert (a - k).terms == (a + (-k)).terms
+        assert (k - a).terms == (-(a - k)).terms
+        assert type(k - a) is type(a)
+    else:
+        with pytest.raises(TypeError):
+            a - k
+        with pytest.raises(TypeError):
+            k - a
+
+
 @elements
 def test_powers_by_repeated_multiplication(x, y, unit):
     assert x ** 0 == unit

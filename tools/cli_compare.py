@@ -56,6 +56,16 @@ COMMANDS = (
     "schubert --g -1",
     "table --max-g -1",
     "table --max-g 3 --routes lagrange --format csv",
+    "--help",
+    "table -h",
+    "verify -h",
+    "",
+    "table --max 3",
+    "table --max-g=3 --format=json",
+    "verify --max-g x",
+    "table --routes -x",
+    "table --format yaml",
+    "table --max-g 3 --max-g 4",
 )
 
 
