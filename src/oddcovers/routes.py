@@ -82,26 +82,27 @@ def genfun_series(order: int) -> "Series":
     """The generating series sum_g A_g w^(2g+1), expanded to the given order.
 
     Built from 2w / (R(w) + R(-w)), R = sqrt(1+64w^2+16w*s) with the even
-    s = sqrt(1+16w^2): w over the even part of R, a unit series; every even
-    coefficient vanishes.
+    s = sqrt(1+16w^2): w times (1 + x)^(-1), 1 + x the even part of R; every
+    even coefficient vanishes. Both roots and the reciprocal are binomial
+    powers.
     """
-    from .series import Series, series_sqrt
+    from .series import Series, binomial_series
     if order < 1:
         raise ValueError("order must be at least 1")
     w = Series.identity(order)
-    s = series_sqrt(1 + 16 * (w * w))
-    root = series_sqrt(1 + 64 * (w * w) + 16 * (w * s))
-    return w * (root - root.odd_part()).inverse()
+    s = binomial_series((1, 2), 16 * (w * w))
+    root = binomial_series((1, 2), 64 * (w * w) + 16 * (w * s))
+    return w * binomial_series((-1, 1), root - root.odd_part() - 1)
 
 
 def fmod_series(order: int) -> "Series":
     """Independent closed-form expansion of f(w):
     sqrt(64w^2 + 1 + 16w sqrt(16w^2+1)) / (8 sqrt(16w^2+1))."""
-    from .series import Series, series_sqrt
+    from .series import Series, binomial_series
     w = Series.identity(order)
-    s = series_sqrt(1 + 16 * (w * w))
-    radicand = 1 + 64 * (w * w) + 16 * (w * s)
-    return (series_sqrt(radicand) * s.inverse()).over(8)
+    s = binomial_series((1, 2), 16 * (w * w))
+    root = binomial_series((1, 2), 64 * (w * w) + 16 * (w * s))
+    return (root * binomial_series((-1, 2), 16 * (w * w))).over(8)
 
 
 def lagrange_pipeline(order: int):
@@ -120,7 +121,8 @@ def lagrange_pipeline(order: int):
         [w^n] u = (1/n) [z^(n-1)] phi^n = 16^n binom(n/2, n-1) 2^(1-n) / n.
 
     phi, phi' = 4 (1+z/2)^(-1/2) and psi all have binomial form, so each is
-    composed with u by `binomial_series` in O(n^2).
+    composed with u by `binomial_series` in O(n^2); so is 1/(1 - w phi'(u)),
+    the power (1 + x)^(-1) at x = -w phi'(u).
     """
     from .series import Series, binomial_series
     if order < 1:
@@ -145,7 +147,7 @@ def lagrange_pipeline(order: int):
     w_dphi_u = (4 * inv_root).shifted(1).truncated(order)
     # f is 1/8 times an integral product; dividing last keeps both O(n^2)
     # products over den 1.
-    f = (binomial_series((1, 2), u) * inv_root * (1 - w_dphi_u).inverse()).over(8)
+    f = (binomial_series((1, 2), u) * inv_root * binomial_series((-1, 1), -w_dphi_u)).over(8)
 
     if f != fmod_series(order):
         raise AssertionError("Lagrange route disagrees with closed-form f(w)")

@@ -56,11 +56,6 @@ class SchubertVector(SparseElement):
     def degrees(self):
         return {a + b for a, b in self.terms}
 
-    def __rmul__(self, c):
-        if not isinstance(c, int):
-            return NotImplemented
-        return SchubertVector._make(self.n, {k: c * v for k, v in self.terms.items()})
-
     def __hash__(self):
         return hash((self.n, tuple(sorted(self.terms.items()))))
 
@@ -89,7 +84,10 @@ class SchubertVector(SparseElement):
 
     def __mul__(self, other):
         """Giambelli, with the weight of each sigma_k sigma_j summed first: Pieri
-        runs for nonzero weights only (once per k, as k fixes j in a homogeneous class)."""
+        runs for nonzero weights only (once per k, as k fixes j in a homogeneous class).
+        An int scales the class, from either side."""
+        if isinstance(other, int):
+            return SchubertVector._make(self.n, {k: other * v for k, v in self.terms.items()})
         o = self._wrap(other)
         if o is None:
             return NotImplemented
@@ -105,6 +103,8 @@ class SchubertVector(SparseElement):
                 for key, c in (part.pieri(j) if j else part).terms.items():
                     out[key] = out.get(key, 0) + weight * c
         return SchubertVector._make(self.n, out)
+
+    __rmul__ = __mul__
 
     def _one(self):
         return SchubertVector.unit(self.n)

@@ -9,9 +9,9 @@ division that must be exact raises ArithmeticError on a remainder; nothing
 rounds or floors. Binary operations return the minimum of the two operand
 orders; `shifted` (times w^k) raises the order by k.
 
-A product, `inverse` and binomial powers (1 + f)^(p/q), with them
-`series_sqrt`, cost O(n^2) coefficient operations at order n (fewer for
-sparse f).
+The series layer has one product and one power recurrence: binomial
+powers (1 + f)^(p/q), reciprocals 1/(1 + f) and square roots among them,
+each cost O(n^2) coefficient operations at order n (fewer for sparse f).
 """
 
 from math import gcd
@@ -120,26 +120,6 @@ class Series(RingElement):
     def _one(self):
         return Series.constant(1, self.order)
 
-    def inverse(self):
-        """Multiplicative inverse; requires nonzero constant term. For the
-        numerators c, e_k = c0^(k+1) [w^k](1/c) runs on ints: e_0 = 1,
-        e_k = -sum_{i=1..k} c_i c0^(i-1) e_(k-i)."""
-        c = self.nums
-        c0, n = c[0], len(c) - 1
-        if c0 == 0:
-            raise ValueError("inverse requires nonzero constant term")
-        support = [(i, c[i] * c0 ** (i - 1)) for i in range(1, n + 1) if c[i]]
-        e = [1] + [0] * n
-        for k in range(1, n + 1):
-            total = 0
-            for i, ci in support:
-                if i > k:
-                    break
-                total += ci * e[k - i]
-            e[k] = -total
-        return Series._make([self.den * ek * c0 ** (n - k) for k, ek in enumerate(e)],
-                            c0 ** (n + 1))
-
     def odd_part(self):
         return Series._make([c if i % 2 else 0 for i, c in enumerate(self.nums)], self.den)
 
@@ -184,7 +164,8 @@ def binomial_series(a: tuple, inner: Series) -> Series:
 
     J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7),
     n g_n = sum_{k=1..n} ((a+1)k - n) f_k g_{n-k} with g_0 = 1, from
-    (1 + f) g' = a f' g, costs O(n * nnz(f)). For a = p/q and f = F/D it runs
+    (1 + f) g' = a f' g, costs O(n * nnz(f)); at a = -1 it is the reciprocal
+    step g_n = -sum_{k=1..n} f_k g_{n-k}. For a = p/q and f = F/D it runs
     on G_n = (q^2 D)^n g_n, which are integers: g_n = sum_{j<=n} binom(a, j)
     [w^n] f^j, [w^n] f^j is an integer over D^j, and q^(2j) binom(a, j) is an
     integer (l-integral for a prime l not dividing q; for l | q, with p/q in
@@ -205,10 +186,3 @@ def binomial_series(a: tuple, inner: Series) -> Series:
     scale, order = q * q * inner.den, inner.order
     g = _scaled_power(p, q, inner.nums, inner.den, scale, order)
     return Series._make([gn * scale ** (order - n) for n, gn in enumerate(g)], scale ** order)
-
-
-def series_sqrt(f: Series) -> Series:
-    """Square root with constant term 1; callers factor out rational squares first."""
-    if f.nums[0] != f.den:
-        raise ValueError("series_sqrt requires constant term 1")
-    return binomial_series((1, 2), f - 1)

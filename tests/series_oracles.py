@@ -3,10 +3,11 @@
 The package computes the Lagrange route in O(n^2) from closed-form
 coefficients and binomial compositions; these are the generic routines it
 replaced (Horner composition, the power-by-power inversion rule, both O(n^3),
-and the derivative), which the tests use to cross-check it by a path that
-shares none of that structure. Likewise `binom_gen` is one generalized
-binomial at a time, and `alt_catalan_closed` the closed sum for one g at a
-time, with a fresh binomial and Catalan number for every term.
+the derivative, and a reciprocal on plain Fractions), which the tests use to
+cross-check it by a path that shares none of that structure. Likewise
+`binom_gen` is one generalized binomial at a time, and `alt_catalan_closed`
+the closed sum for one g at a time, with a fresh binomial and Catalan number
+for every term.
 
 A `Series` is built from ints alone; `series_of` and `values_of` carry a
 list of rationals (ints and Fractions) in and out of one.
@@ -81,6 +82,16 @@ def lagrange_invert(phi: Series, order: int) -> Series:
         power = power * phi
         out[n] = Fraction(power.nums[n - 1], power.den * n)
     return series_of(out)
+
+
+def reciprocal(a) -> list:
+    """1/a for a plain list a of rationals with a[0] != 0, in Fractions:
+    out_k = -(1/a_0) sum_{i=1..k} a_i out_(k-i)."""
+    out = [Fraction(1) / Fraction(a[0])]
+    for k in range(1, len(a)):
+        total = sum((Fraction(a[i]) * out[k - i] for i in range(1, k + 1)), Fraction(0))
+        out.append(-total / Fraction(a[0]))
+    return out
 
 
 def derivative(series: Series) -> Series:

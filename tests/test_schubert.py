@@ -100,6 +100,14 @@ def test_multiplication_commutes(u, v):
     assert u * v == v * u
 
 
+@given(vectors, st.integers(min_value=-5, max_value=5))
+def test_int_scaling_from_either_side(v, k):
+    assert v * k == k * v == v * (k * SchubertVector.unit(7))
+    assert (SchubertVector(6, {(1, 0): 2}) * 2).terms == {(1, 0): 4}
+    with pytest.raises(TypeError):
+        v + 1
+
+
 @settings(max_examples=40)
 @given(vectors, vectors, vectors)
 def test_multiplication_associates(u, v, w):

@@ -5,26 +5,27 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from oddcovers.combinat import catalan
-from oddcovers.series import Series, _scaled_power, binomial_series, series_sqrt
+from oddcovers.series import Series, _scaled_power, binomial_series
 
-from series_oracles import binom_gen, compose, lagrange_invert, series_of, values_of
+from series_oracles import (binom_gen, compose, lagrange_invert, reciprocal, series_of,
+                            values_of)
 
 
 def test_geometric_inverse():
     # 1/(1 - w) = 1 + w + w^2 + ...
     one_minus_w = Series([1, -1, 0, 0, 0])
-    assert one_minus_w.inverse() == Series([1, 1, 1, 1, 1])
+    assert binomial_series((-1, 1), one_minus_w - 1) == Series([1, 1, 1, 1, 1])
 
 
 def test_sqrt_coefficients():
     z = Series.identity(3)
-    root = series_sqrt(1 + z)
+    root = binomial_series((1, 2), z)
     assert values_of(root) == [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)]
 
 
 def test_sqrt_requires_unit_constant_term():
-    with pytest.raises(ValueError):
-        series_sqrt(Series([4, 1, 1]))
+    with pytest.raises(ValueError, match=r"inner\(0\) = 0"):
+        binomial_series((1, 2), Series([4, 1, 1]) - 1)
 
 
 small = st.fractions(max_denominator=5, min_value=Fraction(-5), max_value=Fraction(5))
@@ -33,7 +34,7 @@ small = st.fractions(max_denominator=5, min_value=Fraction(-5), max_value=Fracti
 @given(st.lists(small, min_size=5, max_size=9))
 def test_sqrt_round_trip(tail):
     f = series_of([1] + tail)
-    root = series_sqrt(f)
+    root = binomial_series((1, 2), f - 1)
     assert root * root == f
 
 
@@ -107,7 +108,7 @@ def test_compose_requires_nilpotent_inner():
 def test_lagrange_invert_catalan_oracle():
     # u = w/(1-u) has [w^n] u = Catalan(n-1)
     order = 10
-    phi = Series([1, -1] + [0] * (order - 2)).inverse()  # 1/(1-z)
+    phi = binomial_series((-1, 1), Series([1, -1] + [0] * (order - 2)) - 1)  # 1/(1-z)
     u = lagrange_invert(phi, order)
     assert values_of(u)[1:] == [catalan(n - 1) for n in range(1, order + 1)]
     # and u really solves the fixed-point equation
@@ -136,7 +137,7 @@ def test_binomial_series_integer_exponent_matches_power():
 def test_binomial_series_order_below_inner_order():
     inner = Series([0, 1, 2, 3, 4, 5])
     assert (binomial_series((1, 2), inner.truncated(3))
-            == series_sqrt(1 + inner).truncated(3))
+            == binomial_series((1, 2), inner).truncated(3))
     assert binomial_series((-1, 1), inner.truncated(0)) == Series([1])
 
 
@@ -196,10 +197,10 @@ def test_binomial_series_matches_power_sum(a, tail, order):
 def test_genfun_square_roots_match_power_sum_at_order_41():
     w = Series.identity(41)
     s_radicand = 1 + 16 * (w * w)
-    s = series_sqrt(s_radicand)
+    s = binomial_series((1, 2), s_radicand - 1)
     assert s == _binomial_naive(Fraction(1, 2), s_radicand - 1)
     radicand = 1 + 64 * (w * w) + 16 * (w * s)
-    assert series_sqrt(radicand) == _binomial_naive(Fraction(1, 2), radicand - 1)
+    assert binomial_series((1, 2), radicand - 1) == _binomial_naive(Fraction(1, 2), radicand - 1)
 
 
 # Fraction-only reference kernels on plain lists, sharing no code with Series.
@@ -208,14 +209,6 @@ def _convolve(a, b):
     n = min(len(a), len(b))
     return [sum((Fraction(a[i]) * Fraction(b[k - i]) for i in range(k + 1)), Fraction(0))
             for k in range(n)]
-
-
-def _reciprocal(a):
-    out = [Fraction(1) / Fraction(a[0])]
-    for k in range(1, len(a)):
-        s = sum((Fraction(a[i]) * out[k - i] for i in range(1, k + 1)), Fraction(0))
-        out.append(-s / Fraction(a[0]))
-    return out
 
 
 def _miller(a, f):
@@ -242,9 +235,9 @@ def test_kernels_match_fraction_only_arithmetic(a, b, lead, exponent):
     product = f * g
     assert values_of(product) == _convolve(a, b)
     _assert_reduced(product)
-    unit = [lead] + b[1:]
-    inverse = series_of(unit).inverse()
-    assert values_of(inverse) == _reciprocal(unit)
+    # lead / (lead + h) = (1 + h/lead)^(-1)
+    inverse = binomial_series((-1, 1), series_of([0] + [Fraction(c) / lead for c in b[1:]]))
+    assert values_of(inverse) == [lead * c for c in reciprocal([lead] + b[1:])]
     _assert_reduced(inverse)
     inner = [0] + a[1:]
     power = binomial_series((exponent.numerator, exponent.denominator), series_of(inner))
@@ -265,7 +258,7 @@ def test_canonical_form_of_integral_fractions():
     s = Series([8, 4, 3], 4)
     assert [type(c) for c in values_of(s)] == [int, int, Fraction]
     assert series_of([Fraction(4, 2), Fraction(1, 2) * 2, Fraction(3, 4)]) == s
-    half = Series([2, 0, 0]).inverse()
+    half = Series([1, 0, 0], 2)
     assert (half.nums, half.den) == ((1, 0, 0), 2)
     assert ((half * 2).nums, (half * 2).den) == ((1, 0, 0), 1)
     _assert_reduced(half)
@@ -276,8 +269,9 @@ def test_canonical_form_of_integral_fractions():
        nonzero, st.integers(min_value=-12, max_value=12).filter(bool))
 def test_stored_numerators_are_reduced(a, b, lead, k):
     f, g = series_of(a), series_of(b)
-    unit = series_of([lead] + b[1:])
-    results = [f, g, f + g, f - g, -f, f * g, k * f, f.over(k), unit.inverse(),
+    unit_minus_1 = series_of([0] + [Fraction(c) / lead for c in b[1:]])
+    results = [f, g, f + g, f - g, -f, f * g, k * f, f.over(k),
+               binomial_series((-1, 1), unit_minus_1),
                f.odd_part(), f.shifted(2), f.truncated(0),
                binomial_series((1, 2), series_of([0] + a[1:]))]
     for s in results:

@@ -5,11 +5,14 @@
 
 Runs every command in COMMANDS as `python -m oddcovers.cli ...` once with
 BASE_DIR/src and once with NEW_SRC (default: this checkout's `src`) on
-PYTHONPATH, and compares stdout, stderr and the exit code. Prints one line
-per command and exits 1 if any of them differ.
+PYTHONPATH, and compares stdout, stderr and the exit code. Each command is
+the argv list `shlex.split` makes of its string, so a quoted value may be
+empty or hold spaces. Prints one line per command and exits 1 if any of them
+differ.
 """
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -66,13 +69,18 @@ COMMANDS = (
     "table --routes -x",
     "table --format yaml",
     "table --max-g 3 --max-g 4",
+    "table --routes ''",
+    "table --max-g ' 5'",
+    "table --max-g '-1 '",
+    "table --max-g 13 --routes schubert",
+    "series --order 3 --output '/nonexistent dir/out.txt'",
 )
 
 
 def capture(src: str, command: str):
     """(stdout, stderr, exit code) of one CLI command run from `src`."""
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "oddcovers.cli", *command.split()],
+    done = subprocess.run([sys.executable, "-m", "oddcovers.cli", *shlex.split(command)],
                           env=env, capture_output=True, timeout=600)
     return done.stdout, done.stderr, done.returncode
 
