@@ -114,6 +114,12 @@ def build_parser() -> "argparse.ArgumentParser":
 # -- emission -------------------------------------------------------------
 
 
+def _refuse(text: str, code: int = 2) -> int:
+    """Write `text` as one line to stderr; return the exit code `code`."""
+    sys.stderr.write(text + "\n")
+    return code
+
+
 def _emit(args, text: str, payload: dict, code: int = 0) -> int:
     """Write the output; return `code`, or 2 if --output cannot be written."""
     if args.format == "text":
@@ -127,8 +133,7 @@ def _emit(args, text: str, payload: dict, code: int = 0) -> int:
             with open(args.output, "w") as handle:
                 handle.write(body)
         except OSError as err:
-            sys.stderr.write("cannot write %s: %s\n" % (args.output, err.strerror or err))
-            return 2
+            return _refuse("cannot write %s: %s" % (args.output, err.strerror or err))
     else:
         sys.stdout.write(body)
     return code
@@ -163,16 +168,14 @@ def _to_csv(payload: dict) -> str:
 def cmd_table(args) -> int:
     route_list = [r.strip() for r in args.routes.split(",") if r.strip()]
     if not route_list or any(r not in routes.ROUTES for r in route_list):
-        sys.stderr.write("unknown route in %r; choose from %s\n"
-                         % (args.routes, ",".join(routes.ROUTES)))
-        return 2
+        return _refuse("unknown route in %r; choose from %s"
+                       % (args.routes, ",".join(routes.ROUTES)))
     if args.max_g < 0:
-        sys.stderr.write("--max-g must be nonnegative\n")
-        return 2
+        return _refuse("--max-g must be nonnegative")
     if "schubert" in route_list and args.max_g > args.cap:
-        sys.stderr.write("schubert route capped at g = %d (raise with --cap)\n"
-                         % args.cap)
-        return 3
+        return _refuse("schubert route capped at g = %d (raise with --cap)" % args.cap, 3)
+    if 2 * args.max_g + 2 > sys.maxsize:  # a series to order 2 max_g + 1
+        return _refuse("--max-g is too large: a sequence holds at most %d items" % sys.maxsize)
     prefixes = {r: routes.route_prefix(r, args.max_g, args.n4, args.n5) for r in route_list}
     rows = []
     for g in range(args.max_g + 1):
@@ -193,8 +196,9 @@ def cmd_table(args) -> int:
 
 def cmd_series(args) -> int:
     if args.order < 0:
-        sys.stderr.write("--order must be nonnegative\n")
-        return 2
+        return _refuse("--order must be nonnegative")
+    if args.order + 1 > sys.maxsize:
+        return _refuse("--order is too large: a sequence holds at most %d items" % sys.maxsize)
     series = routes.genfun_series(max(args.order, 1)).truncated(args.order)
     coeffs, den = series.nums, series.den
     if den != 1:  # reduced, so some numerator is no multiple of den
@@ -213,11 +217,11 @@ def cmd_series(args) -> int:
 
 def cmd_schubert(args) -> int:
     if args.g < 0:
-        sys.stderr.write("--g must be nonnegative\n")
-        return 2
+        return _refuse("--g must be nonnegative")
     if args.g > args.cap:
-        sys.stderr.write("capped at g = %d (raise with --cap)\n" % args.cap)
-        return 3
+        return _refuse("capped at g = %d (raise with --cap)" % args.cap, 3)
+    if 2 * args.g + 2 > sys.maxsize:  # the sigma_1 chain holds 2g + 1 classes
+        return _refuse("--g is too large: a sequence holds at most %d items" % sys.maxsize)
     from . import schubert
 
     value = routes.route_prefix("schubert", args.g, args.n4, args.n5)[args.g]
@@ -236,8 +240,7 @@ def cmd_schubert(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.max_g < 0:
-        sys.stderr.write("--max-g must be nonnegative\n")
-        return 2
+        return _refuse("--max-g must be nonnegative")
     from .checks import run_checks
 
     checks = run_checks(SUITES if args.suite == "all" else (args.suite,), args.max_g)

@@ -50,9 +50,9 @@ class RingElement:
 
 class SparseElement(RingElement):
     """`terms` maps keys to nonzero ints, over a context `n` that two operands
-    must share. A subclass validates in its own `__init__` and supplies
-    `__mul__`, `_one`, `__hash__`, `__repr__` and `_mismatch`, the message
-    (formatted with both n) for operands over different n."""
+    must share. A subclass validates in its own `__new__`, builds with `_make`,
+    and supplies `__mul__`, `_one`, `__hash__`, `__repr__` and `_mismatch`, the
+    message (formatted with both n) for operands over different n."""
 
     __slots__ = ("n", "terms")
 

@@ -1,10 +1,15 @@
-"""The alternating Catalan numbers A_g by four independent routes.
+"""The alternating Catalan numbers A_g by four exact routes.
 
 Routes: the closed alternating sum, coefficient extraction from an explicit
-product of binomial series, expansion of the algebraic generating function,
-and Lagrange inversion. All four agree exactly; the Schubert-calculus route
-lives in `schubert` and is bound to these by the `schubert_route` and
-`sigma3_reduction` checks of `checks`.
+product of binomial series, the generating function as the root of its
+minimal polynomial, and Lagrange inversion; the Schubert-calculus route lives
+in `schubert`, bound to these by the `schubert_route` and `sigma3_reduction`
+checks of `checks`. All agree exactly, but not all formulas are independent:
+by Lagrange's second form, [w^n] psi(u) / (1 - w phi'(u)) = [z^n] psi(z)
+phi(z)^n (Stanley, EC II, 5.4), for `lagrange_pipeline`'s phi and psi and
+n = 2g+1 the coefficient route's 2^(8g+1) [z^(2g+1)] (1+z)^(1/2) (1+z/2)^g.
+So `coeff_form` and `lagrange` rest on one phi and psi, and their agreement
+tests composition code; only `closed`, `schubert` and `genfun` own theirs.
 
 `route_prefix(route, G)` returns A_0..A_G. The series routes `genfun` and
 `lagrange` carry A_g at w^(2g+1) of one series, so they expand it once, to
@@ -79,20 +84,18 @@ def _integer(num: int, den: int, route: str) -> int:
 
 
 def genfun_series(order: int) -> "Series":
-    """The generating series sum_g A_g w^(2g+1), expanded to the given order.
-
-    Built from 2w / (R(w) + R(-w)), R = sqrt(1+64w^2+16w*s) with the even
-    s = sqrt(1+16w^2): w times (1 + x)^(-1), 1 + x the even part of R; every
-    even coefficient vanishes. Both roots and the reciprocal are binomial
-    powers.
-    """
+    """y(w) = sum_g A_g w^(2g+1) to the given order, as the root of its minimal
+    polynomial 64(1 + 16w^2) y^4 - (1 + 64w^2) y^2 + w^2, a quadratic in y^2
+    of discriminant 1 - 128W, W = w^2, whose root with y = w + O(w^3) is
+    y = w Z(W), Z = X^(1/2), X = (1 + 64W - sqrt(1 - 128W)) / (128 W (1 + 16W)):
+    only the product and Z are dense (one-term inner series cost O(n))."""
     from .series import Series, binomial_series
     if order < 1:
         raise ValueError("order must be at least 1")
-    w = Series.identity(order)
-    s = binomial_series((1, 2), 16 * (w * w))
-    root = binomial_series((1, 2), 64 * (w * w) + 16 * (w * s))
-    return w * binomial_series((-1, 1), root - root.odd_part() - 1)
+    W = Series.identity(order // 2 + 1)
+    x = (1 + 64 * W - binomial_series((1, 2), -128 * W)) * binomial_series((-1, 1), 16 * W)
+    z = binomial_series((1, 2), Series._make(x.nums[1:], 128 * x.den) - 1)  # x(0) = 0
+    return Series._make([z.nums[n // 2] if n % 2 else 0 for n in range(order + 1)], z.den)
 
 
 def fmod_series(order: int) -> "Series":
@@ -106,23 +109,20 @@ def fmod_series(order: int) -> "Series":
 
 
 def lagrange_pipeline(order: int):
-    """Return (u, f, h) from the Lagrange-inversion route, with contracts checked.
+    """Return (u, f) from the Lagrange-inversion route, with contracts checked.
 
     u solves u = w phi(u) with phi(z) = 16 (1+z/2)^(1/2); f = psi(u) / (1 - w
-    phi'(u)) with psi(z) = (1/8) (1+z)^(1/2) (1+z/2)^(-1/2); h is the odd part
-    of f and carries A_g at w^(2g+1). Raises AssertionError if u fails either
-    of its defining relations or if f disagrees with the independent
+    phi'(u)) with psi(z) = (1/8) (1+z)^(1/2) (1+z/2)^(-1/2) carries A_g at
+    w^(2g+1), where `route_prefix` reads it. Raises AssertionError if u fails
+    either of its defining relations or if f disagrees with the independent
     closed-form expansion.
 
     Nothing here is cubic in the order. Lagrange-Buermann inversion (Stanley,
     Enumerative Combinatorics II, section 5.4) gives u in closed form, since
-    phi^n = 16^n (1+z/2)^(n/2):
-
-        [w^n] u = (1/n) [z^(n-1)] phi^n = 16^n binom(n/2, n-1) 2^(1-n) / n.
-
-    phi, phi' = 4 (1+z/2)^(-1/2) and psi all have binomial form, so each is
-    composed with u by `binomial_series` in O(n^2); so is 1/(1 - w phi'(u)),
-    the power (1 + x)^(-1) at x = -w phi'(u).
+    phi^n = 16^n (1+z/2)^(n/2): [w^n] u = (1/n) [z^(n-1)] phi^n =
+    16^n binom(n/2, n-1) 2^(1-n) / n. phi, phi' = 4 (1+z/2)^(-1/2), psi and
+    1/(1 - w phi'(u)), the power (1 + x)^(-1) at x = -w phi'(u), all have
+    binomial form, so `binomial_series` composes each with u in O(n^2).
     """
     from .series import Series, binomial_series
     if order < 1:
@@ -152,7 +152,7 @@ def lagrange_pipeline(order: int):
     if f != fmod_series(order):
         raise AssertionError("Lagrange route disagrees with closed-form f(w)")
 
-    return u, f, f.odd_part()
+    return u, f
 
 
 ROUTES = ("closed", "coeff_form", "schubert", "genfun", "lagrange")
@@ -175,6 +175,6 @@ def route_prefix(route: str, max_g: int, n4: int = 16, n5: int = 16) -> list:
     if route not in ("genfun", "lagrange"):
         raise ValueError("unknown route %r" % route)
     order = 2 * max_g + 1
-    expansion = genfun_series(order) if route == "genfun" else lagrange_pipeline(order)[2]
+    expansion = genfun_series(order) if route == "genfun" else lagrange_pipeline(order)[1]
     return [_integer(expansion.nums[2 * g + 1], expansion.den, route)
             for g in range(max_g + 1)]

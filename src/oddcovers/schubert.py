@@ -36,7 +36,7 @@ class SchubertVector(SparseElement):
     __slots__ = ()
     _mismatch = "mismatched ambient Grassmannians G(2,%d) vs G(2,%d)"
 
-    def __init__(self, n: int, terms=None):
+    def __new__(cls, n: int, terms=None):
         if n < 2:
             raise ValueError("ambient G(2,n) needs n >= 2")
         terms = terms or {}
@@ -45,9 +45,7 @@ class SchubertVector(SparseElement):
                 raise TypeError("Schubert coefficients are ints, not %s" % type(c).__name__)
             if b < 0 or a < b:
                 raise ValueError("invalid partition (%d,%d)" % (a, b))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", {(a, b): c for (a, b), c in terms.items()
-                                           if c != 0 and a <= n - 2})
+        return cls._make(n, {(a, b): c for (a, b), c in terms.items() if a <= n - 2})
 
     @staticmethod
     def unit(n: int):

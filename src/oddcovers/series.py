@@ -11,7 +11,8 @@ orders; `shifted` (times w^k) raises the order by k.
 
 The series layer has one product and one power recurrence: binomial
 powers (1 + f)^(p/q), reciprocals 1/(1 + f) and square roots among them,
-each cost O(n^2) coefficient operations at order n (fewer for sparse f).
+each cost O(n nnz(f)) coefficient operations at order n: O(n^2) for a dense
+f, O(n) for an f of one term.
 """
 
 from math import gcd
@@ -119,9 +120,6 @@ class Series(RingElement):
 
     def _one(self):
         return Series.constant(1, self.order)
-
-    def odd_part(self):
-        return Series._make([c if i % 2 else 0 for i, c in enumerate(self.nums)], self.den)
 
     def is_zero(self) -> bool:
         return not any(self.nums)

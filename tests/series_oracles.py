@@ -7,7 +7,9 @@ the derivative, and a reciprocal on plain Fractions), which the tests use to
 cross-check it by a path that shares none of that structure. Likewise
 `binom_gen` is one generalized binomial at a time, and `alt_catalan_closed`
 the closed sum for one g at a time, with a fresh binomial and Catalan number
-for every term.
+for every term. `genfun_radicals` is the generating series by the paper's
+nested radicals, the form the package replaced by the root of the series'
+minimal polynomial.
 
 A `Series` is built from ints alone; `series_of` and `values_of` carry a
 list of rationals (ints and Fractions) in and out of one.
@@ -18,7 +20,7 @@ from math import comb, lcm
 
 from map_oracles import exact_div, is_rational
 from oddcovers.combinat import binom_ratio, catalan
-from oddcovers.series import Series
+from oddcovers.series import Series, binomial_series
 
 
 def series_of(values) -> Series:
@@ -49,6 +51,17 @@ def alt_catalan_closed(g: int) -> int:
     return 16 ** g * sum(
         (-2) ** i * comb(g, i) * catalan(2 * g - i) for i in range(g + 1)
     )
+
+
+def genfun_radicals(order: int) -> Series:
+    """The generating series sum_g A_g w^(2g+1) from the paper's nested
+    radicals: 2w / (R(w) + R(-w)), R = sqrt(1 + 64w^2 + 16w s) with the even
+    s = sqrt(1 + 16w^2), that is w times the reciprocal of the even part of R."""
+    w = Series.identity(order)
+    s = binomial_series((1, 2), 16 * (w * w))
+    root = binomial_series((1, 2), 64 * (w * w) + 16 * (w * s))
+    even = Series([0 if n % 2 else c for n, c in enumerate(root.nums)], root.den)
+    return w * binomial_series((-1, 1), even - 1)
 
 
 def compose(outer: Series, inner: Series) -> Series:

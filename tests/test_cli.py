@@ -134,6 +134,30 @@ def test_resource_cap_exit_code(capsys):
     assert code == 0
 
 
+HUGE = "100000000000000000000"  # past sys.maxsize, so no sequence holds it
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["series", "--order", HUGE], "--order"),
+    (["table", "--max-g", HUGE, "--routes", "genfun"], "--max-g"),
+    (["table", "--max-g", HUGE, "--routes", "coeff_form"], "--max-g"),
+])
+def test_a_size_no_sequence_can_hold_is_a_usage_error(capsys, argv, flag):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "%s is too large: a sequence holds at most %d items\n" % (
+        flag, sys.maxsize)
+
+
+def test_a_huge_size_still_meets_the_cap_first(capsys):
+    code = cli.main(["schubert", "--g", HUGE])
+    assert (code, capsys.readouterr().err) == (3, "capped at g = 12 (raise with --cap)\n")
+    code = cli.main(["table", "--max-g", HUGE, "--routes", "schubert,genfun"])
+    assert code == 3
+
+
 def test_usage_error_exit_code(capsys):
     code, _ = run(capsys, "table", "--routes", "bogus")
     assert code == 2

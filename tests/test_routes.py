@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from series_oracles import (
     binom_gen,
     compose,
     derivative,
+    genfun_radicals,
     lagrange_invert,
     reciprocal,
     series_of,
@@ -77,6 +80,14 @@ def test_genfun_agrees_with_closed_to_order_201():
         assert f[2 * g + 1] == alt_catalan_closed(g)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 11, 41, 100, 101, 201, 401])
+def test_genfun_root_of_P_equals_the_nested_radicals(order):
+    # the root of the quadratic in W = w^2 against 2w / (R(w) + R(-w)),
+    # stored alike: the same numerators over the same denominator
+    new, old = routes.genfun_series(order), genfun_radicals(order)
+    assert (new.nums, new.den) == (old.nums, old.den)
+
+
 def test_genfun_and_lagrange_series_are_integral():
     # the integer kernel's premise: no denominator survives in either series
     assert routes.genfun_series(201).den == 1
@@ -92,15 +103,10 @@ def test_coeff_form_integer_checks_its_dot_product(monkeypatch):
 
 def test_lagrange_pipeline_matches_closed():
     order = 41
-    u, f, h = routes.lagrange_pipeline(order)
+    u, f = routes.lagrange_pipeline(order)
     assert values_of(f)[:8] == F_COEFFS
     for g in range(20 + 1):
-        assert values_of(h)[2 * g + 1] == alt_catalan_closed(g)
-
-
-def test_lagrange_pipeline_reads_odd_part_of_its_own_f():
-    u, f, h = routes.lagrange_pipeline(11)
-    assert h == f.odd_part()
+        assert values_of(f)[2 * g + 1] == alt_catalan_closed(g)
 
 
 def _binomial_coeffs(a, scale, order):
@@ -118,7 +124,7 @@ def test_lagrange_pipeline_matches_generic_inversion_at_order_41():
     u = lagrange_invert(phi, order)
     f = compose(psi, u) * series_of(reciprocal(values_of(
         1 - compose(derivative(phi), u).shifted(1))))
-    assert routes.lagrange_pipeline(order)[:2] == (u, f)
+    assert routes.lagrange_pipeline(order) == (u, f)
 
 
 def _perturbed_binom_ratio(by):
@@ -193,13 +199,54 @@ def test_route_prefix_dispatch():
         routes.route_prefix("nonsense", 3)
 
 
+def _reach(route):
+    """The (module, owner) of every oddcovers function that route_prefix(route, 4)
+    enters, owner being the class or function a qualname starts with, so a
+    method or comprehension counts as its owner."""
+    reached = set()
+
+    def hook(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("oddcovers."):
+            reached.add((module[len("oddcovers."):], frame.f_code.co_qualname.split(".")[0]))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        routes.route_prefix(route, 4)
+    finally:
+        sys.setprofile(previous)
+    return reached
+
+
+# What two routes may both reach. Every pair may share the dispatcher and its
+# integer check; the three series routes may share the Series ring (with the
+# subtraction RingElement derives for it) and Miller's power recurrence.
+# ROADMAP item 16 takes coeff_form out of SERIES_ROUTES.
+ANY_PAIR = {("routes", "route_prefix"), ("routes", "_integer")}
+SERIES_ROUTES = {"coeff_form", "genfun", "lagrange"}
+SERIES_KERNEL = {("series", "Series"), ("ring", "RingElement"),
+                 ("series", "binomial_series"), ("series", "_scaled_power")}
+
+
+def test_routes_share_only_the_allowlisted_code():
+    previous = sys.getprofile()
+    reach = {route: _reach(route) for route in routes.ROUTES}
+    assert sys.getprofile() is previous
+    for route in routes.ROUTES:
+        assert ("routes", "route_prefix") in reach[route]
+    for first, second in combinations(routes.ROUTES, 2):
+        allowed = ANY_PAIR | (SERIES_KERNEL if {first, second} <= SERIES_ROUTES else set())
+        assert reach[first] & reach[second] <= allowed, (first, second)
+
+
 def _half_at_top(order):
     return Series([0] * order + [1], 2)
 
 
 @pytest.mark.parametrize("route, name, fake", [
     ("genfun", "genfun_series", _half_at_top),
-    ("lagrange", "lagrange_pipeline", lambda order: (None, None, _half_at_top(order))),
+    ("lagrange", "lagrange_pipeline", lambda order: (None, _half_at_top(order))),
 ])
 def test_route_prefix_rejects_non_integer(monkeypatch, route, name, fake):
     monkeypatch.setattr(routes, name, fake)
@@ -241,7 +288,7 @@ def _half_at_g2(order):
 
 @pytest.mark.parametrize("route, name, fake", [
     ("genfun", "genfun_series", _half_at_g2),
-    ("lagrange", "lagrange_pipeline", lambda order: (None, None, _half_at_g2(order))),
+    ("lagrange", "lagrange_pipeline", lambda order: (None, _half_at_g2(order))),
 ])
 def test_route_prefix_checks_every_coefficient(monkeypatch, route, name, fake):
     monkeypatch.setattr(routes, name, fake)

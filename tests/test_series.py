@@ -121,11 +121,6 @@ def test_lagrange_invert_needs_enough_terms():
         lagrange_invert(Series([1, 1]), 5)
 
 
-def test_odd_part():
-    f = Series([1, 2, 3, 4, 5])
-    assert f.odd_part() == Series([0, 2, 0, 4, 0])
-
-
 def test_binomial_series_integer_exponent_matches_power():
     z = Series.identity(6)
     power = Series.constant(1, 6)
@@ -272,7 +267,7 @@ def test_stored_numerators_are_reduced(a, b, lead, k):
     unit_minus_1 = series_of([0] + [Fraction(c) / lead for c in b[1:]])
     results = [f, g, f + g, f - g, -f, f * g, k * f, f.over(k),
                binomial_series((-1, 1), unit_minus_1),
-               f.odd_part(), f.shifted(2), f.truncated(0),
+               f.shifted(2), f.truncated(0),
                binomial_series((1, 2), series_of([0] + a[1:]))]
     for s in results:
         _assert_reduced(s)

@@ -74,6 +74,12 @@ COMMANDS = (
     "table --max-g '-1 '",
     "table --max-g 13 --routes schubert",
     "series --order 3 --output '/nonexistent dir/out.txt'",
+    "series --order 2",
+    "series --order 401 --format json",
+    "table --max-g 200 --routes genfun,closed --format json",
+    "series --order 100000000000000000000",
+    "table --max-g 100000000000000000000 --routes genfun",
+    "table --max-g 100000000000000000000 --routes coeff_form",
 )
 
 
