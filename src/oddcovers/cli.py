@@ -1,8 +1,9 @@
 """Command-line front end: A_g tables, series coefficients, verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
-exceeded. Big integers are serialized as decimal strings in JSON and CSV so
-consumers never overflow; values parse back to identical integers.
+exceeded or a size that cannot be allocated. Big integers are serialized as
+decimal strings in JSON and CSV so consumers never overflow; values parse back
+to identical integers.
 """
 
 import json
@@ -199,7 +200,7 @@ def cmd_series(args) -> int:
         return _refuse("--order must be nonnegative")
     if args.order + 1 > sys.maxsize:
         return _refuse("--order is too large: a sequence holds at most %d items" % sys.maxsize)
-    series = routes.genfun_series(max(args.order, 1)).truncated(args.order)
+    series = routes.genfun_series(args.order)
     coeffs, den = series.nums, series.den
     if den != 1:  # reduced, so some numerator is no multiple of den
         c = next(c for c in coeffs if c % den)
@@ -258,12 +259,31 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    if argv is None:
+    """Run one command; return its exit code. A size that passes every check
+    but cannot be allocated ends in exit 3, as a resource cap does.
+
+    A call without `argv` is the program entry: it reads `sys.argv` and, once
+    the command has written its output, freezes the garbage collector
+    (`gc.freeze`), so that interpreter shutdown does not traverse every object
+    the process made just before it exits. Long-lived callers pass `argv` and
+    keep normal collection."""
+    program = argv is None
+    if program:
         argv = sys.argv[1:]
-    args = _read(argv) or build_parser().parse_args(argv)
-    handlers = {"table": cmd_table, "series": cmd_series,
-                "verify": cmd_verify, "schubert": cmd_schubert}
-    return handlers[args.command](args)
+    try:
+        args = _read(argv) or build_parser().parse_args(argv)
+        handlers = {"table": cmd_table, "series": cmd_series,
+                    "verify": cmd_verify, "schubert": cmd_schubert}
+        try:
+            return handlers[args.command](args)
+        except MemoryError:
+            return _refuse("%s: the requested size needs more memory than can be allocated"
+                           % args.command, 3)
+    finally:
+        if program:
+            import gc
+
+            gc.freeze()
 
 
 if __name__ == "__main__":

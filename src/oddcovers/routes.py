@@ -90,8 +90,8 @@ def genfun_series(order: int) -> "Series":
     y = w Z(W), Z = X^(1/2), X = (1 + 64W - sqrt(1 - 128W)) / (128 W (1 + 16W)):
     only the product and Z are dense (one-term inner series cost O(n))."""
     from .series import Series, binomial_series
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     W = Series.identity(order // 2 + 1)
     x = (1 + 64 * W - binomial_series((1, 2), -128 * W)) * binomial_series((-1, 1), 16 * W)
     z = binomial_series((1, 2), Series._make(x.nums[1:], 128 * x.den) - 1)  # x(0) = 0

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -317,6 +318,21 @@ def test_verify_reports_a_failed_assertion_and_keeps_going(capsys, monkeypatch):
     assert lines[3:] == ["3 checks, 1 failed"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "--order", str(sys.maxsize - 1)],
+    ["table", "--max-g", str(sys.maxsize // 2 - 1), "--routes", "genfun"],
+])
+def test_a_size_that_cannot_be_allocated_is_a_resource_exit(capsys, argv):
+    # each passes the sys.maxsize bound, and its first tuple asks for more
+    # bytes than the address space holds, so it fails at once
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("%s: the requested size needs more memory than can be "
+                            "allocated\n" % argv[0])
+
+
 def test_verify_rejects_negative_max_g(capsys):
     code = cli.main(["verify", "--suite", "identities", "--max-g", "-5"])
     captured = capsys.readouterr()
@@ -349,6 +365,49 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("cannot write %s: " % target)
     assert not target.exists()
+
+
+def test_a_call_with_argv_leaves_the_collector_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["table", "--max-g", "3", "--routes", "closed,genfun"]) == 0
+    assert cli.main(["table", "--routes", "bogus"]) == 2
+    assert gc.get_freeze_count() == before
+
+
+# Run in a fresh interpreter as the program entry, `cli.main()` on sys.argv:
+# stdout and the exit code are the command's, and the last line of stderr is
+# the collector's freeze count once main has returned or raised SystemExit.
+PROGRAM_PROBE = """
+import gc, sys
+from oddcovers import cli
+try:
+    code = cli.main()
+finally:
+    sys.stderr.write("freeze count %d\\n" % gc.get_freeze_count())
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--max-g", "8", "--routes", "closed,genfun", "--format", "json"],
+    ["verify", "--suite", "identities", "--max-g", "5"],
+    ["verify", "--suite", "bogus"],
+])
+def test_the_program_entry_freezes_the_collector_after_the_command(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exit:  # argparse's usage error
+        code = exit.code
+    expected = capsys.readouterr()
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", PROGRAM_PROBE, *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=120)
+    err, _, freeze = done.stderr.decode().rpartition("freeze count ")
+    assert done.returncode == code
+    assert done.stdout == expected.out.encode()
+    assert err == expected.err
+    assert int(freeze) > 0
 
 
 # Run in a fresh interpreter: the modules loaded by `import oddcovers.cli`

@@ -88,6 +88,16 @@ def test_genfun_root_of_P_equals_the_nested_radicals(order):
     assert (new.nums, new.den) == (old.nums, old.den)
 
 
+def test_genfun_computes_order_zero_directly():
+    assert routes.genfun_series(0) == Series([0])
+    assert routes.genfun_series(1) == Series([0, 1])
+
+
+def test_genfun_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="nonnegative"):
+        routes.genfun_series(-1)
+
+
 def test_genfun_and_lagrange_series_are_integral():
     # the integer kernel's premise: no denominator survives in either series
     assert routes.genfun_series(201).den == 1

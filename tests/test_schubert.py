@@ -7,7 +7,7 @@ from oddcovers import checks, cli, routes
 from oddcovers.checks import catalan_alternating_sum
 from oddcovers.combinat import catalan
 from oddcovers.schubert import SchubertVector, sigma12_rows, top_power_prefix
-from schubert_helpers import sigma
+from schubert_helpers import poly_mul, schur_at_t, sigma, torus_top, torus_top_powers
 
 
 def top_eval(v):
@@ -334,6 +334,37 @@ def test_top_power_prefix_matches_per_ambient_powers(degree_class, max_g):
     assert top_power_prefix(terms, max_g) == [
         top_eval(SchubertVector(e * g + 2, terms) ** g) for g in range(max_g + 1)
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=6).flatmap(lambda e: even_degree_class(2 * e)),
+       st.integers(min_value=0, max_value=12))
+def test_top_power_prefix_matches_the_torus_formula(degree_class, max_g):
+    # a second opinion that shares no Pieri or Giambelli step with schubert.py
+    _, terms = degree_class
+    assert top_power_prefix(terms, max_g) == torus_top_powers(terms, max_g)
+
+
+# The window of the identity checks: the default of `verify --max-g`.
+VERIFY_MAX_G = next(default for flag, _, default, *_ in cli.COMMANDS["verify"][1]
+                    if flag == "--max-g")
+
+
+@pytest.mark.parametrize("n4, n5", [(16, 16), (1, 0), (0, 1), (3, -7)])
+def test_schubert_route_matches_the_torus_formula_over_the_verify_window(n4, n5):
+    assert routes.route_prefix("schubert", VERIFY_MAX_G, n4, n5) == torus_top_powers(
+        {(4, 0): n4, (3, 1): n5}, VERIFY_MAX_G)
+
+
+def test_torus_formula_gives_the_grassmannian_degrees_and_sigma12_rows():
+    assert torus_top_powers(SIGMA1_SQUARED, 14) == [catalan(n - 2) for n in range(2, 17)]
+    ones, twos = [[1]], [[1]]  # Schur forms of sigma_1^(2m) and sigma_2^k
+    for _ in range(16):
+        ones.append(poly_mul(ones[-1], schur_at_t(SIGMA1_SQUARED)))
+        twos.append(poly_mul(twos[-1], schur_at_t({(2, 0): 1})))
+    assert sigma12_rows(range(9)) == [
+        [torus_top(poly_mul(ones[m], twos[2 * g - m]), 2 * g + 2) for m in range(2 * g + 1)]
+        for g in range(9)]
 
 
 def test_top_power_prefix_rejects_bad_input():

@@ -80,6 +80,8 @@ COMMANDS = (
     "series --order 100000000000000000000",
     "table --max-g 100000000000000000000 --routes genfun",
     "table --max-g 100000000000000000000 --routes coeff_form",
+    "series --order 9223372036854775806",
+    "table --max-g 4611686018427387902 --routes genfun",
 )
 
 
