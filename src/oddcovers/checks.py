@@ -11,14 +11,8 @@ from . import covers, routes, schubert, weier
 from .combinat import binom_ratio, catalan
 
 # One certified fact; `run(max_g)` returns (passed, detail). `max_g` is the
-# identity window, --max-g but never below 5. A citation may name it as %(g)d,
-# and the route-agreement window as %(route_g)d.
+# identity window, --max-g but never below 5. A citation may name it as %(g)d.
 Check = namedtuple("Check", "suite name citation run")
-
-# Upper end of route_agreement's window, part of what the check certifies.
-# The genfun and lagrange routes each expand one series to order 2*g+1 (41
-# here), at a cost quadratic in that order.
-ROUTE_AGREEMENT_MAX_G = 20
 
 
 def binomial_identity_check(g: int) -> bool:
@@ -84,7 +78,7 @@ def _nonzero_monomial(expr, i, name, note=""):
 
 
 def _route_agreement(max_g):
-    prefixes = [routes.route_prefix(r, min(max_g, ROUTE_AGREEMENT_MAX_G))
+    prefixes = [routes.route_prefix(r, max_g)
                 for r in ("closed", "coeff_form", "genfun", "lagrange")]
     return all(p == prefixes[0] for p in prefixes), ""
 
@@ -151,7 +145,7 @@ CHECKS = (
                              for n in range(61)), "")),
     Check("identities", "route_agreement",
           "closed sum, coefficient extraction, series expansion and "
-          "Lagrange inversion agree for g <= %(route_g)d",
+          "Lagrange inversion agree for g <= %(g)d",
           _route_agreement),
     Check("schubert", "sigma12_vs_alternating_sum",
           "sigma_1^(2m) sigma_2^(2g-m) = sum_i (-1)^i C(2g-m,i) Cat(2g-i) "
@@ -184,7 +178,6 @@ def run_checks(suites, max_g: int) -> list:
     assertion's message, and the remaining checks still run.
     """
     max_g = max(max_g, 5)
-    windows = {"g": max_g, "route_g": min(max_g, ROUTE_AGREEMENT_MAX_G)}
     results = []
     for check in CHECKS:
         if check.suite not in suites:
@@ -193,6 +186,6 @@ def run_checks(suites, max_g: int) -> list:
             passed, detail = check.run(max_g)
         except AssertionError as err:
             passed, detail = False, "assertion failed: %s" % err
-        results.append({"name": check.name, "citation": check.citation % windows,
+        results.append({"name": check.name, "citation": check.citation % {"g": max_g},
                         "pass": bool(passed), "detail": detail})
     return results

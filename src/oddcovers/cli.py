@@ -242,6 +242,8 @@ def cmd_schubert(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_g < 0:
         return _refuse("--max-g must be nonnegative")
+    if 2 * args.max_g + 2 > sys.maxsize:  # route_agreement: series to order 2 max_g + 1
+        return _refuse("--max-g is too large: a sequence holds at most %d items" % sys.maxsize)
     from .checks import run_checks
 
     checks = run_checks(SUITES if args.suite == "all" else (args.suite,), args.max_g)

@@ -15,13 +15,14 @@ tests composition code; only `closed`, `schubert` and `genfun` own theirs.
 `lagrange` carry A_g at w^(2g+1) of one series, so they expand it once, to
 order 2G+1, and integer-check every coefficient they read; the Schubert route
 reads every top evaluation off one chain of products in G(2,2G+2)
-(`schubert.top_power_prefix`); the coefficient route expands its g-free
-factor (1+z)^(1/2) once and takes one dot product per g; the closed route
-builds Catalan(0..2G) once and steps each row of binomial weights by exact
-ratios. Every route computes in ints, and a value that is no integer is
-named as its reduced p/q. Only the functions that expand a series import
-`series`, and only `route_prefix` imports `schubert`, so a job loads neither
-unless it runs them.
+(`schubert.top_power_prefix`); the coefficient route steps the integers
+4^j binom(1/2, j), the coefficients of its g-free factor (1+z)^(1/2), once by
+their own ratio and takes one dot product per g; the closed route builds
+Catalan(0..2G) once and steps each row of binomial weights by exact ratios.
+Every route computes in ints, every division goes through `_integer`, and a
+value that is no integer is named as its reduced p/q. Only the functions that
+expand a series import `series`, and only `route_prefix` imports `schubert`,
+so a job loads neither unless it runs them.
 
 The closed formula is evaluated for every g >= 0: the small-g values are the
 formal values of the sum and agree with the generating series.
@@ -44,9 +45,7 @@ def closed_prefix(max_g: int) -> list:
         weight, total = 1, 0
         for i in range(g + 1):
             total += weight * cats[2 * g - i]
-            weight, rem = divmod(-2 * (g - i) * weight, i + 1)
-            if rem:
-                raise ArithmeticError("inexact binomial step at g = %d, i = %d" % (g, i))
+            weight = _integer(-2 * (g - i) * weight, i + 1, "closed")
         prefix.append(16 ** g * total)
     return prefix
 
@@ -54,23 +53,23 @@ def closed_prefix(max_g: int) -> list:
 def coeff_form_prefix(max_g: int) -> list:
     """[A_0, ..., A_max_g], A_g = [z^(2g+1)] of 2^(8g+1) (1+z/2)^g (1+z)^(1/2).
 
-    (1+z)^(1/2) does not depend on g, so it is expanded once, to order
-    2*max_g+1; [z^k] (1+z/2)^g is binom(g,k) 2^(-k). Each A_g is then one
-    O(g) dot product, integer-checked, and the prefix costs O(max_g^2).
+    h_j = 4^j binom(1/2, j) is stepped once, j <= 2*max_g+1, by the exact ratio
+    h_(j+1)/h_j = 2(1-2j)/(j+1); with [z^k] (1+z/2)^g = binom(g,k) 2^(-k),
+    2 A_g = sum_k binom(g,k) 2^(4g+k) h_(2g+1-k) is one O(g) dot product whose
+    weight steps by the exact ratio 2(g-k)/(k+1). The prefix costs O(max_g^2).
     """
-    from .series import Series, binomial_series
     if max_g < 0:
         raise ValueError("max_g must be nonnegative")
-    root = binomial_series((1, 2), Series.identity(2 * max_g + 1))
-    nums = root.nums
+    h = [1]
+    for j in range(2 * max_g + 1):
+        h.append(_integer(2 * (1 - 2 * j) * h[j], j + 1, "coefficient"))
     prefix = []
     for g in range(max_g + 1):
-        # binom(g,k) 2^(8g+1-k) is the integer weight of nums[2g+1-k]
-        weight, coeff = 2 ** (8 * g + 1), 0
+        weight, twice = 16 ** g, 0
         for k in range(g + 1):
-            coeff += weight * nums[2 * g + 1 - k]
-            weight = weight * (g - k) // (2 * (k + 1))
-        prefix.append(_integer(coeff, root.den, "coefficient"))
+            twice += weight * h[2 * g + 1 - k]
+            weight = _integer(2 * (g - k) * weight, k + 1, "coefficient")
+        prefix.append(_integer(twice, 2, "coefficient"))
     return prefix
 
 

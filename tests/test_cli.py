@@ -142,6 +142,7 @@ HUGE = "100000000000000000000"  # past sys.maxsize, so no sequence holds it
     (["series", "--order", HUGE], "--order"),
     (["table", "--max-g", HUGE, "--routes", "genfun"], "--max-g"),
     (["table", "--max-g", HUGE, "--routes", "coeff_form"], "--max-g"),
+    (["verify", "--max-g", HUGE], "--max-g"),
 ])
 def test_a_size_no_sequence_can_hold_is_a_usage_error(capsys, argv, flag):
     code = cli.main(argv)
@@ -546,17 +547,24 @@ def test_cli_import_loads_no_ring():
     (["table", "--max-g", "4", "--routes", "closed,schubert"], False),
     (["table", "--max-g", "4", "--routes", "closed"], False),
     (["schubert", "--g", "3"], False),
-    (["table", "--max-g", "4", "--routes", "closed,coeff_form"], True),
+    (["table", "--max-g", "4", "--routes", "closed,coeff_form"], False),
     (["table", "--max-g", "4", "--routes", "genfun"], True),
     (["table", "--max-g", "4", "--routes", "lagrange"], True),
     (["series", "--order", "11"], True),
     (["verify", "--suite", "identities", "--max-g", "5"], True),
 ])
 def test_only_series_work_loads_series(argv, loads_series):
-    # closed and schubert compute on ints and Schubert classes alone
+    # closed, coeff_form and schubert compute on ints and Schubert classes alone
     probe = _probe(COMMAND_PROBE, *argv)
     assert probe["code"] == 0
     assert ("oddcovers.series" in probe["added"]) is loads_series
+
+
+def test_coeff_form_loads_no_ring():
+    # the coefficient route steps its own ints, so not even the ring layer loads
+    probe = _probe(COMMAND_PROBE, "table", "--max-g", "4", "--routes", "coeff_form")
+    assert probe["code"] == 0
+    assert "oddcovers.ring" not in probe["added"]
 
 
 def test_schubert_stands_on_ring_alone():

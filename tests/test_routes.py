@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from oddcovers import checks, routes, series
+from oddcovers import checks, routes
 from oddcovers.combinat import binom_ratio
 from oddcovers.schubert import SchubertVector, top_power_prefix
 from oddcovers.series import Series
@@ -104,11 +104,53 @@ def test_genfun_and_lagrange_series_are_integral():
     assert routes.lagrange_pipeline(81)[0].den == 1
 
 
+def _off_by_one(monkeypatch, route, num, den):
+    """Make routes._integer see num + 1 for the one division (route, num, den),
+    and return the list of every (route, num, den) it is asked to divide."""
+    real, seen = routes._integer, []
+
+    def wrapped(n, d, r):
+        seen.append((r, n, d))
+        return real(n + 1 if (r, n, d) == (route, num, den) else n, d, r)
+    monkeypatch.setattr(routes, "_integer", wrapped)
+    return seen
+
+
 def test_coeff_form_integer_checks_its_dot_product(monkeypatch):
-    monkeypatch.setattr(series, "binomial_series",
-                        lambda a, inner: Series([1] * (inner.order + 1), 3))
-    with pytest.raises(AssertionError, match="coefficient route produced a non-integer"):
-        routes.route_prefix("coeff_form", 2)
+    # at max_g = 2 each of these divisions occurs once: the step h_1 -> h_2 =
+    # 2(1-2)·2/2, the weight step k = 1 -> 2 at g = 2, 2·1024/2, and the
+    # halving of 2 A_2 = 1024
+    for num, den, fraction in [(-4, 2, "-3/2"), (2048, 2, "2049/2"), (1024, 2, "1025/2")]:
+        with monkeypatch.context() as patch:
+            seen = _off_by_one(patch, "coefficient", num, den)
+            with pytest.raises(AssertionError,
+                               match="coefficient route produced a non-integer: %s$" % fraction):
+                routes.route_prefix("coeff_form", 2)
+        assert seen.count(("coefficient", num, den)) == 1
+
+
+def test_coeff_form_divides_only_through_integer(monkeypatch):
+    # every h step, every weight step and every halving, and nothing else
+    seen = _off_by_one(monkeypatch, None, None, None)
+    assert routes.route_prefix("coeff_form", 2) == [1, 0, 512]
+    assert [(n, d) for _, n, d in seen] == [
+        (2, 1), (-4, 2), (12, 3), (-40, 4), (140, 5),  # h_1 .. h_5
+        (0, 1), (2, 2),                                  # g = 0
+        (32, 1), (0, 2), (0, 2),                         # g = 1
+        (1024, 1), (2048, 2), (0, 3), (1024, 2)]         # g = 2
+    assert {r for r, _, _ in seen} == {"coefficient"}
+
+
+def test_a_bad_closed_step_fails_route_agreement(monkeypatch):
+    # the closed weight step 8/2 = 4 (g = 2, i = 1) occurs once in the
+    # route_agreement window; read as 9/2 it is reported, not raised
+    seen = _off_by_one(monkeypatch, "closed", 8, 2)
+    results = {r["name"]: r for r in checks.run_checks({"identities"}, 5)}
+    assert seen.count(("closed", 8, 2)) == 1
+    assert results["route_agreement"]["pass"] is False
+    assert results["route_agreement"]["detail"] == (
+        "assertion failed: closed route produced a non-integer: 9/2")
+    assert results["binomial_identity"]["pass"] and results["catalan_half_binomial"]["pass"]
 
 
 def test_lagrange_pipeline_matches_closed():
@@ -230,11 +272,10 @@ def _reach(route):
 
 
 # What two routes may both reach. Every pair may share the dispatcher and its
-# integer check; the three series routes may share the Series ring (with the
+# integer check; the two series routes may share the Series ring (with the
 # subtraction RingElement derives for it) and Miller's power recurrence.
-# ROADMAP item 16 takes coeff_form out of SERIES_ROUTES.
 ANY_PAIR = {("routes", "route_prefix"), ("routes", "_integer")}
-SERIES_ROUTES = {"coeff_form", "genfun", "lagrange"}
+SERIES_ROUTES = {"genfun", "lagrange"}
 SERIES_KERNEL = {("series", "Series"), ("ring", "RingElement"),
                  ("series", "binomial_series"), ("series", "_scaled_power")}
 

@@ -82,6 +82,9 @@ COMMANDS = (
     "table --max-g 100000000000000000000 --routes coeff_form",
     "series --order 9223372036854775806",
     "table --max-g 4611686018427387902 --routes genfun",
+    "table --max-g 300 --routes closed,coeff_form --format csv",
+    "table --max-g 1 --routes coeff_form",
+    "verify --suite identities --max-g 40",
 )
 
 
