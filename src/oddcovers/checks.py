@@ -1,9 +1,10 @@
-"""The checks `verify` runs, by suite, with the identity checks only they use.
-Only `verify` and the acceptance gate import this module, so no other
-command loads `covers`, `weier` and the `poly`, `ratmap` and `quadratic`
-layers under them. Each check reads its value off the one function computing it;
-the three map checks of `covers` state their points and only multiply."""
+"""The checks `verify` runs, by suite, with the identity checks only they use,
+and the `verify` command (`cmd_verify`). Only `verify` and the acceptance gate
+import this module, so no other command loads `covers`, `weier` and the `poly`,
+`ratmap` and `quadratic` layers under them. Each check reads its value off the
+one function computing it; the three map checks of `covers` state points and only multiply."""
 
+import sys
 from collections import namedtuple
 from math import comb
 
@@ -189,3 +190,18 @@ def run_checks(suites, max_g: int) -> list:
         results.append({"name": check.name, "citation": check.citation % {"g": max_g},
                         "pass": bool(passed), "detail": detail})
     return results
+
+
+def cmd_verify(args):
+    """(text, payload, exit code) of `verify`, as `cli` emits them."""
+    if args.max_g < 0:
+        return "--max-g must be nonnegative", None, 2
+    if 2 * args.max_g + 2 > sys.maxsize:  # route_agreement: series to order 2 max_g + 1
+        return "--max-g is too large: a sequence holds at most %d items" % sys.maxsize, None, 2
+    checks = run_checks(SUITES if args.suite == "all" else (args.suite,), args.max_g)
+    lines = ["%s  %-35s %s" % ("PASS" if check["pass"] else "FAIL", check["name"],
+                               check["detail"] or check["citation"]) for check in checks]
+    failed = sum(not check["pass"] for check in checks)
+    lines.append("%d checks, %d failed" % (len(checks), failed))
+    payload = {"command": "verify", "rows": [], "checks": checks}
+    return "\n".join(lines) + "\n", payload, 1 if failed else 0

@@ -4,22 +4,20 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
 exceeded or a size that cannot be allocated. Big integers are serialized as
 decimal strings in JSON and CSV so consumers never overflow; values parse back
 to identical integers.
+
+This module holds what a `table` job runs, its own JSON writer included. A
+handler returns (text, payload, exit code), a refusal with payload None; the
+`verify`, `schubert` and `series` handlers are imported from `checks`,
+`schubert` and `cli_extra` (with CSV and argparse) only when they run.
 """
 
-import json
 import sys
 import types
-from math import gcd
 
 from . import routes
 
-# The default cap on g for the Schubert route and the `schubert` command is a
-# CLI contract (exit code 3, pinned by tests/test_cli.py::test_resource_cap_exit_code),
-# not a resource limit. With --cap 50, `table --max-g 50 --routes schubert`
-# takes 0.063-0.093 s and `schubert --g 50` 0.069-0.102 s, against
-# 0.048-0.070 s for a bare `python -c pass` (process start to exit, no
-# bytecode cache, medians of 6 x 21 interleaved runs, shared 2-core Xeon VM,
-# Python 3.11).
+# The default cap on g for the Schubert route and `schubert`: a CLI contract, not a resource
+# limit (exit 3, pinned by tests/test_cli.py::test_resource_cap_exit_code); README times --cap 50.
 SCHUBERT_CAP_DEFAULT = 12
 
 # The suites of `checks.SUITES`, in registry order: the --suite choices besides
@@ -28,7 +26,7 @@ SUITES = ("covers", "weierstrass", "identities", "schubert")
 
 # The one option table. Each command maps to its help line and its options,
 # each option being (flag, kind, default, metavar, help) with kind int, str or
-# a tuple of choices. `_read` and `build_parser` are both built from it.
+# a tuple of choices. `_read` and `cli_extra.build_parser` are both built from it.
 _COMMON = (
     ("--format", ("text", "json", "csv"), "text", None, None),
     ("--output", str, None, "PATH", "write output to PATH instead of stdout"),
@@ -69,7 +67,7 @@ def _read(argv):
 
     A value may begin with `-` only as an int option's negative decimal,
     which argparse also reads as a value (its `^-\\d+$`). Everything this
-    declines, from help to usage errors, is left to `build_parser`."""
+    declines, from help to usage errors, is left to `cli_extra.build_parser`."""
     if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
         return None
     options = COMMANDS[argv[0]][1]
@@ -93,26 +91,46 @@ def _read(argv):
     return types.SimpleNamespace(**fields)
 
 
-def build_parser() -> "argparse.ArgumentParser":
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="oddcovers",
-        description="Alternating Catalan numbers by independent exact routes, "
-        "with verification suites for the underlying identities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, options) in COMMANDS.items():
-        command_parser = sub.add_parser(command, help=summary)
-        for flag, kind, default, metavar, text in options:
-            command_parser.add_argument(
-                flag, type=int if kind is int else None,
-                choices=kind if type(kind) is tuple else None,
-                default=default, metavar=metavar, help=text)
-    return parser
-
-
 # -- emission -------------------------------------------------------------
+
+# JSON's two-character escapes; every other character outside ' '..'~' is
+# written as \uXXXX, as `json.dumps` does with its default ensure_ascii.
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+            "\b": "\\b", "\f": "\\f"}
+
+
+def _escape(char: str) -> str:
+    code = ord(char)
+    if code > 0xFFFF:  # past the BMP: a UTF-16 surrogate pair
+        return "\\u%04x\\u%04x" % (0xD7C0 + (code >> 10), 0xDC00 | code & 0x3FF)
+    return _ESCAPES.get(char) or (char if " " <= char <= "~" else "\\u%04x" % code)
+
+
+def _string(text) -> str:
+    # str.isascii raises TypeError for a dict key that is no str
+    if str.isascii(text) and text.isprintable():  # all in ' '..'~'
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + "".join(map(_escape, text)) + '"'
+
+
+def _json(value, newline: str = "\n") -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, for a payload: dicts with
+    str keys, lists, str, int and bool. Any other type raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return repr(value)
+    inner = newline + "  "
+    if kind is list:
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if kind is dict:
+        items = [_string(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    raise TypeError("no JSON payload holds a %s" % kind.__name__)
 
 
 def _refuse(text: str, code: int = 2) -> int:
@@ -121,14 +139,16 @@ def _refuse(text: str, code: int = 2) -> int:
     return code
 
 
-def _emit(args, text: str, payload: dict, code: int = 0) -> int:
+def _emit(args, text: str, payload: dict, code: int) -> int:
     """Write the output; return `code`, or 2 if --output cannot be written."""
     if args.format == "text":
         body = text
     elif args.format == "json":
-        body = json.dumps(payload, indent=2) + "\n"
+        body = _json(payload) + "\n"
     else:
-        body = _to_csv(payload)
+        from .cli_extra import to_csv
+
+        body = to_csv(payload)
     if args.output:
         try:
             with open(args.output, "w") as handle:
@@ -140,124 +160,30 @@ def _emit(args, text: str, payload: dict, code: int = 0) -> int:
     return code
 
 
-def _to_csv(payload: dict) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    if payload.get("rows"):
-        route_names = sorted(payload["rows"][0]["values"])
-        writer.writerow(["g"] + route_names + ["agree"])
-        for row in payload["rows"]:
-            writer.writerow(
-                [row["g"]]
-                + [row["values"][r] for r in route_names]
-                + [str(row["agree"]).lower()]
-            )
-    if payload.get("checks"):
-        writer.writerow(["name", "citation", "pass", "detail"])
-        for check in payload["checks"]:
-            writer.writerow([check["name"], check["citation"],
-                             str(check["pass"]).lower(), check["detail"]])
-    return buf.getvalue()
+# -- the table command ----------------------------------------------------
 
 
-# -- subcommands ----------------------------------------------------------
-
-
-def cmd_table(args) -> int:
-    route_list = [r.strip() for r in args.routes.split(",") if r.strip()]
+def cmd_table(args):
+    """(text, payload, exit code) of `table`, each route read once, as first named."""
+    route_list = list(dict.fromkeys(r.strip() for r in args.routes.split(",") if r.strip()))
     if not route_list or any(r not in routes.ROUTES for r in route_list):
-        return _refuse("unknown route in %r; choose from %s"
-                       % (args.routes, ",".join(routes.ROUTES)))
+        return ("unknown route in %r; choose from %s"
+                % (args.routes, ",".join(routes.ROUTES)), None, 2)
     if args.max_g < 0:
-        return _refuse("--max-g must be nonnegative")
+        return "--max-g must be nonnegative", None, 2
     if "schubert" in route_list and args.max_g > args.cap:
-        return _refuse("schubert route capped at g = %d (raise with --cap)" % args.cap, 3)
+        return "schubert route capped at g = %d (raise with --cap)" % args.cap, None, 3
     if 2 * args.max_g + 2 > sys.maxsize:  # a series to order 2 max_g + 1
-        return _refuse("--max-g is too large: a sequence holds at most %d items" % sys.maxsize)
+        return "--max-g is too large: a sequence holds at most %d items" % sys.maxsize, None, 2
     prefixes = {r: routes.route_prefix(r, args.max_g, args.n4, args.n5) for r in route_list}
-    rows = []
+    rows, lines = [], ["g\t" + "\t".join(route_list) + "\tagree"]
     for g in range(args.max_g + 1):
-        values = {r: prefixes[r][g] for r in route_list}
-        rows.append({"g": g, "values": {r: str(v) for r, v in values.items()},
-                     "agree": len(set(values.values())) == 1})
-    all_agree = all(row["agree"] for row in rows)
-    lines = ["g\t" + "\t".join(route_list) + "\tagree"]
-    for row in rows:
-        lines.append("%d\t%s\t%s" % (
-            row["g"],
-            "\t".join(row["values"][r] for r in route_list),
-            "yes" if row["agree"] else "NO",
-        ))
+        values = {r: str(prefixes[r][g]) for r in route_list}
+        agree = len(set(values.values())) == 1
+        rows.append({"g": g, "values": values, "agree": agree})
+        lines.append("%d\t%s\t%s" % (g, "\t".join(values.values()), "yes" if agree else "NO"))
     payload = {"command": "table", "rows": rows, "checks": []}
-    return _emit(args, "\n".join(lines) + "\n", payload, 0 if all_agree else 1)
-
-
-def cmd_series(args) -> int:
-    if args.order < 0:
-        return _refuse("--order must be nonnegative")
-    if args.order + 1 > sys.maxsize:
-        return _refuse("--order is too large: a sequence holds at most %d items" % sys.maxsize)
-    series = routes.genfun_series(args.order)
-    coeffs, den = series.nums, series.den
-    if den != 1:  # reduced, so some numerator is no multiple of den
-        c = next(c for c in coeffs if c % den)
-        raise AssertionError("non-integer series coefficient %d/%d"
-                             % (c // gcd(c, den), den // gcd(c, den)))
-    note = ("coefficient of w^n at index n; A_g sits at the odd index n = 2g+1, "
-            "every even index is 0")
-    rows = [{"g": n, "values": {"genfun": str(c)}, "agree": True}
-            for n, c in enumerate(coeffs)]
-    lines = ["# " + note]
-    lines.extend("%d\t%d" % (n, c) for n, c in enumerate(coeffs))
-    payload = {"command": "series", "note": note, "rows": rows, "checks": []}
-    return _emit(args, "\n".join(lines) + "\n", payload)
-
-
-def cmd_schubert(args) -> int:
-    if args.g < 0:
-        return _refuse("--g must be nonnegative")
-    if args.g > args.cap:
-        return _refuse("capped at g = %d (raise with --cap)" % args.cap, 3)
-    if 2 * args.g + 2 > sys.maxsize:  # the sigma_1 chain holds 2g + 1 classes
-        return _refuse("--g is too large: a sequence holds at most %d items" % sys.maxsize)
-    from . import schubert
-
-    value = routes.route_prefix("schubert", args.g, args.n4, args.n5)[args.g]
-    matrix = dict(enumerate(schubert.sigma12_rows([args.g])[0]))
-    lines = ["top intersections sigma_1^(2m) sigma_2^(2g-m) in G(2,%d), g=%d"
-             % (2 * args.g + 2, args.g)]
-    for m, v in matrix.items():
-        lines.append("m=%d\t%d" % (m, v))
-    lines.append("(%d*sigma_{4,0} + %d*sigma_{3,1})^%d -> %d"
-                 % (args.n4, args.n5, args.g, value))
-    rows = [{"g": args.g, "values": {"schubert": str(value)}, "agree": True}]
-    payload = {"command": "schubert", "rows": rows,
-               "matrix": {str(m): str(v) for m, v in matrix.items()}, "checks": []}
-    return _emit(args, "\n".join(lines) + "\n", payload)
-
-
-def cmd_verify(args) -> int:
-    if args.max_g < 0:
-        return _refuse("--max-g must be nonnegative")
-    if 2 * args.max_g + 2 > sys.maxsize:  # route_agreement: series to order 2 max_g + 1
-        return _refuse("--max-g is too large: a sequence holds at most %d items" % sys.maxsize)
-    from .checks import run_checks
-
-    checks = run_checks(SUITES if args.suite == "all" else (args.suite,), args.max_g)
-    lines = []
-    for check in checks:
-        lines.append("%s  %-35s %s" % (
-            "PASS" if check["pass"] else "FAIL", check["name"],
-            check["detail"] or check["citation"],
-        ))
-    ok = all(c["pass"] for c in checks)
-    lines.append("%d checks, %d failed" % (len(checks),
-                                           sum(not c["pass"] for c in checks)))
-    payload = {"command": "verify", "rows": [], "checks": checks}
-    return _emit(args, "\n".join(lines) + "\n", payload, 0 if ok else 1)
+    return "\n".join(lines) + "\n", payload, 0 if all(row["agree"] for row in rows) else 1
 
 
 def main(argv=None) -> int:
@@ -273,11 +199,21 @@ def main(argv=None) -> int:
     if program:
         argv = sys.argv[1:]
     try:
-        args = _read(argv) or build_parser().parse_args(argv)
-        handlers = {"table": cmd_table, "series": cmd_series,
-                    "verify": cmd_verify, "schubert": cmd_schubert}
+        args = _read(argv)
+        if args is None:
+            from .cli_extra import build_parser
+
+            args = build_parser(COMMANDS).parse_args(argv)
+        handler = cmd_table
+        if args.command == "verify":
+            from .checks import cmd_verify as handler
+        elif args.command == "schubert":
+            from .schubert import cmd_schubert as handler
+        elif args.command == "series":
+            from .cli_extra import cmd_series as handler
         try:
-            return handlers[args.command](args)
+            text, payload, code = handler(args)
+            return _refuse(text, code) if payload is None else _emit(args, text, payload, code)
         except MemoryError:
             return _refuse("%s: the requested size needs more memory than can be allocated"
                            % args.command, 3)

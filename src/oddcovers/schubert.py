@@ -24,9 +24,10 @@ degree (sigma_1^2 gives deg G(2,n) = Catalan(n-2)).
 Coefficients are Python ints, hence arbitrary precision throughout. A class
 is a `ring.SparseElement` with n the ambient G(2,n): `terms` maps each
 partition (a, b) to its coefficient, and sums, negation and equality (False
-across ambients) come from there.
+across ambients) come from there. `cmd_schubert` is the `schubert` command.
 """
 
+import sys
 from itertools import accumulate, repeat
 
 from .ring import SparseElement
@@ -168,3 +169,24 @@ def top_power_prefix(terms, max_g: int) -> list:
         if g < max_g:
             r = v * r
     return tops
+
+
+def cmd_schubert(args):
+    """(text, payload, exit code) of `schubert`: the sigma12 row and route value at g."""
+    if args.g < 0:
+        return "--g must be nonnegative", None, 2
+    if args.g > args.cap:
+        return "capped at g = %d (raise with --cap)" % args.cap, None, 3
+    if 2 * args.g + 2 > sys.maxsize:  # the sigma_1 chain holds 2g + 1 classes
+        return "--g is too large: a sequence holds at most %d items" % sys.maxsize, None, 2
+    value = top_power_prefix({(4, 0): args.n4, (3, 1): args.n5}, args.g)[args.g]
+    matrix = dict(enumerate(sigma12_rows([args.g])[0]))
+    lines = ["top intersections sigma_1^(2m) sigma_2^(2g-m) in G(2,%d), g=%d"
+             % (2 * args.g + 2, args.g)]
+    lines.extend("m=%d\t%d" % (m, v) for m, v in matrix.items())
+    lines.append("(%d*sigma_{4,0} + %d*sigma_{3,1})^%d -> %d"
+                 % (args.n4, args.n5, args.g, value))
+    rows = [{"g": args.g, "values": {"schubert": str(value)}, "agree": True}]
+    payload = {"command": "schubert", "rows": rows,
+               "matrix": {str(m): str(v) for m, v in matrix.items()}, "checks": []}
+    return "\n".join(lines) + "\n", payload, 0

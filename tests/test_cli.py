@@ -1,3 +1,4 @@
+import ast
 import csv
 import gc
 import io
@@ -11,7 +12,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from oddcovers import cli, routes
+from oddcovers import cli, cli_extra, routes
 from oddcovers.series import Series
 
 from series_oracles import alt_catalan_closed
@@ -63,6 +64,20 @@ def test_csv_and_json_carry_identical_values(capsys):
     for row, record in zip(payload["rows"], records):
         assert record["g"] == str(row["g"])
         assert record["closed"] == row["values"]["closed"]
+    # a route named twice is read once, where it first stands, in every format
+    for routes_arg in ("closed,closed", "genfun,closed,genfun,closed"):
+        argv = ["table", "--max-g", "2", "--routes", routes_arg]
+        code, text_out = run(capsys, *argv)
+        assert code == 0
+        header = text_out.splitlines()[0].split("\t")
+        named = list(dict.fromkeys(routes_arg.split(",")))
+        assert header == ["g"] + named + ["agree"]
+        code, csv_out = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert next(csv.reader(io.StringIO(csv_out)))[1:-1] == sorted(named)
+        code, json_out = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert [list(row["values"]) for row in json.loads(json_out)["rows"]] == [named] * 3
 
 
 def test_table_series_routes_agree_with_closed(capsys):
@@ -213,7 +228,7 @@ ARGV = st.one_of(st.sampled_from(list(cli.COMMANDS)).flatmap(_command_argv),
 def test_direct_reader_declines_or_reads_as_argparse_does(argv):
     read = cli._read(argv)
     if read is not None:
-        assert vars(read) == vars(cli.build_parser().parse_args(argv))
+        assert vars(read) == vars(cli_extra.build_parser(cli.COMMANDS).parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", [
@@ -225,7 +240,7 @@ def test_direct_reader_declines_or_reads_as_argparse_does(argv):
     ["schubert", "--g", "-1", "--cap", "50"],
 ])
 def test_direct_reader_reads_well_formed_argv(argv):
-    assert vars(cli._read(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert vars(cli._read(argv)) == vars(cli_extra.build_parser(cli.COMMANDS).parse_args(argv))
 
 
 def test_verify_all_passes(capsys):
@@ -413,16 +428,18 @@ def test_the_program_entry_freezes_the_collector_after_the_command(capsys, argv)
 
 # Run in a fresh interpreter: the modules loaded by `import oddcovers.cli`
 # alone, measured against what the interpreter had loaded before it, and the
-# public names of the package once the CLI is loaded.
+# public names of the package once the CLI is loaded. Each probe snapshots
+# `sys.modules` before it imports anything and prints with `repr`, so what the
+# CLI loads, `json` included, is all that it sees.
 IMPORT_PROBE = """
-import json, sys, types
+import sys
 before = set(sys.modules)
 import oddcovers, oddcovers.cli
-print(json.dumps({
+print(repr({
     "added": sorted(set(sys.modules) - before),
     "non_modules": sorted(name for name, value in vars(oddcovers).items()
                           if not name.startswith("_")
-                          and not isinstance(value, types.ModuleType)),
+                          and not isinstance(value, type(sys))),
 }))
 """
 
@@ -433,7 +450,7 @@ def test_cli_import_pulls_in_no_dataclasses_and_the_package_exports_only_modules
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    probe = json.loads(done.stdout)
+    probe = ast.literal_eval(done.stdout)
     assert "oddcovers.cli" in probe["added"]
     assert "dataclasses" not in probe["added"]
     assert "inspect" not in probe["added"]
@@ -448,19 +465,21 @@ VERIFY_STACK = ("oddcovers.checks", "oddcovers.covers", "oddcovers.weier",
 # Run in a fresh interpreter: the modules one `cli.main(argv)` call adds to
 # what the interpreter had loaded before `oddcovers`, and its exit code.
 COMMAND_PROBE = """
-import contextlib, io, json, sys
+import sys
 before = set(sys.modules)
+import io  # loaded with the interpreter's own streams, so it adds nothing
 from oddcovers import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before)}))
+sys.stdout, stdout = io.StringIO(), sys.stdout
+code = cli.main(sys.argv[1:])
+sys.stdout = stdout
+print(repr({"code": code, "added": sorted(set(sys.modules) - before)}))
 """
 
 # Run in a fresh interpreter: what `oddcovers.<name>` gives once the CLI is
 # loaded, for two layers the CLI does not import, a name that is no
 # submodule, and a submodule that fails to import a module of its own.
 ATTRIBUTE_PROBE = """
-import json, sys, types
+import sys, types
 import oddcovers, oddcovers.cli
 preloaded = [name for name in ("weier", "covers") if "oddcovers." + name in sys.modules]
 oddcovers.__path__.append(sys.argv[1])
@@ -469,7 +488,7 @@ try:
     broken = "no error"
 except ModuleNotFoundError as err:
     broken = err.name
-print(json.dumps({
+print(repr({
     "preloaded": preloaded,
     "modules": [isinstance(oddcovers.weier, types.ModuleType),
                 isinstance(oddcovers.covers, types.ModuleType),
@@ -486,7 +505,7 @@ def _probe(script, *args):
     done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
+    return ast.literal_eval(done.stdout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -568,7 +587,7 @@ def test_coeff_form_loads_no_ring():
 
 
 def test_schubert_stands_on_ring_alone():
-    probe = _probe("import json, sys, oddcovers.schubert; print(json.dumps("
+    probe = _probe("import sys, oddcovers.schubert; print(repr("
                    "sorted(m for m in sys.modules if m.startswith('oddcovers'))))")
     assert probe == ["oddcovers", "oddcovers.ring", "oddcovers.schubert"]
 
@@ -585,6 +604,61 @@ def test_well_formed_jobs_load_no_argparse(argv):
     assert probe["code"] == 0
     assert [name for name in ("argparse", "gettext", "locale")
             if name in probe["added"]] == []
+
+
+JSON_MODULES = ("json", "json.decoder", "json.scanner", "json.encoder", "_json")
+
+
+@pytest.mark.parametrize("command", [
+    ["table", "--max-g", "4", "--routes", "closed,coeff_form,schubert,genfun,lagrange"],
+    ["series", "--order", "11"],
+    ["verify", "--suite", "identities", "--max-g", "5"],
+    ["schubert", "--g", "3"],
+])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_no_well_formed_job_loads_json(command, fmt):
+    # cli writes its JSON itself, so the payload needs no json package
+    probe = _probe(COMMAND_PROBE, *command, "--format", fmt)
+    assert probe["code"] == 0
+    assert [name for name in JSON_MODULES if name in probe["added"]] == []
+
+
+def test_a_json_table_job_loads_no_checks_and_no_cli_extra():
+    probe = _probe(COMMAND_PROBE, "table", "--max-g", "16", "--routes",
+                   "closed,coeff_form,genfun,lagrange", "--format", "json")
+    assert probe["code"] == 0
+    assert "oddcovers.cli" in probe["added"]
+    assert [name for name in ("oddcovers.checks", "oddcovers.cli_extra")
+            if name in probe["added"]] == []
+
+
+# Text that reaches every branch of the string writer: the two-character
+# escapes, other C0 controls, DEL, non-ASCII, astral characters and lone
+# surrogates, mixed with plain ASCII.
+SPECIAL = ['"', "\\", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", "\x7f", "\x80",
+           "\u00e9", "\u2028", "\uffff", "\U0001f600", "\U0010ffff", "\ud800", "\udfff"]
+TEXT = st.text(st.one_of(st.sampled_from(SPECIAL), st.characters(max_codepoint=0x7e),
+                         st.characters(blacklist_categories=())))
+PAYLOADS = st.recursive(
+    st.one_of(st.booleans(), st.integers(), st.integers(-10 ** 300, 10 ** 300), TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS)
+def test_the_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    None, 1.5, (1, 2), {"a": None}, [1, 2.0], {"a": [True, {"b": (3,)}]},
+    {1: "x"}, {True: 1}, {None: 1}, {"a": {2: 3}},
+])
+def test_the_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
 
 
 def test_cli_import_loads_no_argparse():

@@ -5,16 +5,18 @@
 
 Runs every command in COMMANDS as `python -m oddcovers.cli ...` once with
 BASE_DIR/src and once with NEW_SRC (default: this checkout's `src`) on
-PYTHONPATH, and compares stdout, stderr and the exit code. Each command is
-the argv list `shlex.split` makes of its string, so a quoted value may be
-empty or hold spaces. Prints one line per command and exits 1 if any of them
-differ.
+PYTHONPATH, and compares stdout, stderr, the exit code and the bytes of the
+file the command writes. Each command is the argv list `shlex.split` makes of
+its string, so a quoted value may be empty or hold spaces; `{out}` in it
+becomes a path in a fresh temporary directory on each side, for `--output`.
+Prints one line per command and exits 1 if any of them differ.
 """
 
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 COMMANDS = (
@@ -85,15 +87,25 @@ COMMANDS = (
     "table --max-g 300 --routes closed,coeff_form --format csv",
     "table --max-g 1 --routes coeff_form",
     "verify --suite identities --max-g 40",
+    "table --max-g 5 --routes closed,genfun --format json --output {out}",
+    "verify --suite covers --format csv --output {out}",
+    "series --order 0 --format json",
+    "schubert --g 0 --format json",
+    "table --max-g 2 --routes closed,closed",
 )
 
 
 def capture(src: str, command: str):
-    """(stdout, stderr, exit code) of one CLI command run from `src`."""
+    """(stdout, stderr, exit code, bytes written to `{out}` or None) of one CLI
+    command run from `src`."""
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "oddcovers.cli", *shlex.split(command)],
-                          env=env, capture_output=True, timeout=600)
-    return done.stdout, done.stderr, done.returncode
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "out")
+        argv = [arg.replace("{out}", str(out)) for arg in shlex.split(command)]
+        done = subprocess.run([sys.executable, "-m", "oddcovers.cli", *argv],
+                              env=env, capture_output=True, timeout=600)
+        written = out.read_bytes() if out.exists() else None
+    return done.stdout, done.stderr, done.returncode, written
 
 
 def main(argv) -> int:
@@ -105,7 +117,8 @@ def main(argv) -> int:
     differ = False
     for command in COMMANDS:
         old, cur = capture(base, command), capture(new, command)
-        changed = [name for name, a, b in zip(("stdout", "stderr", "exit"), old, cur) if a != b]
+        changed = [name for name, a, b in zip(("stdout", "stderr", "exit", "file"), old, cur)
+                   if a != b]
         differ = differ or bool(changed)
         print("%-9s %s%s" % ("DIFFERS" if changed else "IDENTICAL", command,
                              " (%s)" % ", ".join(changed) if changed else ""))
