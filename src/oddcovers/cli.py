@@ -5,16 +5,18 @@ exceeded or a size that cannot be allocated. Big integers are serialized as
 decimal strings in JSON and CSV so consumers never overflow; values parse back
 to identical integers.
 
-This module holds what a `table` job runs, its own JSON writer included. A
-handler returns (text, payload, exit code), a refusal with payload None; the
-`verify`, `schubert` and `series` handlers are imported from `checks`,
-`schubert` and `cli_extra` (with CSV and argparse) only when they run.
+This module is the front end alone: the option table, the reader of
+well-formed command lines, its own JSON writer and the one emission point. It
+imports no computing module. Each command's handler lives with the code it
+runs and is imported only when that command runs: `table`'s from `routes`,
+`series`'s from `series`, `verify`'s from `checks` and `schubert`'s from
+`schubert`. A handler returns (text, payload, exit code), a refusal with
+payload None. CSV output and argparse, for help and usage errors, come from
+`cli_extra` only on those branches.
 """
 
 import sys
 import types
-
-from . import routes
 
 # The default cap on g for the Schubert route and `schubert`: a CLI contract, not a resource
 # limit (exit 3, pinned by tests/test_cli.py::test_resource_cap_exit_code); README times --cap 50.
@@ -23,6 +25,10 @@ SCHUBERT_CAP_DEFAULT = 12
 # The suites of `checks.SUITES`, in registry order: the --suite choices besides
 # `all`. Spelled out so that parsing arguments does not load the registry.
 SUITES = ("covers", "weierstrass", "identities", "schubert")
+
+# The routes of `routes.ROUTES`, in its order: the --routes help text. Spelled
+# out so that loading the CLI does not load the routes.
+ROUTES = ("closed", "coeff_form", "schubert", "genfun", "lagrange")
 
 # The one option table. Each command maps to its help line and its options,
 # each option being (flag, kind, default, metavar, help) with kind int, str or
@@ -35,7 +41,7 @@ COMMANDS = {
     "table": ("A_g for g = 0..max_g by the requested routes", _COMMON + (
         ("--max-g", int, 8, None, None),
         ("--routes", str, "closed", None,
-         "comma-separated subset of: %s" % ",".join(routes.ROUTES)),
+         "comma-separated subset of: %s" % ",".join(ROUTES)),
         ("--n4", int, 16, None, None),
         ("--n5", int, 16, None, None),
         ("--cap", int, SCHUBERT_CAP_DEFAULT, None,
@@ -160,32 +166,6 @@ def _emit(args, text: str, payload: dict, code: int) -> int:
     return code
 
 
-# -- the table command ----------------------------------------------------
-
-
-def cmd_table(args):
-    """(text, payload, exit code) of `table`, each route read once, as first named."""
-    route_list = list(dict.fromkeys(r.strip() for r in args.routes.split(",") if r.strip()))
-    if not route_list or any(r not in routes.ROUTES for r in route_list):
-        return ("unknown route in %r; choose from %s"
-                % (args.routes, ",".join(routes.ROUTES)), None, 2)
-    if args.max_g < 0:
-        return "--max-g must be nonnegative", None, 2
-    if "schubert" in route_list and args.max_g > args.cap:
-        return "schubert route capped at g = %d (raise with --cap)" % args.cap, None, 3
-    if 2 * args.max_g + 2 > sys.maxsize:  # a series to order 2 max_g + 1
-        return "--max-g is too large: a sequence holds at most %d items" % sys.maxsize, None, 2
-    prefixes = {r: routes.route_prefix(r, args.max_g, args.n4, args.n5) for r in route_list}
-    rows, lines = [], ["g\t" + "\t".join(route_list) + "\tagree"]
-    for g in range(args.max_g + 1):
-        values = {r: str(prefixes[r][g]) for r in route_list}
-        agree = len(set(values.values())) == 1
-        rows.append({"g": g, "values": values, "agree": agree})
-        lines.append("%d\t%s\t%s" % (g, "\t".join(values.values()), "yes" if agree else "NO"))
-    payload = {"command": "table", "rows": rows, "checks": []}
-    return "\n".join(lines) + "\n", payload, 0 if all(row["agree"] for row in rows) else 1
-
-
 def main(argv=None) -> int:
     """Run one command; return its exit code. A size that passes every check
     but cannot be allocated ends in exit 3, as a resource cap does.
@@ -204,13 +184,14 @@ def main(argv=None) -> int:
             from .cli_extra import build_parser
 
             args = build_parser(COMMANDS).parse_args(argv)
-        handler = cmd_table
-        if args.command == "verify":
-            from .checks import cmd_verify as handler
-        elif args.command == "schubert":
-            from .schubert import cmd_schubert as handler
+        if args.command == "table":
+            from .routes import cmd_table as handler
         elif args.command == "series":
-            from .cli_extra import cmd_series as handler
+            from .series import cmd_series as handler
+        elif args.command == "verify":
+            from .checks import cmd_verify as handler
+        else:
+            from .schubert import cmd_schubert as handler
         try:
             text, payload, code = handler(args)
             return _refuse(text, code) if payload is None else _emit(args, text, payload, code)

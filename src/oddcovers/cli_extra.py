@@ -1,10 +1,5 @@
 """The command-line branches that `cli` imports only when a job takes them:
-the `series` command, CSV output, and argparse for help and usage errors."""
-
-import sys
-from math import gcd
-
-from . import routes
+CSV output, and argparse for help and usage errors."""
 
 
 def build_parser(commands) -> "argparse.ArgumentParser":
@@ -43,24 +38,3 @@ def to_csv(payload: dict) -> str:
         writer.writerows([check["name"], check["citation"], str(check["pass"]).lower(),
                           check["detail"]] for check in checks)
     return buf.getvalue()
-
-
-def cmd_series(args):
-    """(text, payload, exit code) of `series`, as `cli` emits them."""
-    if args.order < 0:
-        return "--order must be nonnegative", None, 2
-    if args.order + 1 > sys.maxsize:
-        return "--order is too large: a sequence holds at most %d items" % sys.maxsize, None, 2
-    series = routes.genfun_series(args.order)
-    coeffs, den = series.nums, series.den
-    if den != 1:  # reduced, so some numerator is no multiple of den
-        c = next(c for c in coeffs if c % den)
-        raise AssertionError("non-integer series coefficient %d/%d"
-                             % (c // gcd(c, den), den // gcd(c, den)))
-    note = ("coefficient of w^n at index n; A_g sits at the odd index n = 2g+1, "
-            "every even index is 0")
-    rows = [{"g": n, "values": {"genfun": str(c)}, "agree": True}
-            for n, c in enumerate(coeffs)]
-    lines = ["# " + note] + ["%d\t%d" % (n, c) for n, c in enumerate(coeffs)]
-    payload = {"command": "series", "note": note, "rows": rows, "checks": []}
-    return "\n".join(lines) + "\n", payload, 0

@@ -53,6 +53,10 @@ class IntPoly(SparseElement):
             if not isinstance(c, int):
                 raise TypeError("%s coefficients are ints, not %s"
                                 % (cls.__name__, type(c).__name__))
+            for e in key:
+                if not isinstance(e, int):
+                    raise TypeError("%s exponents are ints, not %s"
+                                    % (cls.__name__, type(e).__name__))
             if len(key) != n or min(key, default=0) < 0:
                 raise ValueError("invalid exponents %r" % (key,))
         return cls._make(n, terms if cls._square is None else cls._reduced(terms))

@@ -1,15 +1,17 @@
-"""The alternating Catalan numbers A_g by four exact routes.
+"""The alternating Catalan numbers A_g by exact routes, and the `table` command.
 
 Routes: the closed alternating sum, coefficient extraction from an explicit
-product of binomial series, the generating function as the root of its
-minimal polynomial, and Lagrange inversion; the Schubert-calculus route lives
-in `schubert`, bound to these by the `schubert_route` and `sigma3_reduction`
-checks of `checks`. All agree exactly, but not all formulas are independent:
-by Lagrange's second form, [w^n] psi(u) / (1 - w phi'(u)) = [z^n] psi(z)
-phi(z)^n (Stanley, EC II, 5.4), for `lagrange_pipeline`'s phi and psi and
-n = 2g+1 the coefficient route's 2^(8g+1) [z^(2g+1)] (1+z)^(1/2) (1+z/2)^g.
-So `coeff_form` and `lagrange` rest on one phi and psi, and their agreement
-tests composition code; only `closed`, `schubert` and `genfun` own theirs.
+product of binomial series and Lagrange inversion live here. The generating
+function as the root of its minimal polynomial lives in `series`
+(`series.genfun_series`, with the `series` command), as the Schubert-calculus
+route lives in `schubert` (with the `schubert` command), bound to these by the
+`schubert_route` and `sigma3_reduction` checks of `checks`. All agree
+exactly, but not all formulas are independent: by Lagrange's second form,
+[w^n] psi(u) / (1 - w phi'(u)) = [z^n] psi(z) phi(z)^n (Stanley, EC II,
+5.4), for `lagrange_pipeline`'s phi and psi and n = 2g+1 the coefficient
+route's 2^(8g+1) [z^(2g+1)] (1+z)^(1/2) (1+z/2)^g. So `coeff_form` and
+`lagrange` rest on one phi and psi, and their agreement tests composition
+code; only `closed`, `schubert` and `genfun` own theirs.
 
 `route_prefix(route, G)` returns A_0..A_G. The series routes `genfun` and
 `lagrange` carry A_g at w^(2g+1) of one series, so they expand it once, to
@@ -22,12 +24,14 @@ Catalan(0..2G) once and steps each row of binomial weights by exact ratios.
 Every route computes in ints, every division goes through `_integer`, and a
 value that is no integer is named as its reduced p/q. Only the functions that
 expand a series import `series`, and only `route_prefix` imports `schubert`,
-so a job loads neither unless it runs them.
+so a job loads neither unless it runs them. `cmd_table` is the `table`
+command.
 
 The closed formula is evaluated for every g >= 0: the small-g values are the
 formal values of the sum and agree with the generating series.
 """
 
+import sys
 from math import gcd
 
 from .combinat import binom_ratio, catalan
@@ -80,21 +84,6 @@ def _integer(num: int, den: int, route: str) -> int:
         g = gcd(num, den)
         raise AssertionError("%s route produced a non-integer: %d/%d" % (route, num // g, den // g))
     return num // den
-
-
-def genfun_series(order: int) -> "Series":
-    """y(w) = sum_g A_g w^(2g+1) to the given order, as the root of its minimal
-    polynomial 64(1 + 16w^2) y^4 - (1 + 64w^2) y^2 + w^2, a quadratic in y^2
-    of discriminant 1 - 128W, W = w^2, whose root with y = w + O(w^3) is
-    y = w Z(W), Z = X^(1/2), X = (1 + 64W - sqrt(1 - 128W)) / (128 W (1 + 16W)):
-    only the product and Z are dense (one-term inner series cost O(n))."""
-    from .series import Series, binomial_series
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    W = Series.identity(order // 2 + 1)
-    x = (1 + 64 * W - binomial_series((1, 2), -128 * W)) * binomial_series((-1, 1), 16 * W)
-    z = binomial_series((1, 2), Series._make(x.nums[1:], 128 * x.den) - 1)  # x(0) = 0
-    return Series._make([z.nums[n // 2] if n % 2 else 0 for n in range(order + 1)], z.den)
 
 
 def fmod_series(order: int) -> "Series":
@@ -174,6 +163,34 @@ def route_prefix(route: str, max_g: int, n4: int = 16, n5: int = 16) -> list:
     if route not in ("genfun", "lagrange"):
         raise ValueError("unknown route %r" % route)
     order = 2 * max_g + 1
-    expansion = genfun_series(order) if route == "genfun" else lagrange_pipeline(order)[1]
+    if route == "genfun":
+        from .series import genfun_series
+
+        expansion = genfun_series(order)
+    else:
+        expansion = lagrange_pipeline(order)[1]
     return [_integer(expansion.nums[2 * g + 1], expansion.den, route)
             for g in range(max_g + 1)]
+
+
+def cmd_table(args):
+    """(text, payload, exit code) of `table`, each route read once, as first named."""
+    route_list = list(dict.fromkeys(r.strip() for r in args.routes.split(",") if r.strip()))
+    if not route_list or any(r not in ROUTES for r in route_list):
+        return ("unknown route in %r; choose from %s"
+                % (args.routes, ",".join(ROUTES)), None, 2)
+    if args.max_g < 0:
+        return "--max-g must be nonnegative", None, 2
+    if "schubert" in route_list and args.max_g > args.cap:
+        return "schubert route capped at g = %d (raise with --cap)" % args.cap, None, 3
+    if 2 * args.max_g + 2 > sys.maxsize:  # a series to order 2 max_g + 1
+        return "--max-g is too large: a sequence holds at most %d items" % sys.maxsize, None, 2
+    prefixes = {r: route_prefix(r, args.max_g, args.n4, args.n5) for r in route_list}
+    rows, lines = [], ["g\t" + "\t".join(route_list) + "\tagree"]
+    for g in range(args.max_g + 1):
+        values = {r: str(prefixes[r][g]) for r in route_list}
+        agree = len(set(values.values())) == 1
+        rows.append({"g": g, "values": values, "agree": agree})
+        lines.append("%d\t%s\t%s" % (g, "\t".join(values.values()), "yes" if agree else "NO"))
+    payload = {"command": "table", "rows": rows, "checks": []}
+    return "\n".join(lines) + "\n", payload, 0 if all(row["agree"] for row in rows) else 1

@@ -44,6 +44,10 @@ class SchubertVector(SparseElement):
         for (a, b), c in terms.items():
             if not isinstance(c, int):
                 raise TypeError("Schubert coefficients are ints, not %s" % type(c).__name__)
+            for part in (a, b):
+                if not isinstance(part, int):
+                    raise TypeError("Schubert partition parts are ints, not %s"
+                                    % type(part).__name__)
             if b < 0 or a < b:
                 raise ValueError("invalid partition (%d,%d)" % (a, b))
         return cls._make(n, {(a, b): c for (a, b), c in terms.items() if a <= n - 2})

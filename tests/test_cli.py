@@ -12,7 +12,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from oddcovers import cli, cli_extra, routes
+from oddcovers import cli, cli_extra, routes, series
 from oddcovers.series import Series
 
 from series_oracles import alt_catalan_closed
@@ -107,7 +107,7 @@ def test_series_order_zero(capsys):
 
 
 def test_series_refuses_a_non_integer_coefficient(monkeypatch):
-    monkeypatch.setattr(routes, "genfun_series",
+    monkeypatch.setattr(series, "genfun_series",
                         lambda order: Series([0] * order + [1], 2))
     with pytest.raises(AssertionError, match="non-integer series coefficient 1/2"):
         cli.main(["series", "--order", "3"])
@@ -115,10 +115,10 @@ def test_series_refuses_a_non_integer_coefficient(monkeypatch):
 
 def test_series_names_a_non_integer_coefficient_reduced(monkeypatch):
     # 2/4 at w^1 over the common denominator 4 reads as 1/2, as str(Fraction)
-    monkeypatch.setattr(routes, "genfun_series", lambda order: Series([0, 2, -3, 1], 4))
+    monkeypatch.setattr(series, "genfun_series", lambda order: Series([0, 2, -3, 1], 4))
     with pytest.raises(AssertionError, match="non-integer series coefficient 1/2"):
         cli.main(["series", "--order", "3"])
-    monkeypatch.setattr(routes, "genfun_series", lambda order: Series([4, -6, 0, 8], 4))
+    monkeypatch.setattr(series, "genfun_series", lambda order: Series([4, -6, 0, 8], 4))
     with pytest.raises(AssertionError, match="non-integer series coefficient -3/2"):
         cli.main(["series", "--order", "3"])
 
@@ -516,7 +516,8 @@ def _probe(script, *args):
 def test_table_series_and_schubert_leave_the_verify_stack_unloaded(argv):
     probe = _probe(COMMAND_PROBE, *argv)
     assert probe["code"] == 0
-    assert "oddcovers.routes" in probe["added"]
+    # each handler lives with what it runs, so only `table` loads the routes
+    assert ("oddcovers.routes" in probe["added"]) is (argv[0] == "table")
     assert [name for name in VERIFY_STACK if name in probe["added"]] == []
 
 
@@ -529,7 +530,7 @@ def test_table_series_and_schubert_leave_the_verify_stack_unloaded(argv):
 def test_only_the_schubert_route_and_command_load_schubert(argv, loads_schubert):
     probe = _probe(COMMAND_PROBE, *argv)
     assert probe["code"] == 0
-    assert "oddcovers.routes" in probe["added"]
+    assert ("oddcovers.routes" in probe["added"]) is (argv[0] == "table")
     assert ("oddcovers.schubert" in probe["added"]) is loads_schubert
 
 
@@ -550,16 +551,38 @@ def test_table_series_and_schubert_load_no_rational_number_modules(argv):
 
 def test_cli_import_loads_no_series():
     probe = _probe(IMPORT_PROBE)
-    assert "oddcovers.routes" in probe["added"]
+    assert "oddcovers.routes" not in probe["added"]
     assert "oddcovers.series" not in probe["added"]
 
 
 def test_cli_import_loads_no_ring():
-    # routes computes in ints, so the CLI stands on routes and combinat alone
+    # the CLI is the front end alone: it imports each handler when it runs
     probe = _probe(IMPORT_PROBE)
     assert "oddcovers.ring" not in probe["added"]
     assert [m for m in probe["added"] if m.startswith("oddcovers")] == [
-        "oddcovers", "oddcovers.cli", "oddcovers.combinat", "oddcovers.routes"]
+        "oddcovers", "oddcovers.cli"]
+
+
+def test_cli_imports_no_package_module_when_it_loads():
+    # every import of `cli` at module level is of the standard library; a
+    # package module is imported inside a function, on the branch that runs it
+    tree = ast.parse(Path(cli.__file__).read_text())
+    top = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [alias.name for node in top for alias in node.names] == ["sys", "types"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["series", "--order", "101"], "series"),
+    (["series", "--order", "101", "--format", "json"], "series"),
+    (["schubert", "--g", "3"], "schubert"),
+    (["schubert", "--g", "3", "--format", "json"], "schubert"),
+])
+def test_series_and_schubert_jobs_load_their_layer_and_ring_alone(argv, loaded):
+    # the handler sits in the module it runs, so no `routes` and no `combinat`
+    probe = _probe(COMMAND_PROBE, *argv)
+    assert probe["code"] == 0
+    assert [m for m in probe["added"] if m.startswith("oddcovers")] == [
+        "oddcovers", "oddcovers.cli", "oddcovers.ring", "oddcovers." + loaded]
 
 
 @pytest.mark.parametrize("argv, loads_series", [
@@ -699,3 +722,9 @@ def test_cli_suite_choices_are_the_registry_suites():
     from oddcovers import checks
 
     assert cli.SUITES == checks.SUITES
+
+
+def test_cli_routes_are_the_registry_routes():
+    assert cli.ROUTES == routes.ROUTES
+    assert "comma-separated subset of: " + ",".join(routes.ROUTES) in [
+        text for _, _, _, _, text in cli.COMMANDS["table"][1]]

@@ -12,6 +12,8 @@ import map_oracles as poly
 from map_oracles import Poly, QuadScalar, gcd, squarefree_decomposition
 from oddcovers.covers import deg3_maps, paired_quartic_maps, quartic_cover_map
 from oddcovers.poly import IntPoly, discriminant
+from oddcovers.quadratic import form_ring
+from oddcovers.weier import WeierExpr
 
 coeff = st.fractions(
     max_denominator=8,
@@ -118,6 +120,19 @@ def test_compose_fractional_clears_denominators():
 def test_poly_rejects_float_coefficient():
     with pytest.raises(TypeError, match="float"):
         Poly([0.5, 1])
+
+
+@pytest.mark.parametrize("inexact", [1.0, Fraction(1, 1)], ids=lambda x: type(x).__name__)
+def test_int_poly_exponents_must_be_ints(inexact):
+    # IntPoly, and the quotient rings that inherit its constructor
+    name = type(inexact).__name__
+    with pytest.raises(TypeError, match="IntPoly exponents are ints, not " + name):
+        IntPoly(2, {(inexact, 0): 3})
+    with pytest.raises(TypeError, match="WeierExpr exponents are ints, not " + name):
+        WeierExpr(4, {(0, 0, 0, inexact): 1})
+    with pytest.raises(TypeError, match="QuadForm_3 exponents are ints, not " + name):
+        form_ring(3)(3, {(0, inexact, 0): 1})
+    assert IntPoly(2, {(1, 0): 3}) == IntPoly.variables(2)[0] * 3
 
 
 # Fraction-only reference arithmetic on tuples of (a, b) pairs, a + b*sqrt(D),

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from oddcovers import checks, routes
+from oddcovers import checks, routes, series
 from oddcovers.combinat import binom_ratio
 from oddcovers.schubert import SchubertVector, top_power_prefix
 from oddcovers.series import Series
@@ -65,7 +65,7 @@ def test_coeff_form_prefix_matches_closed_to_g_100():
 
 def test_genfun_is_odd_with_A_g_coefficients():
     order = 25
-    f = values_of(routes.genfun_series(order))
+    f = values_of(series.genfun_series(order))
     for n in range(order + 1):
         if n % 2 == 0:
             assert f[n] == 0
@@ -74,7 +74,7 @@ def test_genfun_is_odd_with_A_g_coefficients():
 
 
 def test_genfun_agrees_with_closed_to_order_201():
-    f = values_of(routes.genfun_series(201))
+    f = values_of(series.genfun_series(201))
     for g in range(100 + 1):
         assert f[2 * g] == 0
         assert f[2 * g + 1] == alt_catalan_closed(g)
@@ -84,23 +84,23 @@ def test_genfun_agrees_with_closed_to_order_201():
 def test_genfun_root_of_P_equals_the_nested_radicals(order):
     # the root of the quadratic in W = w^2 against 2w / (R(w) + R(-w)),
     # stored alike: the same numerators over the same denominator
-    new, old = routes.genfun_series(order), genfun_radicals(order)
+    new, old = series.genfun_series(order), genfun_radicals(order)
     assert (new.nums, new.den) == (old.nums, old.den)
 
 
 def test_genfun_computes_order_zero_directly():
-    assert routes.genfun_series(0) == Series([0])
-    assert routes.genfun_series(1) == Series([0, 1])
+    assert series.genfun_series(0) == Series([0])
+    assert series.genfun_series(1) == Series([0, 1])
 
 
 def test_genfun_refuses_a_negative_order():
     with pytest.raises(ValueError, match="nonnegative"):
-        routes.genfun_series(-1)
+        series.genfun_series(-1)
 
 
 def test_genfun_and_lagrange_series_are_integral():
     # the integer kernel's premise: no denominator survives in either series
-    assert routes.genfun_series(201).den == 1
+    assert series.genfun_series(201).den == 1
     assert routes.lagrange_pipeline(81)[0].den == 1
 
 
@@ -300,7 +300,7 @@ def _half_at_top(order):
     ("lagrange", "lagrange_pipeline", lambda order: (None, _half_at_top(order))),
 ])
 def test_route_prefix_rejects_non_integer(monkeypatch, route, name, fake):
-    monkeypatch.setattr(routes, name, fake)
+    monkeypatch.setattr(series if route == "genfun" else routes, name, fake)
     with pytest.raises(AssertionError, match="%s route produced a non-integer: 1/2" % route):
         routes.route_prefix(route, 3)
 
@@ -342,7 +342,7 @@ def _half_at_g2(order):
     ("lagrange", "lagrange_pipeline", lambda order: (None, _half_at_g2(order))),
 ])
 def test_route_prefix_checks_every_coefficient(monkeypatch, route, name, fake):
-    monkeypatch.setattr(routes, name, fake)
+    monkeypatch.setattr(series if route == "genfun" else routes, name, fake)
     with pytest.raises(AssertionError, match="%s route produced a non-integer: 1/2" % route):
         routes.route_prefix(route, 5)
 

@@ -229,6 +229,19 @@ def test_coefficients_must_be_ints(inexact):
         top_power_prefix({(4, 0): inexact, (3, 1): 16}, 3)
 
 
+@pytest.mark.parametrize("inexact", [2.0, Fraction(2, 1)], ids=lambda x: type(x).__name__)
+def test_partition_parts_must_be_ints(inexact):
+    # a float part would pass the box check and fail later, inside pieri
+    message = "Schubert partition parts are ints, not %s" % type(inexact).__name__
+    with pytest.raises(TypeError, match=message):
+        SchubertVector(6, {(inexact, 1): 1})
+    with pytest.raises(TypeError, match=message):
+        SchubertVector(6, {(3, inexact): 1})
+    with pytest.raises(TypeError, match=message):
+        top_power_prefix({(inexact + 2, 0): 16, (3, 1): 16}, 3)
+    assert SchubertVector(6, {(2, 1): 1}).pieri(1).terms == {(3, 1): 1, (2, 2): 1}
+
+
 def grassmannian_degree(n):
     """Oracle: sigma_1^(2(n-2)) by its own chain in G(2,n), on the point class."""
     v = SchubertVector.unit(n)

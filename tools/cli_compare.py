@@ -92,6 +92,12 @@ COMMANDS = (
     "series --order 0 --format json",
     "schubert --g 0 --format json",
     "table --max-g 2 --routes closed,closed",
+    "series --order 7 --format csv --output {out}",
+    "series --order 3 --format json --output {out}",
+    "series -h",
+    "series --order x",
+    "schubert -h",
+    "table --max-g 3 --routes genfun,lagrange --format csv",
 )
 
 
