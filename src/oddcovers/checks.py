@@ -173,11 +173,9 @@ SUITES = tuple(dict.fromkeys(check.suite for check in CHECKS))
 
 
 def run_checks(suites, max_g: int) -> list:
-    """Run the checks of `suites` in registry order; one dict per check.
-
-    A check that raises AssertionError is reported as failed with the
-    assertion's message, and the remaining checks still run.
-    """
+    """Run the checks of `suites` in registry order; one dict per check. A
+    check that raises an Exception is reported as failed and the remaining
+    checks still run; a MemoryError stays `cli`'s resource exit (exit 3)."""
     max_g = max(max_g, 5)
     results = []
     for check in CHECKS:
@@ -185,8 +183,12 @@ def run_checks(suites, max_g: int) -> list:
             continue
         try:
             passed, detail = check.run(max_g)
+        except MemoryError:
+            raise
         except AssertionError as err:
             passed, detail = False, "assertion failed: %s" % err
+        except Exception as err:
+            passed, detail = False, "raised %s: %s" % (type(err).__name__, err)
         results.append({"name": check.name, "citation": check.citation % {"g": max_g},
                         "pass": bool(passed), "detail": detail})
     return results

@@ -9,7 +9,7 @@ This module is the front end alone: the option table, the reader of
 well-formed command lines, its own JSON writer and the one emission point. It
 imports no computing module. Each command's handler lives with the code it
 runs and is imported only when that command runs: `table`'s from `routes`,
-`series`'s from `series`, `verify`'s from `checks` and `schubert`'s from
+`series`'s from `genfun`, `verify`'s from `checks` and `schubert`'s from
 `schubert`. A handler returns (text, payload, exit code), a refusal with
 payload None. CSV output and argparse, for help and usage errors, come from
 `cli_extra` only on those branches.
@@ -187,7 +187,7 @@ def main(argv=None) -> int:
         if args.command == "table":
             from .routes import cmd_table as handler
         elif args.command == "series":
-            from .series import cmd_series as handler
+            from .genfun import cmd_series as handler
         elif args.command == "verify":
             from .checks import cmd_verify as handler
         else:

@@ -2,8 +2,8 @@
 
 Routes: the closed alternating sum, coefficient extraction from an explicit
 product of binomial series and Lagrange inversion live here. The generating
-function as the root of its minimal polynomial lives in `series`
-(`series.genfun_series`, with the `series` command), as the Schubert-calculus
+function as the root of its minimal polynomial lives in `genfun`
+(`genfun.genfun_prefix`, with the `series` command), as the Schubert-calculus
 route lives in `schubert` (with the `schubert` command), bound to these by the
 `schubert_route` and `sigma3_reduction` checks of `checks`. All agree
 exactly, but not all formulas are independent: by Lagrange's second form,
@@ -13,28 +13,27 @@ route's 2^(8g+1) [z^(2g+1)] (1+z)^(1/2) (1+z/2)^g. So `coeff_form` and
 `lagrange` rest on one phi and psi, and their agreement tests composition
 code; only `closed`, `schubert` and `genfun` own theirs.
 
-`route_prefix(route, G)` returns A_0..A_G. The series routes `genfun` and
-`lagrange` carry A_g at w^(2g+1) of one series, so they expand it once, to
-order 2G+1, and integer-check every coefficient they read; the Schubert route
-reads every top evaluation off one chain of products in G(2,2G+2)
-(`schubert.top_power_prefix`); the coefficient route steps the integers
-4^j binom(1/2, j), the coefficients of its g-free factor (1+z)^(1/2), once by
+`route_prefix(route, G)` returns A_0..A_G. The Lagrange route expands its
+series once, to order 2G+1, and integer-checks each A_g it reads at w^(2g+1);
+`genfun` steps an integer recurrence; the Schubert route reads every top
+evaluation off one chain of products in G(2,2G+2)
+(`schubert.top_power_prefix`); the coefficient route steps the integers 4^j
+binom(1/2, j), the coefficients of its g-free factor (1+z)^(1/2), once by
 their own ratio and takes one dot product per g; the closed route builds
 Catalan(0..2G) once and steps each row of binomial weights by exact ratios.
 Every route computes in ints, every division goes through `_integer`, and a
 value that is no integer is named as its reduced p/q. Only the functions that
-expand a series import `series`, and only `route_prefix` imports `schubert`,
-so a job loads neither unless it runs them. `cmd_table` is the `table`
-command.
+expand a series import `series`, and only `route_prefix` imports `genfun` and
+`schubert`, so a job loads none of them unless it runs them. `cmd_table` is
+the `table` command.
 
 The closed formula is evaluated for every g >= 0: the small-g values are the
 formal values of the sum and agree with the generating series.
 """
 
 import sys
-from math import gcd
 
-from .combinat import binom_ratio, catalan
+from .combinat import _integer, binom_ratio, catalan
 
 
 def closed_prefix(max_g: int) -> list:
@@ -75,15 +74,6 @@ def coeff_form_prefix(max_g: int) -> list:
             weight = _integer(2 * (g - k) * weight, k + 1, "coefficient")
         prefix.append(_integer(twice, 2, "coefficient"))
     return prefix
-
-
-def _integer(num: int, den: int, route: str) -> int:
-    """The integer num/den, den > 0; raises AssertionError, naming the reduced
-    p/q, rather than truncate."""
-    if num % den:
-        g = gcd(num, den)
-        raise AssertionError("%s route produced a non-integer: %d/%d" % (route, num // g, den // g))
-    return num // den
 
 
 def fmod_series(order: int) -> "Series":
@@ -160,16 +150,14 @@ def route_prefix(route: str, max_g: int, n4: int = 16, n5: int = 16) -> list:
         return schubert.top_power_prefix({(4, 0): n4, (3, 1): n5}, max_g)
     if route == "coeff_form":
         return coeff_form_prefix(max_g)
-    if route not in ("genfun", "lagrange"):
-        raise ValueError("unknown route %r" % route)
-    order = 2 * max_g + 1
     if route == "genfun":
-        from .series import genfun_series
+        from .genfun import genfun_prefix
 
-        expansion = genfun_series(order)
-    else:
-        expansion = lagrange_pipeline(order)[1]
-    return [_integer(expansion.nums[2 * g + 1], expansion.den, route)
+        return genfun_prefix(max_g)
+    if route != "lagrange":
+        raise ValueError("unknown route %r" % route)
+    expansion = lagrange_pipeline(2 * max_g + 1)[1]
+    return [_integer(expansion.nums[2 * g + 1], expansion.den, "lagrange")
             for g in range(max_g + 1)]
 
 

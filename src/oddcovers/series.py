@@ -12,14 +12,9 @@ orders; `shifted` (times w^k) raises the order by k.
 The series layer has one product and one power recurrence: binomial
 powers (1 + f)^(p/q), reciprocals 1/(1 + f) and square roots among them,
 each cost O(n nnz(f)) coefficient operations at order n: O(n^2) for a dense
-f, O(n) for an f of one term.
-
-`genfun_series` is the generating-function route, the root of the minimal
-polynomial of y(w) = sum_g A_g w^(2g+1), which `routes.route_prefix` reads;
-`cmd_series` is the `series` command, which prints that series.
+f, O(n) for an f of one term. Only the Lagrange route (`routes`) runs on it.
 """
 
-import sys
 from math import gcd
 
 from .ring import RingElement
@@ -189,38 +184,3 @@ def binomial_series(a: tuple, inner: Series) -> Series:
     scale, order = q * q * inner.den, inner.order
     g = _scaled_power(p, q, inner.nums, inner.den, scale, order)
     return Series._make([gn * scale ** (order - n) for n, gn in enumerate(g)], scale ** order)
-
-
-def genfun_series(order: int) -> Series:
-    """y(w) = sum_g A_g w^(2g+1) to the given order, as the root of its minimal
-    polynomial 64(1 + 16w^2) y^4 - (1 + 64w^2) y^2 + w^2, a quadratic in y^2
-    of discriminant 1 - 128W, W = w^2, whose root with y = w + O(w^3) is
-    y = w Z(W), Z = X^(1/2), X = (1 + 64W - sqrt(1 - 128W)) / (128 W (1 + 16W)):
-    only the product and Z are dense (one-term inner series cost O(n))."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    W = Series.identity(order // 2 + 1)
-    x = (1 + 64 * W - binomial_series((1, 2), -128 * W)) * binomial_series((-1, 1), 16 * W)
-    z = binomial_series((1, 2), Series._make(x.nums[1:], 128 * x.den) - 1)  # x(0) = 0
-    return Series._make([z.nums[n // 2] if n % 2 else 0 for n in range(order + 1)], z.den)
-
-
-def cmd_series(args):
-    """(text, payload, exit code) of `series`, as `cli` emits them."""
-    if args.order < 0:
-        return "--order must be nonnegative", None, 2
-    if args.order + 1 > sys.maxsize:
-        return "--order is too large: a sequence holds at most %d items" % sys.maxsize, None, 2
-    series = genfun_series(args.order)
-    coeffs, den = series.nums, series.den
-    if den != 1:  # reduced, so some numerator is no multiple of den
-        c = next(c for c in coeffs if c % den)
-        raise AssertionError("non-integer series coefficient %d/%d"
-                             % (c // gcd(c, den), den // gcd(c, den)))
-    note = ("coefficient of w^n at index n; A_g sits at the odd index n = 2g+1, "
-            "every even index is 0")
-    rows = [{"g": n, "values": {"genfun": str(c)}, "agree": True}
-            for n, c in enumerate(coeffs)]
-    lines = ["# " + note] + ["%d\t%d" % (n, c) for n, c in enumerate(coeffs)]
-    payload = {"command": "series", "note": note, "rows": rows, "checks": []}
-    return "\n".join(lines) + "\n", payload, 0

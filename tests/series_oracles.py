@@ -8,8 +8,9 @@ cross-check it by a path that shares none of that structure. Likewise
 `binom_gen` is one generalized binomial at a time, and `alt_catalan_closed`
 the closed sum for one g at a time, with a fresh binomial and Catalan number
 for every term. `genfun_radicals` is the generating series by the paper's
-nested radicals, the form the package replaced by the root of the series'
-minimal polynomial.
+nested radicals, and `genfun_wform` the same series as the root of its
+minimal polynomial, expanded in W = w^2 by binomial series: the two forms
+the package replaced by an integer recurrence from that polynomial.
 
 A `Series` is built from ints alone; `series_of` and `values_of` carry a
 list of rationals (ints and Fractions) in and out of one.
@@ -62,6 +63,20 @@ def genfun_radicals(order: int) -> Series:
     root = binomial_series((1, 2), 64 * (w * w) + 16 * (w * s))
     even = Series([0 if n % 2 else c for n, c in enumerate(root.nums)], root.den)
     return w * binomial_series((-1, 1), even - 1)
+
+
+def genfun_wform(order: int) -> Series:
+    """y(w) = sum_g A_g w^(2g+1) to the given order, as the root of its minimal
+    polynomial 64(1 + 16w^2) y^4 - (1 + 64w^2) y^2 + w^2, a quadratic in y^2
+    of discriminant 1 - 128W, W = w^2, whose root with y = w + O(w^3) is
+    y = w Z(W), Z = X^(1/2), X = (1 + 64W - sqrt(1 - 128W)) / (128 W (1 + 16W)):
+    only the product and Z are dense (one-term inner series cost O(n))."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    W = Series.identity(order // 2 + 1)
+    x = (1 + 64 * W - binomial_series((1, 2), -128 * W)) * binomial_series((-1, 1), 16 * W)
+    z = binomial_series((1, 2), Series._make(x.nums[1:], 128 * x.den) - 1)  # x(0) = 0
+    return Series._make([z.nums[n // 2] if n % 2 else 0 for n in range(order + 1)], z.den)
 
 
 def compose(outer: Series, inner: Series) -> Series:

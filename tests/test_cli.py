@@ -12,8 +12,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from oddcovers import cli, cli_extra, routes, series
-from oddcovers.series import Series
+from oddcovers import cli, cli_extra, genfun, routes
 
 from series_oracles import alt_catalan_closed
 
@@ -106,21 +105,31 @@ def test_series_order_zero(capsys):
     assert out.strip().splitlines()[-1] == "0\t0"
 
 
+def _halving_sees(monkeypatch, numerators):
+    """Make genfun's halving of each numerator key of `numerators` see its value."""
+    real = genfun._integer
+    monkeypatch.setattr(genfun, "_integer", lambda num, den, route:
+                        real(numerators.get(num, num), den, route))
+
+
 def test_series_refuses_a_non_integer_coefficient(monkeypatch):
-    monkeypatch.setattr(series, "genfun_series",
-                        lambda order: Series([0] * order + [1], 2))
-    with pytest.raises(AssertionError, match="non-integer series coefficient 1/2"):
-        cli.main(["series", "--order", "3"])
+    # 2 A_2 = 1024, read as 1025, is refused rather than floored to 512
+    _halving_sees(monkeypatch, {1024: 1025})
+    with pytest.raises(AssertionError, match="genfun route produced a non-integer: 1025/2$"):
+        cli.main(["series", "--order", "5"])
 
 
-def test_series_names_a_non_integer_coefficient_reduced(monkeypatch):
-    # 2/4 at w^1 over the common denominator 4 reads as 1/2, as str(Fraction)
-    monkeypatch.setattr(series, "genfun_series", lambda order: Series([0, 2, -3, 1], 4))
-    with pytest.raises(AssertionError, match="non-integer series coefficient 1/2"):
+def test_series_names_a_non_integer_coefficient_reduced(monkeypatch, capsys):
+    # the first halving, 2 A_1 = 0, read as -3, and the top one of order 7,
+    # 2 A_3 = 65536, read as 65537; nothing is written before either
+    _halving_sees(monkeypatch, {0: -3})
+    with pytest.raises(AssertionError, match="genfun route produced a non-integer: -3/2$"):
         cli.main(["series", "--order", "3"])
-    monkeypatch.setattr(series, "genfun_series", lambda order: Series([4, -6, 0, 8], 4))
-    with pytest.raises(AssertionError, match="non-integer series coefficient -3/2"):
-        cli.main(["series", "--order", "3"])
+    monkeypatch.undo()
+    _halving_sees(monkeypatch, {65536: 65537})
+    with pytest.raises(AssertionError, match="genfun route produced a non-integer: 65537/2$"):
+        cli.main(["series", "--order", "7"])
+    assert capsys.readouterr().out == ""
 
 
 def test_series_header_documents_indexing(capsys):
@@ -319,11 +328,43 @@ def test_verify_reports_the_pinned_checks_in_order(capsys):
         assert [c["name"] for c in json.loads(out)["checks"]] == names
 
 
-def test_verify_reports_a_failed_assertion_and_keeps_going(capsys, monkeypatch):
+def _raises(error):
     def broken(order):
-        raise AssertionError("u = w*phi(u) violated")
+        raise error
+    return broken
 
-    monkeypatch.setattr(routes, "lagrange_pipeline", broken)
+
+def test_verify_reports_a_check_that_raises_and_keeps_going(capsys, monkeypatch):
+    monkeypatch.setattr(routes, "lagrange_pipeline",
+                        _raises(ArithmeticError("binomial step 3 is not integral at scale 4")))
+    code, out = run(capsys, "verify", "--suite", "all", "--max-g", "5")
+    assert code == 1
+    lines = out.splitlines()
+    everything = [name for names in VERIFY_CHECKS.values() for name in names]
+    assert len(lines) == len(everything) + 1
+    assert all(line[6:].startswith(name + " ") for line, name in zip(lines, everything))
+    failed = [line for line in lines[:-1] if not line.startswith("PASS  ")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL  route_agreement ")
+    assert failed[0].endswith(" raised ArithmeticError: binomial step 3 is not integral at scale 4")
+    assert lines[-1] == "23 checks, 1 failed"
+
+
+def test_verify_lets_memory_errors_and_interrupts_through(capsys, monkeypatch):
+    # a MemoryError inside a check stays the resource exit; an interrupt is no
+    # failed check and reaches the caller
+    monkeypatch.setattr(routes, "lagrange_pipeline", _raises(MemoryError()))
+    code = cli.main(["verify", "--suite", "identities", "--max-g", "5"])
+    assert (code, capsys.readouterr()) == (3, ("", "verify: the requested size needs "
+                                               "more memory than can be allocated\n"))
+    monkeypatch.setattr(routes, "lagrange_pipeline", _raises(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["verify", "--suite", "identities", "--max-g", "5"])
+
+
+def test_verify_reports_a_failed_assertion_and_keeps_going(capsys, monkeypatch):
+    monkeypatch.setattr(routes, "lagrange_pipeline",
+                        _raises(AssertionError("u = w*phi(u) violated")))
     code, out = run(capsys, "verify", "--suite", "identities")
     assert code == 1
     lines = out.splitlines()
@@ -571,18 +612,25 @@ def test_cli_imports_no_package_module_when_it_loads():
     assert [alias.name for node in top for alias in node.names] == ["sys", "types"]
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["series", "--order", "101"], "series"),
-    (["series", "--order", "101", "--format", "json"], "series"),
-    (["schubert", "--g", "3"], "schubert"),
-    (["schubert", "--g", "3", "--format", "json"], "schubert"),
+# The package modules a `series` and a `schubert` job load, in sorted order.
+JOB_MODULES = {
+    "series": ["oddcovers", "oddcovers.cli", "oddcovers.combinat", "oddcovers.genfun"],
+    "schubert": ["oddcovers", "oddcovers.cli", "oddcovers.ring", "oddcovers.schubert"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--order", "101"],
+    ["series", "--order", "101", "--format", "json"],
+    ["schubert", "--g", "3"],
+    ["schubert", "--g", "3", "--format", "json"],
 ])
-def test_series_and_schubert_jobs_load_their_layer_and_ring_alone(argv, loaded):
-    # the handler sits in the module it runs, so no `routes` and no `combinat`
+def test_series_and_schubert_jobs_load_their_own_modules_alone(argv):
+    # the handler sits in the module it runs, so neither job loads `routes`; a
+    # series job steps plain ints, so it loads no `series` and no `ring`
     probe = _probe(COMMAND_PROBE, *argv)
     assert probe["code"] == 0
-    assert [m for m in probe["added"] if m.startswith("oddcovers")] == [
-        "oddcovers", "oddcovers.cli", "oddcovers.ring", "oddcovers." + loaded]
+    assert [m for m in probe["added"] if m.startswith("oddcovers")] == JOB_MODULES[argv[0]]
 
 
 @pytest.mark.parametrize("argv, loads_series", [
@@ -590,13 +638,14 @@ def test_series_and_schubert_jobs_load_their_layer_and_ring_alone(argv, loaded):
     (["table", "--max-g", "4", "--routes", "closed"], False),
     (["schubert", "--g", "3"], False),
     (["table", "--max-g", "4", "--routes", "closed,coeff_form"], False),
-    (["table", "--max-g", "4", "--routes", "genfun"], True),
+    (["table", "--max-g", "4", "--routes", "genfun"], False),
     (["table", "--max-g", "4", "--routes", "lagrange"], True),
-    (["series", "--order", "11"], True),
+    (["series", "--order", "11"], False),
     (["verify", "--suite", "identities", "--max-g", "5"], True),
 ])
 def test_only_series_work_loads_series(argv, loads_series):
-    # closed, coeff_form and schubert compute on ints and Schubert classes alone
+    # closed, coeff_form, genfun and schubert compute on ints and Schubert
+    # classes alone; only lagrange expands a Series
     probe = _probe(COMMAND_PROBE, *argv)
     assert probe["code"] == 0
     assert ("oddcovers.series" in probe["added"]) is loads_series
@@ -607,6 +656,14 @@ def test_coeff_form_loads_no_ring():
     probe = _probe(COMMAND_PROBE, "table", "--max-g", "4", "--routes", "coeff_form")
     assert probe["code"] == 0
     assert "oddcovers.ring" not in probe["added"]
+
+
+def test_the_genfun_route_loads_neither_series_nor_ring():
+    # the recurrence steps plain ints, like the coefficient route
+    probe = _probe(COMMAND_PROBE, "table", "--max-g", "4", "--routes", "genfun")
+    assert probe["code"] == 0
+    assert [m for m in ("oddcovers.series", "oddcovers.ring") if m in probe["added"]] == []
+    assert "oddcovers.genfun" in probe["added"]
 
 
 def test_schubert_stands_on_ring_alone():
@@ -707,6 +764,11 @@ def test_verify_loads_the_verify_stack():
                    "--format", "csv")
     assert probe["code"] == 0
     assert [name for name in VERIFY_STACK if name not in probe["added"]] == []
+    # `genfun` comes only with route_agreement, which the identities suite runs
+    assert "oddcovers.genfun" not in probe["added"]
+    probe = _probe(COMMAND_PROBE, "verify", "--suite", "identities", "--max-g", "5")
+    assert probe["code"] == 0
+    assert "oddcovers.genfun" in probe["added"]
 
 
 def test_package_imports_a_layer_on_first_attribute_access(tmp_path):

@@ -1,11 +1,16 @@
+import os
+import shutil
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oddcovers import checks, routes, series
+from oddcovers import checks, genfun, routes
 from oddcovers.combinat import binom_ratio
 from oddcovers.schubert import SchubertVector, top_power_prefix
 from oddcovers.series import Series
@@ -17,6 +22,7 @@ from series_oracles import (
     compose,
     derivative,
     genfun_radicals,
+    genfun_wform,
     lagrange_invert,
     reciprocal,
     series_of,
@@ -63,9 +69,16 @@ def test_coeff_form_prefix_matches_closed_to_g_100():
     assert routes.route_prefix("coeff_form", 100) == routes.route_prefix("closed", 100)
 
 
+def _series_coeffs(order):
+    """The coefficients the `series` command prints, w^0..w^order."""
+    payload = genfun.cmd_series(SimpleNamespace(order=order))[1]
+    return [int(row["values"]["genfun"]) for row in payload["rows"]]
+
+
 def test_genfun_is_odd_with_A_g_coefficients():
     order = 25
-    f = values_of(series.genfun_series(order))
+    f = _series_coeffs(order)
+    assert len(f) == order + 1
     for n in range(order + 1):
         if n % 2 == 0:
             assert f[n] == 0
@@ -74,45 +87,52 @@ def test_genfun_is_odd_with_A_g_coefficients():
 
 
 def test_genfun_agrees_with_closed_to_order_201():
-    f = values_of(series.genfun_series(201))
-    for g in range(100 + 1):
-        assert f[2 * g] == 0
-        assert f[2 * g + 1] == alt_catalan_closed(g)
+    assert genfun.genfun_prefix(100) == [alt_catalan_closed(g) for g in range(101)]
+
+
+def test_genfun_prefix_matches_closed_prefix_to_g_200():
+    assert genfun.genfun_prefix(200) == routes.closed_prefix(200)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 11, 41, 100, 101, 201, 401])
 def test_genfun_root_of_P_equals_the_nested_radicals(order):
-    # the root of the quadratic in W = w^2 against 2w / (R(w) + R(-w)),
-    # stored alike: the same numerators over the same denominator
-    new, old = series.genfun_series(order), genfun_radicals(order)
-    assert (new.nums, new.den) == (old.nums, old.den)
+    # the integer recurrence from P against both series forms of its root:
+    # the binomial expansion in W = w^2 and 2w / (R(w) + R(-w)), each stored
+    # as integer numerators over the denominator 1
+    new = _series_coeffs(order)
+    for old in (genfun_wform(order), genfun_radicals(order)):
+        assert (list(old.nums), old.den) == (new, 1)
 
 
 def test_genfun_computes_order_zero_directly():
-    assert series.genfun_series(0) == Series([0])
-    assert series.genfun_series(1) == Series([0, 1])
+    assert genfun.genfun_prefix(0) == [1]
+    assert genfun.genfun_prefix(1) == [1, 0]
+    assert _series_coeffs(0) == [0]
+    assert _series_coeffs(1) == [0, 1]
 
 
 def test_genfun_refuses_a_negative_order():
     with pytest.raises(ValueError, match="nonnegative"):
-        series.genfun_series(-1)
+        genfun.genfun_prefix(-1)
+    assert genfun.cmd_series(SimpleNamespace(order=-1)) == (
+        "--order must be nonnegative", None, 2)
 
 
 def test_genfun_and_lagrange_series_are_integral():
-    # the integer kernel's premise: no denominator survives in either series
-    assert series.genfun_series(201).den == 1
+    # the integer recurrence's premise: no denominator survives in either series
+    assert genfun_wform(201).den == 1
     assert routes.lagrange_pipeline(81)[0].den == 1
 
 
-def _off_by_one(monkeypatch, route, num, den):
-    """Make routes._integer see num + 1 for the one division (route, num, den),
+def _off_by_one(monkeypatch, route, num, den, module=routes):
+    """Make module._integer see num + 1 for the one division (route, num, den),
     and return the list of every (route, num, den) it is asked to divide."""
-    real, seen = routes._integer, []
+    real, seen = module._integer, []
 
     def wrapped(n, d, r):
         seen.append((r, n, d))
         return real(n + 1 if (r, n, d) == (route, num, den) else n, d, r)
-    monkeypatch.setattr(routes, "_integer", wrapped)
+    monkeypatch.setattr(module, "_integer", wrapped)
     return seen
 
 
@@ -139,6 +159,58 @@ def test_coeff_form_divides_only_through_integer(monkeypatch):
         (32, 1), (0, 2), (0, 2),                         # g = 1
         (1024, 1), (2048, 2), (0, 3), (1024, 2)]         # g = 2
     assert {r for r, _, _ in seen} == {"coefficient"}
+
+
+def test_genfun_divides_only_through_integer(monkeypatch):
+    # one halving per step, 2 Z_n = S_n - sum_{i=1..n-1} Z_i Z_(n-i), and nothing else
+    seen = _off_by_one(monkeypatch, None, None, None, genfun)
+    assert routes.route_prefix("genfun", 3) == [1, 0, 512, 32768]
+    assert seen == [("genfun", 0, 2), ("genfun", 1024, 2), ("genfun", 65536, 2)]
+
+
+@pytest.mark.parametrize("max_g", [2, 5])
+def test_genfun_halves_every_step_through_integer(monkeypatch, max_g):
+    # 2 A_2 = 1024 is halved at the step g = 2: the top of the prefix at
+    # max_g = 2, a step below it at 5; read as 1025 it is refused, not floored
+    seen = _off_by_one(monkeypatch, "genfun", 1024, 2, genfun)
+    with pytest.raises(AssertionError, match="genfun route produced a non-integer: 1025/2$"):
+        routes.route_prefix("genfun", max_g)
+    assert seen.count(("genfun", 1024, 2)) == 1
+
+
+# One-token defects in the genfun recurrence: each constant of the S step,
+# the halving, and the doubling in `_square_at`.
+GENFUN_DEFECTS = [
+    pytest.param("64 * f[n] +", "63 * f[n] +", id="64F-63F"),
+    pytest.param("1024 * f[n - 1]", "1023 * f[n - 1]", id="1024F-1023F"),
+    pytest.param("- 64 * s[n - 1]", "- 63 * s[n - 1]", id="64S-63S"),
+    pytest.param('_square_at(z, n), 2, "genfun")', '_square_at(z, n), 4, "genfun")',
+                 id="halving-by-4"),
+    pytest.param("twice = 2 * sum", "twice = 1 * sum", id="square-single-cross-terms"),
+]
+
+
+@pytest.mark.parametrize("old, new", GENFUN_DEFECTS)
+def test_a_planted_genfun_defect_fails_route_agreement(tmp_path, old, new):
+    # on a copy of the package with one edit, verify reports the disagreement
+    # (or the non-integer step) as a failed check and exits 1
+    package = Path(genfun.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / "oddcovers",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    target = tmp_path / "oddcovers" / "genfun.py"
+    text = target.read_text()
+    assert text.count(old) == 1
+    target.write_text(text.replace(old, new))
+    done = subprocess.run(
+        [sys.executable, "-m", "oddcovers.cli", "verify", "--suite", "identities",
+         "--max-g", "5"], env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (1, "")
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("PASS  binomial_identity ")
+    assert lines[1].startswith("PASS  catalan_half_binomial ")
+    assert lines[2].startswith("FAIL  route_agreement ")
+    assert lines[3:] == ["3 checks, 1 failed"]
 
 
 def test_a_bad_closed_step_fails_route_agreement(monkeypatch):
@@ -271,13 +343,8 @@ def _reach(route):
     return reached
 
 
-# What two routes may both reach. Every pair may share the dispatcher and its
-# integer check; the two series routes may share the Series ring (with the
-# subtraction RingElement derives for it) and Miller's power recurrence.
-ANY_PAIR = {("routes", "route_prefix"), ("routes", "_integer")}
-SERIES_ROUTES = {"genfun", "lagrange"}
-SERIES_KERNEL = {("series", "Series"), ("ring", "RingElement"),
-                 ("series", "binomial_series"), ("series", "_scaled_power")}
+# What two routes may both reach: the dispatcher and the integer check.
+ANY_PAIR = {("routes", "route_prefix"), ("combinat", "_integer")}
 
 
 def test_routes_share_only_the_allowlisted_code():
@@ -287,8 +354,7 @@ def test_routes_share_only_the_allowlisted_code():
     for route in routes.ROUTES:
         assert ("routes", "route_prefix") in reach[route]
     for first, second in combinations(routes.ROUTES, 2):
-        allowed = ANY_PAIR | (SERIES_KERNEL if {first, second} <= SERIES_ROUTES else set())
-        assert reach[first] & reach[second] <= allowed, (first, second)
+        assert reach[first] & reach[second] <= ANY_PAIR, (first, second)
 
 
 def _half_at_top(order):
@@ -296,11 +362,10 @@ def _half_at_top(order):
 
 
 @pytest.mark.parametrize("route, name, fake", [
-    ("genfun", "genfun_series", _half_at_top),
     ("lagrange", "lagrange_pipeline", lambda order: (None, _half_at_top(order))),
 ])
 def test_route_prefix_rejects_non_integer(monkeypatch, route, name, fake):
-    monkeypatch.setattr(series if route == "genfun" else routes, name, fake)
+    monkeypatch.setattr(routes, name, fake)
     with pytest.raises(AssertionError, match="%s route produced a non-integer: 1/2" % route):
         routes.route_prefix(route, 3)
 
@@ -338,11 +403,10 @@ def _half_at_g2(order):
 
 
 @pytest.mark.parametrize("route, name, fake", [
-    ("genfun", "genfun_series", _half_at_g2),
     ("lagrange", "lagrange_pipeline", lambda order: (None, _half_at_g2(order))),
 ])
 def test_route_prefix_checks_every_coefficient(monkeypatch, route, name, fake):
-    monkeypatch.setattr(series if route == "genfun" else routes, name, fake)
+    monkeypatch.setattr(routes, name, fake)
     with pytest.raises(AssertionError, match="%s route produced a non-integer: 1/2" % route):
         routes.route_prefix(route, 5)
 
