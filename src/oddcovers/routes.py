@@ -13,18 +13,19 @@ route's 2^(8g+1) [z^(2g+1)] (1+z)^(1/2) (1+z/2)^g. So `coeff_form` and
 `lagrange` rest on one phi and psi, and their agreement tests composition
 code; only `closed`, `schubert` and `genfun` own theirs.
 
-`route_prefix(route, G)` returns A_0..A_G. The Lagrange route expands its
-series once, to order 2G+1, and integer-checks each A_g it reads at w^(2g+1);
-`genfun` steps an integer recurrence; the Schubert route reads every top
-evaluation off one chain of products in G(2,2G+2)
+`route_prefix(route, G)` returns A_0..A_G. The Lagrange route expands 8f
+once, as a list of ints to order 2G+1, and reads each A_g as its coefficient
+at w^(2g+1) over 8; `genfun` steps an integer recurrence; the Schubert route
+reads every top evaluation off one chain of products in G(2,2G+2)
 (`schubert.top_power_prefix`); the coefficient route steps the integers 4^j
 binom(1/2, j), the coefficients of its g-free factor (1+z)^(1/2), once by
 their own ratio and takes one dot product per g; the closed route builds
 Catalan(0..2G) once and steps each row of binomial weights by exact ratios.
 Every route computes in ints, every division goes through `_integer`, and a
-value that is no integer is named as its reduced p/q. Only the functions that
-expand a series import `series`, and only `route_prefix` imports `genfun` and
-`schubert`, so a job loads none of them unless it runs them. `cmd_table` is
+value that is no integer is named as its reduced p/q. Only the two Lagrange
+functions import the integer series kernels of `series`, and only
+`route_prefix` imports `genfun` and `schubert`, so a job loads none of them
+unless it runs them; no route loads `ring` but `schubert`. `cmd_table` is
 the `table` command.
 
 The closed formula is evaluated for every g >= 0: the small-g values are the
@@ -39,17 +40,20 @@ from .combinat import _integer, binom_ratio, catalan
 def closed_prefix(max_g: int) -> list:
     """[A_0, ..., A_max_g], A_g = 16^g sum_i (-2)^i C(g,i) Catalan(2g-i), in
     O(max_g^2) int operations: Catalan(0..2*max_g) is built once, and the weight
-    (-2)^i C(g,i) steps to i+1 by the ratio -2(g-i)/(i+1), checked to be exact."""
+    (-2)^i C(g,i) steps to i+1 by the ratio -2(g-i)/(i+1), checked to be exact.
+    The lists are allocated before the first step, so a size that cannot be
+    allocated fails at once."""
     if max_g < 0:
         raise ValueError("max_g must be nonnegative")
-    cats = [catalan(n) for n in range(2 * max_g + 1)]
-    prefix = []
+    cats, prefix = [0] * (2 * max_g + 1), [0] * (max_g + 1)
+    for n in range(2 * max_g + 1):
+        cats[n] = catalan(n)
     for g in range(max_g + 1):
         weight, total = 1, 0
         for i in range(g + 1):
             total += weight * cats[2 * g - i]
             weight = _integer(-2 * (g - i) * weight, i + 1, "closed")
-        prefix.append(16 ** g * total)
+        prefix[g] = 16 ** g * total
     return prefix
 
 
@@ -59,41 +63,44 @@ def coeff_form_prefix(max_g: int) -> list:
     h_j = 4^j binom(1/2, j) is stepped once, j <= 2*max_g+1, by the exact ratio
     h_(j+1)/h_j = 2(1-2j)/(j+1); with [z^k] (1+z/2)^g = binom(g,k) 2^(-k),
     2 A_g = sum_k binom(g,k) 2^(4g+k) h_(2g+1-k) is one O(g) dot product whose
-    weight steps by the exact ratio 2(g-k)/(k+1). The prefix costs O(max_g^2).
+    weight steps by the exact ratio 2(g-k)/(k+1). The prefix costs O(max_g^2);
+    its lists are allocated before the first step, as in `closed_prefix`.
     """
     if max_g < 0:
         raise ValueError("max_g must be nonnegative")
-    h = [1]
+    h, prefix = [1] + [0] * (2 * max_g + 1), [0] * (max_g + 1)
     for j in range(2 * max_g + 1):
-        h.append(_integer(2 * (1 - 2 * j) * h[j], j + 1, "coefficient"))
-    prefix = []
+        h[j + 1] = _integer(2 * (1 - 2 * j) * h[j], j + 1, "coefficient")
     for g in range(max_g + 1):
         weight, twice = 16 ** g, 0
         for k in range(g + 1):
             twice += weight * h[2 * g + 1 - k]
             weight = _integer(2 * (g - k) * weight, k + 1, "coefficient")
-        prefix.append(_integer(twice, 2, "coefficient"))
+        prefix[g] = _integer(twice, 2, "coefficient")
     return prefix
 
 
-def fmod_series(order: int) -> "Series":
-    """Independent closed-form expansion of f(w):
-    sqrt(64w^2 + 1 + 16w sqrt(16w^2+1)) / (8 sqrt(16w^2+1))."""
-    from .series import Series, binomial_series
-    w = Series.identity(order)
-    s = binomial_series((1, 2), 16 * (w * w))
-    root = binomial_series((1, 2), 64 * (w * w) + 16 * (w * s))
-    return (root * binomial_series((-1, 2), 16 * (w * w))).over(8)
+def fmod_series(order: int) -> list:
+    """8 f(w) to w^order, an int list, from the paper's closed form
+    f(w) = sqrt(64w^2 + 1 + 16w s) / (8 s), s = sqrt(16w^2+1): both radicals
+    and 1/s are (1 + 4y)^(+-1/2) for an integral y, so integral."""
+    from .series import binomial_series, product
+    sixteen_w2 = [16 * (n == 2) for n in range(order + 1)]
+    s = binomial_series((1, 2), sixteen_w2)
+    inner = [64 * (n == 2) + 16 * c for n, c in enumerate([0] + s[:order])]  # 64w^2 + 16ws
+    root = binomial_series((1, 2), inner)
+    return product(root, binomial_series((-1, 2), sixteen_w2))
 
 
 def lagrange_pipeline(order: int):
-    """Return (u, f) from the Lagrange-inversion route, with contracts checked.
+    """Return (u, F), F = 8f, as int coefficient lists to w^order, from the
+    Lagrange-inversion route, with contracts checked.
 
     u solves u = w phi(u) with phi(z) = 16 (1+z/2)^(1/2); f = psi(u) / (1 - w
     phi'(u)) with psi(z) = (1/8) (1+z)^(1/2) (1+z/2)^(-1/2) carries A_g at
-    w^(2g+1), where `route_prefix` reads it. Raises AssertionError if u fails
-    either of its defining relations or if f disagrees with the independent
-    closed-form expansion.
+    w^(2g+1), where `route_prefix` reads it as F_(2g+1) / 8. Raises
+    AssertionError if u fails either of its defining relations or if F
+    disagrees with 8 times the independent closed-form expansion `fmod_series`.
 
     Nothing here is cubic in the order. Lagrange-Buermann inversion (Stanley,
     Enumerative Combinatorics II, section 5.4) gives u in closed form, since
@@ -101,36 +108,40 @@ def lagrange_pipeline(order: int):
     16^n binom(n/2, n-1) 2^(1-n) / n. phi, phi' = 4 (1+z/2)^(-1/2), psi and
     1/(1 - w phi'(u)), the power (1 + x)^(-1) at x = -w phi'(u), all have
     binomial form, so `binomial_series` composes each with u in O(n^2).
+
+    Every series but f is integral, so all run on plain ints: v_2(u_n) >=
+    n + 3 - log_2 n >= 4, so u = 16x with x integral; then (1+u/2)^(+-1/2) =
+    (1 + 4(2x))^(+-1/2), (1+u)^(1/2) = (1 + 4(4x))^(1/2) and 1/(1 - w phi'(u))
+    are integral (`series.binomial_series`), and F is their product.
     """
-    from .series import Series, binomial_series
+    from .series import binomial_series, product
     if order < 1:
         raise ValueError("order must be at least 1")
-    # [w^n] u = 2^(3n+1) binom(n/2, n-1) / n is an integer, read as one
-    ratios = [binom_ratio(n, 2, n - 1) for n in range(1, order + 1)]
-    u = Series._make([0] + [_integer(2 ** (3 * n + 1) * num, den * n, "lagrange")
-                            for n, (num, den) in enumerate(ratios, 1)])
-    half_u = u.over(2)
+    # [w^n] u = 2^(3n+1) binom(n/2, n-1) / n is an integer, read as one; the
+    # list comes first, so a size that cannot be allocated fails at once
+    u = [0] * (order + 1)
+    for n in range(1, order + 1):
+        num, den = binom_ratio(n, 2, n - 1)
+        u[n] = _integer(2 ** (3 * n + 1) * num, den * n, "lagrange")
 
-    phi_u = 16 * binomial_series((1, 2), half_u)
-    residual = u - phi_u.shifted(1).truncated(order)
-    if not residual.is_zero():
+    half_u = [_integer(c, 2, "lagrange") for c in u]  # u/2, integral since 16 | u
+    residual = [c - 16 * r for c, r in zip(u, [0] + binomial_series((1, 2), half_u))]
+    if any(residual):
         raise AssertionError("u = w*phi(u) violated: %r" % residual)
-    # Algebraic form of the same relation: 256 w^2 (1 + u/2) = u^2.
-    w = Series.identity(order)
-    alg = 256 * ((w * w) * (1 + half_u)) - u * u
-    if not alg.is_zero():
+    # Algebraic form of the same relation, times 2: 256 w^2 (2 + u) = 2 u^2.
+    w2_two_plus_u = ([0, 0, 2] + u[1:])[:order + 1]
+    alg = [256 * c - 2 * sq for c, sq in zip(w2_two_plus_u, product(u, u))]
+    if any(alg):
         raise AssertionError("256 w^2 (1+u/2) = u^2 violated: %r" % alg)
 
     inv_root = binomial_series((-1, 2), half_u)  # (1+u/2)^(-1/2)
-    w_dphi_u = (4 * inv_root).shifted(1).truncated(order)
-    # f is 1/8 times an integral product; dividing last keeps both O(n^2)
-    # products over den 1.
-    f = (binomial_series((1, 2), u) * inv_root * binomial_series((-1, 1), -w_dphi_u)).over(8)
+    recip = binomial_series((-1, 1), [0] + [-4 * c for c in inv_root[:order]])
+    big_f = product(product(binomial_series((1, 2), u), inv_root), recip)
 
-    if f != fmod_series(order):
+    if big_f != fmod_series(order):
         raise AssertionError("Lagrange route disagrees with closed-form f(w)")
 
-    return u, f
+    return u, big_f
 
 
 ROUTES = ("closed", "coeff_form", "schubert", "genfun", "lagrange")
@@ -156,9 +167,8 @@ def route_prefix(route: str, max_g: int, n4: int = 16, n5: int = 16) -> list:
         return genfun_prefix(max_g)
     if route != "lagrange":
         raise ValueError("unknown route %r" % route)
-    expansion = lagrange_pipeline(2 * max_g + 1)[1]
-    return [_integer(expansion.nums[2 * g + 1], expansion.den, "lagrange")
-            for g in range(max_g + 1)]
+    big_f = lagrange_pipeline(2 * max_g + 1)[1]  # 8 f
+    return [_integer(big_f[2 * g + 1], 8, "lagrange") for g in range(max_g + 1)]
 
 
 def cmd_table(args):

@@ -12,16 +12,163 @@ nested radicals, and `genfun_wform` the same series as the root of its
 minimal polynomial, expanded in W = w^2 by binomial series: the two forms
 the package replaced by an integer recurrence from that polynomial.
 
-A `Series` is built from ints alone; `series_of` and `values_of` carry a
-list of rationals (ints and Fractions) in and out of one.
+`Series` is the truncated series ring over Q the Lagrange route once ran on,
+kept as the oracle its integer lists are checked against; `series_power` is
+its binomial power, on the package's `_scaled_power`. A `Series` is built
+from ints alone; `series_of` and `values_of` carry a list of rationals (ints
+and Fractions) in and out of one.
 """
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from map_oracles import exact_div, is_rational
 from oddcovers.combinat import binom_ratio, catalan
-from oddcovers.series import Series, binomial_series
+from oddcovers.ring import RingElement
+from oddcovers.series import _scaled_power
+
+
+class Series(RingElement):
+    """A truncated formal power series over Q with explicit truncation order.
+
+    A Series of order N is known modulo w^(N+1). It is built from ints alone,
+    `Series(nums, den)`: N+1 numerators `nums`, constant term first, over one
+    denominator `den`, stored with den > 0 and gcd(nums, den) = 1 (integers
+    over one denominator, as in Cohen, GTM 138, section 4.2). `_make` builds
+    each result unchecked with one gcd. Binary operations return the minimum
+    of the two operand orders; `shifted` (times w^k) raises the order by k.
+    """
+    __slots__ = ("nums", "den")
+
+    def __new__(cls, nums, den=1):
+        nums = tuple(nums)
+        if not nums:
+            raise ValueError("a Series stores at least its constant term")
+        for c in nums + (den,):
+            if not isinstance(c, int):
+                raise TypeError("Series numerators and denominator are ints, not %s"
+                                % type(c).__name__)
+        if den == 0:
+            raise ZeroDivisionError("Series denominator is zero")
+        return cls._make(nums, den)
+
+    @staticmethod
+    def _make(nums, den=1):
+        """Unchecked constructor for int numerators over a nonzero int den;
+        stores them reduced by one gcd, with den > 0."""
+        g = 1 if den == 1 else gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        self = object.__new__(Series)
+        object.__setattr__(self, "nums", tuple(nums) if g == 1 else tuple(c // g for c in nums))
+        object.__setattr__(self, "den", den // g)
+        return self
+
+    @staticmethod
+    def constant(c: int, order: int):
+        return Series((c,) + (0,) * order)
+
+    @staticmethod
+    def identity(order):
+        """The series w."""
+        if order < 1:
+            raise ValueError("identity needs order >= 1")
+        return Series._make((0, 1) + (0,) * (order - 1))
+
+    @property
+    def order(self) -> int:
+        return len(self.nums) - 1
+
+    def truncated(self, order):
+        if not 0 <= order <= self.order:
+            raise ValueError("truncation order must be nonnegative and at most %d" % self.order)
+        return Series._make(self.nums[: order + 1], self.den)
+
+    def shifted(self, k: int):
+        """Multiply by w^k, k >= 0; the order grows by k."""
+        if k < 0:
+            raise ValueError("shift must be nonnegative")
+        return Series._make((0,) * k + self.nums, self.den)
+
+    def over(self, k: int):
+        """The series divided by the nonzero int k."""
+        if k == 0:
+            raise ZeroDivisionError("Series divided by zero")
+        return Series._make(self.nums, self.den * k)
+
+    def _wrap(self, other):
+        if isinstance(other, Series):
+            return other
+        if isinstance(other, int):
+            return Series.constant(other, self.order)
+        return None
+
+    def __add__(self, other):
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        g = gcd(self.den, o.den)
+        sa, sb = o.den // g, self.den // g
+        return Series._make([a * sa + b * sb for a, b in zip(self.nums, o.nums)], sa * self.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Series._make([-c for c in self.nums], self.den)
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return Series._make([c * other for c in self.nums], self.den)
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        a_nums, b_nums = self.nums, o.nums
+        n = min(len(a_nums), len(b_nums))
+        out = [0] * n
+        for i in range(n):
+            a = a_nums[i]
+            if a:
+                for j in range(n - i):
+                    if b_nums[j]:
+                        out[i + j] += a * b_nums[j]
+        return Series._make(out, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def _one(self):
+        return Series.constant(1, self.order)
+
+    def is_zero(self) -> bool:
+        return not any(self.nums)
+
+    def __eq__(self, other):
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        return self.nums == o.nums and self.den == o.den
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def __repr__(self):
+        return "Series(%s/%d; order=%d)" % (list(self.nums), self.den, self.order)
+
+
+def series_power(a: tuple, inner: Series) -> Series:
+    """(1 + inner)^(p/q) mod w^(inner.order+1) for the int pair a = (p, q),
+    q > 0; requires inner(0) = 0.
+
+    For a = p/q and f = F/D Miller's recurrence runs on G_n = (q^2 D)^n g_n,
+    which are integers: g_n = sum_{j<=n} binom(a, j) [w^n] f^j, [w^n] f^j is
+    an integer over D^j, and q^(2j) binom(a, j) is an integer (l-integral for
+    a prime l not dividing q; for l | q, with p/q in lowest terms, each p - iq
+    is prime to l and v_l(j!) < j; a pair not in lowest terms only multiplies
+    the scale). So each step of `_scaled_power` divides exactly.
+    """
+    p, q = a
+    if inner.nums[0] != 0:
+        raise ValueError("series_power requires inner(0) = 0")
+    scale, order = q * q * inner.den, inner.order
+    g = _scaled_power(p, q, inner.nums, inner.den, scale, order)
+    return Series._make([gn * scale ** (order - n) for n, gn in enumerate(g)], scale ** order)
 
 
 def series_of(values) -> Series:
@@ -59,10 +206,10 @@ def genfun_radicals(order: int) -> Series:
     radicals: 2w / (R(w) + R(-w)), R = sqrt(1 + 64w^2 + 16w s) with the even
     s = sqrt(1 + 16w^2), that is w times the reciprocal of the even part of R."""
     w = Series.identity(order)
-    s = binomial_series((1, 2), 16 * (w * w))
-    root = binomial_series((1, 2), 64 * (w * w) + 16 * (w * s))
+    s = series_power((1, 2), 16 * (w * w))
+    root = series_power((1, 2), 64 * (w * w) + 16 * (w * s))
     even = Series([0 if n % 2 else c for n, c in enumerate(root.nums)], root.den)
-    return w * binomial_series((-1, 1), even - 1)
+    return w * series_power((-1, 1), even - 1)
 
 
 def genfun_wform(order: int) -> Series:
@@ -74,8 +221,8 @@ def genfun_wform(order: int) -> Series:
     if order < 0:
         raise ValueError("order must be nonnegative")
     W = Series.identity(order // 2 + 1)
-    x = (1 + 64 * W - binomial_series((1, 2), -128 * W)) * binomial_series((-1, 1), 16 * W)
-    z = binomial_series((1, 2), Series._make(x.nums[1:], 128 * x.den) - 1)  # x(0) = 0
+    x = (1 + 64 * W - series_power((1, 2), -128 * W)) * series_power((-1, 1), 16 * W)
+    z = series_power((1, 2), Series._make(x.nums[1:], 128 * x.den) - 1)  # x(0) = 0
     return Series._make([z.nums[n // 2] if n % 2 else 0 for n in range(order + 1)], z.den)
 
 

@@ -378,9 +378,12 @@ def test_verify_reports_a_failed_assertion_and_keeps_going(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["series", "--order", str(sys.maxsize - 1)],
     ["table", "--max-g", str(sys.maxsize // 2 - 1), "--routes", "genfun"],
+    ["table", "--max-g", str(sys.maxsize // 2 - 1), "--routes", "lagrange"],
+    ["table", "--max-g", str(sys.maxsize // 2 - 1), "--routes", "closed"],
+    ["table", "--max-g", str(sys.maxsize // 2 - 1), "--routes", "coeff_form"],
 ])
 def test_a_size_that_cannot_be_allocated_is_a_resource_exit(capsys, argv):
-    # each passes the sys.maxsize bound, and its first tuple asks for more
+    # each passes the sys.maxsize bound, and its first list asks for more
     # bytes than the address space holds, so it fails at once
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -645,7 +648,7 @@ def test_series_and_schubert_jobs_load_their_own_modules_alone(argv):
 ])
 def test_only_series_work_loads_series(argv, loads_series):
     # closed, coeff_form, genfun and schubert compute on ints and Schubert
-    # classes alone; only lagrange expands a Series
+    # classes alone; only lagrange runs the integer series kernels
     probe = _probe(COMMAND_PROBE, *argv)
     assert probe["code"] == 0
     assert ("oddcovers.series" in probe["added"]) is loads_series
@@ -656,6 +659,17 @@ def test_coeff_form_loads_no_ring():
     probe = _probe(COMMAND_PROBE, "table", "--max-g", "4", "--routes", "coeff_form")
     assert probe["code"] == 0
     assert "oddcovers.ring" not in probe["added"]
+
+
+def test_the_lagrange_route_loads_its_kernels_and_no_ring():
+    # the Lagrange route steps plain int lists, so no ring class is compiled
+    for fmt in ("text", "json"):
+        probe = _probe(COMMAND_PROBE, "table", "--max-g", "16", "--routes", "lagrange",
+                       "--format", fmt)
+        assert probe["code"] == 0
+        assert [m for m in probe["added"] if m.startswith("oddcovers")] == [
+            "oddcovers", "oddcovers.cli", "oddcovers.combinat", "oddcovers.routes",
+            "oddcovers.series"]
 
 
 def test_the_genfun_route_loads_neither_series_nor_ring():

@@ -13,9 +13,10 @@ from map_oracles import Poly, QuadScalar
 from oddcovers.poly import IntPoly
 from oddcovers.quadratic import form_ring
 from oddcovers.schubert import SchubertVector
-from oddcovers.series import Series, binomial_series
+from oddcovers.series import binomial_series
 from oddcovers.weier import E1, E2, D, P, WeierExpr
 from schubert_helpers import sigma
+from series_oracles import Series
 
 T, B = IntPoly.variables(2)
 X3, Z3, R3 = form_ring(3).variables(3)
@@ -172,12 +173,14 @@ def test_poly_and_series_do_not_mix(op):
         op(s, p)
 
 
-# The src constructors take ints alone; the Q oracles of map_oracles take
-# ints and Fractions.
+# The src constructors and the Series oracle take ints alone; the Q oracles
+# of map_oracles take ints and Fractions.
 INT_CONSTRUCTORS = {
     "Series": lambda c: Series([1, c], 3),
     "Series.den": lambda c: Series([1, 2], c),
-    "binomial_series": lambda c: binomial_series((c, 2), Series.identity(3)),
+    # sqrt(1 + 4w) has integer coefficients, so an int c gives a result
+    "binomial_series": lambda c: binomial_series((c, 2), [0, 4, 0, 0]),
+    "binomial_series.f": lambda c: binomial_series((1, 1), [0, c, 0]),
     "IntPoly": lambda c: IntPoly(2, {(0, 0): c}),
     "SchubertVector": lambda c: SchubertVector(4, {(1, 0): c}),
 }

@@ -13,10 +13,10 @@ from hypothesis import given, strategies as st
 from oddcovers import checks, genfun, routes
 from oddcovers.combinat import binom_ratio
 from oddcovers.schubert import SchubertVector, top_power_prefix
-from oddcovers.series import Series
 
 from growth_oracles import RATIO_BOUND, ROOT_WINDOW_START, growth_report
 from series_oracles import (
+    Series,
     alt_catalan_closed,
     binom_gen,
     compose,
@@ -42,7 +42,8 @@ FROZEN = [
     313455303196672,
 ]
 
-# Initial coefficients of f(w) from the inversion route, likewise frozen.
+# Initial coefficients of f(w) from the inversion route, likewise frozen; the
+# route returns them times 8, as ints.
 F_COEFFS = [
     Fraction(1, 8), 1, -1, 0, -52, 512, -3744, 32768,
 ]
@@ -121,7 +122,16 @@ def test_genfun_refuses_a_negative_order():
 def test_genfun_and_lagrange_series_are_integral():
     # the integer recurrence's premise: no denominator survives in either series
     assert genfun_wform(201).den == 1
-    assert routes.lagrange_pipeline(81)[0].den == 1
+    # and the Lagrange route's: u and every power it takes of u are integral,
+    # and only f = F/8 has a denominator; each kernel raises on a remainder
+    u, big_f = routes.lagrange_pipeline(81)
+    assert all(type(c) is int for c in u + big_f)
+    assert series_of(big_f).over(8).den == 8
+    # v_2(u_n) >= n + 3 - log_2 n >= 4, so u = 16x with x integral: with
+    # v = v_2(u_n), n 2^v >= 2^(n+3)
+    assert u[:6] == [0, 16, 64, 128, 0, -512]
+    assert all(c == 0 or (n << ((c & -c).bit_length() - 1)) >= (1 << (n + 3))
+               for n, c in enumerate(u[1:], 1))
 
 
 def _off_by_one(monkeypatch, route, num, den, module=routes):
@@ -190,14 +200,36 @@ GENFUN_DEFECTS = [
 ]
 
 
+# One-token defects in the Lagrange route: Miller's factor ((p+q)k - nq) and
+# the product's window in its integer kernels, the algebraic contract of u,
+# and the inner series 16 w^2 of the closed-form expansion it is checked by.
+LAGRANGE_DEFECTS = [
+    pytest.param("series.py", "(p + q) * k - n * q)", "(p + q) * k - n * q + 1)",
+                 id="miller-factor-plus-1"),
+    pytest.param("series.py", "for j in range(n - i):", "for j in range(n - i - 1):",
+                 id="product-window-short-by-1"),
+    pytest.param("routes.py", "alg = [256 * c", "alg = [255 * c", id="algebraic-256-255"),
+    pytest.param("routes.py", "sixteen_w2 = [16 *", "sixteen_w2 = [15 *", id="fmod-16-15"),
+]
+
+
 @pytest.mark.parametrize("old, new", GENFUN_DEFECTS)
 def test_a_planted_genfun_defect_fails_route_agreement(tmp_path, old, new):
+    _assert_planted_defect_fails_route_agreement(tmp_path, "genfun.py", old, new)
+
+
+@pytest.mark.parametrize("module, old, new", LAGRANGE_DEFECTS)
+def test_a_planted_lagrange_defect_fails_route_agreement(tmp_path, module, old, new):
+    _assert_planted_defect_fails_route_agreement(tmp_path, module, old, new)
+
+
+def _assert_planted_defect_fails_route_agreement(tmp_path, module, old, new):
     # on a copy of the package with one edit, verify reports the disagreement
     # (or the non-integer step) as a failed check and exits 1
     package = Path(genfun.__file__).resolve().parent
     shutil.copytree(package, tmp_path / "oddcovers",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    target = tmp_path / "oddcovers" / "genfun.py"
+    target = tmp_path / "oddcovers" / module
     text = target.read_text()
     assert text.count(old) == 1
     target.write_text(text.replace(old, new))
@@ -227,10 +259,10 @@ def test_a_bad_closed_step_fails_route_agreement(monkeypatch):
 
 def test_lagrange_pipeline_matches_closed():
     order = 41
-    u, f = routes.lagrange_pipeline(order)
-    assert values_of(f)[:8] == F_COEFFS
+    u, big_f = routes.lagrange_pipeline(order)
+    assert big_f[:8] == [8 * c for c in F_COEFFS]
     for g in range(20 + 1):
-        assert values_of(f)[2 * g + 1] == alt_catalan_closed(g)
+        assert big_f[2 * g + 1] == 8 * alt_catalan_closed(g)
 
 
 def _binomial_coeffs(a, scale, order):
@@ -248,7 +280,8 @@ def test_lagrange_pipeline_matches_generic_inversion_at_order_41():
     u = lagrange_invert(phi, order)
     f = compose(psi, u) * series_of(reciprocal(values_of(
         1 - compose(derivative(phi), u).shifted(1))))
-    assert routes.lagrange_pipeline(order) == (u, f)
+    new_u, big_f = routes.lagrange_pipeline(order)
+    assert (series_of(new_u), series_of(big_f)) == (u, 8 * f)
 
 
 def _perturbed_binom_ratio(by):
@@ -355,10 +388,16 @@ def test_routes_share_only_the_allowlisted_code():
         assert ("routes", "route_prefix") in reach[route]
     for first, second in combinations(routes.ROUTES, 2):
         assert reach[first] & reach[second] <= ANY_PAIR, (first, second)
+    # the integer series kernels serve the Lagrange route alone
+    assert {route for route in routes.ROUTES
+            if any(module == "series" for module, _ in reach[route])} == {"lagrange"}
+    assert {owner for module, owner in reach["lagrange"] if module == "series"} == {
+        "_scaled_power", "binomial_series", "product"}
 
 
 def _half_at_top(order):
-    return Series([0] * order + [1], 2)
+    # 8 f with 4 at the top index: A_g = 4/8 there
+    return [0] * order + [4]
 
 
 @pytest.mark.parametrize("route, name, fake", [
@@ -398,8 +437,8 @@ def test_route_prefix_rejects_unknown_route():
 
 
 def _half_at_g2(order):
-    # 1/2 at w^5 (g = 2), below the top index the prefix reads
-    return Series([1 if n == 5 else 0 for n in range(order + 1)], 2)
+    # 1/2 at w^5 (g = 2), below the top index the prefix reads: 8 f has 4 there
+    return [4 if n == 5 else 0 for n in range(order + 1)]
 
 
 @pytest.mark.parametrize("route, name, fake", [

@@ -5,27 +5,32 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from oddcovers.combinat import catalan
-from oddcovers.series import Series, _scaled_power, binomial_series
+from oddcovers.series import _scaled_power, binomial_series, product
 
-from series_oracles import (binom_gen, compose, lagrange_invert, reciprocal, series_of,
-                            values_of)
+from series_oracles import (Series, binom_gen, compose, lagrange_invert, reciprocal,
+                            series_of, series_power, values_of)
 
 
 def test_geometric_inverse():
     # 1/(1 - w) = 1 + w + w^2 + ...
+    assert binomial_series((-1, 1), [0, -1, 0, 0, 0]) == [1, 1, 1, 1, 1]
     one_minus_w = Series([1, -1, 0, 0, 0])
-    assert binomial_series((-1, 1), one_minus_w - 1) == Series([1, 1, 1, 1, 1])
+    assert series_power((-1, 1), one_minus_w - 1) == Series([1, 1, 1, 1, 1])
 
 
 def test_sqrt_coefficients():
     z = Series.identity(3)
-    root = binomial_series((1, 2), z)
+    root = series_power((1, 2), z)
     assert values_of(root) == [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)]
+    # sqrt(1 + 4w) = 1 + 2w - 2w^2 + 4w^3: the same binomials times 4^k, integers
+    assert binomial_series((1, 2), [0, 4, 0, 0]) == [1, 2, -2, 4]
 
 
 def test_sqrt_requires_unit_constant_term():
+    with pytest.raises(ValueError, match=r"f\(0\) = 0"):
+        binomial_series((1, 2), [3, 1, 1])
     with pytest.raises(ValueError, match=r"inner\(0\) = 0"):
-        binomial_series((1, 2), Series([4, 1, 1]) - 1)
+        series_power((1, 2), Series([4, 1, 1]) - 1)
 
 
 small = st.fractions(max_denominator=5, min_value=Fraction(-5), max_value=Fraction(5))
@@ -34,7 +39,7 @@ small = st.fractions(max_denominator=5, min_value=Fraction(-5), max_value=Fracti
 @given(st.lists(small, min_size=5, max_size=9))
 def test_sqrt_round_trip(tail):
     f = series_of([1] + tail)
-    root = binomial_series((1, 2), f - 1)
+    root = series_power((1, 2), f - 1)
     assert root * root == f
 
 
@@ -108,7 +113,7 @@ def test_compose_requires_nilpotent_inner():
 def test_lagrange_invert_catalan_oracle():
     # u = w/(1-u) has [w^n] u = Catalan(n-1)
     order = 10
-    phi = binomial_series((-1, 1), Series([1, -1] + [0] * (order - 2)) - 1)  # 1/(1-z)
+    phi = series_power((-1, 1), Series([1, -1] + [0] * (order - 2)) - 1)  # 1/(1-z)
     u = lagrange_invert(phi, order)
     assert values_of(u)[1:] == [catalan(n - 1) for n in range(1, order + 1)]
     # and u really solves the fixed-point equation
@@ -122,32 +127,39 @@ def test_lagrange_invert_needs_enough_terms():
 
 
 def test_binomial_series_integer_exponent_matches_power():
-    z = Series.identity(6)
-    power = Series.constant(1, 6)
+    w = [0, 1, 0, 0, 0, 0, 0]
+    power = [1, 0, 0, 0, 0, 0, 0]
     for a in range(6):
-        assert binomial_series((a, 1), z) == power
-        power = power * (1 + z)
+        assert binomial_series((a, 1), w) == power
+        power = product(power, [1, 1, 0, 0, 0, 0, 0])
 
 
 def test_binomial_series_order_below_inner_order():
-    inner = Series([0, 1, 2, 3, 4, 5])
-    assert (binomial_series((1, 2), inner.truncated(3))
-            == binomial_series((1, 2), inner).truncated(3))
-    assert binomial_series((-1, 1), inner.truncated(0)) == Series([1])
+    inner = [0, 4, 8, 12, 16, 20]
+    assert binomial_series((1, 2), inner[:4]) == binomial_series((1, 2), inner)[:4]
+    assert binomial_series((-1, 1), inner[:1]) == [1]
 
 
 def test_binomial_series_rejects_bad_input():
     with pytest.raises(ValueError):
-        binomial_series((1, 2), Series([1, 1, 1]))  # nonzero inner(0)
+        binomial_series((1, 2), [1, 1, 1])  # nonzero f(0)
     with pytest.raises(ValueError, match="q > 0"):
-        binomial_series((1, 0), Series.identity(3))
+        binomial_series((1, 0), [0, 1, 0, 0])
     with pytest.raises(ValueError, match="q > 0"):
-        binomial_series((1, -2), Series.identity(3))
+        binomial_series((1, -2), [0, 1, 0, 0])
 
 
 def test_binomial_series_rejects_float_exponent():
     with pytest.raises(TypeError, match="float"):
-        binomial_series(0.5, Series.identity(3))
+        binomial_series(0.5, [0, 1, 0, 0])
+
+
+@pytest.mark.parametrize("f, name", [
+    ([0, 1.0, 0], "float"), ([0, Fraction(1, 2)], "Fraction"), ([0, "1"], "str"),
+])
+def test_binomial_series_takes_int_coefficients_only(f, name):
+    with pytest.raises(TypeError, match="int coefficients, not %s" % name):
+        binomial_series((1, 1), f)
 
 
 @pytest.mark.parametrize("a, name", [
@@ -157,7 +169,7 @@ def test_binomial_series_rejects_float_exponent():
 def test_binomial_series_takes_an_int_pair_only(a, name):
     # (2.0, 1) once gave Series([1, 2.0, 1.0, 0.0, 0]): a float in the numerators
     with pytest.raises(TypeError, match="int pair \\(p, q\\), not %s" % name):
-        binomial_series(a, Series.identity(4))
+        binomial_series(a, [0, 1, 0, 0, 0])
 
 
 def _binomial_naive(a, inner):
@@ -186,19 +198,52 @@ inner_tails = st.lists(st.one_of(st.just(Fraction(0)), small), max_size=12)
 def test_binomial_series_matches_power_sum(a, tail, order):
     inner = series_of([0] + tail)
     inner = inner.truncated(min(order, inner.order))
-    assert binomial_series((a.numerator, a.denominator), inner) == _binomial_naive(a, inner)
+    assert series_power((a.numerator, a.denominator), inner) == _binomial_naive(a, inner)
+
+
+ints = st.integers(min_value=-9, max_value=9)
+
+
+@given(exponents, st.lists(ints, max_size=10))
+@example(Fraction(1, 2), [1, 0, 0])
+@example(Fraction(-1, 2), [4, 4, 4])
+def test_binomial_series_is_the_oracle_power_when_integral(a, tail):
+    # the int kernel returns the oracle's coefficients when all are integers,
+    # and raises, never floors, when one is not: sqrt(1 + w) has [w^1] = 1/2
+    f = [0] + tail
+    oracle = series_power((a.numerator, a.denominator), Series(f))
+    if oracle.den == 1:
+        assert binomial_series((a.numerator, a.denominator), f) == list(oracle.nums)
+    else:
+        with pytest.raises(ArithmeticError, match="not integral at scale 1"):
+            binomial_series((a.numerator, a.denominator), f)
+
+
+@given(st.sampled_from([(1, 2), (-1, 2), (-1, 1), (3, 2), (-3, 2)]), st.lists(ints, max_size=12))
+def test_binomial_series_of_four_times_an_integral_series_is_integral(a, tail):
+    # the premise of the Lagrange route: 4^k binom(+-1/2, k) is an integer
+    f = [0] + [4 * c for c in tail]
+    assert binomial_series(a, f) == list(series_power(a, Series(f)).nums)
+
+
+@given(st.lists(ints, min_size=1, max_size=10), st.lists(ints, min_size=1, max_size=10))
+def test_product_is_the_oracle_product(a, b):
+    assert product(a, b) == list((Series(a) * Series(b)).nums) == _convolve(a, b)
+    assert product(a, b) == product(b, a)
+    assert len(product(a, b)) == min(len(a), len(b))
 
 
 def test_genfun_square_roots_match_power_sum_at_order_41():
     w = Series.identity(41)
     s_radicand = 1 + 16 * (w * w)
-    s = binomial_series((1, 2), s_radicand - 1)
+    s = series_power((1, 2), s_radicand - 1)
     assert s == _binomial_naive(Fraction(1, 2), s_radicand - 1)
     radicand = 1 + 64 * (w * w) + 16 * (w * s)
-    assert binomial_series((1, 2), radicand - 1) == _binomial_naive(Fraction(1, 2), radicand - 1)
+    assert series_power((1, 2), radicand - 1) == _binomial_naive(Fraction(1, 2), radicand - 1)
 
 
-# Fraction-only reference kernels on plain lists, sharing no code with Series.
+# Fraction-only reference kernels on plain lists, sharing no code with Series
+# or the int kernels.
 
 def _convolve(a, b):
     n = min(len(a), len(b))
@@ -231,11 +276,11 @@ def test_kernels_match_fraction_only_arithmetic(a, b, lead, exponent):
     assert values_of(product) == _convolve(a, b)
     _assert_reduced(product)
     # lead / (lead + h) = (1 + h/lead)^(-1)
-    inverse = binomial_series((-1, 1), series_of([0] + [Fraction(c) / lead for c in b[1:]]))
+    inverse = series_power((-1, 1), series_of([0] + [Fraction(c) / lead for c in b[1:]]))
     assert values_of(inverse) == [lead * c for c in reciprocal([lead] + b[1:])]
     _assert_reduced(inverse)
     inner = [0] + a[1:]
-    power = binomial_series((exponent.numerator, exponent.denominator), series_of(inner))
+    power = series_power((exponent.numerator, exponent.denominator), series_of(inner))
     assert values_of(power) == _miller(exponent, inner)
     _assert_reduced(power)
 
@@ -266,9 +311,9 @@ def test_stored_numerators_are_reduced(a, b, lead, k):
     f, g = series_of(a), series_of(b)
     unit_minus_1 = series_of([0] + [Fraction(c) / lead for c in b[1:]])
     results = [f, g, f + g, f - g, -f, f * g, k * f, f.over(k),
-               binomial_series((-1, 1), unit_minus_1),
+               series_power((-1, 1), unit_minus_1),
                f.shifted(2), f.truncated(0),
-               binomial_series((1, 2), series_of([0] + a[1:]))]
+               series_power((1, 2), series_of([0] + a[1:]))]
     for s in results:
         _assert_reduced(s)
     assert values_of(f.over(k)) == [Fraction(c) / k for c in a]
@@ -287,14 +332,14 @@ def test_make_equals_init(nums, den):
 
 @given(exponents, inner_tails, st.integers(min_value=0, max_value=12))
 def test_binomial_series_steps_divide_exactly(a, tail, order):
-    # the integrality argument of binomial_series: no step leaves a remainder,
-    # which would raise ArithmeticError here
+    # the integrality argument of series_power: no step of _scaled_power
+    # leaves a remainder, which would raise ArithmeticError here
     inner = series_of([0] + tail)
     inner = inner.truncated(min(order, inner.order))
-    power = binomial_series((a.numerator, a.denominator), inner)
+    power = series_power((a.numerator, a.denominator), inner)
     _assert_reduced(power)
     # a pair not in lowest terms only scales the integers up
-    assert power == binomial_series((3 * a.numerator, 3 * a.denominator), inner)
+    assert power == series_power((3 * a.numerator, 3 * a.denominator), inner)
 
 
 @pytest.mark.parametrize("p, q, f, d, scale", [

@@ -98,6 +98,8 @@ COMMANDS = (
     "series --order x",
     "schubert -h",
     "table --max-g 3 --routes genfun,lagrange --format csv",
+    "table --max-g 120 --routes lagrange,closed --format json",
+    "verify --suite identities --max-g 60 --format json",
 )
 
 
