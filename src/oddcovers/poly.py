@@ -12,8 +12,9 @@ A subclass that sets `_square = (var, s)`, for an `IntPoly` s free of x_var,
 is the quotient ring by x_var^2 - s: each element is its remainder, of
 degree at most 1 in x_var (Cox, Little & O'Shea, Ideals, Varieties, and
 Algorithms, ch. 2). The one reduction, `_reduced`, runs where a square can
-appear: on a constructor's dict, a product and a substitution; sums,
-negations, int coercions, derivatives and coefficients need none.
+appear: on a constructor's dict and a product, through which a substitution
+reduces too; sums, negations, int coercions, derivatives and coefficients
+need none.
 `weier.WeierExpr` reduces D^2 to the Weierstrass cubic and
 `quadratic.form_ring(d)` r^2 to d. A constant equals an int, or a constant of
 any `IntPoly` class or variable count, iff their values agree, and hashes as
@@ -24,18 +25,6 @@ import functools
 from operator import add
 
 from .ring import SparseElement
-
-# Exponent sums by hand for the variable counts the package uses: about three
-# times as fast as tuple(map(add, k, m)), which serves every other count.
-_SUMS = {
-    2: lambda k, m: (k[0] + m[0], k[1] + m[1]),
-    3: lambda k, m: (k[0] + m[0], k[1] + m[1], k[2] + m[2]),
-    4: lambda k, m: (k[0] + m[0], k[1] + m[1], k[2] + m[2], k[3] + m[3]),
-}
-
-
-def _sum_any(k, m):
-    return tuple(map(add, k, m))
 
 
 class IntPoly(SparseElement):
@@ -69,13 +58,12 @@ class IntPoly(SparseElement):
         todo = [k for k in terms if k[var] > 1]
         if not todo:
             return terms
-        plus = _SUMS.get(len(todo[0]), _sum_any)
         shifted = [(m[:var] + (-2,) + m[var + 1:], e) for m, e in square.terms.items()]
         while todo:
             k = todo.pop()
             c = terms.pop(k, 0)
             for m, e in shifted:
-                key = plus(k, m)
+                key = tuple(map(add, k, m))
                 # a key already held is already queued (or of degree <= 1)
                 if key[var] > 1 and key not in terms:
                     todo.append(key)
@@ -102,12 +90,11 @@ class IntPoly(SparseElement):
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        plus = _SUMS.get(self.n, _sum_any)
         out = {}
         other_terms = o.terms.items()
         for k, c in self.terms.items():
             for m, e in other_terms:
-                key = plus(k, m)
+                key = tuple(map(add, k, m))
                 out[key] = out.get(key, 0) + c * e
         if self._square is not None:
             out = self._reduced(out)
@@ -158,35 +145,18 @@ class IntPoly(SparseElement):
 
     def substitute(self, images):
         """The value with each x_v replaced by images[v], an int or an element
-        of this ring. An image that is the generator x_v itself stays in the
-        exponents; each power of any other image is built once."""
+        of this ring: the sum over the terms of c * prod images[v]**e."""
         images = [x if type(x) is int else self._wrap(x) for x in images]
         if len(images) != self.n or any(x is None for x in images):
             raise TypeError("substitute needs %d ints or %s values" % (self.n, type(self).__name__))
-        kept = [x is g for x, g in zip(images, type(self).variables(self.n))]
-        # int images first, so that a term stays an int as long as it can
-        moved = sorted((v for v in range(self.n) if not kept[v]),
-                       key=lambda v: type(images[v]) is not int)
-        plus = _SUMS.get(self.n, _sum_any)
-        powers = [[1] for _ in images]
-        zero = (0,) * self.n
-        out = {}
+        out = self._make(self.n, {})
         for key, c in self.terms.items():
             term = c
-            for v in moved:
-                e = key[v]
+            for x, e in zip(images, key):
                 if e:
-                    row = powers[v]
-                    while len(row) <= e:
-                        row.append(row[-1] * images[v])
-                    term = term * row[e]
-            shift = tuple(e if keep else 0 for e, keep in zip(key, kept))
-            for k, a in ({zero: term} if type(term) is int else term.terms).items():
-                k = plus(k, shift)
-                out[k] = out.get(k, 0) + a
-        if self._square is not None:
-            out = self._reduced(out)
-        return self._make(self.n, out)
+                    term = term * x ** e
+            out = out + term
+        return out
 
     def format(self, names) -> str:
         """Terms by decreasing exponents, as in 10*E1^2 + E1*E2 for names

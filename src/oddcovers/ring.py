@@ -3,11 +3,10 @@
 A subclass sets its slots past the `__setattr__` guard in its constructor and
 supplies `_wrap(other)` (the operand as an element of its own ring, or None
 when the operand is foreign), `__add__`, `__neg__`, `__mul__` and `_one()`.
-Immutability, subtraction (through the `_minus(a, b)` hook, a + (-b) unless
-a subclass overrides it) and nonnegative integer powers are derived here.
-`SparseElement` is the dict of nonzero int terms over a shared context `n`
-that `SchubertVector` (n of G(2,n)) and `poly.IntPoly` (n variables) both
-are: it supplies their construction, addition, subtraction, negation and
+Immutability, subtraction as a + (-b) and nonnegative integer powers are
+derived here. `SparseElement` is the dict of nonzero int terms over a shared
+context `n` that `SchubertVector` (n of G(2,n)) and `poly.IntPoly` (n
+variables) both are: it supplies their construction, addition, negation and
 equality. Its `_wrap` and `==` take exactly their own type, so a subclass
 that builds its results through `_make` stays closed: the quotient rings
 `weier.WeierExpr` and `quadratic.form_ring(d)` never mix with plain
@@ -23,15 +22,11 @@ class RingElement:
 
     def __sub__(self, other):
         o = self._wrap(other)
-        return NotImplemented if o is None else self._minus(self, o)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
         o = self._wrap(other)
-        return NotImplemented if o is None else self._minus(o, self)
-
-    def _minus(self, a, b):
-        """a - b for a and b of this element's ring."""
-        return a + (-b)
+        return NotImplemented if o is None else o + (-self)
 
     def __pow__(self, n: int):
         """Binary square-and-multiply (Knuth, TAOCP vol. 2, section 4.6.3)."""
@@ -87,13 +82,6 @@ class SparseElement(RingElement):
         return self._make(self.n, terms)
 
     __radd__ = __add__
-
-    def _minus(self, a, b):
-        """a - b with one dict copy."""
-        terms = dict(a.terms)
-        for k, c in b.terms.items():
-            terms[k] = terms.get(k, 0) - c
-        return self._make(self.n, terms)
 
     def __neg__(self):
         return self._make(self.n, {k: -c for k, c in self.terms.items()})

@@ -381,6 +381,8 @@ def test_verify_reports_a_failed_assertion_and_keeps_going(capsys, monkeypatch):
     ["table", "--max-g", str(sys.maxsize // 2 - 1), "--routes", "lagrange"],
     ["table", "--max-g", str(sys.maxsize // 2 - 1), "--routes", "closed"],
     ["table", "--max-g", str(sys.maxsize // 2 - 1), "--routes", "coeff_form"],
+    ["verify", "--suite", "identities", "--max-g", str(sys.maxsize // 2 - 1)],
+    ["verify", "--max-g", str(sys.maxsize // 2 - 1)],
 ])
 def test_a_size_that_cannot_be_allocated_is_a_resource_exit(capsys, argv):
     # each passes the sys.maxsize bound, and its first list asks for more
@@ -470,55 +472,6 @@ def test_the_program_entry_freezes_the_collector_after_the_command(capsys, argv)
     assert int(freeze) > 0
 
 
-# Run in a fresh interpreter: the modules loaded by `import oddcovers.cli`
-# alone, measured against what the interpreter had loaded before it, and the
-# public names of the package once the CLI is loaded. Each probe snapshots
-# `sys.modules` before it imports anything and prints with `repr`, so what the
-# CLI loads, `json` included, is all that it sees.
-IMPORT_PROBE = """
-import sys
-before = set(sys.modules)
-import oddcovers, oddcovers.cli
-print(repr({
-    "added": sorted(set(sys.modules) - before),
-    "non_modules": sorted(name for name, value in vars(oddcovers).items()
-                          if not name.startswith("_")
-                          and not isinstance(value, type(sys))),
-}))
-"""
-
-
-def test_cli_import_pulls_in_no_dataclasses_and_the_package_exports_only_modules():
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    probe = ast.literal_eval(done.stdout)
-    assert "oddcovers.cli" in probe["added"]
-    assert "dataclasses" not in probe["added"]
-    assert "inspect" not in probe["added"]
-    assert probe["non_modules"] == []
-
-
-# The verify stack: what only `verify` needs, and `csv`, which only --format
-# csv needs.
-VERIFY_STACK = ("oddcovers.checks", "oddcovers.covers", "oddcovers.weier",
-                "oddcovers.ratmap", "oddcovers.poly", "oddcovers.quadratic", "csv")
-
-# Run in a fresh interpreter: the modules one `cli.main(argv)` call adds to
-# what the interpreter had loaded before `oddcovers`, and its exit code.
-COMMAND_PROBE = """
-import sys
-before = set(sys.modules)
-import io  # loaded with the interpreter's own streams, so it adds nothing
-from oddcovers import cli
-sys.stdout, stdout = io.StringIO(), sys.stdout
-code = cli.main(sys.argv[1:])
-sys.stdout = stdout
-print(repr({"code": code, "added": sorted(set(sys.modules) - before)}))
-"""
-
 # Run in a fresh interpreter: what `oddcovers.<name>` gives once the CLI is
 # loaded, for two layers the CLI does not import, a name that is no
 # submodule, and a submodule that fails to import a module of its own.
@@ -552,61 +505,6 @@ def _probe(script, *args):
     return ast.literal_eval(done.stdout)
 
 
-@pytest.mark.parametrize("argv", [
-    ["table", "--max-g", "4", "--routes", "closed,coeff_form,schubert,genfun,lagrange"],
-    ["series", "--order", "11"],
-    ["schubert", "--g", "3"],
-])
-def test_table_series_and_schubert_leave_the_verify_stack_unloaded(argv):
-    probe = _probe(COMMAND_PROBE, *argv)
-    assert probe["code"] == 0
-    # each handler lives with what it runs, so only `table` loads the routes
-    assert ("oddcovers.routes" in probe["added"]) is (argv[0] == "table")
-    assert [name for name in VERIFY_STACK if name in probe["added"]] == []
-
-
-@pytest.mark.parametrize("argv, loads_schubert", [
-    (["table", "--max-g", "4", "--routes", "closed,coeff_form,genfun,lagrange"], False),
-    (["series", "--order", "11"], False),
-    (["table", "--max-g", "4", "--routes", "closed,schubert"], True),
-    (["schubert", "--g", "3"], True),
-])
-def test_only_the_schubert_route_and_command_load_schubert(argv, loads_schubert):
-    probe = _probe(COMMAND_PROBE, *argv)
-    assert probe["code"] == 0
-    assert ("oddcovers.routes" in probe["added"]) is (argv[0] == "table")
-    assert ("oddcovers.schubert" in probe["added"]) is loads_schubert
-
-
-@pytest.mark.parametrize("argv", [
-    ["table", "--max-g", "4", "--routes", "closed,coeff_form,schubert,genfun,lagrange"],
-    ["series", "--order", "11"],
-    ["schubert", "--g", "3"],
-    ["verify", "--suite", "all", "--max-g", "5"],
-])
-def test_table_series_and_schubert_load_no_rational_number_modules(argv):
-    # the series kernels run on int numerators, and every certified fact of
-    # verify on ints or Z[sqrt d], so no Fraction is ever built
-    probe = _probe(COMMAND_PROBE, *argv)
-    assert probe["code"] == 0
-    assert [name for name in ("fractions", "decimal", "numbers")
-            if name in probe["added"]] == []
-
-
-def test_cli_import_loads_no_series():
-    probe = _probe(IMPORT_PROBE)
-    assert "oddcovers.routes" not in probe["added"]
-    assert "oddcovers.series" not in probe["added"]
-
-
-def test_cli_import_loads_no_ring():
-    # the CLI is the front end alone: it imports each handler when it runs
-    probe = _probe(IMPORT_PROBE)
-    assert "oddcovers.ring" not in probe["added"]
-    assert [m for m in probe["added"] if m.startswith("oddcovers")] == [
-        "oddcovers", "oddcovers.cli"]
-
-
 def test_cli_imports_no_package_module_when_it_loads():
     # every import of `cli` at module level is of the standard library; a
     # package module is imported inside a function, on the branch that runs it
@@ -615,115 +513,78 @@ def test_cli_imports_no_package_module_when_it_loads():
     assert [alias.name for node in top for alias in node.names] == ["sys", "types"]
 
 
-# The package modules a `series` and a `schubert` job load, in sorted order.
-JOB_MODULES = {
-    "series": ["oddcovers", "oddcovers.cli", "oddcovers.combinat", "oddcovers.genfun"],
-    "schubert": ["oddcovers", "oddcovers.cli", "oddcovers.ring", "oddcovers.schubert"],
-}
+# Run in a fresh interpreter: `import NAME`, or one `cli.main(argv)` call with
+# its stdout captured, and what it adds to the modules the interpreter had
+# loaded before, its exit code and the public names of the package that are
+# not modules. The snapshot comes before anything is imported, and the result
+# is printed with `repr`, so all that the job loads, `json` included, shows.
+GRAPH_PROBE = """
+import sys
+before = set(sys.modules)
+import io  # loaded with the interpreter's own streams, so it adds nothing
+if sys.argv[1] == "import":
+    __import__(sys.argv[2])
+    code = 0
+else:
+    from oddcovers import cli
+    sys.stdout, stdout = io.StringIO(), sys.stdout
+    code = cli.main(sys.argv[1:])
+    sys.stdout = stdout
+import oddcovers
+print(repr({
+    "code": code,
+    "added": sorted(set(sys.modules) - before),
+    "non_modules": sorted(name for name, value in vars(oddcovers).items()
+                          if not name.startswith("_") and not isinstance(value, type(sys))),
+}))
+"""
+
+# The import graph: each job, its exit code and the package modules it adds
+# besides `oddcovers` itself. `cli` imports each handler with the code it
+# runs; only `lagrange` runs the series kernels; `ring` comes only with
+# `schubert` or `verify`; only `verify` loads `checks` and the certification
+# layers; only `--format csv` compiles `cli_extra` (and loads `csv`).
+IMPORT_GRAPH = [
+    ("import oddcovers.cli", 0, "cli"),
+    ("import oddcovers.schubert", 0, "ring schubert"),
+    ("table --max-g 4 --routes closed", 0, "cli combinat routes"),
+    ("table --max-g 4 --routes coeff_form --format json", 0, "cli combinat routes"),
+    ("table --max-g 4 --routes genfun", 0, "cli combinat genfun routes"),
+    ("table --max-g 16 --routes lagrange", 0, "cli combinat routes series"),
+    ("table --max-g 16 --routes lagrange --format json", 0, "cli combinat routes series"),
+    ("table --max-g 4 --routes closed,schubert", 0, "cli combinat ring routes schubert"),
+    ("table --max-g 4 --routes closed,coeff_form,schubert,genfun,lagrange --format csv", 0,
+     "cli cli_extra combinat genfun ring routes schubert series"),
+    ("series --order 101 --format json", 0, "cli combinat genfun"),
+    ("series --order 11 --format csv", 0, "cli cli_extra combinat genfun"),
+    ("schubert --g 3 --n4 -2", 0, "cli ring schubert"),
+    ("verify --suite covers --max-g 5 --format csv", 0,
+     "checks cli cli_extra combinat covers poly quadratic ratmap ring routes schubert weier"),
+    ("verify --suite identities --max-g 5", 0,
+     "checks cli combinat covers genfun poly quadratic ratmap ring routes schubert series weier"),
+    ("verify --suite all --max-g 5 --format json", 0,
+     "checks cli combinat covers genfun poly quadratic ratmap ring routes schubert series weier"),
+]
+
+# Loaded by no row: the JSON writer is `cli`'s own, well-formed command lines
+# skip argparse (and the gettext and locale it loads), everything is computed
+# in ints or Z[sqrt d], and no class is a dataclass.
+NEVER_LOADED = ("_json", "argparse", "gettext", "locale", "fractions", "decimal",
+                "numbers", "dataclasses", "inspect")
 
 
-@pytest.mark.parametrize("argv", [
-    ["series", "--order", "101"],
-    ["series", "--order", "101", "--format", "json"],
-    ["schubert", "--g", "3"],
-    ["schubert", "--g", "3", "--format", "json"],
-])
-def test_series_and_schubert_jobs_load_their_own_modules_alone(argv):
-    # the handler sits in the module it runs, so neither job loads `routes`; a
-    # series job steps plain ints, so it loads no `series` and no `ring`
-    probe = _probe(COMMAND_PROBE, *argv)
-    assert probe["code"] == 0
-    assert [m for m in probe["added"] if m.startswith("oddcovers")] == JOB_MODULES[argv[0]]
-
-
-@pytest.mark.parametrize("argv, loads_series", [
-    (["table", "--max-g", "4", "--routes", "closed,schubert"], False),
-    (["table", "--max-g", "4", "--routes", "closed"], False),
-    (["schubert", "--g", "3"], False),
-    (["table", "--max-g", "4", "--routes", "closed,coeff_form"], False),
-    (["table", "--max-g", "4", "--routes", "genfun"], False),
-    (["table", "--max-g", "4", "--routes", "lagrange"], True),
-    (["series", "--order", "11"], False),
-    (["verify", "--suite", "identities", "--max-g", "5"], True),
-])
-def test_only_series_work_loads_series(argv, loads_series):
-    # closed, coeff_form, genfun and schubert compute on ints and Schubert
-    # classes alone; only lagrange runs the integer series kernels
-    probe = _probe(COMMAND_PROBE, *argv)
-    assert probe["code"] == 0
-    assert ("oddcovers.series" in probe["added"]) is loads_series
-
-
-def test_coeff_form_loads_no_ring():
-    # the coefficient route steps its own ints, so not even the ring layer loads
-    probe = _probe(COMMAND_PROBE, "table", "--max-g", "4", "--routes", "coeff_form")
-    assert probe["code"] == 0
-    assert "oddcovers.ring" not in probe["added"]
-
-
-def test_the_lagrange_route_loads_its_kernels_and_no_ring():
-    # the Lagrange route steps plain int lists, so no ring class is compiled
-    for fmt in ("text", "json"):
-        probe = _probe(COMMAND_PROBE, "table", "--max-g", "16", "--routes", "lagrange",
-                       "--format", fmt)
-        assert probe["code"] == 0
-        assert [m for m in probe["added"] if m.startswith("oddcovers")] == [
-            "oddcovers", "oddcovers.cli", "oddcovers.combinat", "oddcovers.routes",
-            "oddcovers.series"]
-
-
-def test_the_genfun_route_loads_neither_series_nor_ring():
-    # the recurrence steps plain ints, like the coefficient route
-    probe = _probe(COMMAND_PROBE, "table", "--max-g", "4", "--routes", "genfun")
-    assert probe["code"] == 0
-    assert [m for m in ("oddcovers.series", "oddcovers.ring") if m in probe["added"]] == []
-    assert "oddcovers.genfun" in probe["added"]
-
-
-def test_schubert_stands_on_ring_alone():
-    probe = _probe("import sys, oddcovers.schubert; print(repr("
-                   "sorted(m for m in sys.modules if m.startswith('oddcovers'))))")
-    assert probe == ["oddcovers", "oddcovers.ring", "oddcovers.schubert"]
-
-
-@pytest.mark.parametrize("argv", [
-    ["table", "--max-g", "16", "--routes", "closed,coeff_form,genfun,lagrange",
-     "--format", "json"],
-    ["series", "--order", "101", "--format", "json"],
-    ["verify", "--suite", "all", "--max-g", "5", "--format", "json"],
-    ["schubert", "--g", "3", "--n4", "-2"],
-])
-def test_well_formed_jobs_load_no_argparse(argv):
-    probe = _probe(COMMAND_PROBE, *argv)
-    assert probe["code"] == 0
-    assert [name for name in ("argparse", "gettext", "locale")
-            if name in probe["added"]] == []
-
-
-JSON_MODULES = ("json", "json.decoder", "json.scanner", "json.encoder", "_json")
-
-
-@pytest.mark.parametrize("command", [
-    ["table", "--max-g", "4", "--routes", "closed,coeff_form,schubert,genfun,lagrange"],
-    ["series", "--order", "11"],
-    ["verify", "--suite", "identities", "--max-g", "5"],
-    ["schubert", "--g", "3"],
-])
-@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-def test_no_well_formed_job_loads_json(command, fmt):
-    # cli writes its JSON itself, so the payload needs no json package
-    probe = _probe(COMMAND_PROBE, *command, "--format", fmt)
-    assert probe["code"] == 0
-    assert [name for name in JSON_MODULES if name in probe["added"]] == []
-
-
-def test_a_json_table_job_loads_no_checks_and_no_cli_extra():
-    probe = _probe(COMMAND_PROBE, "table", "--max-g", "16", "--routes",
-                   "closed,coeff_form,genfun,lagrange", "--format", "json")
-    assert probe["code"] == 0
-    assert "oddcovers.cli" in probe["added"]
-    assert [name for name in ("oddcovers.checks", "oddcovers.cli_extra")
-            if name in probe["added"]] == []
+@pytest.mark.parametrize("job, code, modules", IMPORT_GRAPH, ids=[row[0] for row in IMPORT_GRAPH])
+def test_each_job_loads_exactly_its_import_graph_row(job, code, modules):
+    argv = job.split()
+    probe = _probe(GRAPH_PROBE, *argv)
+    added = probe["added"]
+    assert probe["code"] == code
+    assert [m for m in added if m.startswith("oddcovers")] == sorted(
+        ["oddcovers"] + ["oddcovers." + name for name in modules.split()])
+    unwanted = [m for m in added if m in NEVER_LOADED or m.split(".")[0] == "json"]
+    assert unwanted == [], "loads " + ", ".join(unwanted)
+    assert ("csv" in added) is (argv[-2:] == ["--format", "csv"])
+    assert probe["non_modules"] == []
 
 
 # Text that reaches every branch of the string writer: the two-character
@@ -755,12 +616,6 @@ def test_the_json_writer_refuses_other_types(value):
         cli._json(value)
 
 
-def test_cli_import_loads_no_argparse():
-    probe = _probe(IMPORT_PROBE)
-    assert [name for name in ("argparse", "gettext", "locale")
-            if name in probe["added"]] == []
-
-
 def test_a_usage_error_still_goes_through_argparse():
     src = str(Path(cli.__file__).resolve().parent.parent)
     script = ("import sys\nfrom oddcovers import cli\ntry:\n    cli.main(sys.argv[1:])\n"
@@ -771,18 +626,6 @@ def test_a_usage_error_still_goes_through_argparse():
     assert done.returncode == 2
     assert done.stdout == "True\n"
     assert "invalid choice: 'bogus'" in done.stderr
-
-
-def test_verify_loads_the_verify_stack():
-    probe = _probe(COMMAND_PROBE, "verify", "--suite", "covers", "--max-g", "5",
-                   "--format", "csv")
-    assert probe["code"] == 0
-    assert [name for name in VERIFY_STACK if name not in probe["added"]] == []
-    # `genfun` comes only with route_agreement, which the identities suite runs
-    assert "oddcovers.genfun" not in probe["added"]
-    probe = _probe(COMMAND_PROBE, "verify", "--suite", "identities", "--max-g", "5")
-    assert probe["code"] == 0
-    assert "oddcovers.genfun" in probe["added"]
 
 
 def test_package_imports_a_layer_on_first_attribute_access(tmp_path):

@@ -135,6 +135,44 @@ def test_int_poly_exponents_must_be_ints(inexact):
     assert IntPoly(2, {(1, 0): 3}) == IntPoly.variables(2)[0] * 3
 
 
+
+def _elements(cls, n, top):
+    """Elements of `cls` in n variables, with exponents up to top[v] before
+    the constructor reduces them."""
+    keys = st.tuples(*(st.integers(min_value=0, max_value=e) for e in top))
+    return st.dictionaries(keys, st.integers(min_value=-4, max_value=4),
+                           max_size=4).map(lambda terms: cls(n, terms))
+
+
+# (ring, n, exponent bounds, the variable whose image is itself): r in
+# Z[x, z, r]/(r^2 - d) stays r, and any images of x and z give a ring map
+@pytest.mark.parametrize("cls, n, top, kept", [
+    (IntPoly, 2, (2, 2), None),
+    (IntPoly, 3, (2, 1, 2), None),
+    (form_ring(3), 3, (2, 2, 3), 2),
+    (form_ring(-3), 3, (2, 2, 3), 2),
+], ids=["IntPoly2", "IntPoly3", "QuadForm_3", "QuadForm_-3"])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_substitute_is_a_ring_map(cls, n, top, kept, data):
+    elements = _elements(cls, n, top)
+    a, b = data.draw(elements), data.draw(elements)
+    gens = cls.variables(n)
+    images = tuple(gens[v] if v == kept
+                   else data.draw(st.one_of(st.integers(min_value=-3, max_value=3), elements))
+                   for v in range(n))
+    for op in (operator.add, operator.mul):
+        assert op(a, b).substitute(images) == op(a.substitute(images), b.substitute(images))
+    assert a.substitute(gens) == a
+
+
+# D^2 reduces by a cubic in P, E1 and E2, so only the identity images give a
+# ring map of Z[P, E1, E2, D]/(D^2 - CUBIC)
+@given(_elements(WeierExpr, 4, (2, 1, 1, 3)))
+def test_substituting_the_generators_gives_a_weier_expr_back(a):
+    assert a.substitute(WeierExpr.variables(4)) == a
+
+
 # Fraction-only reference arithmetic on tuples of (a, b) pairs, a + b*sqrt(D),
 # sharing no code with Poly or QuadScalar.
 

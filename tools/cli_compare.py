@@ -100,6 +100,11 @@ COMMANDS = (
     "table --max-g 3 --routes genfun,lagrange --format csv",
     "table --max-g 120 --routes lagrange,closed --format json",
     "verify --suite identities --max-g 60 --format json",
+    # suites that ignore --max-g run to the end at a size the identities
+    # suite cannot allocate
+    "verify --suite covers --max-g 4611686018427387902",
+    "verify --suite weierstrass --max-g 4611686018427387902 --format json",
+    "verify --suite schubert --max-g 4611686018427387902",
 )
 
 
