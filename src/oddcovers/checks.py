@@ -1,14 +1,15 @@
 """The checks `verify` runs, by suite, with the identity checks only they use,
 and the `verify` command (`cmd_verify`). Only `verify` and the acceptance gate
 import this module, so no other command loads `covers`, `weier` and the `poly`,
-`ratmap` and `quadratic` layers under them. Each check reads its value off the
+`ratmap` and `quadratic` layers under them; the Schubert suite shares
+`sigma12` with the `schubert` command. Each check reads its value off the
 one function computing it; the three map checks of `covers` state points and only multiply."""
 
 import sys
 from collections import namedtuple
 from math import comb
 
-from . import covers, routes, schubert, weier
+from . import covers, routes, schubert, sigma12, weier
 from .combinat import binom_ratio, catalan
 
 # One certified fact; `run(max_g)` returns (passed, detail). `max_g` is the
@@ -151,7 +152,7 @@ CHECKS = (
     Check("schubert", "sigma12_vs_alternating_sum",
           "sigma_1^(2m) sigma_2^(2g-m) = sum_i (-1)^i C(2g-m,i) Cat(2g-i) "
           "in G(2,2g+2) for g <= 8, 0 <= m <= 2g",
-          lambda max_g: (schubert.sigma12_rows(range(9)) == [
+          lambda max_g: (sigma12.sigma12_rows(range(9)) == [
               [catalan_alternating_sum(g, m) for m in range(2 * g + 1)]
               for g in range(9)], "")),
     Check("schubert", "grassmannian_degree",

@@ -10,7 +10,7 @@ well-formed command lines, its own JSON writer and the one emission point. It
 imports no computing module. Each command's handler lives with the code it
 runs and is imported only when that command runs: `table`'s from `routes`,
 `series`'s from `genfun`, `verify`'s from `checks` and `schubert`'s from
-`schubert`. A handler returns (text, payload, exit code), a refusal with
+`sigma12`. A handler returns (text, payload, exit code), a refusal with
 payload None. CSV output and argparse, for help and usage errors, come from
 `cli_extra` only on those branches.
 """
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             from .checks import cmd_verify as handler
         else:
-            from .schubert import cmd_schubert as handler
+            from .sigma12 import cmd_schubert as handler
         try:
             text, payload, code = handler(args)
             return _refuse(text, code) if payload is None else _emit(args, text, payload, code)

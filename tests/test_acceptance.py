@@ -11,7 +11,7 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the lines.
 
 import time
 
-from oddcovers import checks, routes
+from oddcovers import checks, routes, series
 
 from growth_oracles import growth_report
 
@@ -64,7 +64,7 @@ def test_criterion_5_lagrange_contract():
     # lagrange_pipeline raises if u = w phi(u), 256 w^2 (1+u/2) = u^2, or the
     # match with the independent expansion fails; order 41 covers w^40
     try:
-        u, big_f = routes.lagrange_pipeline(41)
+        u, big_f = series.lagrange_pipeline(41)
         ok = len(u) == 42 and len(big_f) == 42
     except AssertionError:
         ok = False

@@ -1,6 +1,7 @@
 import ast
 import csv
 import gc
+import importlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from oddcovers import cli, cli_extra, genfun, routes
+from oddcovers import cli, cli_extra, genfun, routes, series
 
 from series_oracles import alt_catalan_closed
 
@@ -335,7 +336,7 @@ def _raises(error):
 
 
 def test_verify_reports_a_check_that_raises_and_keeps_going(capsys, monkeypatch):
-    monkeypatch.setattr(routes, "lagrange_pipeline",
+    monkeypatch.setattr(series, "lagrange_pipeline",
                         _raises(ArithmeticError("binomial step 3 is not integral at scale 4")))
     code, out = run(capsys, "verify", "--suite", "all", "--max-g", "5")
     assert code == 1
@@ -353,17 +354,17 @@ def test_verify_reports_a_check_that_raises_and_keeps_going(capsys, monkeypatch)
 def test_verify_lets_memory_errors_and_interrupts_through(capsys, monkeypatch):
     # a MemoryError inside a check stays the resource exit; an interrupt is no
     # failed check and reaches the caller
-    monkeypatch.setattr(routes, "lagrange_pipeline", _raises(MemoryError()))
+    monkeypatch.setattr(series, "lagrange_pipeline", _raises(MemoryError()))
     code = cli.main(["verify", "--suite", "identities", "--max-g", "5"])
     assert (code, capsys.readouterr()) == (3, ("", "verify: the requested size needs "
                                                "more memory than can be allocated\n"))
-    monkeypatch.setattr(routes, "lagrange_pipeline", _raises(KeyboardInterrupt()))
+    monkeypatch.setattr(series, "lagrange_pipeline", _raises(KeyboardInterrupt()))
     with pytest.raises(KeyboardInterrupt):
         cli.main(["verify", "--suite", "identities", "--max-g", "5"])
 
 
 def test_verify_reports_a_failed_assertion_and_keeps_going(capsys, monkeypatch):
-    monkeypatch.setattr(routes, "lagrange_pipeline",
+    monkeypatch.setattr(series, "lagrange_pipeline",
                         _raises(AssertionError("u = w*phi(u) violated")))
     code, out = run(capsys, "verify", "--suite", "identities")
     assert code == 1
@@ -542,8 +543,9 @@ print(repr({
 # The import graph: each job, its exit code and the package modules it adds
 # besides `oddcovers` itself. `cli` imports each handler with the code it
 # runs; only `lagrange` runs the series kernels; `ring` comes only with
-# `schubert` or `verify`; only `verify` loads `checks` and the certification
-# layers; only `--format csv` compiles `cli_extra` (and loads `csv`).
+# `schubert` or `verify`; only the `schubert` command and `verify` load
+# `sigma12`; only `verify` loads `checks` and the certification layers; only
+# `--format csv` compiles `cli_extra` (and loads `csv`).
 IMPORT_GRAPH = [
     ("import oddcovers.cli", 0, "cli"),
     ("import oddcovers.schubert", 0, "ring schubert"),
@@ -557,13 +559,16 @@ IMPORT_GRAPH = [
      "cli cli_extra combinat genfun ring routes schubert series"),
     ("series --order 101 --format json", 0, "cli combinat genfun"),
     ("series --order 11 --format csv", 0, "cli cli_extra combinat genfun"),
-    ("schubert --g 3 --n4 -2", 0, "cli ring schubert"),
+    ("schubert --g 3 --n4 -2", 0, "cli ring schubert sigma12"),
     ("verify --suite covers --max-g 5 --format csv", 0,
-     "checks cli cli_extra combinat covers poly quadratic ratmap ring routes schubert weier"),
+     "checks cli cli_extra combinat covers poly quadratic ratmap ring routes schubert sigma12 "
+     "weier"),
     ("verify --suite identities --max-g 5", 0,
-     "checks cli combinat covers genfun poly quadratic ratmap ring routes schubert series weier"),
+     "checks cli combinat covers genfun poly quadratic ratmap ring routes schubert series "
+     "sigma12 weier"),
     ("verify --suite all --max-g 5 --format json", 0,
-     "checks cli combinat covers genfun poly quadratic ratmap ring routes schubert series weier"),
+     "checks cli combinat covers genfun poly quadratic ratmap ring routes schubert series "
+     "sigma12 weier"),
 ]
 
 # Loaded by no row: the JSON writer is `cli`'s own, well-formed command lines
@@ -585,6 +590,19 @@ def test_each_job_loads_exactly_its_import_graph_row(job, code, modules):
     assert unwanted == [], "loads " + ", ".join(unwanted)
     assert ("csv" in added) is (argv[-2:] == ["--format", "csv"])
     assert probe["non_modules"] == []
+
+
+def test_a_schubert_table_job_compiles_no_lagrange_route_and_no_schubert_command():
+    # the argv of the `schubert_deep` benchmark workload: every module it loads
+    # is read for the four definitions, which do exist in the package
+    unused = {"lagrange_pipeline", "fmod_series", "sigma12_rows", "cmd_schubert"}
+    assert unused <= set(vars(series)) | set(vars(importlib.import_module("oddcovers.sigma12")))
+    probe = _probe(GRAPH_PROBE, "table", "--max-g", "50", "--routes", "closed,schubert",
+                   "--cap", "50", "--format", "json")
+    assert probe["code"] == 0
+    loaded = [importlib.import_module(m) for m in probe["added"] if m.startswith("oddcovers.")]
+    assert {"oddcovers.routes", "oddcovers.schubert"} <= {m.__name__ for m in loaded}
+    assert {name for module in loaded for name in vars(module)} & unused == set()
 
 
 # Text that reaches every branch of the string writer: the two-character

@@ -10,8 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from oddcovers import checks, genfun, routes
-from oddcovers.combinat import binom_ratio
+from oddcovers import checks, genfun, routes, series
 from oddcovers.schubert import SchubertVector, top_power_prefix
 
 from growth_oracles import RATIO_BOUND, ROOT_WINDOW_START, growth_report
@@ -124,7 +123,7 @@ def test_genfun_and_lagrange_series_are_integral():
     assert genfun_wform(201).den == 1
     # and the Lagrange route's: u and every power it takes of u are integral,
     # and only f = F/8 has a denominator; each kernel raises on a remainder
-    u, big_f = routes.lagrange_pipeline(81)
+    u, big_f = series.lagrange_pipeline(81)
     assert all(type(c) is int for c in u + big_f)
     assert series_of(big_f).over(8).den == 8
     # v_2(u_n) >= n + 3 - log_2 n >= 4, so u = 16x with x integral: with
@@ -134,14 +133,15 @@ def test_genfun_and_lagrange_series_are_integral():
                for n, c in enumerate(u[1:], 1))
 
 
-def _off_by_one(monkeypatch, route, num, den, module=routes):
-    """Make module._integer see num + 1 for the one division (route, num, den),
-    and return the list of every (route, num, den) it is asked to divide."""
+def _off_by_one(monkeypatch, route, num, den, module=routes, by=1):
+    """Make module._integer see num + by (default 1) for the one division
+    (route, num, den), and return the list of every (route, num, den) it is
+    asked to divide."""
     real, seen = module._integer, []
 
     def wrapped(n, d, r):
         seen.append((r, n, d))
-        return real(n + 1 if (r, n, d) == (route, num, den) else n, d, r)
+        return real(n + by if (r, n, d) == (route, num, den) else n, d, r)
     monkeypatch.setattr(module, "_integer", wrapped)
     return seen
 
@@ -208,8 +208,8 @@ LAGRANGE_DEFECTS = [
                  id="miller-factor-plus-1"),
     pytest.param("series.py", "for j in range(n - i):", "for j in range(n - i - 1):",
                  id="product-window-short-by-1"),
-    pytest.param("routes.py", "alg = [256 * c", "alg = [255 * c", id="algebraic-256-255"),
-    pytest.param("routes.py", "sixteen_w2 = [16 *", "sixteen_w2 = [15 *", id="fmod-16-15"),
+    pytest.param("series.py", "alg = [256 * c", "alg = [255 * c", id="algebraic-256-255"),
+    pytest.param("series.py", "sixteen_w2 = [16 *", "sixteen_w2 = [15 *", id="fmod-16-15"),
 ]
 
 
@@ -259,7 +259,7 @@ def test_a_bad_closed_step_fails_route_agreement(monkeypatch):
 
 def test_lagrange_pipeline_matches_closed():
     order = 41
-    u, big_f = routes.lagrange_pipeline(order)
+    u, big_f = series.lagrange_pipeline(order)
     assert big_f[:8] == [8 * c for c in F_COEFFS]
     for g in range(20 + 1):
         assert big_f[2 * g + 1] == 8 * alt_catalan_closed(g)
@@ -280,37 +280,42 @@ def test_lagrange_pipeline_matches_generic_inversion_at_order_41():
     u = lagrange_invert(phi, order)
     f = compose(psi, u) * series_of(reciprocal(values_of(
         1 - compose(derivative(phi), u).shifted(1))))
-    new_u, big_f = routes.lagrange_pipeline(order)
+    new_u, big_f = series.lagrange_pipeline(order)
     assert (series_of(new_u), series_of(big_f)) == (u, 8 * f)
 
 
-def _perturbed_binom_ratio(by):
-    # binom(5/2, 4) + by, as the ratio (num + by * den) / den
-    def perturbed(p, q, k):
-        num, den = binom_ratio(p, q, k)
-        return (num + by * den, den) if (p, q, k) == (5, 2, 4) else (num, den)
-    return perturbed
+def test_lagrange_pipeline_steps_u_through_integer(monkeypatch):
+    # u_n = 16(4-n) u_(n-2) / (n-1) from u_1 = 16, u_2 = 64, then one halving
+    # of each coefficient, and nothing else
+    seen = _off_by_one(monkeypatch, None, None, None, series)
+    u, _ = series.lagrange_pipeline(7)
+    assert u == [0, 16, 64, 128, 0, -512, 0, 4096]
+    assert seen == [("lagrange", 16 * (4 - n) * u[n - 2], n - 1) for n in range(3, 8)] + [
+        ("lagrange", c, 2) for c in u]
 
 
 def test_lagrange_pipeline_rejects_perturbed_inversion_coefficient(monkeypatch):
-    # + 5 keeps [w^5] u = 2^16 binom(5/2, 4) / 5 an integer, so the relation
-    # u = w phi(u) is what catches it
-    monkeypatch.setattr(routes, "binom_ratio", _perturbed_binom_ratio(5))
+    # the step to [w^5] u = 16(4-5)·128/4 = -512, read with + 64, gives -496:
+    # u stays 16 times an integral series, so every kernel divides exactly and
+    # the relation u = w phi(u) is what catches it
+    seen = _off_by_one(monkeypatch, "lagrange", -2048, 4, series, by=64)
     with pytest.raises(AssertionError, match=r"u = w\*phi\(u\) violated"):
-        routes.lagrange_pipeline(11)
+        series.lagrange_pipeline(11)
+    assert seen.count(("lagrange", -2048, 4)) == 1
 
 
 def test_lagrange_pipeline_refuses_a_non_integral_inversion_coefficient(monkeypatch):
-    # + 1 makes [w^5] u = -512 + 2^16/5 = 62976/5, which _integer refuses
-    monkeypatch.setattr(routes, "binom_ratio", _perturbed_binom_ratio(1))
-    with pytest.raises(AssertionError, match="lagrange route produced a non-integer: 62976/5"):
-        routes.lagrange_pipeline(11)
+    # + 1 makes [w^5] u = -2047/4, which _integer refuses
+    seen = _off_by_one(monkeypatch, "lagrange", -2048, 4, series)
+    with pytest.raises(AssertionError, match="lagrange route produced a non-integer: -2047/4$"):
+        series.lagrange_pipeline(11)
+    assert seen.count(("lagrange", -2048, 4)) == 1
 
 
 def test_lagrange_pipeline_contracts_run_to_order_41():
     # the pipeline itself raises if u = w phi(u), the algebraic relation of u,
     # or agreement with the independent closed-form expansion fails
-    routes.lagrange_pipeline(41)
+    series.lagrange_pipeline(41)
 
 
 def test_binomial_identity_full_window():
@@ -388,11 +393,14 @@ def test_routes_share_only_the_allowlisted_code():
         assert ("routes", "route_prefix") in reach[route]
     for first, second in combinations(routes.ROUTES, 2):
         assert reach[first] & reach[second] <= ANY_PAIR, (first, second)
-    # the integer series kernels serve the Lagrange route alone
+    # the integer series kernels and the pipeline on them serve the Lagrange
+    # route alone, which reaches nothing in `routes` but the dispatcher
     assert {route for route in routes.ROUTES
             if any(module == "series" for module, _ in reach[route])} == {"lagrange"}
     assert {owner for module, owner in reach["lagrange"] if module == "series"} == {
-        "_scaled_power", "binomial_series", "product"}
+        "_scaled_power", "binomial_series", "product", "fmod_series", "lagrange_pipeline"}
+    assert {owner for module, owner in reach["lagrange"] if module == "routes"} == {
+        "route_prefix"}
 
 
 def _half_at_top(order):
@@ -404,7 +412,7 @@ def _half_at_top(order):
     ("lagrange", "lagrange_pipeline", lambda order: (None, _half_at_top(order))),
 ])
 def test_route_prefix_rejects_non_integer(monkeypatch, route, name, fake):
-    monkeypatch.setattr(routes, name, fake)
+    monkeypatch.setattr(series, name, fake)
     with pytest.raises(AssertionError, match="%s route produced a non-integer: 1/2" % route):
         routes.route_prefix(route, 3)
 
@@ -445,7 +453,7 @@ def _half_at_g2(order):
     ("lagrange", "lagrange_pipeline", lambda order: (None, _half_at_g2(order))),
 ])
 def test_route_prefix_checks_every_coefficient(monkeypatch, route, name, fake):
-    monkeypatch.setattr(routes, name, fake)
+    monkeypatch.setattr(series, name, fake)
     with pytest.raises(AssertionError, match="%s route produced a non-integer: 1/2" % route):
         routes.route_prefix(route, 5)
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from oddcovers import checks, cli, routes
 from oddcovers.checks import catalan_alternating_sum
 from oddcovers.combinat import catalan
-from oddcovers.schubert import SchubertVector, sigma12_rows, top_power_prefix
+from oddcovers.schubert import SchubertVector, top_power_prefix
+from oddcovers.sigma12 import sigma12_rows
 from schubert_helpers import poly_mul, schur_at_t, sigma, torus_top, torus_top_powers
 
 

@@ -2,6 +2,7 @@
 
     git archive BASE_COMMIT | tar -x -C BASE_DIR
     python3 tools/cli_compare.py BASE_DIR/src [NEW_SRC]
+    python3 tools/cli_compare.py --write-digests [NEW_SRC]
 
 Runs every command in COMMANDS as `python -m oddcovers.cli ...` once with
 BASE_DIR/src and once with NEW_SRC (default: this checkout's `src`) on
@@ -9,15 +10,29 @@ PYTHONPATH, and compares stdout, stderr, the exit code and the bytes of the
 file the command writes. Each command is the argv list `shlex.split` makes of
 its string, so a quoted value may be empty or hold spaces; `{out}` in it
 becomes a path in a fresh temporary directory on each side, for `--output`.
+Every run sees COLUMNS=80, the width argparse wraps its help and usage to.
 Prints one line per command and exits 1 if any of them differ.
+
+`--write-digests` runs each command once, with NEW_SRC, and writes DIGESTS:
+one line per command, `digest(...)` of its four outputs, the Python version
+for a command that argparse answers (help and usage text change across
+versions), else `-`, and the command, separated by tabs.
+`tests/test_cli_digests.py` recomputes each line in process.
 """
 
+import hashlib
 import os
 import shlex
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = ROOT / "tests" / "cli_digests.txt"
+DIGESTS_HEADER = ("# digest, Python version of argparse's text or -, command; tab-separated.\n"
+                  "# Written by `python3 tools/cli_compare.py --write-digests`.\n")
+COLUMNS = "80"
 
 COMMANDS = (
     "table --max-g 16 --routes closed,coeff_form,genfun,lagrange --format json",
@@ -111,7 +126,7 @@ COMMANDS = (
 def capture(src: str, command: str):
     """(stdout, stderr, exit code, bytes written to `{out}` or None) of one CLI
     command run from `src`."""
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS=COLUMNS)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp, "out")
         argv = [arg.replace("{out}", str(out)) for arg in shlex.split(command)]
@@ -121,12 +136,40 @@ def capture(src: str, command: str):
     return done.stdout, done.stderr, done.returncode, written
 
 
+def digest(stdout: bytes, stderr: bytes, code: int, written) -> str:
+    """The SHA-256, in hex, of one command's outputs, each part length-prefixed
+    so that no two different outputs share an encoding."""
+    h = hashlib.sha256()
+    file = b"none" if written is None else b"file" + written
+    for part in (stdout, stderr, str(code).encode(), file):
+        h.update(b"%d:" % len(part) + part)
+    return h.hexdigest()
+
+
+def write_digests(src: str) -> None:
+    sys.path.insert(0, src)
+    from oddcovers.cli import _read  # None for an argv that argparse answers
+
+    version = "%d.%d" % sys.version_info[:2]
+    DIGESTS.write_text(DIGESTS_HEADER + "".join(
+        "%s\t%s\t%s\n" % (digest(*capture(src, command)),
+                          version if _read(shlex.split(command)) is None else "-", command)
+        for command in COMMANDS))
+
+
+def _src(args) -> str:
+    """The source tree `args` names, or this checkout's `src`."""
+    return str(Path(args[0] if args else ROOT / "src").resolve())
+
+
 def main(argv) -> int:
+    if argv[:1] == ["--write-digests"] and len(argv) <= 2:
+        write_digests(_src(argv[1:]))
+        return 0
     if len(argv) not in (1, 2):
         sys.stderr.write(__doc__)
         return 2
-    base = str(Path(argv[0]).resolve())
-    new = str(Path(argv[1] if len(argv) == 2 else Path(__file__).parent.parent / "src").resolve())
+    base, new = _src(argv[:1]), _src(argv[1:])
     differ = False
     for command in COMMANDS:
         old, cur = capture(base, command), capture(new, command)
