@@ -10,7 +10,7 @@ from collections import namedtuple
 from math import comb
 
 from . import covers, routes, schubert, sigma12, weier
-from .combinat import binom_ratio, catalan
+from .combinat import catalan
 
 # One certified fact; `run(max_g)` returns (passed, detail). `max_g` is the
 # identity window, --max-g but never below 5. A citation may name it as %(g)d.
@@ -26,9 +26,13 @@ def binomial_identity_check(g: int) -> bool:
 
 def catalan_half_binomial_check(n: int) -> bool:
     """Catalan(n) == (-1)^n 2^(2n+1) binom(1/2, n+1), the square-root-series
-    rewrite, compared in ints: binom(1/2, n+1) = num/den with den > 0, so it
-    holds iff Catalan(n) den == (-1)^n 2^(2n+1) num."""
-    num, den = binom_ratio(1, 2, n + 1)
+    rewrite, compared in ints: binom(1/2, n+1) = num/den with
+    num = prod_{i<=n} (1 - 2i) and den = 2^(n+1) (n+1)!, so it holds iff
+    Catalan(n) den == (-1)^n 2^(2n+1) num."""
+    num = den = 1
+    for i in range(n + 1):
+        num *= 1 - 2 * i
+        den *= 2 * (i + 1)
     return catalan(n) * den == (-1) ** n * 2 ** (2 * n + 1) * num
 
 

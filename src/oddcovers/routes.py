@@ -22,8 +22,9 @@ coefficient route steps the integers 4^j binom(1/2, j), the coefficients of
 its g-free factor (1+z)^(1/2), once by their own ratio and takes one dot
 product per g; the closed route builds Catalan(0..2G) once and steps each row
 of binomial weights by exact ratios. Every route computes in ints, every
-division goes through `_integer`, and a value that is no integer is named as
-its reduced p/q. Only `route_prefix` imports `series`, `genfun` and
+division goes through `_integer`, the Miller steps of
+`series.binomial_series` included, and a value that is no integer is named
+as its reduced p/q. Only `route_prefix` imports `series`, `genfun` and
 `schubert`, each on the branch of its route, so a `table` job compiles only
 the routes it names; no route loads `ring` but `schubert`. `cmd_table` is the
 `table` command.

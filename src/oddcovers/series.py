@@ -4,36 +4,17 @@ binomial powers) and the pipeline that expands 8f on them.
 A series here is a plain list of int coefficients, constant term first; a list
 of N+1 ints is a series known modulo w^(N+1). `product` truncates to the
 shorter operand. `binomial_series` raises 1 + f to the power p/q by J.C.P.
-Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7) in `_scaled_power`,
-which costs O(n nnz(f)) coefficient operations at order n: O(n^2) for a dense
-f, O(n) for an f of one term. Reciprocals 1/(1 + f) and square roots are
-binomial powers too. Every step divides exactly or raises ArithmeticError;
-nothing rounds or floors. `lagrange_pipeline` checks its 8f against
-`fmod_series`, the paper's closed form. Only `routes.route_prefix`'s `lagrange`
-branch imports this module; the `Series` class the tests check these against
-lives in `tests/series_oracles.py`.
+Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7), which costs
+O(n nnz(f)) coefficient operations at order n: O(n^2) for a dense f, O(n) for
+an f of one term. Reciprocals 1/(1 + f) and square roots are binomial powers
+too. Every step divides through `_integer`, which names a remainder as its
+reduced p/q; nothing rounds or floors. `lagrange_pipeline` checks its 8f
+against `fmod_series`, the paper's closed form. Only `routes.route_prefix`'s
+`lagrange` branch imports this module; the `Series` class the tests check
+these against lives in `tests/series_oracles.py`, with its own scaled kernel.
 """
 
 from .combinat import _integer
-
-
-def _scaled_power(p: int, q: int, f, d: int, scale: int, order: int) -> list:
-    """[G_0..G_order], G_n = scale^n [w^n] (1 + f/d)^(p/q) for int f, from
-    n q d G_n = sum_{k=1..n} ((p+q)k - nq) f_k scale^k G_(n-k); a step that
-    leaves a remainder (G_n no integer) raises ArithmeticError."""
-    support = [(k, f[k] * scale ** k) for k in range(1, order + 1) if f[k]]
-    g = [1] + [0] * order
-    for n in range(1, order + 1):
-        total = 0
-        for k, fk in support:
-            if k > n:
-                break
-            if g[n - k]:
-                total += ((p + q) * k - n * q) * fk * g[n - k]
-        g[n], rest = divmod(total, n * q * d)
-        if rest:
-            raise ArithmeticError("binomial step %d is not integral at scale %d" % (n, scale))
-    return g
 
 
 def product(a: list, b: list) -> list:
@@ -52,10 +33,12 @@ def binomial_series(a: tuple, f: list) -> list:
     """The coefficients of (1 + f)^(p/q), to the order of f, for the int pair
     a = (p, q), q > 0, and the int list f with f[0] = 0.
 
-    Each coefficient must be an integer: a step that leaves a remainder raises
-    ArithmeticError. For an integral f, 1/(1 + f) and every integer power are
-    integral, and so is (1 + 4f)^(+-1/2), since 4^k binom(+-1/2, k) is an
-    integer: the powers the Lagrange route takes are all of these forms.
+    Miller's recurrence n q G_n = sum_{k=1..n} ((p+q)k - nq) f_k G_(n-k) gives
+    each coefficient G_n, which must be an integer: a step that leaves a
+    remainder raises AssertionError through `_integer`. For an integral f,
+    1/(1 + f) and every integer power are integral, and so is
+    (1 + 4f)^(+-1/2), since 4^k binom(+-1/2, k) is an integer: the powers the
+    Lagrange route takes are all of these forms.
     """
     pair = a if type(a) is tuple and len(a) == 2 else (a,)
     for c in pair:
@@ -71,7 +54,17 @@ def binomial_series(a: tuple, f: list) -> list:
         raise ValueError("binomial_series needs q > 0")
     if f[0] != 0:
         raise ValueError("binomial_series requires f(0) = 0")
-    return _scaled_power(p, q, f, 1, 1, len(f) - 1)
+    support = [(k, fk) for k, fk in enumerate(f) if fk]
+    g = [1] + [0] * (len(f) - 1)
+    for n in range(1, len(f)):
+        total = 0
+        for k, fk in support:
+            if k > n:
+                break
+            if g[n - k]:
+                total += ((p + q) * k - n * q) * fk * g[n - k]
+        g[n] = _integer(total, n * q, "lagrange")
+    return g
 
 
 def fmod_series(order: int) -> list:

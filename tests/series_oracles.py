@@ -14,18 +14,18 @@ the package replaced by an integer recurrence from that polynomial.
 
 `Series` is the truncated series ring over Q the Lagrange route once ran on,
 kept as the oracle its integer lists are checked against; `series_power` is
-its binomial power, on the package's `_scaled_power`. A `Series` is built
-from ints alone; `series_of` and `values_of` carry a list of rationals (ints
-and Fractions) in and out of one.
+its binomial power, on this module's own Miller kernel `scaled_power`, which
+runs at the scale that makes any rational power integral. A `Series` is
+built from ints alone; `series_of` and `values_of` carry a list of rationals
+(ints and Fractions) in and out of one. Nothing here calls the package but
+its ring base class, so no oracle runs the code it checks.
 """
 
 from fractions import Fraction
 from math import comb, gcd, lcm
 
 from map_oracles import exact_div, is_rational
-from oddcovers.combinat import binom_ratio, catalan
 from oddcovers.ring import RingElement
-from oddcovers.series import _scaled_power
 
 
 class Series(RingElement):
@@ -152,6 +152,25 @@ class Series(RingElement):
         return "Series(%s/%d; order=%d)" % (list(self.nums), self.den, self.order)
 
 
+def scaled_power(p: int, q: int, f, d: int, scale: int, order: int) -> list:
+    """[G_0..G_order], G_n = scale^n [w^n] (1 + f/d)^(p/q) for int f, from
+    n q d G_n = sum_{k=1..n} ((p+q)k - nq) f_k scale^k G_(n-k); a step that
+    leaves a remainder (G_n no integer) raises ArithmeticError."""
+    support = [(k, f[k] * scale ** k) for k in range(1, order + 1) if f[k]]
+    g = [1] + [0] * order
+    for n in range(1, order + 1):
+        total = 0
+        for k, fk in support:
+            if k > n:
+                break
+            if g[n - k]:
+                total += ((p + q) * k - n * q) * fk * g[n - k]
+        g[n], rest = divmod(total, n * q * d)
+        if rest:
+            raise ArithmeticError("binomial step %d is not integral at scale %d" % (n, scale))
+    return g
+
+
 def series_power(a: tuple, inner: Series) -> Series:
     """(1 + inner)^(p/q) mod w^(inner.order+1) for the int pair a = (p, q),
     q > 0; requires inner(0) = 0.
@@ -161,13 +180,13 @@ def series_power(a: tuple, inner: Series) -> Series:
     an integer over D^j, and q^(2j) binom(a, j) is an integer (l-integral for
     a prime l not dividing q; for l | q, with p/q in lowest terms, each p - iq
     is prime to l and v_l(j!) < j; a pair not in lowest terms only multiplies
-    the scale). So each step of `_scaled_power` divides exactly.
+    the scale). So each step of `scaled_power` divides exactly.
     """
     p, q = a
     if inner.nums[0] != 0:
         raise ValueError("series_power requires inner(0) = 0")
     scale, order = q * q * inner.den, inner.order
-    g = _scaled_power(p, q, inner.nums, inner.den, scale, order)
+    g = scaled_power(p, q, inner.nums, inner.den, scale, order)
     return Series._make([gn * scale ** (order - n) for n, gn in enumerate(g)], scale ** order)
 
 
@@ -185,19 +204,28 @@ def values_of(series: Series) -> list:
 
 
 def binom_gen(a, k: int):
-    """Generalized binomial a(a-1)...(a-k+1)/k! for rational a, in canonical
-    form: one `binom_ratio` and a single gcd."""
+    """Generalized binomial a(a-1)...(a-k+1)/k! for rational a = p/q, in
+    canonical form: prod_{i<k} (p - iq) over q^k k!, and a single gcd."""
     if not is_rational(a):
         raise TypeError("binom_gen takes a rational a, not %s" % type(a).__name__)
-    return exact_div(*binom_ratio(a.numerator, a.denominator, k))
+    if k < 0:
+        raise ValueError("binom_gen requires k >= 0")
+    p, q = a.numerator, a.denominator
+    num = den = 1
+    for i in range(k):
+        num *= p - i * q
+        den *= q * (i + 1)
+    return exact_div(num, den)
 
 
 def alt_catalan_closed(g: int) -> int:
-    """A_g = 16^g * sum_i (-2)^i C(g,i) Catalan(2g-i)."""
+    """A_g = 16^g * sum_i (-2)^i C(g,i) Catalan(2g-i), Catalan(n) =
+    C(2n,n)/(n+1)."""
     if g < 0:
         raise ValueError("g must be nonnegative")
     return 16 ** g * sum(
-        (-2) ** i * comb(g, i) * catalan(2 * g - i) for i in range(g + 1)
+        (-2) ** i * comb(g, i) * (comb(4 * g - 2 * i, 2 * g - i) // (2 * g - i + 1))
+        for i in range(g + 1)
     )
 
 

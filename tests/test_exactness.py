@@ -152,3 +152,54 @@ def test_form_layers_do_not_divide(name):
 ])
 def test_division_scan_flags_every_form(source):
     assert division_nodes(ast.parse(source))
+
+
+# The test oracles check the package by code it does not share: they import
+# nothing from it but the ring base class.
+ORACLES = sorted(Path(__file__).parent.glob("*_oracles.py"))
+ORACLE_IMPORTS = {("oddcovers.ring", "RingElement")}
+
+
+def package_imports(tree):
+    """(line, description) for each import from oddcovers outside ORACLE_IMPORTS."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "import " + a.name) for a in node.names
+                      if a.name.split(".")[0] == "oddcovers"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "oddcovers"):
+            module = "." * node.level + (node.module or "")
+            found += [(node.lineno, "from %s import %s" % (module, a.name))
+                      for a in node.names if (module, a.name) not in ORACLE_IMPORTS]
+    return found
+
+
+def test_oracle_scan_sees_every_oracle():
+    names = {m.name for m in ORACLES}
+    assert {"map_oracles.py", "series_oracles.py", "growth_oracles.py"} <= names
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda m: m.name)
+def test_oracle_imports_nothing_from_the_package_but_the_ring(oracle):
+    assert package_imports(ast.parse(oracle.read_text(), str(oracle))) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from oddcovers.series import binomial_series",
+    "from oddcovers.combinat import catalan",
+    "from oddcovers.ring import exact_div",
+    "from oddcovers import series",
+    "from oddcovers import ring",
+    "import oddcovers.series",
+    "import oddcovers",
+    "from .series import product",
+    "def f():\n    from oddcovers.routes import route_prefix",
+])
+def test_oracle_scan_flags_every_package_import(source):
+    assert package_imports(ast.parse(source))
+
+
+def test_oracle_scan_allows_the_ring_base_class():
+    source = "from oddcovers.ring import RingElement\nfrom map_oracles import exact_div"
+    assert package_imports(ast.parse(source)) == []

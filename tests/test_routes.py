@@ -206,6 +206,8 @@ GENFUN_DEFECTS = [
 LAGRANGE_DEFECTS = [
     pytest.param("series.py", "(p + q) * k - n * q)", "(p + q) * k - n * q + 1)",
                  id="miller-factor-plus-1"),
+    pytest.param("series.py", "_integer(total, n * q,", "_integer(total, n * q + 1,",
+                 id="miller-divisor-plus-1"),
     pytest.param("series.py", "for j in range(n - i):", "for j in range(n - i - 1):",
                  id="product-window-short-by-1"),
     pytest.param("series.py", "alg = [256 * c", "alg = [255 * c", id="algebraic-256-255"),
@@ -286,12 +288,17 @@ def test_lagrange_pipeline_matches_generic_inversion_at_order_41():
 
 def test_lagrange_pipeline_steps_u_through_integer(monkeypatch):
     # u_n = 16(4-n) u_(n-2) / (n-1) from u_1 = 16, u_2 = 64, then one halving
-    # of each coefficient, and nothing else
+    # of each coefficient, then the Miller steps n q G_n of the seven binomial
+    # powers, (1/2, -1/2, -1, 1/2) in the pipeline and (1/2, 1/2, -1/2) in
+    # fmod_series, and nothing else
     seen = _off_by_one(monkeypatch, None, None, None, series)
     u, _ = series.lagrange_pipeline(7)
     assert u == [0, 16, 64, 128, 0, -512, 0, 4096]
-    assert seen == [("lagrange", 16 * (4 - n) * u[n - 2], n - 1) for n in range(3, 8)] + [
+    steps = [("lagrange", 16 * (4 - n) * u[n - 2], n - 1) for n in range(3, 8)] + [
         ("lagrange", c, 2) for c in u]
+    assert seen[:len(steps)] == steps
+    assert [(r, d) for r, _, d in seen[len(steps):]] == [
+        ("lagrange", n * q) for q in (2, 2, 1, 2, 2, 2, 2) for n in range(1, 8)]
 
 
 def test_lagrange_pipeline_rejects_perturbed_inversion_coefficient(monkeypatch):
@@ -398,7 +405,7 @@ def test_routes_share_only_the_allowlisted_code():
     assert {route for route in routes.ROUTES
             if any(module == "series" for module, _ in reach[route])} == {"lagrange"}
     assert {owner for module, owner in reach["lagrange"] if module == "series"} == {
-        "_scaled_power", "binomial_series", "product", "fmod_series", "lagrange_pipeline"}
+        "binomial_series", "product", "fmod_series", "lagrange_pipeline"}
     assert {owner for module, owner in reach["lagrange"] if module == "routes"} == {
         "route_prefix"}
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from oddcovers.combinat import catalan
-from oddcovers.series import _scaled_power, binomial_series, product
+from oddcovers.series import binomial_series, product
 
 from series_oracles import (Series, binom_gen, compose, lagrange_invert, reciprocal,
-                            series_of, series_power, values_of)
+                            scaled_power, series_of, series_power, values_of)
 
 
 def test_geometric_inverse():
@@ -209,14 +209,17 @@ ints = st.integers(min_value=-9, max_value=9)
 @example(Fraction(-1, 2), [4, 4, 4])
 def test_binomial_series_is_the_oracle_power_when_integral(a, tail):
     # the int kernel returns the oracle's coefficients when all are integers,
-    # and raises, never floors, when one is not: sqrt(1 + w) has [w^1] = 1/2
+    # and raises, never floors, when one is not, naming the first coefficient
+    # that is no integer as its reduced p/q: sqrt(1 + w) has [w^1] = 1/2
     f = [0] + tail
     oracle = series_power((a.numerator, a.denominator), Series(f))
     if oracle.den == 1:
         assert binomial_series((a.numerator, a.denominator), f) == list(oracle.nums)
     else:
-        with pytest.raises(ArithmeticError, match="not integral at scale 1"):
+        first = next(Fraction(c, oracle.den) for c in oracle.nums if c % oracle.den)
+        with pytest.raises(AssertionError) as failure:
             binomial_series((a.numerator, a.denominator), f)
+        assert str(failure.value) == "lagrange route produced a non-integer: %s" % first
 
 
 @given(st.sampled_from([(1, 2), (-1, 2), (-1, 1), (3, 2), (-3, 2)]), st.lists(ints, max_size=12))
@@ -332,7 +335,7 @@ def test_make_equals_init(nums, den):
 
 @given(exponents, inner_tails, st.integers(min_value=0, max_value=12))
 def test_binomial_series_steps_divide_exactly(a, tail, order):
-    # the integrality argument of series_power: no step of _scaled_power
+    # the integrality argument of series_power: no step of scaled_power
     # leaves a remainder, which would raise ArithmeticError here
     inner = series_of([0] + tail)
     inner = inner.truncated(min(order, inner.order))
@@ -348,7 +351,8 @@ def test_binomial_series_steps_divide_exactly(a, tail, order):
     (1, 3, [0, 1, 0, 0, 0], 1, 3),   # cube root needs 9^n
 ])
 def test_scaled_power_refuses_a_wrong_scale(p, q, f, d, scale):
-    # a scale too small for the integrality argument raises, never floors
+    # the oracle's kernel: a scale too small for the integrality argument
+    # raises, never floors
     with pytest.raises(ArithmeticError, match="not integral at scale %d" % scale):
-        _scaled_power(p, q, f, d, scale, len(f) - 1)
-    assert len(_scaled_power(p, q, f, d, q * q * d, len(f) - 1)) == len(f)
+        scaled_power(p, q, f, d, scale, len(f) - 1)
+    assert len(scaled_power(p, q, f, d, q * q * d, len(f) - 1)) == len(f)
