@@ -146,7 +146,7 @@ def _refuse(text: str, code: int = 2) -> int:
 
 
 def _emit(args, text: str, payload: dict, code: int) -> int:
-    """Write the output; return `code`, or 2 if --output cannot be written."""
+    """Write the output; return `code`, or 2 if it cannot be written."""
     if args.format == "text":
         body = text
     elif args.format == "json":
@@ -155,14 +155,16 @@ def _emit(args, text: str, payload: dict, code: int) -> int:
         from .cli_extra import to_csv
 
         body = to_csv(payload)
-    if args.output:
-        try:
+    try:
+        if args.output is None:
+            sys.stdout.write(body)
+            sys.stdout.flush()
+        else:
             with open(args.output, "w") as handle:
                 handle.write(body)
-        except OSError as err:
-            return _refuse("cannot write %s: %s" % (args.output, err.strerror or err))
-    else:
-        sys.stdout.write(body)
+    except OSError as err:
+        target = "standard output" if args.output is None else args.output
+        return _refuse("cannot write %s: %s" % (target, err.strerror or err))
     return code
 
 
@@ -173,8 +175,10 @@ def main(argv=None) -> int:
     A call without `argv` is the program entry: it reads `sys.argv` and, once
     the command has written its output, freezes the garbage collector
     (`gc.freeze`), so that interpreter shutdown does not traverse every object
-    the process made just before it exits. Long-lived callers pass `argv` and
-    keep normal collection."""
+    the process made just before it exits. A stdout that refused the output
+    is then pointed at the null device, so the interpreter's exit flush does
+    not report it again. Long-lived callers pass `argv` and keep normal
+    collection and their stdout."""
     program = argv is None
     if program:
         argv = sys.argv[1:]
@@ -200,6 +204,15 @@ def main(argv=None) -> int:
                            % args.command, 3)
     finally:
         if program:
+            try:
+                sys.stdout.flush()
+            except OSError:
+                # a stdout that refused the output keeps the bytes it could not
+                # write, and the interpreter's exit flush would report them a
+                # second time: point the descriptor at the null device instead
+                import os
+
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             import gc
 
             gc.freeze()

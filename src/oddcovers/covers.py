@@ -15,15 +15,7 @@ and fibers of a map with one Jacobian and products alone.
 
 from .poly import IntPoly, discriminant
 from .quadratic import form_ring
-from .ratmap import (
-    compose,
-    fiber_is,
-    mobius_fixing_0_1,
-    ramified_exactly_at,
-    same_map,
-    same_point,
-    value_at,
-)
+from .ratmap import compose, fiber_is, mobius_fixing_0_1, ramified_exactly_at, same_point
 
 
 def family_condition_deg5_alpha1() -> bool:
@@ -112,7 +104,7 @@ def check_quartic_cover() -> bool:
     if (x - 2 * z) ** 3 * (x + 2 * z) != x ** 4 - 4 * x ** 3 * z + 16 * x * z ** 3 - 16 * z ** 4:
         return False
     F, G = f
-    return same_map(compose(f, (2 * z - x, z)), (-F - 16 * G, G))
+    return same_point(compose(f, (2 * z - x, z)), (-F - 16 * G, G))
 
 
 def paired_quartic_maps():
@@ -152,7 +144,7 @@ def check_paired_quartic_maps() -> tuple:
                           for f, claims in zip(maps, paired_quartic_claims()))
     x, z, r = form_ring(3).variables(3)
     tau = mobius_fixing_0_1((3 + r, 6), x, z)  # 1/2 + sqrt(3)/6
-    return ramification_ok, same_map(compose(maps[1], tau), maps[0])
+    return ramification_ok, same_point(compose(maps[1], tau), maps[0])
 
 
 def deg3_maps():
@@ -180,10 +172,10 @@ def check_deg3_maps() -> bool:
     f, conj = deg3_maps()
     if not all(certified(g, claims) for g, claims in zip((f, conj), deg3_claims())):
         return False
-    if not same_point(value_at(f, (0, 1)), value_at(f, (1, 1))):
+    if not same_point(compose(f, (0, 1)), compose(f, (1, 1))):
         return False
     x, z, s = form_ring(-3).variables(3)
-    return same_map(compose(f, (z - x, z)), conj)
+    return same_point(compose(f, (z - x, z)), conj)
 
 
 def chern_upper_bound(c1F: int, c1V: int) -> int:

@@ -1,5 +1,6 @@
 import ast
 import csv
+import errno
 import gc
 import importlib
 import io
@@ -414,20 +415,72 @@ def test_output_file(tmp_path, capsys):
     assert payload["rows"][2]["values"]["closed"] == "512"
 
 
-@pytest.mark.parametrize("argv", [
+UNWRITABLE_ARGVS = (
     ["table", "--max-g", "2"],
     ["series", "--order", "3"],
     ["verify", "--suite", "weierstrass"],
     ["schubert", "--g", "1"],
+)
+
+
+# a path in a missing directory, and the empty path, which open('') refuses
+@pytest.mark.parametrize("argv, target", [
+    *(pytest.param(argv, "missing/out.json", id="argv%d" % i)
+      for i, argv in enumerate(UNWRITABLE_ARGVS)),
+    *(pytest.param(argv, "", id="argv%d-empty" % i) for i, argv in enumerate(UNWRITABLE_ARGVS)),
 ])
-def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
-    target = tmp_path / "missing" / "out.json"
-    code = cli.main(argv + ["--format", "json", "--output", str(target)])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, target):
+    path = str(tmp_path / target) if target else ""
+    code = cli.main(argv + ["--format", "json", "--output", path])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("cannot write %s: " % target)
-    assert not target.exists()
+    assert captured.err.startswith("cannot write %s: " % path)
+    assert not any(tmp_path.iterdir())
+
+
+class _FullStream:
+    """A stdout on a full device: every write raises ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_stdout_write_error_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    assert cli.main(["table", "--max-g", "3"]) == 2
+    assert capsys.readouterr().err == "cannot write standard output: %s\n" % os.strerror(
+        errno.ENOSPC)
+
+
+def _closed_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return os.fdopen(write_end, "w")
+
+
+# stdout on a device that refuses every write, and on a pipe no one reads; the
+# interpreter's buffered stdout (the default) and an unbuffered one (-u)
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target, errno_", [
+    pytest.param(lambda: open("/dev/full", "w"), errno.ENOSPC, id="full",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full on this system")),
+    pytest.param(_closed_pipe, errno.EPIPE, id="closed-pipe"),
+])
+def test_the_program_on_an_unwritable_stdout_exits_2_with_one_line(flags, target, errno_):
+    # the program entry: one line on stderr, and no second error as the
+    # interpreter exits and flushes stdout
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    with target() as stdout:
+        done = subprocess.run([sys.executable, *flags, "-m", "oddcovers.cli", "table",
+                               "--max-g", "3"], stdout=stdout, stderr=subprocess.PIPE,
+                              text=True, timeout=120, env=env)
+    assert (done.returncode, done.stderr) == (
+        2, "cannot write standard output: %s\n" % os.strerror(errno_))
 
 
 def test_a_call_with_argv_leaves_the_collector_unfrozen(capsys):

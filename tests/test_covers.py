@@ -4,7 +4,9 @@ import pytest
 from oddcovers import checks, covers, ratmap
 from oddcovers.poly import IntPoly
 from oddcovers.quadratic import form_ring
-from oddcovers.ratmap import fiber_is, ramified_exactly_at, same_point, value_at
+from oddcovers.ratmap import compose, fiber_is, ramified_exactly_at, same_point
+
+from planted import assert_planted_defect_fails
 
 MAP_CHECKS = {"check_quartic_cover", "check_deg3_maps", "check_paired_quartic_maps"}
 
@@ -78,9 +80,9 @@ def test_paired_quartic_maps_share_branch_structure():
 def test_deg3_maps():
     assert covers.check_deg3_maps()
     f, conj = covers.deg3_maps()
-    assert same_point(value_at(f, (0, 1)), value_at(f, (1, 1)))
+    assert same_point(compose(f, (0, 1)), compose(f, (1, 1)))
     # infinity is a triple point, the whole fiber over f(infinity)
-    assert fiber_is(f, value_at(f, (1, 0)), (((1, 0), 3),))
+    assert fiber_is(f, compose(f, (1, 0)), (((1, 0), 3),))
     assert ramified_exactly_at(f, covers.deg3_claims()[0][0])
 
 
@@ -249,3 +251,23 @@ def test_a_common_factor_of_F_and_G_fails_the_check(monkeypatch):
     [result] = [r for r in checks.run_checks(("covers",), 5)
                 if r["name"] == "check_quartic_cover"]
     assert not result["pass"]
+
+
+# One-token defects in the stated-product certificate of `ratmap`: each
+# stated point with one line factor fewer, the ramification exponent
+# index - 1 read as index, and the fiber form w F - v G read as w F + v G,
+# which differs only over a value with v and w both nonzero, as -16 is for
+# the quartic cover.
+RATMAP_DEFECTS = [
+    pytest.param("for _ in range(e):", "for _ in range(1, e):", MAP_CHECKS,
+                 id="one-factor-fewer"),
+    pytest.param("(point, index - 1) for", "(point, index) for", MAP_CHECKS,
+                 id="exponent-index"),
+    pytest.param("w * f[0] - v * f[1]", "w * f[0] + v * f[1]", {"check_quartic_cover"},
+                 id="fiber-form-plus"),
+]
+
+
+@pytest.mark.parametrize("old, new, failed", RATMAP_DEFECTS)
+def test_a_planted_ratmap_defect_fails_its_map_checks(tmp_path, old, new, failed):
+    assert_planted_defect_fails(tmp_path, "ratmap.py", old, new, "covers", failed)

@@ -365,21 +365,60 @@ def test_points_and_values_compare_projectively():
     assert not ratmap.same_point((1, 0), (0, 1))
     f = quartic_cover_map()
     # t = 1 is a pole, t = 2 goes to -16, infinity to infinity
-    assert ratmap.same_point(ratmap.value_at(f, (1, 1)), (1, 0))
-    assert ratmap.same_point(ratmap.value_at(f, (4, 2)), (-16, 1))
-    assert ratmap.same_point(ratmap.value_at(f, (1, 0)), (1, 0))
+    assert ratmap.same_point(ratmap.compose(f, (1, 1)), (1, 0))
+    assert ratmap.same_point(ratmap.compose(f, (4, 2)), (-16, 1))
+    assert ratmap.same_point(ratmap.compose(f, (1, 0)), (1, 0))
     x, z, r = form_ring(3).variables(3)
     # (1 + sqrt3)/2 = 1/(sqrt3 - 1), and not 2/(sqrt3 - 1)
     assert ratmap.same_point((1 + r, 2), (1, r - 1))
     assert not ratmap.same_point((1 + r, 2), (2, r - 1))
 
 
+def forms_of_degree(d):
+    """Two lists of d + 1 coefficients: a map of degree d by `form`."""
+    return st.lists(st.lists(small, min_size=d + 1, max_size=d + 1), min_size=2, max_size=2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(forms_of_degree),
+       st.integers(min_value=1, max_value=3).flatmap(forms_of_degree),
+       st.lists(small, min_size=1, max_size=3), small, st.booleans(),
+       st.one_of(st.just((1, 0)), st.tuples(small, small)))
+def test_one_comparison_and_one_substitution_match_the_oracle(
+        coeffs, other, common, c, multiple, point):
+    # same_point on maps is the oracle's equality of maps, and compose with a
+    # point is the oracle's value there; g is a multiple c h f of f or another map
+    f = tuple(map(form, coeffs))
+    if any(F.is_zero() for F in f) or point == (0, 0):
+        return
+    h = form(common)
+    if multiple and c and not h.is_zero():
+        g = (c * h * f[0], c * h * f[1])
+    else:
+        g = tuple(map(form, other))
+        if g[1].is_zero():
+            return
+    oracle = as_rational_map(f)
+    assert ratmap.same_point(f, g) is (oracle == as_rational_map(g))
+    u, w = ratmap.compose(f, point)
+    a, b = point
+    value = oracle(INFINITY if b == 0 else Fraction(a, b))
+    if u == 0 and w == 0:
+        # (0 : 0) only at a common zero of F and G, which the oracle cancels
+        assert oracle.degree < len(coeffs[0]) - 1
+    elif value == INFINITY:
+        assert w == 0
+    else:
+        value = Fraction(value)
+        assert u * value.denominator == w * value.numerator
+
+
 def test_maps_compare_projectively_and_compose_linearly():
     F, G = f = quartic_cover_map()
-    assert ratmap.same_map(f, (3 * F, 3 * G)) and not ratmap.same_map(f, (3 * F, G))
+    assert ratmap.same_point(f, (3 * F, 3 * G)) and not ratmap.same_point(f, (3 * F, G))
     # f(2 - t) = -f(t) - 16, and the reflection t -> 2 - t is an involution
     reflected = ratmap.compose(f, (2 * Z - X, Z))
-    assert ratmap.same_map(reflected, (-F - 16 * G, G))
+    assert ratmap.same_point(reflected, (-F - 16 * G, G))
     assert ratmap.compose(reflected, (2 * Z - X, Z)) == f
 
 
@@ -388,7 +427,7 @@ def test_mobius_fixing_0_1_as_forms(point):
     images = ratmap.mobius_fixing_0_1(point, X, Z)
     m = (images[0], images[1])
     for source, target in (((0, 1), (0, 1)), ((1, 1), (1, 1)), ((1, 0), point)):
-        assert ratmap.same_point(ratmap.value_at(m, source), target)
+        assert ratmap.same_point(ratmap.compose(m, source), target)
 
 
 def test_wrong_claims_fail_the_checks():

@@ -1,10 +1,6 @@
-import os
-import shutil
-import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +10,7 @@ from oddcovers import checks, genfun, routes, series
 from oddcovers.schubert import SchubertVector, top_power_prefix
 
 from growth_oracles import RATIO_BOUND, ROOT_WINDOW_START, growth_report
+from planted import assert_planted_defect_fails
 from series_oracles import (
     Series,
     alt_catalan_closed,
@@ -217,34 +214,12 @@ LAGRANGE_DEFECTS = [
 
 @pytest.mark.parametrize("old, new", GENFUN_DEFECTS)
 def test_a_planted_genfun_defect_fails_route_agreement(tmp_path, old, new):
-    _assert_planted_defect_fails_route_agreement(tmp_path, "genfun.py", old, new)
+    assert_planted_defect_fails(tmp_path, "genfun.py", old, new, "identities", {"route_agreement"})
 
 
 @pytest.mark.parametrize("module, old, new", LAGRANGE_DEFECTS)
 def test_a_planted_lagrange_defect_fails_route_agreement(tmp_path, module, old, new):
-    _assert_planted_defect_fails_route_agreement(tmp_path, module, old, new)
-
-
-def _assert_planted_defect_fails_route_agreement(tmp_path, module, old, new):
-    # on a copy of the package with one edit, verify reports the disagreement
-    # (or the non-integer step) as a failed check and exits 1
-    package = Path(genfun.__file__).resolve().parent
-    shutil.copytree(package, tmp_path / "oddcovers",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    target = tmp_path / "oddcovers" / module
-    text = target.read_text()
-    assert text.count(old) == 1
-    target.write_text(text.replace(old, new))
-    done = subprocess.run(
-        [sys.executable, "-m", "oddcovers.cli", "verify", "--suite", "identities",
-         "--max-g", "5"], env=dict(os.environ, PYTHONPATH=str(tmp_path)),
-        capture_output=True, text=True, timeout=120)
-    assert (done.returncode, done.stderr) == (1, "")
-    lines = done.stdout.splitlines()
-    assert lines[0].startswith("PASS  binomial_identity ")
-    assert lines[1].startswith("PASS  catalan_half_binomial ")
-    assert lines[2].startswith("FAIL  route_agreement ")
-    assert lines[3:] == ["3 checks, 1 failed"]
+    assert_planted_defect_fails(tmp_path, module, old, new, "identities", {"route_agreement"})
 
 
 def test_a_bad_closed_step_fails_route_agreement(monkeypatch):

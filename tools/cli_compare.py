@@ -91,6 +91,7 @@ COMMANDS = (
     "table --max-g '-1 '",
     "table --max-g 13 --routes schubert",
     "series --order 3 --output '/nonexistent dir/out.txt'",
+    "table --max-g 1 --output ''",
     "series --order 2",
     "series --order 401 --format json",
     "table --max-g 200 --routes genfun,closed --format json",
